@@ -25,17 +25,18 @@ from .game import (
     union_bound,
 )
 from .instances import derive_decreasing_params, instance_from_descriptor
-from .optimize import (
-    OPT_CSV_COLUMNS,
-    brute_force_min_ratio,
-    local_search,
-    make_algorithm,
-    opt_result_row,
-    random_search,
-)
+from .optimize import OPT_CSV_COLUMNS, SEARCHES, make_algorithm, opt_result_row
+# Not called here; kept as cli attributes that perfbench/tracing.py rebinds.
+from .optimize import brute_force_min_ratio, local_search, random_search  # noqa: F401
 from .oracles import CountingOracle, make_oracles
 from .serialize import approx_str, frac_from_str, frac_to_str, write_csv, write_json
-from .verify import check_monotone, check_nonnegative, check_supermodular
+from .verify import (
+    VIOLATION_CSV_COLUMNS,
+    check_monotone,
+    check_nonnegative,
+    check_supermodular,
+    violation_row,
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="minimize f/g over nonempty subsets")
     add_instance_flags(p_solve)
-    p_solve.add_argument("--method", choices=("brute", "local", "random"), default="brute")
+    p_solve.add_argument("--method", choices=tuple(SEARCHES), default="brute")
     p_solve.add_argument("--budget", type=int, help="query budget for heuristics (default n^3)")
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--out-csv", help="write the result row as CSV")
@@ -72,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_game = sub.add_parser("game", help="run the planted indistinguishability game")
     add_instance_flags(p_game)
-    p_game.add_argument("--method", choices=("brute", "local", "random"), default="random")
+    p_game.add_argument("--method", choices=tuple(SEARCHES), default="random")
     p_game.add_argument("--budget", type=int, help="per-trial budget (default n^3)")
     p_game.add_argument("--trials", type=int, default=100)
     p_game.add_argument("--seed", type=int, default=0)
@@ -158,14 +159,10 @@ def cmd_verify(args) -> int:
             f"negative values={len(neg)}, queries={oracle.count}"
         )
     if args.out_csv:
-        rows = [
-            (v.base.hex_mask(), v.i, v.j, frac_to_str(v.lhs_margin), frac_to_str(v.rhs_margin))
-            for v in all_supermodular_violations
-        ]
         write_csv(
             args.out_csv,
-            ["base_mask_hex", "i", "j", "lhs", "rhs"],
-            rows,
+            VIOLATION_CSV_COLUMNS,
+            [violation_row(v) for v in all_supermodular_violations],
             _run_meta(args, desc, sides=",".join(sides)),
         )
     return 0 if clean else 1
@@ -176,12 +173,7 @@ def cmd_solve(args) -> int:
     inst = instance_from_descriptor(desc)
     budget = args.budget if args.budget is not None else inst.n ** 3
     f_oracle, g_oracle = make_oracles(inst)
-    if args.method == "brute":
-        result = brute_force_min_ratio(f_oracle, g_oracle, inst.n)
-    elif args.method == "local":
-        result = local_search(f_oracle, g_oracle, inst.n, budget, args.seed)
-    else:
-        result = random_search(f_oracle, g_oracle, inst.n, budget, args.seed)
+    result = SEARCHES[args.method](f_oracle, g_oracle, inst.n, budget, args.seed)
     print(
         f"method={result.method} family={inst.family} n={inst.n} "
         f"value={frac_to_str(result.value)} (approx {approx_str(result.value)}) "

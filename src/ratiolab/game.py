@@ -10,7 +10,9 @@ Increasing family: the adversary is lazy.  The algorithm runs against the
 unplanted pair; afterwards a consistent plant R* is chosen among the
 half-size sets the algorithm never touched, so the planted and unplanted
 worlds agree on the entire transcript by construction.  The empirical
-ratio is then at least min{n/(2 eps), m} / floor(n/2).
+ratio is then at least min{n/(2 eps), m} / floor(n/2).  A trial whose
+queries cover every half-size set leaves no place to hide a plant; it is
+recorded as distinguished, with union bound 1.
 
 Per-query distinguishing probabilities are exact rationals; Monte Carlo
 exists only to cross-check them.
@@ -203,7 +205,11 @@ def run_game_increasing(algorithm, inst: IncreasingInstance, seed: int, trials: 
 
     After the run, the planted world with R* agrees with the unplanted one
     on every transcript entry; that agreement is re-checked value by value,
-    so each report certifies literal indistinguishability.
+    so each undistinguished report certifies literal indistinguishability.
+    When the queries (returned set included) cover all C(n, n//2)
+    candidates, no R* exists: the trial is distinguished, first_idx is the
+    query that covered the last candidate, the union bound is 1, and the
+    planted optimum is floor(n/2), its value for every plant.
     """
     if inst.plant is not None:
         raise ParameterError("pass an unplanted instance; the game plants after the run")
@@ -216,30 +222,61 @@ def run_game_increasing(algorithm, inst: IncreasingInstance, seed: int, trials: 
         f_oracle, g_oracle = make_oracles(inst, transcript)
         result = algorithm(f_oracle, g_oracle, inst.n, derive_seed(trial_seed, "alg"))
         transcript.set_returned(result.argset)
-        r_star = find_consistent_plant(transcript, inst.n)
-        planted = inst.with_plant(r_star)
-        f_check = instance_evaluator(planted, "f")
-        g_check = instance_evaluator(planted, "g")
-        for S, f_value, g_value in transcript.entries:
-            if f_check(S) != f_value or g_check(S) != g_value:
-                raise RatioLabError(
-                    "planted world disagrees with the transcript; plant search is broken"
-                )
-        planted_optimum = planted.planted_ratio()
+        try:
+            r_star = find_consistent_plant(transcript, inst.n)
+        except NoConsistentPlantError:
+            # Every candidate was queried: the adversary cannot hide.
+            first_idx = _covering_index(transcript, inst.n)
+            union = Fraction(1)
+        else:
+            _recheck(transcript, inst.with_plant(r_star))
+            first_idx = None
+            union = Fraction(0)
+        planted_optimum = inst.planted_ratio()
         reports.append(GameReport(
             family="increasing",
             n=inst.n,
             trial=trial,
             seed=trial_seed,
             queries=f_oracle.count + g_oracle.count,
-            distinguished=False,
-            first_idx=None,
+            distinguished=first_idx is not None,
+            first_idx=first_idx,
             algorithm_value=result.value,
             planted_optimum=planted_optimum,
             empirical_ratio=result.value / planted_optimum,
-            union_bound=Fraction(0),
+            union_bound=union,
         ))
     return reports
+
+
+def _recheck(transcript: QueryTranscript, planted: IncreasingInstance) -> None:
+    """Raise unless the planted world gives every transcript entry its recorded values.
+
+    Exact in every case: identical objects are equal, and differing objects
+    fall back to `!=`.  The identity test settles almost every entry, since
+    the planted and unplanted evaluators index the same cached value objects.
+    """
+    f_check = instance_evaluator(planted, "f")
+    g_check = instance_evaluator(planted, "g")
+    for S, f_value, g_value in transcript.entries:
+        f_now, g_now = f_check(S), g_check(S)
+        if (f_now is not f_value and f_now != f_value) or (g_now is not g_value and g_now != g_value):
+            raise RatioLabError(
+                "planted world disagrees with the transcript; plant search is broken"
+            )
+
+
+def _covering_index(transcript: QueryTranscript, n: int) -> int:
+    """Index, in effective_sets() order, of the query that covered the last candidate plant."""
+    k = n // 2
+    candidates = math.comb(n, k)
+    seen = set()
+    for idx, S in enumerate(transcript.effective_sets()):
+        if S.mask.bit_count() == k:
+            seen.add(S.mask)
+            if len(seen) == candidates:
+                return idx
+    raise RatioLabError("transcript does not cover every candidate plant")
 
 
 def game_report_row(report: GameReport) -> tuple:

@@ -8,6 +8,9 @@ reliably fail, which is the point.
 Tie-breaking is global and fixed: optimal value first, then smaller
 cardinality, then ascending mask.  Dualization relies on it being identical
 on both sides of the min/max reduction.
+
+Searches compare ratios as integer cross-multiplications of the (p, q)
+pairs from `ratio_terms`; a Fraction is built only for the returned value.
 """
 
 from __future__ import annotations
@@ -16,7 +19,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import ParameterError
-from .oracles import CountingOracle, ratio
+from .oracles import CountingOracle
+# The searches compare (p, q) integer pairs; the module-level name `ratio`
+# is the per-query evaluation that perfbench/tracing.py rebinds.
+from .oracles import ratio_terms as ratio
 from .sampling import SeededStream
 from .sets import Subset, check_guard, unchecked_subset, validate_ground_size
 
@@ -58,32 +64,41 @@ def dualize(problem: RatioProblem) -> RatioProblem:
     return replace(problem, f=problem.g, g=problem.f, sense="max" if problem.sense == "min" else "min")
 
 
-def _search_masks(f_oracle, g_oracle, n: int, better) -> OptResult:
-    best_mask = None
-    best_value = None
-    best_card = None
+def _precedes(a, b) -> bool:
+    """Whether search key a = (p, q, cardinality, mask) orders before key b.
+
+    Lower ratio p/q first (q > 0, so by cross-multiplication), then smaller
+    cardinality, then smaller mask.
+    """
+    lhs = a[0] * b[1]
+    rhs = b[0] * a[1]
+    return lhs < rhs or (lhs == rhs and a[2:] < b[2:])
+
+
+def _search_masks(f_oracle, g_oracle, n: int, sign: int) -> OptResult:
+    # Keys carry sign * p, so the maximizer (sign -1) is the minimizer of -f/g.
+    best = None
     for mask in range(1, 1 << n):
-        value = ratio(unchecked_subset(mask, n), f_oracle, g_oracle)
-        card = mask.bit_count()
-        if best_mask is None or better(value, best_value) or (
-            value == best_value and card < best_card
-        ):
-            best_mask, best_value, best_card = mask, value, card
-    return OptResult(Subset(best_mask, n), best_value, 2 * ((1 << n) - 1), "brute")
+        p, q = ratio(unchecked_subset(mask, n), f_oracle, g_oracle)
+        key = (sign * p, q, mask.bit_count(), mask)
+        if best is None or _precedes(key, best):
+            best = key
+    value = Fraction(sign * best[0], best[1])
+    return OptResult(Subset(best[3], n), value, 2 * ((1 << n) - 1), "brute")
 
 
 def brute_force_min_ratio(f_oracle, g_oracle, n: int) -> OptResult:
     """Exact minimizer of f/g over all nonempty subsets, ascending-mask scan."""
     validate_ground_size(n)
     check_guard(n, "exhaustive ratio search")
-    return _search_masks(f_oracle, g_oracle, n, lambda v, b: v < b)
+    return _search_masks(f_oracle, g_oracle, n, 1)
 
 
 def brute_force_max_ratio(f_oracle, g_oracle, n: int) -> OptResult:
     """Exact maximizer of f/g over all nonempty subsets, same tie-break as min."""
     validate_ground_size(n)
     check_guard(n, "exhaustive ratio search")
-    return _search_masks(f_oracle, g_oracle, n, lambda v, b: v > b)
+    return _search_masks(f_oracle, g_oracle, n, -1)
 
 
 def local_search(f_oracle, g_oracle, n: int, budget: int, seed: int) -> OptResult:
@@ -101,14 +116,14 @@ def local_search(f_oracle, g_oracle, n: int, budget: int, seed: int) -> OptResul
     remaining = budget
     stream = SeededStream(seed, "local-search", n)
 
-    def evaluate(mask: int) -> Fraction:
+    def evaluate(mask: int) -> tuple:
         nonlocal remaining
         remaining -= 2
-        return ratio(unchecked_subset(mask, n), f_oracle, g_oracle)
+        p, q = ratio(unchecked_subset(mask, n), f_oracle, g_oracle)
+        return (p, q, mask.bit_count(), mask)
 
     current = stream.nonempty_mask(n)
-    current_value = evaluate(current)
-    best = (current_value, current.bit_count(), current)
+    best = current_key = evaluate(current)
 
     improved = True
     while improved and remaining >= 2:
@@ -122,21 +137,22 @@ def local_search(f_oracle, g_oracle, n: int, budget: int, seed: int) -> OptResul
             (current & ~(1 << i)) | (1 << j) for i in inside for j in outside
         ]
         move = None
+        current_p, current_q = current_key[:2]
         for mask in neighbors:
             if remaining < 2:
                 break
-            value = evaluate(mask)
-            key = (value, mask.bit_count(), mask)
-            if key < best:
+            key = evaluate(mask)
+            if _precedes(key, best):
                 best = key
-            if value < current_value and (move is None or key < move):
+            if key[0] * current_q < current_p * key[1] and (move is None or _precedes(key, move)):
                 move = key
         if move is not None:
-            current_value, _, current = move
+            current_key = move
+            current = move[3]
             improved = True
 
     used = (f_oracle.count + g_oracle.count) - start_queries
-    return OptResult(Subset(best[2], n), best[0], used, "local")
+    return OptResult(Subset(best[3], n), Fraction(best[0], best[1]), used, "local")
 
 
 def random_search(f_oracle, g_oracle, n: int, budget: int, seed: int) -> OptResult:
@@ -149,12 +165,28 @@ def random_search(f_oracle, g_oracle, n: int, budget: int, seed: int) -> OptResu
     best = None
     for _ in range(budget):
         mask = stream.nonempty_mask(n)
-        value = ratio(unchecked_subset(mask, n), f_oracle, g_oracle)
-        key = (value, mask.bit_count(), mask)
-        if best is None or key < best:
+        p, q = ratio(unchecked_subset(mask, n), f_oracle, g_oracle)
+        key = (p, q, mask.bit_count(), mask)
+        if best is None or _precedes(key, best):
             best = key
     used = (f_oracle.count + g_oracle.count) - start_queries
-    return OptResult(Subset(best[2], n), best[0], used, "random")
+    return OptResult(Subset(best[3], n), Fraction(best[0], best[1]), used, "random")
+
+
+# Method name -> search with signature (f_oracle, g_oracle, n, budget, seed).
+# Each entry looks its search up by module-level name at call time, so a
+# rebound attribute (perfbench/tracing.py rebinds them) is the one that runs.
+SEARCHES = {
+    "brute": lambda f, g, n, budget, seed: brute_force_min_ratio(f, g, n),
+    "local": lambda f, g, n, budget, seed: local_search(f, g, n, budget, seed),
+    "random": lambda f, g, n, budget, seed: random_search(f, g, n, budget, seed),
+}
+
+
+def _search(method: str):
+    if method not in SEARCHES:
+        raise ParameterError(f"method must be brute, local, or random, got {method!r}")
+    return SEARCHES[method]
 
 
 def solve(problem: RatioProblem, method: str = "brute", budget: int | None = None, seed: int = 0) -> OptResult:
@@ -163,20 +195,15 @@ def solve(problem: RatioProblem, method: str = "brute", budget: int | None = Non
     For max sense the heuristics minimize g/f and the value is inverted,
     which is exactly the min/max reduction.
     """
-    if method not in ("brute", "local", "random"):
-        raise ParameterError(f"method must be brute, local, or random, got {method!r}")
+    search = _search(method)
+    if method != "brute" and budget is None:
+        raise ParameterError(f"{method} search needs a budget")
     if problem.sense == "min":
-        if method == "brute":
-            return brute_force_min_ratio(problem.f, problem.g, problem.n)
-        if budget is None:
-            raise ParameterError(f"{method} search needs a budget")
-        if method == "local":
-            return local_search(problem.f, problem.g, problem.n, budget, seed)
-        return random_search(problem.f, problem.g, problem.n, budget, seed)
+        return search(problem.f, problem.g, problem.n, budget, seed)
     if method == "brute":
         return brute_force_max_ratio(problem.f, problem.g, problem.n)
     dual = dualize(problem)
-    res = solve(dual, method, budget, seed)
+    res = search(dual.f, dual.g, dual.n, budget, seed)
     return OptResult(res.argset, 1 / res.value, res.queries_used, res.method)
 
 
@@ -186,15 +213,10 @@ def make_algorithm(method: str, budget: int):
     The handle signature is (f_oracle, g_oracle, n, seed) -> OptResult;
     brute force ignores budget and seed.
     """
-    if method not in ("brute", "local", "random"):
-        raise ParameterError(f"method must be brute, local, or random, got {method!r}")
+    search = _search(method)
 
     def handle(f_oracle, g_oracle, n, seed):
-        if method == "brute":
-            return brute_force_min_ratio(f_oracle, g_oracle, n)
-        if method == "local":
-            return local_search(f_oracle, g_oracle, n, budget, seed)
-        return random_search(f_oracle, g_oracle, n, budget, seed)
+        return search(f_oracle, g_oracle, n, budget, seed)
 
     return handle
 

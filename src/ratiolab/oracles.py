@@ -4,6 +4,10 @@ All values are Fractions; no floating point ever enters an oracle value.
 The m * 2^(|S|+1) branch and a tiny epsilon can appear in one expression,
 which would shred float precision and muddy every downstream comparison.
 
+A ratio query yields the unreduced integer pair (p, q) of `ratio_terms`:
+callers compare ratios by integer cross-multiplication, and a Fraction is
+built only for a value that is returned (`ratio`, OptResult.value).
+
 Evaluation helpers are cached on the small scalar state they depend on
 (cardinality, subtracted term), so repeated queries cost a dict hit.
 """
@@ -216,11 +220,13 @@ def make_oracles(
     )
 
 
-def ratio(S: Subset, f_oracle: CountingOracle, g_oracle: CountingOracle) -> Fraction:
-    """f(S)/g(S) exactly; charges both oracles and records the paired query.
+def ratio_terms(S: Subset, f_oracle: CountingOracle, g_oracle: CountingOracle) -> tuple[int, int]:
+    """Integers (p, q) with p/q == f(S)/g(S) and q > 0, unreduced.
 
-    Raises on a zero denominator instead of inventing an infinity: the empty
-    set is outside the optimization domain.
+    Charges both oracles and records the paired query.  Raises on a zero
+    denominator instead of inventing an infinity: the empty set is outside
+    the optimization domain.  Two ratios compare exactly as p1*q2 against
+    p2*q1, with no Fraction arithmetic.
     """
     f_value = f_oracle(S)
     g_value = g_oracle(S)
@@ -229,6 +235,22 @@ def ratio(S: Subset, f_oracle: CountingOracle, g_oracle: CountingOracle) -> Frac
         if g_oracle.transcript is not transcript:
             raise ParameterError("f and g oracles must share one transcript")
         transcript.record(S, f_value, g_value)
-    if g_value == 0:
-        raise UndefinedRatioError(f"g({S!r}) = 0; the ratio is undefined there")
-    return f_value / g_value
+    try:
+        p = f_value.numerator * g_value.denominator
+        q = f_value.denominator * g_value.numerator
+    except AttributeError:
+        raise ParameterError("oracle values must be int or Fraction") from None
+    if q > 0:
+        return p, q
+    if q:
+        return -p, -q
+    raise UndefinedRatioError(f"g({S!r}) = 0; the ratio is undefined there")
+
+
+def ratio(S: Subset, f_oracle: CountingOracle, g_oracle: CountingOracle) -> Fraction:
+    """f(S)/g(S) exactly, as a Fraction; charges and records like ratio_terms.
+
+    For returning a single value.  Loops that compare many ratios use
+    ratio_terms and cross-multiply, building a Fraction only for the result.
+    """
+    return Fraction(*ratio_terms(S, f_oracle, g_oracle))

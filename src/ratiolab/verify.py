@@ -171,10 +171,14 @@ class FunctionTable:
         return {"n": self.n, "values": [frac_to_str(v) for v in self.values]}
 
 
+VIOLATION_CSV_COLUMNS = ["base_mask_hex", "i", "j", "lhs", "rhs"]
+
+
+def violation_row(v: ViolationRecord) -> tuple:
+    """One ViolationRecord as a CSV row matching VIOLATION_CSV_COLUMNS."""
+    return (v.base.hex_mask(), v.i, v.j, frac_to_str(v.lhs_margin), frac_to_str(v.rhs_margin))
+
+
 def violations_to_csv(violations: list[ViolationRecord]) -> str:
     """CSV rendering of supermodularity violations: base_mask_hex, i, j, lhs, rhs."""
-    rows = [
-        (v.base.hex_mask(), v.i, v.j, frac_to_str(v.lhs_margin), frac_to_str(v.rhs_margin))
-        for v in violations
-    ]
-    return render_csv(["base_mask_hex", "i", "j", "lhs", "rhs"], rows)
+    return render_csv(VIOLATION_CSV_COLUMNS, [violation_row(v) for v in violations])

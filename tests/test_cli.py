@@ -217,6 +217,24 @@ def test_game_csv_and_json_outputs(tmp_path, capsys):
     assert payload["config"]["seed"] == 3
 
 
+def test_game_exhaustion_is_an_outcome(tmp_path, capsys):
+    # 400 random queries at n = 6 cover all 20 candidate plants in every
+    # trial; each trial is reported as distinguished instead of exiting 2
+    out_csv = tmp_path / "x.csv"
+    code, out, err = run_cli(
+        capsys, "game", "--family", "increasing", "--n", "6", "--m", "10", "--epsilon", "1/4",
+        "--method", "random", "--budget", "400", "--trials", "3", "--out-csv", str(out_csv),
+    )
+    assert (code, err) == (0, "")
+    assert "distinguished=3/3" in out
+    rows = [line.split(",") for line in out_csv.read_text().splitlines()
+            if line.startswith("increasing,")]
+    assert len(rows) == 3
+    for row in rows:
+        assert row[5] == "true" and 0 <= int(row[6]) <= 400  # 400 entries, then the returned set
+        assert row[9:11] == ["3", "1"] and row[13:15] == ["1", "1"]
+
+
 def test_game_reruns_byte_identical(tmp_path, capsys):
     args = (
         "game", "--family", "decreasing", "--n", "14", "--alpha", "4", "--beta", "1",

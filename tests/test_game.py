@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratiolab.errors import NoConsistentPlantError, ParameterError
+from ratiolab.errors import NoConsistentPlantError, ParameterError, RatioLabError
 from ratiolab.game import (
     GAME_CSV_COLUMNS,
     GameReport,
@@ -26,8 +26,8 @@ from ratiolab.game import (
     union_bound,
 )
 from ratiolab.instances import DecreasingInstance, IncreasingInstance
-from ratiolab.optimize import make_algorithm
-from ratiolab.oracles import QueryTranscript, differs_from_unplanted, make_oracles
+from ratiolab.optimize import OptResult, make_algorithm
+from ratiolab.oracles import QueryTranscript, differs_from_unplanted, make_oracles, ratio
 from ratiolab.sampling import derive_seed, random_k_subset
 from ratiolab.sets import Subset, iter_k_subset_masks
 
@@ -310,12 +310,80 @@ def test_increasing_game_plant_avoids_transcript():
     assert r_star.cardinality == 6
 
 
-def test_increasing_game_exhaustion_raises():
-    # brute force touches every half-size set, so no consistent plant is left
+def test_increasing_game_exhaustion_is_distinguished():
+    # brute force touches every half-size set, so no consistent plant is
+    # left: the trial is recorded as distinguished instead of aborting
     algorithm = make_algorithm("brute", budget=0)
     inst = IncreasingInstance(4, 10, Fraction(1, 2))
-    with pytest.raises(NoConsistentPlantError):
-        run_game_increasing(algorithm, inst, seed=0, trials=1)
+    [r] = run_game_increasing(algorithm, inst, seed=0, trials=1)
+    # the ascending scan queries mask at index mask - 1; {2, 3} comes last
+    assert r.distinguished and r.first_idx == 0b1100 - 1
+    assert r.union_bound == 1
+    assert r.planted_optimum == 2 == inst.planted_ratio()
+    assert r.algorithm_value == 4  # |S| / (|S| eps / 2) at every |S| <= 2
+    assert r.empirical_ratio == r.algorithm_value / r.planted_optimum == 2
+    assert r.queries == 2 * 15
+    row = game_report_row(r)
+    assert row[5:7] == ("true", 11) and row[13:15] == (1, 1)
+
+
+def test_increasing_game_exhaustion_by_returned_set():
+    # the returned set joins the transcript after the entries: when it is
+    # the last untouched candidate, first_idx points one past the final entry
+    inst = IncreasingInstance(6, 10, Fraction(1, 4))
+    masks = list(iter_k_subset_masks(6, 3))
+
+    def scripted(returned_mask):
+        def algorithm(f_oracle, g_oracle, n, seed):
+            for mask in masks[:-1]:
+                ratio(Subset(mask, n), f_oracle, g_oracle)
+            return OptResult(Subset(returned_mask, n), Fraction(12), 0, "scripted")
+        return algorithm
+
+    [r] = run_game_increasing(scripted(masks[-1]), inst, seed=0, trials=1)
+    assert r.distinguished and r.first_idx == len(masks) - 1
+    assert r.union_bound == 1 and r.planted_optimum == 3 and r.empirical_ratio == 4
+    # one candidate short of exhaustion, the plant hides in the last one
+    [r] = run_game_increasing(scripted(masks[0]), inst, seed=0, trials=1)
+    assert not r.distinguished and r.first_idx is None and r.union_bound == 0
+
+
+def _rewriting(algorithm, rewrite):
+    """The algorithm, followed by a rewrite of its transcript's middle entry."""
+
+    def run(f_oracle, g_oracle, n, seed):
+        result = algorithm(f_oracle, g_oracle, n, seed)
+        entries = f_oracle.transcript.entries
+        mid = len(entries) // 2
+        entries[mid] = rewrite(*entries[mid])
+        return result
+
+    return run
+
+
+def test_increasing_game_recheck_accepts_equal_copies():
+    # equal values held in distinct objects pass: the recheck falls back to ==
+    def copy(S, f_value, g_value):
+        f_copy = Fraction(f_value.numerator, f_value.denominator)
+        g_copy = Fraction(g_value.numerator, g_value.denominator)
+        assert f_copy is not f_value and g_copy is not g_value
+        return S, f_copy, g_copy
+
+    algorithm = make_algorithm("random", budget=60)
+    expected = run_game_increasing(algorithm, INC_BARE, seed=3, trials=2)
+    assert run_game_increasing(_rewriting(algorithm, copy), INC_BARE, seed=3, trials=2) == expected
+
+
+@pytest.mark.parametrize("side", ["f", "g"])
+def test_increasing_game_recheck_rejects_tampered_entry(side):
+    def tamper(S, f_value, g_value):
+        if side == "f":
+            return S, f_value + 1, g_value
+        return S, f_value, g_value + Fraction(1, 7)
+
+    algorithm = _rewriting(make_algorithm("random", budget=60), tamper)
+    with pytest.raises(RatioLabError, match="disagrees with the transcript"):
+        run_game_increasing(algorithm, INC_BARE, seed=3, trials=1)
 
 
 def test_increasing_game_rejects_bad_arguments():

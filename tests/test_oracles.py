@@ -24,6 +24,7 @@ from ratiolab.oracles import (
     instance_evaluator,
     make_oracles,
     ratio,
+    ratio_terms,
 )
 from ratiolab.sets import Subset, iter_masks, unchecked_subset
 
@@ -264,3 +265,23 @@ def test_ratio_exactness():
     S = Subset.from_elements([0, 1, 2, 3, 4, 5], 8)
     # f = 100 * 2^7 + 6 = 12806, g = 2 * (6 - 4) = 4
     assert ratio(S, f, g) == Fraction(12806, 4) == Fraction(6403, 2)
+
+
+def test_ratio_terms_sign_and_int_values():
+    # plain int values work, and a negative denominator moves its sign to p
+    f = CountingOracle(lambda S: 6)
+    g = CountingOracle(lambda S: -4)
+    S = Subset.from_elements([1], 4)
+    assert ratio_terms(S, f, g) == (-6, 4)
+    assert ratio(S, f, g) == Fraction(-3, 2)
+    half = CountingOracle(lambda S: Fraction(1, 2))
+    assert ratio_terms(S, f, half) == (12, 1)
+
+
+def test_ratio_rejects_inexact_oracle_values():
+    inexact = CountingOracle(lambda S: 0.5)
+    exact = CountingOracle(lambda S: Fraction(1, 3))
+    S = Subset.from_elements([0], 4)
+    for f, g in ((inexact, exact), (exact, inexact), (inexact, inexact)):
+        with pytest.raises(ParameterError, match="oracle values must be int or Fraction"):
+            ratio(S, f, g)
