@@ -50,11 +50,6 @@ from .oracles import (
     CountingOracle,
     QueryTranscript,
     differs_from_unplanted,
-    eval_f_dec,
-    eval_f_inc,
-    eval_g_dec,
-    eval_g_inc,
-    eval_g_inc_planted,
     instance_evaluator,
     make_oracles,
     ratio,
@@ -107,11 +102,6 @@ __all__ = [
     "dualize",
     "enumerate_subsets",
     "enumeration_guard",
-    "eval_f_dec",
-    "eval_f_inc",
-    "eval_g_dec",
-    "eval_g_inc",
-    "eval_g_inc_planted",
     "find_consistent_plant",
     "frac_from_str",
     "frac_to_str",

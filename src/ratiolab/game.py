@@ -74,18 +74,22 @@ def _distinguish_probability(n: int, alpha: int, beta: int, s: int) -> Fraction:
     return Fraction(favorable, math.comb(n, alpha))
 
 
-def distinguish_probability(n: int, alpha: int, beta: int, s: int) -> Fraction:
-    """Exact probability that one cardinality-s query separates g_R from f.
-
-    The plant R is uniform over cardinality-alpha subsets; by symmetry the
-    probability depends on the query only through its cardinality s.
-    """
+def _check_query(n: int, alpha: int, beta: int, s: int) -> None:
     if not 0 <= s <= n:
         raise ParameterError(f"query cardinality s={s} outside 0..{n}")
     if not 0 <= alpha <= n:
         raise ParameterError(f"alpha={alpha} outside 0..{n}")
     if beta < 0:
         raise ParameterError(f"beta must be >= 0, got {beta}")
+
+
+def distinguish_probability(n: int, alpha: int, beta: int, s: int) -> Fraction:
+    """Exact probability that one cardinality-s query separates g_R from f.
+
+    The plant R is uniform over cardinality-alpha subsets; by symmetry the
+    probability depends on the query only through its cardinality s.
+    """
+    _check_query(n, alpha, beta, s)
     return _distinguish_probability(n, alpha, beta, s)
 
 
@@ -121,12 +125,7 @@ def monte_carlo_distinguish(
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
-    if not 0 <= s <= n:
-        raise ParameterError(f"query cardinality s={s} outside 0..{n}")
-    if not 0 <= alpha <= n:
-        raise ParameterError(f"alpha={alpha} outside 0..{n}")
-    if beta < 0:
-        raise ParameterError(f"beta must be >= 0, got {beta}")
+    _check_query(n, alpha, beta, s)
     s_mask = (1 << s) - 1
     threshold = min(alpha, s)
     stream = SeededStream(seed, "mc-distinguish", n, alpha, beta, s)
@@ -253,8 +252,10 @@ def _recheck(transcript: QueryTranscript, planted: IncreasingInstance) -> None:
     """Raise unless the planted world gives every transcript entry its recorded values.
 
     Exact in every case: identical objects are equal, and differing objects
-    fall back to `!=`.  The identity test settles almost every entry, since
-    the planted and unplanted evaluators index the same cached value objects.
+    fall back to `!=`.  The identity test settles almost every entry: the
+    planted and unplanted evaluators both index the one per-cardinality
+    (f, g) value table cached on the family parameters (n, m, epsilon), so
+    off the plant they return the very Fraction objects the transcript holds.
     """
     f_check = instance_evaluator(planted, "f")
     g_check = instance_evaluator(planted, "g")

@@ -8,8 +8,8 @@ A ratio query yields the unreduced integer pair (p, q) of `ratio_terms`:
 callers compare ratios by integer cross-multiplication, and a Fraction is
 built only for a value that is returned (`ratio`, OptResult.value).
 
-Evaluation helpers are cached on the small scalar state they depend on
-(cardinality, subtracted term), so repeated queries cost a dict hit.
+There is one value table per family parameters, shared by the planted and
+unplanted evaluators, and every evaluator checks the subset's ground size.
 """
 
 from __future__ import annotations
@@ -24,80 +24,38 @@ from .instances import DecreasingInstance, IncreasingInstance, Instance
 from .sets import Subset
 
 
-def _check_ground(S: Subset, inst) -> None:
-    if S.n != inst.n:
-        raise ParameterError(f"subset ground size {S.n} differs from instance n {inst.n}")
+def _ground_error(S: Subset, n: int) -> ParameterError:
+    return ParameterError(f"subset ground size {S.n} differs from instance n {n}")
 
 
 @lru_cache(maxsize=None)
-def _offset_minus(alpha: int, epsilon: Fraction, subtracted: int) -> Fraction:
-    return alpha + epsilon - subtracted
+def _dec_values(alpha: int, epsilon: Fraction) -> tuple[Fraction, ...]:
+    """alpha + epsilon - t for t = 0..alpha: each decreasing-family value, by subtracted term."""
+    return tuple(alpha + epsilon - t for t in range(alpha + 1))
 
 
 @lru_cache(maxsize=None)
-def _inc_f_value(m: Fraction, half: int, card: int) -> Fraction:
-    if card <= half:
-        return Fraction(card)
-    return m * (1 << (card + 1)) + card
-
-
-@lru_cache(maxsize=None)
-def _inc_g_value(n: int, epsilon: Fraction, card: int) -> Fraction:
-    if card <= n // 2:
-        return Fraction(2 * card, n) * epsilon
-    return Fraction(2 * (card - n // 2))
-
-
-def eval_f_dec(S: Subset, inst: DecreasingInstance) -> Fraction:
-    """alpha + epsilon - min{alpha, |S|}; non-increasing, minimum epsilon."""
-    _check_ground(S, inst)
-    card = S.mask.bit_count()
-    return _offset_minus(inst.alpha, inst.epsilon, min(inst.alpha, card))
-
-
-def eval_g_dec(S: Subset, inst: DecreasingInstance) -> Fraction:
-    """alpha + epsilon - min{beta + |S minus plant|, alpha, |S|}."""
-    _check_ground(S, inst)
-    if inst.plant is None:
-        raise MissingPlantError("the decreasing g-side needs a planted set")
-    card = S.mask.bit_count()
-    outside = (S.mask & ~inst.plant.mask).bit_count()
-    return _offset_minus(inst.alpha, inst.epsilon, min(inst.beta + outside, inst.alpha, card))
+def _inc_values(n: int, m: Fraction, epsilon: Fraction) -> tuple[tuple, tuple]:
+    """Per-cardinality (f, g) values of the unplanted increasing pair."""
+    half = n // 2
+    cards = range(n + 1)
+    f = tuple(Fraction(c) if c <= half else m * (1 << (c + 1)) + c for c in cards)
+    g = tuple(Fraction(2 * c, n) * epsilon if c <= half else Fraction(2 * (c - half)) for c in cards)
+    return f, g
 
 
 def differs_from_unplanted(S: Subset, inst: DecreasingInstance) -> bool:
     """Whether g differs from f at S: beta + |S minus plant| < min{alpha, |S|}.
 
-    Integer-only test; equivalent to eval_f_dec(S) != eval_g_dec(S).
+    Integer-only test; equivalent to comparing the f and g evaluators at S.
     """
-    _check_ground(S, inst)
+    if S.n != inst.n:
+        raise _ground_error(S, inst.n)
     if inst.plant is None:
         raise MissingPlantError("the difference criterion needs a planted set")
     card = S.mask.bit_count()
     outside = (S.mask & ~inst.plant.mask).bit_count()
     return inst.beta + outside < min(inst.alpha, card)
-
-
-def eval_f_inc(S: Subset, inst: IncreasingInstance) -> Fraction:
-    """|S| up to n//2, then m * 2^(|S|+1) + |S|; non-decreasing."""
-    _check_ground(S, inst)
-    return _inc_f_value(inst.m, inst.n // 2, S.mask.bit_count())
-
-
-def eval_g_inc(S: Subset, inst: IncreasingInstance) -> Fraction:
-    """(2|S|/n) * epsilon up to n//2, then 2(|S| - n//2); zero only at the empty set."""
-    _check_ground(S, inst)
-    return _inc_g_value(inst.n, inst.epsilon, S.mask.bit_count())
-
-
-def eval_g_inc_planted(S: Subset, inst: IncreasingInstance) -> Fraction:
-    """As eval_g_inc except the single value 1 at the planted set itself."""
-    _check_ground(S, inst)
-    if inst.plant is None:
-        raise MissingPlantError("the planted increasing g-side needs a planted set")
-    if S.mask == inst.plant.mask:
-        return Fraction(1)
-    return _inc_g_value(inst.n, inst.epsilon, S.mask.bit_count())
 
 
 @dataclass
@@ -139,18 +97,14 @@ class CountingOracle:
     stays inside the instance: nothing about it leaks through this handle.
     """
 
-    __slots__ = ("_fn", "instance", "role", "count", "transcript")
+    __slots__ = ("_fn", "count", "transcript")
 
     def __init__(
         self,
         fn: Callable[[Subset], Fraction],
-        instance: Instance | None = None,
-        role: str | None = None,
         transcript: QueryTranscript | None = None,
     ) -> None:
         self._fn = fn
-        self.instance = instance
-        self.role = role
         self.count = 0
         self.transcript = transcript
 
@@ -161,7 +115,7 @@ class CountingOracle:
         role: str,
         transcript: QueryTranscript | None = None,
     ) -> "CountingOracle":
-        return cls(instance_evaluator(inst, role), instance=inst, role=role, transcript=transcript)
+        return cls(instance_evaluator(inst, role), transcript)
 
     def __call__(self, S: Subset) -> Fraction:
         self.count += 1
@@ -171,43 +125,51 @@ class CountingOracle:
 def instance_evaluator(inst: Instance, role: str) -> Callable[[Subset], Fraction]:
     """The bare evaluation closure for one side of an instance, uncounted.
 
-    The closures index precomputed per-cardinality value tables, so a query
-    costs a bit_count and a list lookup, never Fraction arithmetic.
+    The closures index the family's value table, so a query costs a ground
+    size compare, a bit_count and a tuple lookup, never Fraction arithmetic.
+    A subset of another ground size raises ParameterError.
     """
     if role not in ("f", "g"):
         raise ParameterError(f"oracle role must be 'f' or 'g', got {role!r}")
+    n = inst.n
     if isinstance(inst, DecreasingInstance):
+        values = _dec_values(inst.alpha, inst.epsilon)
         if role == "f":
-            table = [
-                _offset_minus(inst.alpha, inst.epsilon, min(inst.alpha, card))
-                for card in range(inst.n + 1)
-            ]
-            return lambda S, _t=table: _t[S.mask.bit_count()]
+            return _by_cardinality([values[min(inst.alpha, c)] for c in range(n + 1)], n)
         if inst.plant is None:
             raise MissingPlantError("decreasing g-oracle needs a planted instance")
-        by_subtracted = [
-            _offset_minus(inst.alpha, inst.epsilon, t) for t in range(inst.alpha + 1)
-        ]
-        out_mask = ((1 << inst.n) - 1) & ~inst.plant.mask
+        out_mask = ((1 << n) - 1) & ~inst.plant.mask
 
-        def g_dec(S, _t=by_subtracted, _o=out_mask, _a=inst.alpha, _b=inst.beta):
+        def g_dec(S, _t=values, _o=out_mask, _a=inst.alpha, _b=inst.beta, _n=n):
+            if S.n != _n:
+                raise _ground_error(S, _n)
             mask = S.mask
             return _t[min(_b + (mask & _o).bit_count(), _a, mask.bit_count())]
 
         return g_dec
     if isinstance(inst, IncreasingInstance):
+        f_values, g_values = _inc_values(n, inst.m, inst.epsilon)
         if role == "f":
-            table = [_inc_f_value(inst.m, inst.n // 2, card) for card in range(inst.n + 1)]
-            return lambda S, _t=table: _t[S.mask.bit_count()]
-        table = [_inc_g_value(inst.n, inst.epsilon, card) for card in range(inst.n + 1)]
+            return _by_cardinality(f_values, n)
         if inst.plant is None:
-            return lambda S, _t=table: _t[S.mask.bit_count()]
+            return _by_cardinality(g_values, n)
 
-        def g_inc_planted(S, _t=table, _p=inst.plant.mask, _one=Fraction(1)):
+        def g_inc_planted(S, _t=g_values, _p=inst.plant.mask, _one=Fraction(1), _n=n):
+            if S.n != _n:
+                raise _ground_error(S, _n)
             return _one if S.mask == _p else _t[S.mask.bit_count()]
 
         return g_inc_planted
     raise ParameterError(f"unknown instance type: {type(inst).__name__}")
+
+
+def _by_cardinality(table, n: int) -> Callable[[Subset], Fraction]:
+    def evaluate(S, _t=table, _n=n):
+        if S.n != _n:
+            raise _ground_error(S, _n)
+        return _t[S.mask.bit_count()]
+
+    return evaluate
 
 
 def make_oracles(

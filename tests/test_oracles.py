@@ -2,6 +2,9 @@
 
 The scalar expectations here were computed independently by hand from the
 two family definitions before the oracles were implemented, then frozen.
+They pin the slow reference below, which computes each value per set
+straight from the README's formulas, with no tables or caches; the
+table-backed evaluators are cross-checked against it on every subset.
 """
 
 from fractions import Fraction
@@ -16,11 +19,6 @@ from ratiolab.oracles import (
     CountingOracle,
     QueryTranscript,
     differs_from_unplanted,
-    eval_f_dec,
-    eval_f_inc,
-    eval_g_dec,
-    eval_g_inc,
-    eval_g_inc_planted,
     instance_evaluator,
     make_oracles,
     ratio,
@@ -30,6 +28,43 @@ from ratiolab.sets import Subset, iter_masks, unchecked_subset
 
 DEC = DecreasingInstance(8, 3, 1, Fraction(1, 2), plant=Subset.from_elements([0, 1, 2], 8))
 INC = IncreasingInstance(8, 100, Fraction(1, 2), plant=Subset.from_elements([0, 1, 2, 3], 8))
+
+
+# ---------------------------------------------------------- slow reference
+
+
+def eval_f_dec(S, inst):
+    """alpha + epsilon - min{alpha, |S|}."""
+    return inst.alpha + inst.epsilon - min(inst.alpha, len(S.elements()))
+
+
+def eval_g_dec(S, inst):
+    """alpha + epsilon - min{beta + |S minus R|, alpha, |S|}."""
+    outside = [e for e in S.elements() if e not in inst.plant.elements()]
+    return inst.alpha + inst.epsilon - min(inst.beta + len(outside), inst.alpha, len(S.elements()))
+
+
+def eval_f_inc(S, inst):
+    """|S| up to floor(n/2), then m * 2^(|S|+1) + |S|."""
+    card = len(S.elements())
+    if card <= inst.n // 2:
+        return Fraction(card)
+    return inst.m * 2 ** (card + 1) + card
+
+
+def eval_g_inc(S, inst):
+    """(2|S|/n) * epsilon up to floor(n/2), then 2(|S| - floor(n/2))."""
+    card = len(S.elements())
+    if card <= inst.n // 2:
+        return Fraction(2 * card, inst.n) * inst.epsilon
+    return Fraction(2 * (card - inst.n // 2))
+
+
+def eval_g_inc_planted(S, inst):
+    """As eval_g_inc except the value 1 at the plant R itself."""
+    if S.elements() == inst.plant.elements():
+        return Fraction(1)
+    return eval_g_inc(S, inst)
 
 
 # ------------------------------------------------------------ frozen values
@@ -104,28 +139,29 @@ def test_increasing_planted_ratio_and_extremes():
 
 
 def test_ground_size_mismatch_rejected():
-    wrong = Subset.empty(9)
-    for fn, inst in (
-        (eval_f_dec, DEC),
-        (eval_g_dec, DEC),
-        (differs_from_unplanted, DEC),
-        (eval_f_inc, INC),
-        (eval_g_inc, INC),
-        (eval_g_inc_planted, INC),
-    ):
-        with pytest.raises(ParameterError):
-            fn(wrong, inst)
+    unplanted_inc = IncreasingInstance(8, 100, Fraction(1, 2))
+    for inst in (DEC, INC, unplanted_inc):
+        for role in ("f", "g"):
+            evaluate = instance_evaluator(inst, role)
+            for wrong in (Subset.empty(9), Subset.full(9), Subset.from_elements([9, 10, 11], 12)):
+                with pytest.raises(ParameterError, match="ground size"):
+                    evaluate(wrong)
+    with pytest.raises(ParameterError):
+        differs_from_unplanted(Subset.empty(9), DEC)
+    # through the public pair: no planted optimum for a foreign set, no bare IndexError
+    f, g = make_oracles(DEC)
+    with pytest.raises(ParameterError):
+        ratio(Subset.from_elements([9, 10, 11], 12), f, g)
+    f, g = make_oracles(INC)
+    with pytest.raises(ParameterError):
+        ratio(Subset.full(9), f, g)
 
 
 def test_missing_plant_rejected():
     bare_dec = DecreasingInstance(8, 3, 1, Fraction(1, 2))
     bare_inc = IncreasingInstance(8, 100, Fraction(1, 2))
     with pytest.raises(MissingPlantError):
-        eval_g_dec(Subset.empty(8), bare_dec)
-    with pytest.raises(MissingPlantError):
         differs_from_unplanted(Subset.empty(8), bare_dec)
-    with pytest.raises(MissingPlantError):
-        eval_g_inc_planted(Subset.empty(8), bare_inc)
     with pytest.raises(MissingPlantError):
         instance_evaluator(bare_dec, "g")
     # the unplanted increasing g-side is a legitimate oracle
@@ -138,22 +174,39 @@ def test_instance_evaluator_role_validation():
         instance_evaluator(DEC, "h")
 
 
-# ----------------------------------------------- evaluator closures = evals
+# ------------------------------------------- evaluator closures = reference
 
 
 def test_evaluator_matches_pointwise_functions():
-    dec_f = instance_evaluator(DEC, "f")
-    dec_g = instance_evaluator(DEC, "g")
-    inc_f = instance_evaluator(INC, "f")
-    inc_g = instance_evaluator(INC, "g")
-    unplanted_g = instance_evaluator(IncreasingInstance(8, 100, Fraction(1, 2)), "g")
-    for mask in iter_masks(8):
-        S = unchecked_subset(mask, 8)
-        assert dec_f(S) == eval_f_dec(S, DEC)
-        assert dec_g(S) == eval_g_dec(S, DEC)
-        assert inc_f(S) == eval_f_inc(S, INC)
-        assert inc_g(S) == eval_g_inc_planted(S, INC)
-        assert unplanted_g(S) == eval_g_inc(S, INC)
+    unplanted_dec = DecreasingInstance(8, 3, 1, Fraction(1, 2))
+    unplanted_inc = IncreasingInstance(8, 100, Fraction(1, 2))
+    dec10 = DecreasingInstance(10, 4, 2, Fraction(1, 4), plant=Subset.from_elements([1, 4, 6, 9], 10))
+    cases = [
+        (8, instance_evaluator(DEC, "f"), eval_f_dec, DEC),
+        (8, instance_evaluator(DEC, "g"), eval_g_dec, DEC),
+        (8, instance_evaluator(unplanted_dec, "f"), eval_f_dec, unplanted_dec),
+        (8, instance_evaluator(INC, "f"), eval_f_inc, INC),
+        (8, instance_evaluator(INC, "g"), eval_g_inc_planted, INC),
+        (8, instance_evaluator(unplanted_inc, "f"), eval_f_inc, unplanted_inc),
+        (8, instance_evaluator(unplanted_inc, "g"), eval_g_inc, unplanted_inc),
+        (10, instance_evaluator(dec10, "f"), eval_f_dec, dec10),
+        (10, instance_evaluator(dec10, "g"), eval_g_dec, dec10),
+    ]
+    for n, evaluate, reference, inst in cases:
+        for mask in iter_masks(n):
+            S = unchecked_subset(mask, n)
+            assert evaluate(S) == reference(S, inst), (reference.__name__, n, mask)
+
+
+def test_planted_and_unplanted_evaluators_share_values():
+    # the increasing game's recheck relies on identical objects off the plant
+    unplanted = IncreasingInstance(8, 100, Fraction(1, 2))
+    for role in ("f", "g"):
+        planted_side, unplanted_side = instance_evaluator(INC, role), instance_evaluator(unplanted, role)
+        for mask in iter_masks(8):
+            if mask != INC.plant.mask:
+                S = unchecked_subset(mask, 8)
+                assert planted_side(S) is unplanted_side(S)
 
 
 # ----------------------------------------------------- planted-pair shape
@@ -171,9 +224,10 @@ def test_decreasing_g_dominates_f(data):
     inst = DecreasingInstance(
         n, alpha, beta, Fraction(1, 3), plant=Subset(plant_mask, n)
     )
+    f, g = instance_evaluator(inst, "f"), instance_evaluator(inst, "g")
     for mask in iter_masks(n):
         S = unchecked_subset(mask, n)
-        fv, gv = eval_f_dec(S, inst), eval_g_dec(S, inst)
+        fv, gv = f(S), g(S)
         assert fv <= gv
         assert gv - fv <= alpha - beta
         assert differs_from_unplanted(S, inst) == (fv != gv)
@@ -194,11 +248,11 @@ def test_difference_criterion_exhaustive():
         for mask in iter_masks(10)
         if differs_from_unplanted(unchecked_subset(mask, 10), inst)
     ]
+    f, g = instance_evaluator(inst, "f"), instance_evaluator(inst, "g")
     by_values = [
         mask
         for mask in iter_masks(10)
-        if eval_f_dec(unchecked_subset(mask, 10), inst)
-        != eval_g_dec(unchecked_subset(mask, 10), inst)
+        if f(unchecked_subset(mask, 10)) != g(unchecked_subset(mask, 10))
     ]
     assert flagged == by_values
     assert flagged, "criterion should flag some sets for these parameters"
@@ -215,15 +269,13 @@ def test_counting_oracle_counts():
     f(Subset.empty(8))
     g(Subset.empty(8))
     assert (f.count, g.count) == (2, 1)
-    assert f.role == "f" and g.role == "g"
-    assert f.instance is DEC
+    assert not hasattr(f, "instance") and not hasattr(g, "instance")
 
 
 def test_counting_oracle_wraps_plain_function():
     oracle = CountingOracle(lambda S: Fraction(S.cardinality))
     assert oracle(Subset.from_elements([0, 2], 4)) == 2
     assert oracle.count == 1
-    assert oracle.instance is None
 
 
 def test_transcript_records_pairs_in_order():
