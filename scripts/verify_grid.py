@@ -4,7 +4,8 @@
 For each ground size and family variant, runs the exhaustive
 supermodularity, monotonicity, and non-negativity checks on both oracle
 sides and prints a one-line verdict.  Everything must come back clean;
-a nonzero exit means some variant produced a counterexample.
+a nonzero exit means some variant produced a counterexample.  Stdout is
+the same on every run; the elapsed time goes to stderr.
 """
 
 import argparse
@@ -58,7 +59,8 @@ def main() -> int:
                 failures += bad
                 verdict = "ok" if bad == 0 else f"FAIL ({len(sup)}/{len(mono)}/{len(neg)})"
                 print(f"n={n:2d} {label:24s} side={side} queries={oracle.count:7d} {verdict}")
-    print(f"total {time.perf_counter() - t0:.1f}s, {failures} violations")
+    print(f"{failures} violations")
+    print(f"total {time.perf_counter() - t0:.1f}s", file=sys.stderr)
     return 1 if failures else 0
 
 

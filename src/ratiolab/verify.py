@@ -1,10 +1,15 @@
 """Exhaustive structural checks: supermodularity, monotonicity, non-negativity.
 
-The primary supermodularity check uses the pairwise-marginal
-characterization, O(2^n * n^2) evaluations, so n = 20 stays reachable;
-an all-pairs O(4^n) checker over the lattice inequality itself serves as
-an independent cross-validation oracle at tiny n.  Checks refuse to run
-above the enumeration guard rather than silently sample.
+The supermodularity and monotonicity checks tabulate the function once:
+one query per set in ascending mask order, with the values put on one
+common denominator as integers.  The marginal queries of the pairwise
+characterization are then replayed against that table (each repeat must
+return the tabulated value), so the query count stays exactly
+2^n + n 2^(n-1) + n(n-1) 2^(n-2) for supermodularity and 2^n + n 2^(n-1)
+for monotonicity, and the scan itself compares integers.  An all-pairs
+O(4^n) checker over the lattice inequality itself serves as an independent
+cross-validation oracle at tiny n.  Checks refuse to run above the
+enumeration guard rather than silently sample.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 
 from .errors import ParameterError
@@ -19,6 +25,7 @@ from .serialize import frac_from_str, frac_to_str, render_csv
 from .sets import Subset, check_guard, iter_masks, unchecked_subset, validate_ground_size
 
 DEFAULT_VIOLATION_CAP = 100
+_EXACT_VALUES_ONLY = "oracle values must be int or Fraction"
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,33 +43,81 @@ class ViolationRecord:
     rhs_margin: Fraction
 
 
+def _validate_cap(cap) -> None:
+    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
+        raise ParameterError(f"violation cap must be a positive int, got {cap!r}")
+
+
+def _tabulate(oracle, n: int, repeats) -> tuple[list, list[int]]:
+    """Every value of f in ascending mask order, and the same values as integers.
+
+    Each set T is queried once and then `repeats[|T|]` more times, which
+    replays the marginal queries that land on T; every repeat must return
+    the tabulated value (identity, then ==).  The integers are the values
+    times the lcm of their denominators, so they compare like the values.
+    """
+    values = []
+    denominators = set()
+    for mask in iter_masks(n):
+        subset = unchecked_subset(mask, n)
+        value = oracle(subset)
+        try:
+            denominators.add(value.denominator)
+        except AttributeError:
+            raise ParameterError(_EXACT_VALUES_ONLY) from None
+        k = repeats[mask.bit_count()]
+        if k and list(map(oracle, repeat(subset, k))).count(value) != k:
+            raise ParameterError(f"oracle gave {subset!r} more than one value")
+        values.append(value)
+    scale = lcm(*denominators)
+    return values, [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _clean_at(table: list[int], base: int, outside: list[int]) -> bool:
+    """Whether f(S+i) + f(S+j) <= f(S) + f(S+i+j) for every pair i < j outside S."""
+    t_base = table[base]
+    for a, bit_i in enumerate(outside):
+        top = base | bit_i
+        gain = table[top] - t_base
+        for bit_j in outside[a + 1:]:
+            if gain + table[base | bit_j] > table[top | bit_j]:
+                return False
+    return True
+
+
 def check_supermodular(oracle, n: int, cap: int = DEFAULT_VIOLATION_CAP) -> list[ViolationRecord]:
     """All pairwise-marginal violations of supermodularity, up to `cap`.
 
     Empty iff f(S u {i}) - f(S) <= f(S u {i,j}) - f(S u {j}) for every S and
     ordered pair i != j outside S, which is equivalent to the lattice
-    inequality f(S) + f(T) <= f(S u T) + f(S n T).  Scanning stops once
-    `cap` records have been collected.
+    inequality f(S) + f(T) <= f(S u T) + f(S n T).  Costs exactly
+    2^n + n 2^(n-1) + n(n-1) 2^(n-2) queries, one per (base), (base, i) and
+    (base, ordered i j), even when the cap is reached: the function is
+    tabulated and the marginal queries replayed against the table.  The
+    symmetric inequality is scanned once per unordered pair in integers;
+    only at a violating base are records emitted, in (base, i, j) order
+    with the exact margins, until `cap` records have been collected.
     """
     validate_ground_size(n)
     check_guard(n, "supermodularity check")
+    _validate_cap(cap)
+    values, table = _tabulate(oracle, n, [c * c for c in range(n + 1)])
+    bits = [1 << i for i in range(n)]
     violations: list[ViolationRecord] = []
-    outside_cache = list(range(n))
-    for base_mask in iter_masks(n):
-        f_base = oracle(unchecked_subset(base_mask, n))
-        outside = [i for i in outside_cache if not base_mask >> i & 1]
-        add_value = {i: oracle(unchecked_subset(base_mask | (1 << i), n)) for i in outside}
-        for i in outside:
-            lhs = add_value[i] - f_base
-            for j in outside:
-                if i == j:
-                    continue
-                f_pair = oracle(unchecked_subset(base_mask | (1 << i) | (1 << j), n))
-                rhs = f_pair - add_value[j]
-                if lhs > rhs:
-                    violations.append(
-                        ViolationRecord(Subset(base_mask, n), i, j, lhs, rhs)
-                    )
+    for base in iter_masks(n):
+        outside = [bit for bit in bits if not base & bit]
+        if _clean_at(table, base, outside):
+            continue
+        subset = Subset(base, n)
+        for bit_i in outside:
+            top = base | bit_i
+            gain = table[top] - table[base]
+            lhs = values[top] - values[base]
+            for bit_j in outside:
+                if bit_j != bit_i and gain + table[base | bit_j] > table[top | bit_j]:
+                    i, j = bit_i.bit_length() - 1, bit_j.bit_length() - 1
+                    rhs = values[top | bit_j] - values[base | bit_j]
+                    violations.append(ViolationRecord(subset, i, j, lhs, rhs))
                     if len(violations) >= cap:
                         return violations
     return violations
@@ -96,22 +151,25 @@ def check_monotone(
     """Single-element marginals with the wrong sign, up to `cap`.
 
     direction "nondecreasing" flags negative marginals, "nonincreasing"
-    flags positive ones.  Empty list means every marginal conforms.
+    flags positive ones.  Empty list means every marginal conforms.  Costs
+    exactly 2^n + n 2^(n-1) queries, one per (base) and (base, i), even when
+    the cap is reached; the signs are read off the integer table and
+    records come in (base, i) order with the exact margin.
     """
     validate_ground_size(n)
     check_guard(n, "monotonicity check")
     if direction not in ("nondecreasing", "nonincreasing"):
         raise ParameterError(f"direction must be nondecreasing or nonincreasing, got {direction!r}")
-    want_nonneg = direction == "nondecreasing"
+    _validate_cap(cap)
+    values, table = _tabulate(oracle, n, range(n + 1))
+    if direction == "nonincreasing":
+        table = [-t for t in table]
+    bits = list(enumerate(1 << i for i in range(n)))
     violations: list[tuple[Subset, int, Fraction]] = []
-    for base_mask in iter_masks(n):
-        f_base = oracle(unchecked_subset(base_mask, n))
-        for i in range(n):
-            if base_mask >> i & 1:
-                continue
-            margin = oracle(unchecked_subset(base_mask | (1 << i), n)) - f_base
-            if (margin < 0) if want_nonneg else (margin > 0):
-                violations.append((Subset(base_mask, n), i, margin))
+    for base, t_base in enumerate(table):
+        for i, bit in bits:
+            if not base & bit and table[base | bit] < t_base:
+                violations.append((Subset(base, n), i, values[base | bit] - values[base]))
                 if len(violations) >= cap:
                     return violations
     return violations
@@ -121,10 +179,15 @@ def check_nonnegative(oracle, n: int, cap: int = DEFAULT_VIOLATION_CAP) -> list[
     """Subsets with negative value, up to `cap`.  Empty list means all >= 0."""
     validate_ground_size(n)
     check_guard(n, "non-negativity check")
+    _validate_cap(cap)
     violations: list[tuple[Subset, Fraction]] = []
     for mask in iter_masks(n):
         value = oracle(unchecked_subset(mask, n))
-        if value < 0:
+        try:
+            negative = value.numerator < 0
+        except AttributeError:
+            raise ParameterError(_EXACT_VALUES_ONLY) from None
+        if negative:
             violations.append((Subset(mask, n), value))
             if len(violations) >= cap:
                 return violations

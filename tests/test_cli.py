@@ -62,6 +62,22 @@ def test_verify_increasing_unplanted_checks_both_sides(capsys):
     assert "monotone(nondecreasing)" in out
 
 
+def test_verify_increasing_planted_stdout_exact(capsys):
+    # the criterion-9 verify command; the query counts are the full plans of
+    # the three checks at n = 8: 4864 + 1280 + 256 per side
+    code, out, err = run_cli(
+        capsys, "verify", "--family", "increasing", "--n", "8", "--m", "100",
+        "--epsilon", "1/2", "--plant-seed", "4",
+    )
+    assert code == 0 and err == ""
+    assert out == (
+        "f: supermodular violations=0, monotone(nondecreasing) violations=0, "
+        "negative values=0, queries=6400\n"
+        "g: supermodular violations=0, monotone(nondecreasing) violations=0, "
+        "negative values=0, queries=6400\n"
+    )
+
+
 def test_verify_decreasing_unplanted_skips_g(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--family", "decreasing", "--n", "6",

@@ -20,7 +20,10 @@ def run_script(name, *args):
 def test_verify_grid_smoke():
     done = run_script("verify_grid.py", "--sizes", "6")
     assert done.returncode == 0, done.stderr
-    assert "0 violations" in done.stdout
+    assert done.stdout.endswith("\n0 violations\n")
+    assert done.stderr.startswith("total ")
+    again = run_script("verify_grid.py", "--sizes", "6")
+    assert again.stdout == done.stdout
 
 
 def test_gap_demo_smoke():

@@ -1,6 +1,7 @@
 """Structural checkers: pairwise marginals, all-pairs cross-check, monotonicity."""
 
 from fractions import Fraction
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
@@ -123,6 +124,55 @@ def test_query_cost_formula():
     oracle = CountingOracle(modular_size)
     check_nonnegative(oracle, 6)
     assert oracle.count == 1 << 6
+
+
+def test_query_cost_is_the_full_plan_when_the_cap_is_reached():
+    # the function is tabulated and every marginal query replayed before the
+    # scan, so a capped, violating check still spends the whole plan
+    n = 5
+    oracle = CountingOracle(capped_size)
+    assert len(check_supermodular(oracle, n, cap=3)) == 3
+    assert oracle.count == (1 << n) + n * (1 << (n - 1)) + n * (n - 1) * (1 << (n - 2))
+    oracle = CountingOracle(size_minus_one)
+    assert len(check_monotone(oracle, n, "nonincreasing", cap=2)) == 2
+    assert oracle.count == (1 << n) + n * (1 << (n - 1))
+
+
+# ---------------------------------------------------------- input contracts
+
+
+@pytest.mark.parametrize("cap", [0, -5, 2.5, "3", True, None])
+def test_cap_must_be_a_positive_int(cap):
+    with pytest.raises(ParameterError, match="cap"):
+        check_supermodular(capped_size, 4, cap=cap)
+    with pytest.raises(ParameterError, match="cap"):
+        check_monotone(size_minus_one, 4, "nonincreasing", cap=cap)
+    with pytest.raises(ParameterError, match="cap"):
+        check_nonnegative(size_minus_one, 4, cap=cap)
+
+
+def test_float_values_rejected():
+    def half_size(S):
+        return S.cardinality / 2
+
+    message = "oracle values must be int or Fraction"
+    with pytest.raises(ParameterError, match=message):
+        check_supermodular(half_size, 4)
+    with pytest.raises(ParameterError, match=message):
+        check_monotone(half_size, 4, "nondecreasing")
+    with pytest.raises(ParameterError, match=message):
+        check_nonnegative(half_size, 4)
+
+
+def test_inconsistent_oracle_rejected():
+    # the full set gets a new value at every query
+    def drifting(S, _answers=count()):
+        return next(_answers) if S.mask == 0b1111 else S.cardinality
+
+    with pytest.raises(ParameterError, match="more than one value"):
+        check_supermodular(drifting, 4)
+    with pytest.raises(ParameterError, match="more than one value"):
+        check_monotone(drifting, 4, "nondecreasing")
 
 
 def test_guard_respected(monkeypatch):
