@@ -56,7 +56,7 @@ from .oracles import (
 )
 from .sampling import SeededStream, derive_seed, random_k_subset
 from .serialize import approx_str, frac_from_str, frac_to_str
-from .sets import Subset, cardinality, enumerate_subsets, enumeration_guard
+from .sets import Subset
 from .verify import (
     FunctionTable,
     ViolationRecord,
@@ -91,7 +91,6 @@ __all__ = [
     "approx_str",
     "brute_force_max_ratio",
     "brute_force_min_ratio",
-    "cardinality",
     "check_monotone",
     "check_nonnegative",
     "check_supermodular",
@@ -100,8 +99,6 @@ __all__ = [
     "differs_from_unplanted",
     "distinguish_probability",
     "dualize",
-    "enumerate_subsets",
-    "enumeration_guard",
     "find_consistent_plant",
     "frac_from_str",
     "frac_to_str",

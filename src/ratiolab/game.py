@@ -14,6 +14,10 @@ ratio is then at least min{n/(2 eps), m} / floor(n/2).  A trial whose
 queries cover every half-size set leaves no place to hide a plant; it is
 recorded as distinguished, with union bound 1.
 
+Both games run one trial loop (`_play`).  It accepts a trial only when
+every oracle charge was recorded through `ratio`/`ratio_terms`, because a
+verdict about the transcript says nothing about a query it never saw.
+
 Per-query distinguishing probabilities are exact rationals; Monte Carlo
 exists only to cross-check them.
 """
@@ -158,33 +162,35 @@ def find_consistent_plant(transcript: QueryTranscript, n: int) -> Subset:
     )
 
 
-def run_game_decreasing(algorithm, inst: DecreasingInstance, seed: int, trials: int) -> list[GameReport]:
-    """Per trial: draw a plant, run the algorithm against it, score the gap.
+def _play(algorithm, inst, seed: int, trials: int, world, score) -> list[GameReport]:
+    """The trial loop both games share.
 
-    The algorithm handle has signature (f_oracle, g_oracle, n, seed) ->
-    OptResult.  Its returned set joins the transcript before any check.
+    Per trial: `world(trial_seed)` is the instance the oracles answer from,
+    the algorithm runs against it with its own derived seed, its returned
+    set joins the transcript, and `score(world_instance, transcript)` gives
+    (first_idx, union_bound).  Every query must reach the oracles through
+    `ratio`/`ratio_terms`, so that the transcript holds all the algorithm
+    saw; a trial with an unrecorded query raises.
     """
     if inst.plant is not None:
-        raise ParameterError("pass an unplanted instance; the game draws its own plants")
+        raise ParameterError("pass an unplanted instance; the game chooses its own plants")
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
+    planted_optimum = inst.planted_ratio()
     reports = []
     for trial in range(trials):
         trial_seed = derive_seed(seed, "trial", trial)
-        plant = random_k_subset(inst.n, inst.alpha, derive_seed(trial_seed, "plant"))
-        planted = inst.with_plant(plant)
+        answering = world(trial_seed)
         transcript = QueryTranscript()
-        f_oracle, g_oracle = make_oracles(planted, transcript)
+        f_oracle, g_oracle = make_oracles(answering, transcript)
         result = algorithm(f_oracle, g_oracle, inst.n, derive_seed(trial_seed, "alg"))
+        if not f_oracle.count == g_oracle.count == len(transcript):
+            raise ParameterError(f"{len(transcript)} of {f_oracle.count} f and {g_oracle.count} g queries "
+                                 "were recorded; queries must go through ratio/ratio_terms")
         transcript.set_returned(result.argset)
-        first_idx = None
-        for idx, S in enumerate(transcript.effective_sets()):
-            if differs_from_unplanted(S, planted):
-                first_idx = idx
-                break
-        planted_optimum = planted.planted_ratio()
+        first_idx, union = score(answering, transcript)
         reports.append(GameReport(
-            family="decreasing",
+            family=inst.family,
             n=inst.n,
             trial=trial,
             seed=trial_seed,
@@ -194,9 +200,29 @@ def run_game_decreasing(algorithm, inst: DecreasingInstance, seed: int, trials: 
             algorithm_value=result.value,
             planted_optimum=planted_optimum,
             empirical_ratio=result.value / planted_optimum,
-            union_bound=union_bound(transcript.cardinalities(), inst.n, inst.alpha, inst.beta),
+            union_bound=union,
         ))
     return reports
+
+
+def run_game_decreasing(algorithm, inst: DecreasingInstance, seed: int, trials: int) -> list[GameReport]:
+    """Per trial: draw a plant, run the algorithm against it, score the gap.
+
+    The algorithm handle has signature (f_oracle, g_oracle, n, seed) ->
+    OptResult.  Its returned set joins the transcript before any check.
+    """
+
+    def draw_plant(trial_seed: int) -> DecreasingInstance:
+        return inst.with_plant(random_k_subset(inst.n, inst.alpha, derive_seed(trial_seed, "plant")))
+
+    def score(planted: DecreasingInstance, transcript: QueryTranscript):
+        first_idx = next(
+            (idx for idx, S in enumerate(transcript.effective_sets()) if differs_from_unplanted(S, planted)),
+            None,
+        )
+        return first_idx, union_bound(transcript.cardinalities(), inst.n, inst.alpha, inst.beta)
+
+    return _play(algorithm, inst, seed, trials, draw_plant, score)
 
 
 def run_game_increasing(algorithm, inst: IncreasingInstance, seed: int, trials: int) -> list[GameReport]:
@@ -210,42 +236,17 @@ def run_game_increasing(algorithm, inst: IncreasingInstance, seed: int, trials: 
     query that covered the last candidate, the union bound is 1, and the
     planted optimum is floor(n/2), its value for every plant.
     """
-    if inst.plant is not None:
-        raise ParameterError("pass an unplanted instance; the game plants after the run")
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
-    reports = []
-    for trial in range(trials):
-        trial_seed = derive_seed(seed, "trial", trial)
-        transcript = QueryTranscript()
-        f_oracle, g_oracle = make_oracles(inst, transcript)
-        result = algorithm(f_oracle, g_oracle, inst.n, derive_seed(trial_seed, "alg"))
-        transcript.set_returned(result.argset)
+
+    def score(unplanted: IncreasingInstance, transcript: QueryTranscript):
         try:
             r_star = find_consistent_plant(transcript, inst.n)
         except NoConsistentPlantError:
             # Every candidate was queried: the adversary cannot hide.
-            first_idx = _covering_index(transcript, inst.n)
-            union = Fraction(1)
-        else:
-            _recheck(transcript, inst.with_plant(r_star))
-            first_idx = None
-            union = Fraction(0)
-        planted_optimum = inst.planted_ratio()
-        reports.append(GameReport(
-            family="increasing",
-            n=inst.n,
-            trial=trial,
-            seed=trial_seed,
-            queries=f_oracle.count + g_oracle.count,
-            distinguished=first_idx is not None,
-            first_idx=first_idx,
-            algorithm_value=result.value,
-            planted_optimum=planted_optimum,
-            empirical_ratio=result.value / planted_optimum,
-            union_bound=union,
-        ))
-    return reports
+            return _covering_index(transcript, inst.n), Fraction(1)
+        _recheck(transcript, inst.with_plant(r_star))
+        return None, Fraction(0)
+
+    return _play(algorithm, inst, seed, trials, lambda trial_seed: inst, score)
 
 
 def _recheck(transcript: QueryTranscript, planted: IncreasingInstance) -> None:

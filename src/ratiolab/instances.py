@@ -20,11 +20,11 @@ from .serialize import frac_from_str, frac_to_str
 
 
 def _as_fraction(value, what: str) -> Fraction:
-    if isinstance(value, float):
-        raise ParameterError(f"{what} must be exact (int, Fraction, or 'p/q'), got float")
+    if isinstance(value, (float, bool)):
+        raise ParameterError(f"{what} must be exact (int, Fraction, or 'p/q'), got {type(value).__name__}")
     try:
         return Fraction(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParameterError(f"{what} is not a valid rational: {value!r}") from exc
 
 
@@ -44,7 +44,7 @@ class DecreasingInstance:
 
     def __post_init__(self):
         validate_ground_size(self.n)
-        if not isinstance(self.alpha, int) or not isinstance(self.beta, int):
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (self.alpha, self.beta)):
             raise ParameterError("alpha and beta must be integers")
         if self.beta < 0:
             raise ParameterError(f"beta must be >= 0, got {self.beta}")

@@ -6,11 +6,12 @@ SeededStream, a counter-mode generator whose block j for the stream keyed by
 
     SHA-256(b"ratiolab|" + "{seed}|{label_0}|...|{label_k}".encode() + j.to_bytes(8, "big"))
 
-so a draw is a pure function of (seed, labels, position).  Substreams are
-derived by extending the label tuple, which is how parallel trials get
-independent, individually replayable streams: trial i of a game run with
-master seed s uses labels ("trial", i, role).  The scheme is stable across
-platforms and Python versions.
+so a draw is a pure function of (seed, labels, position).  Independent
+streams come from distinct label tuples, and `derive_seed` turns one into a
+recordable seed: trial i of a game run with master seed s has seed
+derive_seed(s, "trial", i), and its plant and algorithm draw from seeds
+derived from that with the labels "plant" and "alg".  The scheme is stable
+across platforms and Python versions.
 """
 
 from __future__ import annotations
@@ -75,15 +76,6 @@ class SeededStream:
     def nonempty_mask(self, n: int) -> int:
         """Mask of a uniform nonempty subset of {0..n-1}."""
         return 1 + self.randbelow((1 << n) - 1)
-
-    def spawn(self, *labels) -> SeededStream:
-        """An independent substream obtained by extending the label tuple."""
-        child = SeededStream.__new__(SeededStream)
-        child._key = self._key + ("|" + "|".join(str(p) for p in labels)).encode()
-        child._counter = 0
-        child._pool = 0
-        child._pool_bits = 0
-        return child
 
 
 def derive_seed(master: int, *labels) -> int:

@@ -1,45 +1,30 @@
-"""Ground-set and subset algebra over bit-indexed masks.
+"""Bit-mask subsets: the type that carries a set across the package's API.
 
 A subset of a ground set {0, ..., n-1} is a single integer mask whose bit i
-records membership of element i.  All values are immutable and hashable, so
-they are safe to share across threads.  Enumeration is always in ascending
-mask order; that ordering is the canonical tie-break used by every consumer
-in this package.
+records membership of element i.  Hot loops work on the masks themselves;
+`Subset` wraps a mask only where a set crosses an API boundary (oracle
+queries, returned sets, violation records, wire forms).  Values are
+immutable and hashable.  Enumeration is always in ascending mask order;
+that ordering is the canonical tie-break used by every consumer in this
+package.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import EnumerationGuardError, ParameterError
 
 MAX_GROUND_SIZE = 128
-DEFAULT_ENUMERATION_GUARD = 24
-GUARD_ENV_VAR = "RATIOLAB_GUARD_N"
-
-
-def enumeration_guard() -> int:
-    """Largest n for which full subset enumeration is permitted.
-
-    Defaults to 24; the RATIOLAB_GUARD_N environment variable overrides it.
-    """
-    raw = os.environ.get(GUARD_ENV_VAR)
-    if raw is None:
-        return DEFAULT_ENUMERATION_GUARD
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ParameterError(f"{GUARD_ENV_VAR} must be an integer, got {raw!r}") from exc
+ENUMERATION_GUARD = 24
 
 
 def check_guard(n: int, what: str = "subset enumeration") -> None:
-    guard = enumeration_guard()
-    if n > guard:
+    """Refuse full subset enumeration above n = ENUMERATION_GUARD."""
+    if n > ENUMERATION_GUARD:
         raise EnumerationGuardError(
-            f"n={n} exceeds the enumeration guard {guard} for {what} "
-            f"(set {GUARD_ENV_VAR} to override)"
+            f"n={n} exceeds the enumeration guard {ENUMERATION_GUARD} for {what}"
         )
 
 
@@ -85,59 +70,19 @@ class Subset:
     def cardinality(self) -> int:
         return self.mask.bit_count()
 
-    def complement(self) -> Subset:
-        return Subset(self.mask ^ ((1 << self.n) - 1), self.n)
-
-    def union(self, other: Subset) -> Subset:
-        self._check_same_ground(other)
-        return Subset(self.mask | other.mask, self.n)
-
-    def intersection(self, other: Subset) -> Subset:
-        self._check_same_ground(other)
-        return Subset(self.mask & other.mask, self.n)
-
-    def intersection_size(self, other: Subset) -> int:
-        self._check_same_ground(other)
-        return (self.mask & other.mask).bit_count()
-
-    def with_element(self, i: int) -> Subset:
-        if not 0 <= i < self.n:
-            raise ParameterError(f"element {i} outside ground set of size {self.n}")
-        return Subset(self.mask | (1 << i), self.n)
-
-    def without_element(self, i: int) -> Subset:
-        if not 0 <= i < self.n:
-            raise ParameterError(f"element {i} outside ground set of size {self.n}")
-        return Subset(self.mask & ~(1 << i), self.n)
-
     def __contains__(self, i: int) -> bool:
         return 0 <= i < self.n and bool(self.mask >> i & 1)
 
     def elements(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.n) if self.mask >> i & 1)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.elements())
-
     def to_json(self) -> list[int]:
         """Sorted element-index list, the JSON wire form."""
         return list(self.elements())
 
-    @classmethod
-    def from_json(cls, data, n: int) -> Subset:
-        return cls.from_elements(data, n)
-
     def hex_mask(self) -> str:
         """Lowercase hex mask without prefix, the CSV wire form."""
         return format(self.mask, "x")
-
-    @classmethod
-    def from_hex(cls, text: str, n: int) -> Subset:
-        return cls(int(text, 16), n)
-
-    def _check_same_ground(self, other: Subset) -> None:
-        if self.n != other.n:
-            raise ParameterError(f"mixed ground sizes {self.n} and {other.n}")
 
     def __repr__(self) -> str:
         return f"Subset({{{','.join(map(str, self.elements()))}}}, n={self.n})"
@@ -149,16 +94,6 @@ def unchecked_subset(mask: int, n: int) -> Subset:
     object.__setattr__(s, "mask", mask)
     object.__setattr__(s, "n", n)
     return s
-
-
-def cardinality(subset: Subset) -> int:
-    """Number of elements in the subset."""
-    return subset.cardinality
-
-
-def iter_masks(n: int) -> Iterator[int]:
-    """All 2^n masks in ascending order.  No guard; callers bound consumption."""
-    return iter(range(1 << n))
 
 
 def iter_k_subset_masks(n: int, k: int) -> Iterator[int]:
@@ -178,19 +113,3 @@ def iter_k_subset_masks(n: int, k: int) -> Iterator[int]:
         low = mask & -mask
         ripple = mask + low
         mask = (((ripple ^ mask) >> 2) // low) | ripple
-
-
-def enumerate_subsets(n: int, cardinality: int | None = None) -> Iterator[Subset]:
-    """Yield every subset of a size-n ground set exactly once, ascending by mask.
-
-    With a cardinality filter only the C(n, k) subsets of that size are
-    yielded.  Refuses n above the enumeration guard.
-    """
-    validate_ground_size(n)
-    check_guard(n)
-    if cardinality is None:
-        masks = iter_masks(n)
-    else:
-        masks = iter_k_subset_masks(n, cardinality)
-    for mask in masks:
-        yield Subset(mask, n)

@@ -22,7 +22,7 @@ from math import lcm
 
 from .errors import ParameterError
 from .serialize import frac_from_str, frac_to_str, render_csv
-from .sets import Subset, check_guard, iter_masks, unchecked_subset, validate_ground_size
+from .sets import Subset, check_guard, unchecked_subset, validate_ground_size
 
 DEFAULT_VIOLATION_CAP = 100
 _EXACT_VALUES_ONLY = "oracle values must be int or Fraction"
@@ -58,7 +58,7 @@ def _tabulate(oracle, n: int, repeats) -> tuple[list, list[int]]:
     """
     values = []
     denominators = set()
-    for mask in iter_masks(n):
+    for mask in range(1 << n):
         subset = unchecked_subset(mask, n)
         value = oracle(subset)
         try:
@@ -104,7 +104,7 @@ def check_supermodular(oracle, n: int, cap: int = DEFAULT_VIOLATION_CAP) -> list
     values, table = _tabulate(oracle, n, [c * c for c in range(n + 1)])
     bits = [1 << i for i in range(n)]
     violations: list[ViolationRecord] = []
-    for base in iter_masks(n):
+    for base in range(1 << n):
         outside = [bit for bit in bits if not base & bit]
         if _clean_at(table, base, outside):
             continue
@@ -133,9 +133,12 @@ def all_pairs_supermodular(fn, n: int) -> bool:
     validate_ground_size(n)
     if n > 10:
         raise ParameterError(f"all-pairs check is quadratic in 2^n; n={n} > 10")
-    values = [Fraction(fn(unchecked_subset(mask, n))) for mask in iter_masks(n)]
-    scale = lcm(*(v.denominator for v in values))
-    table = [int(v * scale) for v in values]
+    values = [fn(unchecked_subset(mask, n)) for mask in range(1 << n)]
+    try:
+        scale = lcm(*{v.denominator for v in values})
+    except AttributeError:
+        raise ParameterError(_EXACT_VALUES_ONLY) from None
+    table = [v.numerator * (scale // v.denominator) for v in values]
     size = 1 << n
     for s in range(size):
         vs = table[s]
@@ -181,7 +184,7 @@ def check_nonnegative(oracle, n: int, cap: int = DEFAULT_VIOLATION_CAP) -> list[
     check_guard(n, "non-negativity check")
     _validate_cap(cap)
     violations: list[tuple[Subset, Fraction]] = []
-    for mask in iter_masks(n):
+    for mask in range(1 << n):
         value = oracle(unchecked_subset(mask, n))
         try:
             negative = value.numerator < 0
@@ -205,7 +208,10 @@ class FunctionTable:
 
     def __init__(self, n: int, values) -> None:
         validate_ground_size(n)
-        values = [Fraction(v) for v in values]
+        try:
+            values = [Fraction(v.numerator, v.denominator) for v in values]
+        except AttributeError:
+            raise ParameterError(_EXACT_VALUES_ONLY) from None
         if len(values) != 1 << n:
             raise ParameterError(
                 f"function table for n={n} needs {1 << n} values, got {len(values)}"

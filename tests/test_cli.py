@@ -5,7 +5,6 @@ import json
 import pytest
 
 from ratiolab.cli import main
-from ratiolab.sets import GUARD_ENV_VAR
 
 
 def run_cli(capsys, *argv):
@@ -269,14 +268,12 @@ def test_game_reruns_byte_identical(tmp_path, capsys):
 # ------------------------------------------------------------- exit codes
 
 
-def test_guard_exit_code(capsys, monkeypatch):
-    monkeypatch.setenv(GUARD_ENV_VAR, "6")
+def test_guard_exit_code(capsys):
     code, _, err = run_cli(
-        capsys, "verify", "--family", "decreasing", "--n", "8", "--alpha", "3", "--beta", "1",
+        capsys, "verify", "--family", "decreasing", "--n", "25", "--alpha", "3", "--beta", "1",
     )
     assert code == 3
     assert "guard" in err
-    monkeypatch.setenv(GUARD_ENV_VAR, "8")
     code, _, _ = run_cli(
         capsys, "verify", "--family", "decreasing", "--n", "8", "--alpha", "3", "--beta", "1",
     )

@@ -386,6 +386,25 @@ def test_increasing_game_recheck_rejects_tampered_entry(side):
         run_game_increasing(algorithm, INC_BARE, seed=3, trials=1)
 
 
+def _peeking(f_oracle, g_oracle, n, seed):
+    """Calls g directly on every half-size set, bypassing the transcript."""
+    for mask in iter_k_subset_masks(n, n // 2):
+        g_oracle(Subset(mask, n))
+    full = Subset.full(n)
+    return OptResult(full, ratio(full, f_oracle, g_oracle), 2, "peek")
+
+
+@pytest.mark.parametrize("game, inst", [
+    (run_game_increasing, IncreasingInstance(6, 1000, Fraction(1, 100))),
+    (run_game_decreasing, DecreasingInstance(14, 4, 1, Fraction(1, 2))),
+])
+def test_game_rejects_unrecorded_queries(game, inst):
+    # the probes cover every candidate plant (increasing) or separate the
+    # planted g from f (decreasing), yet the transcript holds one entry
+    with pytest.raises(ParameterError, match="ratio/ratio_terms"):
+        game(_peeking, inst, seed=0, trials=1)
+
+
 def test_increasing_game_rejects_bad_arguments():
     algorithm = make_algorithm("random", budget=10)
     planted = IncreasingInstance(12, 1000, Fraction(1, 100), plant=Subset((1 << 6) - 1, 12))

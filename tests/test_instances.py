@@ -49,6 +49,21 @@ def test_decreasing_parameter_rejection():
         DecreasingInstance(0, 3, 1, Fraction(1, 2))
 
 
+def test_zero_denominators_and_bools_rejected():
+    for build in (
+        lambda: DecreasingInstance(8, 3, 1, "1/0"),
+        lambda: IncreasingInstance(8, "1/0", Fraction(1, 4)),
+        lambda: IncreasingInstance(8, 1000, "1/0"),
+        lambda: derive_decreasing_params(16, "1/0"),
+        lambda: DecreasingInstance(8, True, 0, "1/2"),
+        lambda: DecreasingInstance(8, 3, False, "1/2"),
+        lambda: DecreasingInstance(8, 3, 1, True),
+        lambda: IncreasingInstance(8, True, Fraction(1, 4)),
+    ):
+        with pytest.raises(ParameterError):
+            build()
+
+
 def test_decreasing_plant_validation():
     good = Subset.from_elements([0, 1, 2], 8)
     inst = DecreasingInstance(8, 3, 1, Fraction(1, 2), plant=good)

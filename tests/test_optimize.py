@@ -20,7 +20,7 @@ from ratiolab.optimize import (
     solve,
 )
 from ratiolab.oracles import make_oracles, ratio
-from ratiolab.sets import GUARD_ENV_VAR, Subset
+from ratiolab.sets import Subset
 
 DEC = DecreasingInstance(8, 3, 1, Fraction(1, 2), plant=Subset.from_elements([0, 1, 2], 8))
 INC = IncreasingInstance(8, 100, Fraction(1, 2), plant=Subset.from_elements([0, 1, 2, 3], 8))
@@ -70,11 +70,11 @@ def test_brute_min_increasing_unplanted_floor():
     assert res.argset == Subset.from_elements([0], 8)
 
 
-def test_brute_respects_guard(monkeypatch):
-    monkeypatch.setenv(GUARD_ENV_VAR, "6")
-    f, g = make_oracles(DEC)
+def test_brute_respects_guard():
+    f, g = make_oracles(IncreasingInstance(25, 100, Fraction(1, 2)))
     with pytest.raises(EnumerationGuardError):
-        brute_force_min_ratio(f, g, 8)
+        brute_force_min_ratio(f, g, 25)
+    assert f.count == g.count == 0
 
 
 # ----------------------------------------------------------------- duality

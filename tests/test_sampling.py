@@ -44,20 +44,6 @@ def test_getbits_boundaries():
         s.getbits(-1)
 
 
-def test_spawn_equals_extended_labels():
-    parent = SeededStream(5, "game")
-    child = parent.spawn("trial", 3)
-    direct = SeededStream(5, "game", "trial", 3)
-    assert [child.getbits(32) for _ in range(10)] == [direct.getbits(32) for _ in range(10)]
-
-
-def test_spawn_independent_of_parent_position():
-    p1 = SeededStream(5, "game")
-    p1.getbits(512)
-    p2 = SeededStream(5, "game")
-    assert p1.spawn("t").getbits(64) == p2.spawn("t").getbits(64)
-
-
 def test_randbelow_range_and_errors():
     s = SeededStream(1)
     for _ in range(200):

@@ -11,7 +11,7 @@ from ratiolab.errors import EnumerationGuardError, ParameterError
 from ratiolab.instances import DecreasingInstance, IncreasingInstance
 from ratiolab.oracles import CountingOracle, instance_evaluator
 from ratiolab.sampling import SeededStream, random_k_subset
-from ratiolab.sets import GUARD_ENV_VAR, Subset
+from ratiolab.sets import Subset
 from ratiolab.verify import (
     FunctionTable,
     ViolationRecord,
@@ -162,6 +162,10 @@ def test_float_values_rejected():
         check_monotone(half_size, 4, "nondecreasing")
     with pytest.raises(ParameterError, match=message):
         check_nonnegative(half_size, 4)
+    with pytest.raises(ParameterError, match=message):
+        all_pairs_supermodular(half_size, 4)
+    with pytest.raises(ParameterError, match=message):
+        FunctionTable(1, [0.1, 0.2])
 
 
 def test_inconsistent_oracle_rejected():
@@ -175,14 +179,13 @@ def test_inconsistent_oracle_rejected():
         check_monotone(drifting, 4, "nondecreasing")
 
 
-def test_guard_respected(monkeypatch):
-    monkeypatch.setenv(GUARD_ENV_VAR, "5")
+def test_guard_respected():
     with pytest.raises(EnumerationGuardError):
-        check_supermodular(modular_size, 6)
+        check_supermodular(modular_size, 25)
     with pytest.raises(EnumerationGuardError):
-        check_monotone(modular_size, 6, "nondecreasing")
+        check_monotone(modular_size, 25, "nondecreasing")
     with pytest.raises(EnumerationGuardError):
-        check_nonnegative(modular_size, 6)
+        check_nonnegative(modular_size, 25)
 
 
 def test_all_pairs_size_limit():
