@@ -37,14 +37,11 @@ from .instances import (
 )
 from .optimize import (
     OptResult,
-    RatioProblem,
     brute_force_max_ratio,
     brute_force_min_ratio,
-    dualize,
     local_search,
     make_algorithm,
     random_search,
-    solve,
 )
 from .oracles import (
     CountingOracle,
@@ -82,7 +79,6 @@ __all__ = [
     "ParameterError",
     "QueryTranscript",
     "RatioLabError",
-    "RatioProblem",
     "SeededStream",
     "Subset",
     "UndefinedRatioError",
@@ -98,7 +94,6 @@ __all__ = [
     "derive_seed",
     "differs_from_unplanted",
     "distinguish_probability",
-    "dualize",
     "find_consistent_plant",
     "frac_from_str",
     "frac_to_str",
@@ -115,7 +110,6 @@ __all__ = [
     "ratio",
     "run_game_decreasing",
     "run_game_increasing",
-    "solve",
     "summarize_games",
     "union_bound",
 ]

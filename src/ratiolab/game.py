@@ -14,9 +14,11 @@ ratio is then at least min{n/(2 eps), m} / floor(n/2).  A trial whose
 queries cover every half-size set leaves no place to hide a plant; it is
 recorded as distinguished, with union bound 1.
 
-Both games run one trial loop (`_play`).  It accepts a trial only when
-every oracle charge was recorded through `ratio`/`ratio_terms`, because a
-verdict about the transcript says nothing about a query it never saw.
+Both games run one trial loop (`_play`).  The transcript is the g handle's
+own record, so it holds every g evaluation however the algorithm made it;
+a direct f call reveals nothing about the plant.  The harness scores the
+returned set itself, in the world that answered the trial: the value an
+algorithm claims for its set is never read.
 
 Per-query distinguishing probabilities are exact rationals; Monte Carlo
 exists only to cross-check them.
@@ -37,6 +39,7 @@ from .oracles import (
     differs_from_unplanted,
     instance_evaluator,
     make_oracles,
+    ratio,
 )
 from .sampling import SeededStream, derive_seed, random_k_subset
 from .serialize import frac_to_str
@@ -168,9 +171,9 @@ def _play(algorithm, inst, seed: int, trials: int, world, score) -> list[GameRep
     Per trial: `world(trial_seed)` is the instance the oracles answer from,
     the algorithm runs against it with its own derived seed, its returned
     set joins the transcript, and `score(world_instance, transcript)` gives
-    (first_idx, union_bound).  Every query must reach the oracles through
-    `ratio`/`ratio_terms`, so that the transcript holds all the algorithm
-    saw; a trial with an unrecorded query raises.
+    (first_idx, union_bound).  The algorithm's value is f/g at its returned
+    set in that world, evaluated here on a fresh oracle pair outside the
+    trial's query count; g = 0 there raises UndefinedRatioError.
     """
     if inst.plant is not None:
         raise ParameterError("pass an unplanted instance; the game chooses its own plants")
@@ -184,9 +187,7 @@ def _play(algorithm, inst, seed: int, trials: int, world, score) -> list[GameRep
         transcript = QueryTranscript()
         f_oracle, g_oracle = make_oracles(answering, transcript)
         result = algorithm(f_oracle, g_oracle, inst.n, derive_seed(trial_seed, "alg"))
-        if not f_oracle.count == g_oracle.count == len(transcript):
-            raise ParameterError(f"{len(transcript)} of {f_oracle.count} f and {g_oracle.count} g queries "
-                                 "were recorded; queries must go through ratio/ratio_terms")
+        value = ratio(result.argset, *make_oracles(answering))
         transcript.set_returned(result.argset)
         first_idx, union = score(answering, transcript)
         reports.append(GameReport(
@@ -197,9 +198,9 @@ def _play(algorithm, inst, seed: int, trials: int, world, score) -> list[GameRep
             queries=f_oracle.count + g_oracle.count,
             distinguished=first_idx is not None,
             first_idx=first_idx,
-            algorithm_value=result.value,
+            algorithm_value=value,
             planted_optimum=planted_optimum,
-            empirical_ratio=result.value / planted_optimum,
+            empirical_ratio=value / planted_optimum,
             union_bound=union,
         ))
     return reports
@@ -229,8 +230,9 @@ def run_game_increasing(algorithm, inst: IncreasingInstance, seed: int, trials: 
     """Per trial: run against the unplanted pair, then plant R* post hoc.
 
     After the run, the planted world with R* agrees with the unplanted one
-    on every transcript entry; that agreement is re-checked value by value,
-    so each undistinguished report certifies literal indistinguishability.
+    at every set where g was evaluated, returned set included; that
+    agreement is re-checked set by set, so each undistinguished report
+    certifies literal indistinguishability.
     When the queries (returned set included) cover all C(n, n//2)
     candidates, no R* exists: the trial is distinguished, first_idx is the
     query that covered the last candidate, the union bound is 1, and the
@@ -243,26 +245,27 @@ def run_game_increasing(algorithm, inst: IncreasingInstance, seed: int, trials: 
         except NoConsistentPlantError:
             # Every candidate was queried: the adversary cannot hide.
             return _covering_index(transcript, inst.n), Fraction(1)
-        _recheck(transcript, inst.with_plant(r_star))
+        _recheck(transcript, unplanted, r_star)
         return None, Fraction(0)
 
     return _play(algorithm, inst, seed, trials, lambda trial_seed: inst, score)
 
 
-def _recheck(transcript: QueryTranscript, planted: IncreasingInstance) -> None:
-    """Raise unless the planted world gives every transcript entry its recorded values.
+def _recheck(transcript: QueryTranscript, unplanted: IncreasingInstance, r_star: Subset) -> None:
+    """Raise unless g planted at r_star equals the unplanted g at every transcript set.
 
-    Exact in every case: identical objects are equal, and differing objects
-    fall back to `!=`.  The identity test settles almost every entry: the
-    planted and unplanted evaluators both index the one per-cardinality
-    (f, g) value table cached on the family parameters (n, m, epsilon), so
-    off the plant they return the very Fraction objects the transcript holds.
+    f is the same in both worlds, so g is all that can differ.  Exact in
+    every case: identical objects are equal, and differing objects fall
+    back to `!=`.  The identity test settles almost every set: both
+    evaluators index the one per-cardinality value table cached on the
+    family parameters (n, m, epsilon), so off the plant they return the
+    very same Fraction object.
     """
-    f_check = instance_evaluator(planted, "f")
-    g_check = instance_evaluator(planted, "g")
-    for S, f_value, g_value in transcript.entries:
-        f_now, g_now = f_check(S), g_check(S)
-        if (f_now is not f_value and f_now != f_value) or (g_now is not g_value and g_now != g_value):
+    g_seen = instance_evaluator(unplanted, "g")
+    g_check = instance_evaluator(unplanted.with_plant(r_star), "g")
+    for S in transcript.effective_sets():
+        seen, now = g_seen(S), g_check(S)
+        if seen is not now and seen != now:
             raise RatioLabError(
                 "planted world disagrees with the transcript; plant search is broken"
             )

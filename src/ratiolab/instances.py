@@ -19,6 +19,10 @@ from .sets import Subset, validate_ground_size
 from .serialize import frac_from_str, frac_to_str
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _as_fraction(value, what: str) -> Fraction:
     if isinstance(value, (float, bool)):
         raise ParameterError(f"{what} must be exact (int, Fraction, or 'p/q'), got {type(value).__name__}")
@@ -44,7 +48,7 @@ class DecreasingInstance:
 
     def __post_init__(self):
         validate_ground_size(self.n)
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (self.alpha, self.beta)):
+        if not all(_is_int(v) for v in (self.alpha, self.beta)):
             raise ParameterError("alpha and beta must be integers")
         if self.beta < 0:
             raise ParameterError(f"beta must be >= 0, got {self.beta}")
@@ -158,11 +162,11 @@ def derive_decreasing_params(n: int, x) -> tuple[int, int]:
 
 def _plant_from_descriptor(spec, n: int, k: int, what: str) -> Subset:
     if isinstance(spec, dict):
-        if set(spec) != {"seed"} or not isinstance(spec["seed"], int):
+        if set(spec) != {"seed"} or not _is_int(spec["seed"]):
             raise ParameterError(f'{what}: plant object must be {{"seed": int}}')
         return random_k_subset(n, k, spec["seed"])
     if isinstance(spec, list):
-        if not all(isinstance(e, int) for e in spec):
+        if not all(_is_int(e) for e in spec):
             raise ParameterError(f"{what}: plant list must contain integers")
         return Subset.from_elements(spec, n)
     raise ParameterError(f"{what}: plant must be an element list or a seed object")

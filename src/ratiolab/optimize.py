@@ -6,20 +6,20 @@ game; neither carries any guarantee, and on the adversarial families they
 reliably fail, which is the point.
 
 Tie-breaking is global and fixed: optimal value first, then smaller
-cardinality, then ascending mask.  Dualization relies on it being identical
-on both sides of the min/max reduction.
+cardinality, then ascending mask.  `brute_force_max_ratio` uses the same
+order, so argmin f/g and argmax g/f are the same set.
 
 Searches compare ratios as integer cross-multiplications of the (p, q)
 pairs from `ratio_terms`; a Fraction is built only for the returned value.
+The game harness does not read that value: it scores the returned set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParameterError
-from .oracles import CountingOracle
 # The searches compare (p, q) integer pairs; the module-level name `ratio`
 # is the per-query evaluation that perfbench/tracing.py rebinds.
 from .oracles import ratio_terms as ratio
@@ -37,31 +37,6 @@ class OptResult:
     value: Fraction
     queries_used: int
     method: str
-
-
-@dataclass(frozen=True, slots=True)
-class RatioProblem:
-    """A ratio optimization task: optimize f/g over nonempty subsets of {0..n-1}."""
-
-    f: CountingOracle
-    g: CountingOracle
-    n: int
-    sense: str = "min"
-
-    def __post_init__(self):
-        validate_ground_size(self.n)
-        if self.sense not in ("min", "max"):
-            raise ParameterError(f"sense must be 'min' or 'max', got {self.sense!r}")
-
-
-def dualize(problem: RatioProblem) -> RatioProblem:
-    """Swap numerator and denominator and flip the sense.
-
-    argmin of f/g equals argmax of g/f under the shared tie-break order, so
-    solving the dual solves the original.  Evaluation raises an
-    undefined-ratio error if the new denominator hits zero.
-    """
-    return replace(problem, f=problem.g, g=problem.f, sense="max" if problem.sense == "min" else "min")
 
 
 def _precedes(a, b) -> bool:
@@ -183,37 +158,15 @@ SEARCHES = {
 }
 
 
-def _search(method: str):
-    if method not in SEARCHES:
-        raise ParameterError(f"method must be brute, local, or random, got {method!r}")
-    return SEARCHES[method]
-
-
-def solve(problem: RatioProblem, method: str = "brute", budget: int | None = None, seed: int = 0) -> OptResult:
-    """Run one method on a problem; max-sense problems go through the dual.
-
-    For max sense the heuristics minimize g/f and the value is inverted,
-    which is exactly the min/max reduction.
-    """
-    search = _search(method)
-    if method != "brute" and budget is None:
-        raise ParameterError(f"{method} search needs a budget")
-    if problem.sense == "min":
-        return search(problem.f, problem.g, problem.n, budget, seed)
-    if method == "brute":
-        return brute_force_max_ratio(problem.f, problem.g, problem.n)
-    dual = dualize(problem)
-    res = search(dual.f, dual.g, dual.n, budget, seed)
-    return OptResult(res.argset, 1 / res.value, res.queries_used, res.method)
-
-
 def make_algorithm(method: str, budget: int):
     """Bind a method and budget into the handle shape the game harness runs.
 
     The handle signature is (f_oracle, g_oracle, n, seed) -> OptResult;
     brute force ignores budget and seed.
     """
-    search = _search(method)
+    if method not in SEARCHES:
+        raise ParameterError(f"method must be brute, local, or random, got {method!r}")
+    search = SEARCHES[method]
 
     def handle(f_oracle, g_oracle, n, seed):
         return search(f_oracle, g_oracle, n, budget, seed)

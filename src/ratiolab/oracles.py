@@ -8,6 +8,12 @@ A ratio query yields the unreduced integer pair (p, q) of `ratio_terms`:
 callers compare ratios by integer cross-multiplication, and a Fraction is
 built only for a value that is returned (`ratio`, OptResult.value).
 
+In both families f is the same function in every world and the plant
+lives only in g, so the sets at which g was evaluated are all an algorithm
+can learn about the plant.  `make_oracles` therefore attaches a transcript
+to the g handle alone, and that handle records every set it evaluates,
+however the algorithm calls it.
+
 There is one value table per family parameters, shared by the planted and
 unplanted evaluators, and every evaluator checks the subset's ground size.
 """
@@ -60,25 +66,24 @@ def differs_from_unplanted(S: Subset, inst: DecreasingInstance) -> bool:
 
 @dataclass
 class QueryTranscript:
-    """Ordered record of (set, f-value, g-value) queries plus the returned set.
+    """The sets at which g was evaluated, in order, plus the returned set.
 
     The returned solution set counts as queried: distinguishing checks and
     plant searches always run over entries plus the returned set.
     """
 
-    entries: list[tuple[Subset, Fraction, Fraction]] = field(default_factory=list)
+    entries: list[Subset] = field(default_factory=list)
     returned: Subset | None = None
 
-    def record(self, S: Subset, f_value: Fraction, g_value: Fraction) -> None:
-        self.entries.append((S, f_value, g_value))
+    def record(self, S: Subset) -> None:
+        self.entries.append(S)
 
     def set_returned(self, S: Subset) -> None:
         self.returned = S
 
     def effective_sets(self):
         """Every queried set in order, with the returned set appended."""
-        for S, _, _ in self.entries:
-            yield S
+        yield from self.entries
         if self.returned is not None:
             yield self.returned
 
@@ -93,8 +98,9 @@ class CountingOracle:
     """A value oracle that charges one query per evaluation.
 
     Wraps any Subset -> Fraction callable; `for_instance` binds the right
-    family evaluator for a role ("f" or "g").  The plant, when present,
-    stays inside the instance: nothing about it leaks through this handle.
+    family evaluator for a role ("f" or "g").  A handle with a transcript
+    records every set it evaluates.  The plant, when present, stays inside
+    the instance: nothing about it leaks through this handle.
     """
 
     __slots__ = ("_fn", "count", "transcript")
@@ -119,7 +125,10 @@ class CountingOracle:
 
     def __call__(self, S: Subset) -> Fraction:
         self.count += 1
-        return self._fn(S)
+        value = self._fn(S)
+        if self.transcript is not None:
+            self.transcript.record(S)
+        return value
 
 
 def instance_evaluator(inst: Instance, role: str) -> Callable[[Subset], Fraction]:
@@ -175,9 +184,9 @@ def _by_cardinality(table, n: int) -> Callable[[Subset], Fraction]:
 def make_oracles(
     inst: Instance, transcript: QueryTranscript | None = None
 ) -> tuple[CountingOracle, CountingOracle]:
-    """The (f, g) oracle pair for an instance, sharing one transcript."""
+    """The (f, g) oracle pair for an instance; the transcript records g's queries."""
     return (
-        CountingOracle.for_instance(inst, "f", transcript),
+        CountingOracle.for_instance(inst, "f"),
         CountingOracle.for_instance(inst, "g", transcript),
     )
 
@@ -185,18 +194,13 @@ def make_oracles(
 def ratio_terms(S: Subset, f_oracle: CountingOracle, g_oracle: CountingOracle) -> tuple[int, int]:
     """Integers (p, q) with p/q == f(S)/g(S) and q > 0, unreduced.
 
-    Charges both oracles and records the paired query.  Raises on a zero
-    denominator instead of inventing an infinity: the empty set is outside
-    the optimization domain.  Two ratios compare exactly as p1*q2 against
-    p2*q1, with no Fraction arithmetic.
+    Charges both oracles.  Raises on a zero denominator instead of
+    inventing an infinity: the empty set is outside the optimization
+    domain.  Two ratios compare exactly as p1*q2 against p2*q1, with no
+    Fraction arithmetic.
     """
     f_value = f_oracle(S)
     g_value = g_oracle(S)
-    transcript = f_oracle.transcript
-    if transcript is not None:
-        if g_oracle.transcript is not transcript:
-            raise ParameterError("f and g oracles must share one transcript")
-        transcript.record(S, f_value, g_value)
     try:
         p = f_value.numerator * g_value.denominator
         q = f_value.denominator * g_value.numerator
@@ -210,7 +214,7 @@ def ratio_terms(S: Subset, f_oracle: CountingOracle, g_oracle: CountingOracle) -
 
 
 def ratio(S: Subset, f_oracle: CountingOracle, g_oracle: CountingOracle) -> Fraction:
-    """f(S)/g(S) exactly, as a Fraction; charges and records like ratio_terms.
+    """f(S)/g(S) exactly, as a Fraction; charges like ratio_terms.
 
     For returning a single value.  Loops that compare many ratios use
     ratio_terms and cross-multiply, building a Fraction only for the result.

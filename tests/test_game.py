@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratiolab.errors import NoConsistentPlantError, ParameterError, RatioLabError
+from ratiolab import game
+from ratiolab.errors import NoConsistentPlantError, ParameterError, RatioLabError, UndefinedRatioError
 from ratiolab.game import (
     GAME_CSV_COLUMNS,
     GameReport,
@@ -27,7 +28,7 @@ from ratiolab.game import (
 )
 from ratiolab.instances import DecreasingInstance, IncreasingInstance
 from ratiolab.optimize import OptResult, make_algorithm
-from ratiolab.oracles import QueryTranscript, differs_from_unplanted, make_oracles, ratio
+from ratiolab.oracles import QueryTranscript, differs_from_unplanted, instance_evaluator, make_oracles, ratio
 from ratiolab.sampling import derive_seed, random_k_subset
 from ratiolab.sets import Subset, iter_k_subset_masks
 
@@ -152,8 +153,8 @@ def test_find_consistent_plant_skips_queried():
     # Gosper order at n=6, k=3 starts 7, 11, 13; excluding the first two
     # masks lands on {0, 2, 3}
     t = QueryTranscript()
-    t.record(Subset(7, 6), Fraction(0), Fraction(0))
-    t.record(Subset(11, 6), Fraction(0), Fraction(0))
+    t.record(Subset(7, 6))
+    t.record(Subset(11, 6))
     assert find_consistent_plant(t, 6) == Subset(13, 6)
     assert find_consistent_plant(t, 6).elements() == (0, 2, 3)
 
@@ -166,15 +167,15 @@ def test_find_consistent_plant_counts_returned_set():
 
 def test_find_consistent_plant_ignores_other_cardinalities():
     t = QueryTranscript()
-    t.record(Subset.full(6), Fraction(0), Fraction(0))
-    t.record(Subset.from_elements([0], 6), Fraction(0), Fraction(0))
+    t.record(Subset.full(6))
+    t.record(Subset.from_elements([0], 6))
     assert find_consistent_plant(t, 6) == Subset(7, 6)
 
 
 def test_find_consistent_plant_exhaustion():
     t = QueryTranscript()
     for mask in iter_k_subset_masks(4, 2):
-        t.record(Subset(mask, 4), Fraction(0), Fraction(0))
+        t.record(Subset(mask, 4))
     with pytest.raises(NoConsistentPlantError):
         find_consistent_plant(t, 4)
 
@@ -247,6 +248,37 @@ def test_decreasing_game_brute_always_distinguishes():
         assert r.distinguished
         assert r.algorithm_value == Fraction(1, 5)
         assert r.empirical_ratio == 1
+
+
+def test_decreasing_game_scores_the_returned_set():
+    # the claimed value 1/10^6 is ignored: f/g at the full set is 1 in the
+    # planted world, so the trial keeps the gap of 7
+    def claims_too_much(f_oracle, g_oracle, n, seed):
+        full = Subset.full(n)
+        ratio(full, f_oracle, g_oracle)
+        return OptResult(full, Fraction(1, 10**6), 2, "claim")
+
+    [r] = run_game_decreasing(claims_too_much, DEC_BARE, seed=0, trials=1)
+    assert not r.distinguished and r.queries == 2
+    assert r.algorithm_value == 1 and r.empirical_ratio == 7
+
+
+def test_decreasing_game_records_direct_g_probes():
+    # 4-set probes called on g directly; with alpha = 4 and beta = 1 a
+    # 4-set separates exactly when it meets the plant in two or more elements
+    probes = [Subset(mask, DEC_BARE.n) for mask in iter_k_subset_masks(DEC_BARE.n, 4)]
+
+    def probing(f_oracle, g_oracle, n, seed):
+        for S in probes:
+            g_oracle(S)
+        return OptResult(Subset.full(n), Fraction(0), 0, "probe")
+
+    [r] = run_game_decreasing(probing, DEC_BARE, seed=0, trials=1)
+    plant = random_k_subset(DEC_BARE.n, DEC_BARE.alpha, derive_seed(r.seed, "plant"))
+    first = next(i for i, S in enumerate(probes) if (S.mask & plant.mask).bit_count() >= 2)
+    assert r.distinguished and r.first_idx == first
+    assert r.queries == len(probes)
+    assert r.algorithm_value == 1
 
 
 def test_decreasing_game_rejects_bad_arguments():
@@ -348,61 +380,80 @@ def test_increasing_game_exhaustion_by_returned_set():
     assert not r.distinguished and r.first_idx is None and r.union_bound == 0
 
 
-def _rewriting(algorithm, rewrite):
-    """The algorithm, followed by a rewrite of its transcript's middle entry."""
-
-    def run(f_oracle, g_oracle, n, seed):
-        result = algorithm(f_oracle, g_oracle, n, seed)
-        entries = f_oracle.transcript.entries
-        mid = len(entries) // 2
-        entries[mid] = rewrite(*entries[mid])
-        return result
-
-    return run
-
-
-def test_increasing_game_recheck_accepts_equal_copies():
+def test_increasing_game_recheck_accepts_equal_copies(monkeypatch):
     # equal values held in distinct objects pass: the recheck falls back to ==
-    def copy(S, f_value, g_value):
-        f_copy = Fraction(f_value.numerator, f_value.denominator)
-        g_copy = Fraction(g_value.numerator, g_value.denominator)
-        assert f_copy is not f_value and g_copy is not g_value
-        return S, f_copy, g_copy
+    def copying(inst, role):
+        evaluate = instance_evaluator(inst, role)
+
+        def copy(S):
+            value = evaluate(S)
+            return Fraction(value.numerator, value.denominator)
+
+        return copy
 
     algorithm = make_algorithm("random", budget=60)
     expected = run_game_increasing(algorithm, INC_BARE, seed=3, trials=2)
-    assert run_game_increasing(_rewriting(algorithm, copy), INC_BARE, seed=3, trials=2) == expected
+    monkeypatch.setattr(game, "instance_evaluator", copying)
+    assert run_game_increasing(algorithm, INC_BARE, seed=3, trials=2) == expected
 
 
-@pytest.mark.parametrize("side", ["f", "g"])
-def test_increasing_game_recheck_rejects_tampered_entry(side):
-    def tamper(S, f_value, g_value):
-        if side == "f":
-            return S, f_value + 1, g_value
-        return S, f_value, g_value + Fraction(1, 7)
+@pytest.mark.parametrize("pick", ["entry", "returned"])
+def test_increasing_game_recheck_rejects_a_queried_plant(monkeypatch, pick):
+    # a plant search that hands back a queried or the returned half-size set
+    # would certify a trial the planted world contradicts
+    n = INC_BARE.n
+    low, high = Subset((1 << 6) - 1, n), Subset(((1 << 6) - 1) << 6, n)
 
-    algorithm = _rewriting(make_algorithm("random", budget=60), tamper)
+    def algorithm(f_oracle, g_oracle, n, seed):
+        ratio(low, f_oracle, g_oracle)
+        return OptResult(high, Fraction(0), 2, "scripted")
+
+    def broken_search(transcript, n):
+        return transcript.entries[0] if pick == "entry" else transcript.returned
+
+    monkeypatch.setattr(game, "find_consistent_plant", broken_search)
     with pytest.raises(RatioLabError, match="disagrees with the transcript"):
         run_game_increasing(algorithm, INC_BARE, seed=3, trials=1)
 
 
-def _peeking(f_oracle, g_oracle, n, seed):
-    """Calls g directly on every half-size set, bypassing the transcript."""
-    for mask in iter_k_subset_masks(n, n // 2):
-        g_oracle(Subset(mask, n))
-    full = Subset.full(n)
-    return OptResult(full, ratio(full, f_oracle, g_oracle), 2, "peek")
+def test_increasing_game_records_direct_g_probes():
+    # g called directly on all 20 half-size sets leaves no place to hide a plant
+    inst = IncreasingInstance(6, 1000, Fraction(1, 100))
+
+    def probing(f_oracle, g_oracle, n, seed):
+        for mask in iter_k_subset_masks(n, n // 2):
+            g_oracle(Subset(mask, n))
+        return OptResult(Subset.full(n), Fraction(0), 0, "probe")
+
+    [r] = run_game_increasing(probing, inst, seed=0, trials=1)
+    assert r.distinguished and r.first_idx == comb(6, 3) - 1
+    assert r.union_bound == 1 and r.queries == comb(6, 3)
 
 
-@pytest.mark.parametrize("game, inst", [
-    (run_game_increasing, IncreasingInstance(6, 1000, Fraction(1, 100))),
-    (run_game_decreasing, DecreasingInstance(14, 4, 1, Fraction(1, 2))),
+@pytest.mark.parametrize("run, inst, value", [
+    (run_game_increasing, IncreasingInstance(6, 1000, Fraction(1, 100)), Fraction(128006, 6)),
+    (run_game_decreasing, DEC_BARE, Fraction(1)),
 ])
-def test_game_rejects_unrecorded_queries(game, inst):
-    # the probes cover every candidate plant (increasing) or separate the
-    # planted g from f (decreasing), yet the transcript holds one entry
-    with pytest.raises(ParameterError, match="ratio/ratio_terms"):
-        game(_peeking, inst, seed=0, trials=1)
+def test_swapped_ratio_call_gets_a_normal_report(run, inst, value):
+    # ratio(S, g, f) still queries both handles; the report holds f/g at S
+    def swapped(f_oracle, g_oracle, n, seed):
+        full = Subset.full(n)
+        return OptResult(full, ratio(full, g_oracle, f_oracle), 2, "swapped")
+
+    [r] = run(swapped, inst, seed=0, trials=1)
+    assert not r.distinguished and r.union_bound == 0 and r.queries == 2
+    assert r.algorithm_value == value
+    assert r.empirical_ratio == value / inst.planted_ratio()
+
+
+def test_increasing_game_rejects_an_empty_returned_set():
+    # g is 0 at the empty set, so the returned set has no ratio to score
+    def returns_empty(f_oracle, g_oracle, n, seed):
+        ratio(Subset.full(n), f_oracle, g_oracle)
+        return OptResult(Subset.empty(n), Fraction(1), 2, "empty")
+
+    with pytest.raises(UndefinedRatioError):
+        run_game_increasing(returns_empty, IncreasingInstance(6, 1000, Fraction(1, 100)), seed=0, trials=1)
 
 
 def test_increasing_game_rejects_bad_arguments():

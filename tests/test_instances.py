@@ -232,6 +232,8 @@ def test_descriptor_rejects_malformed():
         {"plant": {"seed": "x"}},
         {"plant": {"germ": 1}},
         {"plant": [0, "1"]},
+        {"plant": {"seed": True}},  # not the plant of seed 1 or of the label "True"
+        {"plant": [True, False, 2]},  # not {0, 1, 2}
         {"plant": "012"},
     ):
         bad = {**base, **mutate}

@@ -1,4 +1,4 @@
-"""Exact and heuristic ratio optimization, duality, budgets, determinism."""
+"""Exact and heuristic ratio optimization, budgets, determinism."""
 
 from fractions import Fraction
 
@@ -9,15 +9,12 @@ from ratiolab.instances import DecreasingInstance, IncreasingInstance
 from ratiolab.optimize import (
     OPT_CSV_COLUMNS,
     OptResult,
-    RatioProblem,
     brute_force_max_ratio,
     brute_force_min_ratio,
-    dualize,
     local_search,
     make_algorithm,
     opt_result_row,
     random_search,
-    solve,
 )
 from ratiolab.oracles import make_oracles, ratio
 from ratiolab.sets import Subset
@@ -75,38 +72,6 @@ def test_brute_respects_guard():
     with pytest.raises(EnumerationGuardError):
         brute_force_min_ratio(f, g, 25)
     assert f.count == g.count == 0
-
-
-# ----------------------------------------------------------------- duality
-
-
-def test_dualize_swaps_and_flips():
-    f, g = make_oracles(DEC)
-    problem = RatioProblem(f, g, 8, sense="min")
-    dual = dualize(problem)
-    assert dual.f is g and dual.g is f and dual.sense == "max"
-    assert dualize(dual).sense == "min"
-
-
-def test_min_max_reciprocal_duality():
-    # argmin f/g = argmax g/f and the optimal values are reciprocals;
-    # the shared tie-break makes the argsets literally equal
-    for inst in (DEC, INC):
-        f1, g1 = make_oracles(inst)
-        primal = solve(RatioProblem(f1, g1, 8, sense="min"), "brute")
-        f2, g2 = make_oracles(inst)
-        dual = solve(dualize(RatioProblem(f2, g2, 8, sense="min")), "brute")
-        assert primal.argset == dual.argset
-        assert primal.value * dual.value == 1
-
-
-def test_solve_max_heuristic_goes_through_dual():
-    f, g = make_oracles(INC)
-    res = solve(RatioProblem(f, g, 8, sense="max"), "random", budget=200, seed=3)
-    f2, g2 = make_oracles(INC)
-    dual_res = random_search(g2, f2, 8, budget=200, seed=3)
-    assert res.argset == dual_res.argset
-    assert res.value == 1 / dual_res.value
 
 
 # -------------------------------------------------------------- heuristics
@@ -179,20 +144,7 @@ def test_heuristics_never_beat_brute():
             assert ratio(res.argset, fv, gv) == res.value
 
 
-# ----------------------------------------------------------- solve harness
-
-
-def test_solve_validation():
-    f, g = make_oracles(DEC)
-    problem = RatioProblem(f, g, 8)
-    with pytest.raises(ParameterError):
-        solve(problem, "annealing")
-    with pytest.raises(ParameterError):
-        solve(problem, "random")  # budget required
-    with pytest.raises(ParameterError):
-        RatioProblem(f, g, 8, sense="sideways")
-    with pytest.raises(ParameterError):
-        RatioProblem(f, g, 0)
+# ------------------------------------------------------- algorithm handles
 
 
 def test_make_algorithm_handles():

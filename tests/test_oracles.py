@@ -279,6 +279,7 @@ def test_counting_oracle_wraps_plain_function():
 
 
 def test_transcript_records_pairs_in_order():
+    # one entry per ratio query: the set, recorded by the g handle
     t = QueryTranscript()
     f, g = make_oracles(DEC, transcript=t)
     a = Subset.from_elements([0], 8)
@@ -287,18 +288,25 @@ def test_transcript_records_pairs_in_order():
     ratio(b, f, g)
     t.set_returned(b)
     assert len(t) == 2
-    assert [S for S, _, _ in t.entries] == [a, b]
-    assert t.entries[0][1] == eval_f_dec(a, DEC)
-    assert t.entries[0][2] == eval_g_dec(a, DEC)
+    assert t.entries == [a, b]
     assert list(t.effective_sets()) == [a, b, b]
     assert t.cardinalities() == [1, 3, 3]
 
 
-def test_ratio_requires_shared_transcript():
-    f, _ = make_oracles(DEC, transcript=QueryTranscript())
-    _, g = make_oracles(DEC, transcript=QueryTranscript())
-    with pytest.raises(ParameterError):
-        ratio(Subset.empty(8), f, g)
+def test_only_the_g_handle_records():
+    # f is the same function in every world, so only g's queries are kept;
+    # a direct g call is recorded, a direct f call is not, and either
+    # argument order of ratio records the set once
+    t = QueryTranscript()
+    f, g = make_oracles(DEC, transcript=t)
+    assert f.transcript is None and g.transcript is t
+    a = Subset.from_elements([0], 8)
+    b = Subset.from_elements([1, 2], 8)
+    f(a)
+    g(b)
+    ratio(a, g, f)
+    assert t.entries == [b, a]
+    assert (f.count, g.count) == (2, 2)
 
 
 def test_ratio_zero_denominator():

@@ -11,17 +11,20 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-SCRIPT = """
+PRELUDE = """
 import sys
 sys.path[:0] = [{src!r}, {perfbench!r}]
 from fractions import Fraction
 import tracing
 import ratiolab.cli  # install() needs every traced owner imported, as perfbench's worker does
-from ratiolab import oracles
-from ratiolab.instances import DecreasingInstance
+from ratiolab import game, optimize, oracles
+from ratiolab.instances import DecreasingInstance, IncreasingInstance
 from ratiolab.sets import Subset
 tracer = tracing.Tracer()
 tracing.install(tracer)
+"""
+
+EVALUATIONS = """
 inst = DecreasingInstance(8, 3, 1, Fraction(1, 2), plant=Subset.from_elements([0, 1, 2], 8))
 f, g = oracles.make_oracles(inst)
 assert oracles.ratio(inst.plant, f, g) == Fraction(1, 5)
@@ -32,9 +35,32 @@ assert calls.get("oracles.eval") == 2, calls
 print("traced")
 """
 
+# Every g evaluation of the search is recorded by the g handle, inside the
+# search's ratio call, and the plant search runs once for the one trial.
+GAME_TRIAL = """
+algorithm = optimize.make_algorithm("random", 20)
+[report] = game.run_game_increasing(algorithm, IncreasingInstance(8, 100, Fraction(1, 4)), 0, 1)
+assert report.queries == 40 and not report.distinguished, report
+summary = tracer.summary()
+calls, by_parent = summary["calls"], summary["calls_by_parent"]
+assert calls.get("oracles.ratio") == 20, calls
+assert calls.get("oracles.record") == 20, calls
+assert by_parent.get("oracles.record<oracles.ratio") == 20, by_parent
+assert calls.get("game.find_consistent_plant") == 1, calls
+print("traced")
+"""
 
-def test_tracer_installs_and_records_evaluations():
-    code = SCRIPT.format(src=str(ROOT / "src"), perfbench=str(ROOT / "perfbench"))
+
+def _run_traced(body: str) -> None:
+    code = PRELUDE.format(src=str(ROOT / "src"), perfbench=str(ROOT / "perfbench")) + body
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "traced"
+
+
+def test_tracer_installs_and_records_evaluations():
+    _run_traced(EVALUATIONS)
+
+
+def test_tracer_sees_every_recorded_query_of_a_game_trial():
+    _run_traced(GAME_TRIAL)

@@ -31,7 +31,6 @@ N = 8
 def ref_ratio(S, f_oracle, g_oracle):
     f_value = f_oracle(S)
     g_value = g_oracle(S)
-    f_oracle.transcript.record(S, f_value, g_value)
     if g_value == 0:
         raise UndefinedRatioError(f"g({S!r}) = 0")
     return Fraction(f_value) / g_value
@@ -125,11 +124,11 @@ def _pairs():
             IncreasingInstance(N, 100, Fraction(1, 3), plant=plant_inc), t),
         "increasing-unplanted": lambda t: make_oracles(IncreasingInstance(N, 100, Fraction(1, 3)), t),
         "table-int": lambda t: (
-            CountingOracle(FunctionTable(N, f_values), transcript=t),
+            CountingOracle(FunctionTable(N, f_values)),
             CountingOracle(FunctionTable(N, g_values), transcript=t),
         ),
         "raw-int-ties": lambda t: (
-            CountingOracle(lambda S: tie_f[S.mask], transcript=t),
+            CountingOracle(lambda S: tie_f[S.mask]),
             CountingOracle(lambda S: tie_g[S.mask], transcript=t),
         ),
     }
