@@ -192,8 +192,6 @@ def cmd_solve(args) -> int:
 
 def cmd_game(args) -> int:
     desc = _descriptor_from_args(args)
-    if "plant" in desc:
-        raise ParameterError("the game manages its own hidden sets; omit --plant/--plant-seed")
     inst = instance_from_descriptor(desc)
     budget = args.budget if args.budget is not None else inst.n ** 3
     algorithm = make_algorithm(args.method, budget)

@@ -16,9 +16,14 @@ recorded as distinguished, with union bound 1.
 
 Both games run one trial loop (`_play`).  The transcript is the g handle's
 own record, so it holds every g evaluation however the algorithm made it;
-a direct f call reveals nothing about the plant.  The harness scores the
-returned set itself, in the world that answered the trial: the value an
-algorithm claims for its set is never read.
+a direct f call reveals nothing about the plant.  One scan
+(`_first_difference`) compares the planted and unplanted g at every
+recorded set, in both games.  In the decreasing game a trial is
+distinguished at the first set where they differ; in the increasing game
+a difference means the plant search is broken.  The harness scores the returned set itself, in the
+world that answered the trial: the value an algorithm claims for its set
+is never read, and an empty returned set, outside the ratio's domain, is
+refused in both games.
 
 Per-query distinguishing probabilities are exact rationals; Monte Carlo
 exists only to cross-check them.
@@ -32,11 +37,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NoConsistentPlantError, ParameterError, RatioLabError
+from .errors import NoConsistentPlantError, ParameterError, RatioLabError, UndefinedRatioError
 from .instances import DecreasingInstance, IncreasingInstance
+# perfbench/tracing.py rebinds game.differs_from_unplanted; tests/test_perfbench_tracing.py fails without it.
 from .oracles import (
     QueryTranscript,
-    differs_from_unplanted,
+    differs_from_unplanted,  # noqa: F401
     instance_evaluator,
     make_oracles,
     ratio,
@@ -165,6 +171,20 @@ def find_consistent_plant(transcript: QueryTranscript, n: int) -> Subset:
     )
 
 
+def _first_difference(transcript: QueryTranscript, g_a, g_b) -> int | None:
+    """Index of the first effective_sets() entry where the g evaluators g_a and g_b differ.
+
+    Where they agree they index one cached value table and return the very
+    same Fraction, so identity settles almost every set; `!=` keeps the
+    rest exact.
+    """
+    for idx, S in enumerate(transcript.effective_sets()):
+        a, b = g_a(S), g_b(S)
+        if a is not b and a != b:
+            return idx
+    return None
+
+
 def _play(algorithm, inst, seed: int, trials: int, world, score) -> list[GameReport]:
     """The trial loop both games share.
 
@@ -173,10 +193,10 @@ def _play(algorithm, inst, seed: int, trials: int, world, score) -> list[GameRep
     set joins the transcript, and `score(world_instance, transcript)` gives
     (first_idx, union_bound).  The algorithm's value is f/g at its returned
     set in that world, evaluated here on a fresh oracle pair outside the
-    trial's query count; g = 0 there raises UndefinedRatioError.
+    trial's query count; an empty returned set raises UndefinedRatioError.
     """
     if inst.plant is not None:
-        raise ParameterError("pass an unplanted instance; the game chooses its own plants")
+        raise ParameterError("the game manages its own hidden sets; pass an unplanted instance")
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     planted_optimum = inst.planted_ratio()
@@ -187,6 +207,8 @@ def _play(algorithm, inst, seed: int, trials: int, world, score) -> list[GameRep
         transcript = QueryTranscript()
         f_oracle, g_oracle = make_oracles(answering, transcript)
         result = algorithm(f_oracle, g_oracle, inst.n, derive_seed(trial_seed, "alg"))
+        if not result.argset.mask:
+            raise UndefinedRatioError("the returned set is empty; the ratio is defined on nonempty sets only")
         value = ratio(result.argset, *make_oracles(answering))
         transcript.set_returned(result.argset)
         first_idx, union = score(answering, transcript)
@@ -211,16 +233,15 @@ def run_game_decreasing(algorithm, inst: DecreasingInstance, seed: int, trials: 
 
     The algorithm handle has signature (f_oracle, g_oracle, n, seed) ->
     OptResult.  Its returned set joins the transcript before any check.
+    The unplanted g is f, so the scan compares f with the planted g.
     """
 
     def draw_plant(trial_seed: int) -> DecreasingInstance:
         return inst.with_plant(random_k_subset(inst.n, inst.alpha, derive_seed(trial_seed, "plant")))
 
     def score(planted: DecreasingInstance, transcript: QueryTranscript):
-        first_idx = next(
-            (idx for idx, S in enumerate(transcript.effective_sets()) if differs_from_unplanted(S, planted)),
-            None,
-        )
+        f, g_planted = instance_evaluator(planted, "f"), instance_evaluator(planted, "g")
+        first_idx = _first_difference(transcript, f, g_planted)
         return first_idx, union_bound(transcript.cardinalities(), inst.n, inst.alpha, inst.beta)
 
     return _play(algorithm, inst, seed, trials, draw_plant, score)
@@ -231,8 +252,8 @@ def run_game_increasing(algorithm, inst: IncreasingInstance, seed: int, trials: 
 
     After the run, the planted world with R* agrees with the unplanted one
     at every set where g was evaluated, returned set included; that
-    agreement is re-checked set by set, so each undistinguished report
-    certifies literal indistinguishability.
+    agreement is re-checked by `_first_difference`, so each undistinguished
+    report certifies literal indistinguishability.
     When the queries (returned set included) cover all C(n, n//2)
     candidates, no R* exists: the trial is distinguished, first_idx is the
     query that covered the last candidate, the union bound is 1, and the
@@ -243,45 +264,18 @@ def run_game_increasing(algorithm, inst: IncreasingInstance, seed: int, trials: 
         try:
             r_star = find_consistent_plant(transcript, inst.n)
         except NoConsistentPlantError:
-            # Every candidate was queried: the adversary cannot hide.
-            return _covering_index(transcript, inst.n), Fraction(1)
-        _recheck(transcript, unplanted, r_star)
+            # Every candidate was queried: the adversary cannot hide.  The
+            # covering query is the latest first visit of a candidate.
+            first_visit: dict[int, int] = {}
+            for idx, S in enumerate(transcript.effective_sets()):
+                first_visit.setdefault(S.mask, idx)
+            return max(i for mask, i in first_visit.items() if mask.bit_count() == inst.n // 2), Fraction(1)
+        g, g_star = instance_evaluator(unplanted, "g"), instance_evaluator(unplanted.with_plant(r_star), "g")
+        if _first_difference(transcript, g, g_star) is not None:
+            raise RatioLabError("planted world disagrees with the transcript; plant search is broken")
         return None, Fraction(0)
 
     return _play(algorithm, inst, seed, trials, lambda trial_seed: inst, score)
-
-
-def _recheck(transcript: QueryTranscript, unplanted: IncreasingInstance, r_star: Subset) -> None:
-    """Raise unless g planted at r_star equals the unplanted g at every transcript set.
-
-    f is the same in both worlds, so g is all that can differ.  Exact in
-    every case: identical objects are equal, and differing objects fall
-    back to `!=`.  The identity test settles almost every set: both
-    evaluators index the one per-cardinality value table cached on the
-    family parameters (n, m, epsilon), so off the plant they return the
-    very same Fraction object.
-    """
-    g_seen = instance_evaluator(unplanted, "g")
-    g_check = instance_evaluator(unplanted.with_plant(r_star), "g")
-    for S in transcript.effective_sets():
-        seen, now = g_seen(S), g_check(S)
-        if seen is not now and seen != now:
-            raise RatioLabError(
-                "planted world disagrees with the transcript; plant search is broken"
-            )
-
-
-def _covering_index(transcript: QueryTranscript, n: int) -> int:
-    """Index, in effective_sets() order, of the query that covered the last candidate plant."""
-    k = n // 2
-    candidates = math.comb(n, k)
-    seen = set()
-    for idx, S in enumerate(transcript.effective_sets()):
-        if S.mask.bit_count() == k:
-            seen.add(S.mask)
-            if len(seen) == candidates:
-                return idx
-    raise RatioLabError("transcript does not cover every candidate plant")
 
 
 def game_report_row(report: GameReport) -> tuple:

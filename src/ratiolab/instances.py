@@ -3,8 +3,11 @@
 Two parameterized families live here.  The "decreasing" family plants a
 hidden set R of cardinality alpha inside the denominator function; the
 "increasing" family plants a hidden half-size set whose ratio value drops
-to floor(n/2) while every other set's ratio stays at least min{n/(2eps), m}.
+to floor(n/2) while every other set's ratio stays at least min{n/(2eps), m};
+it needs n >= 2, so that the plant is nonempty.
 Instances are frozen: oracles, games, and optimizers share them freely.
+
+The constructors validate every parameter; descriptor values reach them unchanged.
 """
 
 from __future__ import annotations
@@ -27,9 +30,18 @@ def _as_fraction(value, what: str) -> Fraction:
     if isinstance(value, (float, bool)):
         raise ParameterError(f"{what} must be exact (int, Fraction, or 'p/q'), got {type(value).__name__}")
     try:
-        return Fraction(value)
+        return frac_from_str(value) if isinstance(value, str) else Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParameterError(f"{what} is not a valid rational: {value!r}") from exc
+
+
+def _check_plant(plant: Subset | None, n: int, k: int, name: str) -> None:
+    if plant is None:
+        return
+    if plant.n != n:
+        raise ParameterError("plant ground size differs from instance n")
+    if plant.cardinality != k:
+        raise ParameterError(f"plant must have cardinality {name}={k}, got {plant.cardinality}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,14 +72,7 @@ class DecreasingInstance:
         object.__setattr__(self, "epsilon", _as_fraction(self.epsilon, "epsilon"))
         if self.epsilon <= 0:
             raise ParameterError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.plant is not None:
-            if self.plant.n != self.n:
-                raise ParameterError("plant ground size differs from instance n")
-            if self.plant.cardinality != self.alpha:
-                raise ParameterError(
-                    f"plant must have cardinality alpha={self.alpha}, "
-                    f"got {self.plant.cardinality}"
-                )
+        _check_plant(self.plant, self.n, self.alpha, "alpha")
 
     @property
     def family(self) -> str:
@@ -87,7 +92,7 @@ class IncreasingInstance:
 
     epsilon must lie in (0, n/(n+2)]; that range keeps the denominator
     function supermodular (checked exhaustively in the verify module).
-    A plant, when present, has cardinality exactly n//2.
+    n >= 2, and a plant, when present, has cardinality exactly n//2.
     """
 
     n: int
@@ -97,6 +102,8 @@ class IncreasingInstance:
 
     def __post_init__(self):
         validate_ground_size(self.n)
+        if self.n < 2:
+            raise ParameterError(f"the increasing family needs n >= 2 for a nonempty plant, got n={self.n}")
         object.__setattr__(self, "m", _as_fraction(self.m, "m"))
         object.__setattr__(self, "epsilon", _as_fraction(self.epsilon, "epsilon"))
         if self.m <= 0:
@@ -106,14 +113,7 @@ class IncreasingInstance:
             raise ParameterError(
                 f"epsilon must lie in (0, n/(n+2)] = (0, {bound}], got {self.epsilon}"
             )
-        if self.plant is not None:
-            if self.plant.n != self.n:
-                raise ParameterError("plant ground size differs from instance n")
-            if self.plant.cardinality != self.n // 2:
-                raise ParameterError(
-                    f"plant must have cardinality n//2={self.n // 2}, "
-                    f"got {self.plant.cardinality}"
-                )
+        _check_plant(self.plant, self.n, self.n // 2, "n//2")
 
     @property
     def family(self) -> str:
@@ -186,46 +186,26 @@ def instance_to_descriptor(inst: Instance) -> dict:
 
 
 def instance_from_descriptor(desc: dict) -> Instance:
-    """Parse and validate a JSON instance descriptor."""
+    """Map a JSON instance descriptor onto its family's constructor, which validates the values."""
     if not isinstance(desc, dict):
         raise ParameterError("descriptor must be a JSON object")
+    layouts = {
+        "decreasing": (DecreasingInstance, ("alpha", "beta")),
+        "increasing": (IncreasingInstance, ("m",)),
+    }
     family = desc.get("family")
-    if family not in ("decreasing", "increasing"):
+    if not isinstance(family, str) or family not in layouts:
         raise ParameterError(f"unknown family: {family!r}")
-    n = desc.get("n")
-    if not isinstance(n, int):
-        raise ParameterError("descriptor field n must be an integer")
-    if "epsilon" not in desc:
-        raise ParameterError("descriptor is missing epsilon")
-    epsilon = _descriptor_rational(desc["epsilon"], "epsilon")
-
-    allowed = {"family", "n", "epsilon", "plant"}
-    allowed |= {"alpha", "beta"} if family == "decreasing" else {"m"}
-    extra = set(desc) - allowed
+    cls, fields = layouts[family]
+    required = {"family", "n", *fields, "epsilon"}
+    extra = set(desc) - required - {"plant"}
     if extra:
         raise ParameterError(f"unexpected descriptor fields for {family}: {sorted(extra)}")
-
-    if family == "decreasing":
-        alpha, beta = desc.get("alpha"), desc.get("beta")
-        if not isinstance(alpha, int) or not isinstance(beta, int):
-            raise ParameterError("decreasing descriptor needs integer alpha and beta")
-        plant = None
-        if "plant" in desc:
-            plant = _plant_from_descriptor(desc["plant"], n, alpha, "decreasing")
-        return DecreasingInstance(n, alpha, beta, epsilon, plant)
-
-    if "m" not in desc:
-        raise ParameterError("increasing descriptor needs m")
-    m = _descriptor_rational(desc["m"], "m")
-    plant = None
-    if "plant" in desc:
-        plant = _plant_from_descriptor(desc["plant"], n, n // 2, "increasing")
-    return IncreasingInstance(n, m, epsilon, plant)
-
-
-def _descriptor_rational(value, what: str) -> Fraction:
-    if isinstance(value, str):
-        return frac_from_str(value)
-    if isinstance(value, int):
-        return Fraction(value)
-    raise ParameterError(f"{what} must be an int or a 'p/q' string, got {value!r}")
+    missing = required - set(desc)
+    if missing:
+        raise ParameterError(f"{family} descriptor is missing {sorted(missing)}")
+    inst = cls(desc["n"], *(desc[name] for name in fields), desc["epsilon"])
+    if "plant" not in desc:
+        return inst
+    k = inst.alpha if family == "decreasing" else inst.n // 2
+    return inst.with_plant(_plant_from_descriptor(desc["plant"], inst.n, k, family))

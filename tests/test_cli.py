@@ -202,6 +202,17 @@ def test_game_rejects_plant_flags(capsys):
     assert "manages its own hidden sets" in err
 
 
+def test_game_increasing_n1_is_a_parameter_error(capsys):
+    # the n = 1 plant would be empty; exit 1 would mean "violations found"
+    code, out, err = run_cli(
+        capsys, "game", "--family", "increasing", "--n", "1", "--m", "10",
+        "--trials", "1", "--budget", "5",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "n >= 2" in err
+    assert "Traceback" not in err
+
+
 def test_game_csv_and_json_outputs(tmp_path, capsys):
     out_csv = tmp_path / "g.csv"
     out_json = tmp_path / "g.json"

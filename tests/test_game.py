@@ -222,21 +222,24 @@ def test_decreasing_game_deterministic():
 
 
 def test_decreasing_game_first_idx_points_at_separator():
-    # replay one distinguished trial by hand and confirm first_idx indexes
-    # the first transcript set where the planted pair differs
-    algorithm = make_algorithm("random", budget=40)
-    reports = run_game_decreasing(algorithm, DEC_BARE, seed=5, trials=24)
-    hit = next(r for r in reports if r.distinguished)
-    plant = random_k_subset(DEC_BARE.n, DEC_BARE.alpha, derive_seed(hit.seed, "plant"))
-    planted = DEC_BARE.with_plant(plant)
-    transcript = QueryTranscript()
-    f, g = make_oracles(planted, transcript)
-    result = algorithm(f, g, DEC_BARE.n, derive_seed(hit.seed, "alg"))
-    transcript.set_returned(result.argset)
-    sets = list(transcript.effective_sets())
-    assert differs_from_unplanted(sets[hit.first_idx], planted)
-    for S in sets[: hit.first_idx]:
-        assert not differs_from_unplanted(S, planted)
+    # replay every trial of both searches by hand: first_idx is the first
+    # transcript set where the closed form says the planted pair differs,
+    # and None when none does
+    for method in ("random", "local"):
+        algorithm = make_algorithm(method, budget=40)
+        reports = run_game_decreasing(algorithm, DEC_BARE, seed=5, trials=24)
+        for r in reports:
+            plant = random_k_subset(DEC_BARE.n, DEC_BARE.alpha, derive_seed(r.seed, "plant"))
+            planted = DEC_BARE.with_plant(plant)
+            transcript = QueryTranscript()
+            f, g = make_oracles(planted, transcript)
+            result = algorithm(f, g, DEC_BARE.n, derive_seed(r.seed, "alg"))
+            transcript.set_returned(result.argset)
+            sets = transcript.effective_sets()
+            hits = [idx for idx, S in enumerate(sets) if differs_from_unplanted(S, planted)]
+            assert r.first_idx == (hits[0] if hits else None)
+        if method == "random":
+            assert {r.distinguished for r in reports} == {True, False}
 
 
 def test_decreasing_game_brute_always_distinguishes():
@@ -446,14 +449,22 @@ def test_swapped_ratio_call_gets_a_normal_report(run, inst, value):
     assert r.empirical_ratio == value / inst.planted_ratio()
 
 
+def _returns_empty(f_oracle, g_oracle, n, seed):
+    ratio(Subset.full(n), f_oracle, g_oracle)
+    return OptResult(Subset.empty(n), Fraction(1), 2, "empty")
+
+
 def test_increasing_game_rejects_an_empty_returned_set():
     # g is 0 at the empty set, so the returned set has no ratio to score
-    def returns_empty(f_oracle, g_oracle, n, seed):
-        ratio(Subset.full(n), f_oracle, g_oracle)
-        return OptResult(Subset.empty(n), Fraction(1), 2, "empty")
+    with pytest.raises(UndefinedRatioError, match="empty"):
+        run_game_increasing(_returns_empty, IncreasingInstance(6, 1000, Fraction(1, 100)), seed=0, trials=1)
 
-    with pytest.raises(UndefinedRatioError):
-        run_game_increasing(returns_empty, IncreasingInstance(6, 1000, Fraction(1, 100)), seed=0, trials=1)
+
+def test_decreasing_game_rejects_an_empty_returned_set():
+    # f = g = alpha + eps at the empty set, which lies outside the nonempty
+    # domain; scoring it would report an undistinguished ratio of 7
+    with pytest.raises(UndefinedRatioError, match="empty"):
+        run_game_decreasing(_returns_empty, DEC_BARE, seed=0, trials=1)
 
 
 def test_increasing_game_rejects_bad_arguments():

@@ -117,6 +117,13 @@ def test_increasing_epsilon_range():
         IncreasingInstance(8, 1, 0.25)
 
 
+def test_increasing_needs_two_elements():
+    # at n = 1 the half-size plant would be the empty set, where g is 0
+    with pytest.raises(ParameterError, match="n >= 2"):
+        IncreasingInstance(1, 10, Fraction(1, 4))
+    assert IncreasingInstance(2, 10, Fraction(1, 4)).planted_ratio() == 1
+
+
 def test_increasing_m_positive():
     with pytest.raises(ParameterError):
         IncreasingInstance(8, 0, Fraction(1, 4))
@@ -227,6 +234,7 @@ def test_descriptor_rejects_malformed():
         {"family": "sideways"},
         {"n": "8"},
         {"epsilon": 0.5},
+        {"epsilon": True},  # a JSON true is not epsilon = 1
         {"alpha": None},
         {"m": "3"},  # cross-family field
         {"plant": {"seed": "x"}},
@@ -243,10 +251,13 @@ def test_descriptor_rejects_malformed():
         instance_from_descriptor({k: v for k, v in base.items() if k != "epsilon"})
     with pytest.raises(ParameterError):
         instance_from_descriptor("not a dict")
-    with pytest.raises(ParameterError):
-        instance_from_descriptor(
-            {"family": "increasing", "n": 8, "epsilon": "1/4"}  # missing m
-        )
+    inc_base = {"family": "increasing", "n": 8, "m": "3", "epsilon": "1/4"}
+    instance_from_descriptor(inc_base)
+    for mutate in ({"m": True}, {"m": 0.5}, {"n": True}, {"alpha": 3}):
+        with pytest.raises(ParameterError):
+            instance_from_descriptor({**inc_base, **mutate})
+    with pytest.raises(ParameterError, match=r"missing \['m'\]"):
+        instance_from_descriptor({k: v for k, v in inc_base.items() if k != "m"})
 
 
 def test_descriptor_integer_rationals():
@@ -254,3 +265,7 @@ def test_descriptor_integer_rationals():
         {"family": "increasing", "n": 8, "m": 100, "epsilon": "1/2"}
     )
     assert inst.m == Fraction(100)
+    # Fraction values reach the constructor unchanged
+    assert instance_from_descriptor(
+        {"family": "increasing", "n": 8, "m": Fraction(7, 2), "epsilon": Fraction(1, 2)}
+    ) == IncreasingInstance(8, Fraction(7, 2), Fraction(1, 2))
