@@ -49,7 +49,7 @@ from .oracles import (
 )
 from .sampling import SeededStream, derive_seed, random_k_subset
 from .serialize import frac_to_str
-from .sets import Subset, iter_k_subset_masks
+from .sets import Subset, is_int, iter_k_subset_masks
 
 GAME_CSV_COLUMNS = [
     "family", "n", "trial", "seed", "queries", "distinguished", "first_idx",
@@ -88,6 +88,8 @@ def _distinguish_probability(n: int, alpha: int, beta: int, s: int) -> Fraction:
 
 
 def _check_query(n: int, alpha: int, beta: int, s: int) -> None:
+    if not all(map(is_int, (n, alpha, beta, s))):
+        raise ParameterError(f"n, alpha, beta and s must be ints, got {(n, alpha, beta, s)!r}")
     if not 0 <= s <= n:
         raise ParameterError(f"query cardinality s={s} outside 0..{n}")
     if not 0 <= alpha <= n:
@@ -136,8 +138,8 @@ def monte_carlo_distinguish(
     Cross-checks distinguish_probability; the fixed query set is {0..s-1},
     which is lossless by symmetry.
     """
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
+    if not is_int(trials) or trials < 1:
+        raise ParameterError(f"trials must be a positive int, got {trials!r}")
     _check_query(n, alpha, beta, s)
     s_mask = (1 << s) - 1
     threshold = min(alpha, s)
@@ -197,8 +199,8 @@ def _play(algorithm, inst, seed: int, trials: int, world, score) -> list[GameRep
     """
     if inst.plant is not None:
         raise ParameterError("the game manages its own hidden sets; pass an unplanted instance")
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
+    if not is_int(trials) or trials < 1:
+        raise ParameterError(f"trials must be a positive int, got {trials!r}")
     planted_optimum = inst.planted_ratio()
     reports = []
     for trial in range(trials):

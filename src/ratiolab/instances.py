@@ -18,12 +18,8 @@ from fractions import Fraction
 
 from .errors import ParameterError
 from .sampling import random_k_subset
-from .sets import Subset, validate_ground_size
+from .sets import Subset, is_int, validate_ground_size
 from .serialize import frac_from_str, frac_to_str
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _as_fraction(value, what: str) -> Fraction:
@@ -60,7 +56,7 @@ class DecreasingInstance:
 
     def __post_init__(self):
         validate_ground_size(self.n)
-        if not all(_is_int(v) for v in (self.alpha, self.beta)):
+        if not all(is_int(v) for v in (self.alpha, self.beta)):
             raise ParameterError("alpha and beta must be integers")
         if self.beta < 0:
             raise ParameterError(f"beta must be >= 0, got {self.beta}")
@@ -162,11 +158,11 @@ def derive_decreasing_params(n: int, x) -> tuple[int, int]:
 
 def _plant_from_descriptor(spec, n: int, k: int, what: str) -> Subset:
     if isinstance(spec, dict):
-        if set(spec) != {"seed"} or not _is_int(spec["seed"]):
+        if set(spec) != {"seed"} or not is_int(spec["seed"]):
             raise ParameterError(f'{what}: plant object must be {{"seed": int}}')
         return random_k_subset(n, k, spec["seed"])
     if isinstance(spec, list):
-        if not all(_is_int(e) for e in spec):
+        if not all(is_int(e) for e in spec):
             raise ParameterError(f"{what}: plant list must contain integers")
         return Subset.from_elements(spec, n)
     raise ParameterError(f"{what}: plant must be an element list or a seed object")

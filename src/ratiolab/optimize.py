@@ -24,7 +24,7 @@ from .errors import ParameterError
 # is the per-query evaluation that perfbench/tracing.py rebinds.
 from .oracles import ratio_terms as ratio
 from .sampling import SeededStream
-from .sets import Subset, check_guard, unchecked_subset, validate_ground_size
+from .sets import Subset, check_guard, is_int, unchecked_subset, validate_ground_size
 
 OPT_CSV_COLUMNS = ["method", "n", "family", "value_p", "value_q", "argset_hex", "queries", "seed"]
 
@@ -64,14 +64,12 @@ def _search_masks(f_oracle, g_oracle, n: int, sign: int) -> OptResult:
 
 def brute_force_min_ratio(f_oracle, g_oracle, n: int) -> OptResult:
     """Exact minimizer of f/g over all nonempty subsets, ascending-mask scan."""
-    validate_ground_size(n)
     check_guard(n, "exhaustive ratio search")
     return _search_masks(f_oracle, g_oracle, n, 1)
 
 
 def brute_force_max_ratio(f_oracle, g_oracle, n: int) -> OptResult:
     """Exact maximizer of f/g over all nonempty subsets, same tie-break as min."""
-    validate_ground_size(n)
     check_guard(n, "exhaustive ratio search")
     return _search_masks(f_oracle, g_oracle, n, -1)
 
@@ -85,8 +83,8 @@ def local_search(f_oracle, g_oracle, n: int, budget: int, seed: int) -> OptResul
     and returns the best point it ever evaluated.
     """
     validate_ground_size(n)
-    if budget < max(n, 2):
-        raise ParameterError(f"local search needs budget >= max(n, 2) = {max(n, 2)}, got {budget}")
+    if not is_int(budget) or budget < max(n, 2):
+        raise ParameterError(f"local search needs an int budget >= max(n, 2) = {max(n, 2)}, got {budget!r}")
     start_queries = f_oracle.count + g_oracle.count
     remaining = budget
     stream = SeededStream(seed, "local-search", n)
@@ -133,8 +131,8 @@ def local_search(f_oracle, g_oracle, n: int, budget: int, seed: int) -> OptResul
 def random_search(f_oracle, g_oracle, n: int, budget: int, seed: int) -> OptResult:
     """Evaluate f/g at `budget` seeded uniform nonempty subsets; keep the best."""
     validate_ground_size(n)
-    if budget < 1:
-        raise ParameterError(f"random search needs budget >= 1, got {budget}")
+    if not is_int(budget) or budget < 1:
+        raise ParameterError(f"random search needs an int budget >= 1, got {budget!r}")
     start_queries = f_oracle.count + g_oracle.count
     stream = SeededStream(seed, "random-search", n)
     best = None

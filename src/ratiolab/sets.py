@@ -20,19 +20,24 @@ MAX_GROUND_SIZE = 128
 ENUMERATION_GUARD = 24
 
 
+def is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def validate_ground_size(n: int) -> None:
+    if not is_int(n):
+        raise ParameterError(f"ground size must be an integer, got {n!r}")
+    if not 1 <= n <= MAX_GROUND_SIZE:
+        raise ParameterError(f"ground size must satisfy 1 <= n <= {MAX_GROUND_SIZE}, got {n}")
+
+
 def check_guard(n: int, what: str = "subset enumeration") -> None:
-    """Refuse full subset enumeration above n = ENUMERATION_GUARD."""
+    """Validate the ground size, then refuse full subset enumeration above n = ENUMERATION_GUARD."""
+    validate_ground_size(n)
     if n > ENUMERATION_GUARD:
         raise EnumerationGuardError(
             f"n={n} exceeds the enumeration guard {ENUMERATION_GUARD} for {what}"
         )
-
-
-def validate_ground_size(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ParameterError(f"ground size must be an integer, got {n!r}")
-    if not 1 <= n <= MAX_GROUND_SIZE:
-        raise ParameterError(f"ground size must satisfy 1 <= n <= {MAX_GROUND_SIZE}, got {n}")
 
 
 @dataclass(frozen=True, slots=True)

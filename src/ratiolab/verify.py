@@ -6,10 +6,11 @@ common denominator as integers.  The marginal queries of the pairwise
 characterization are then replayed against that table (each repeat must
 return the tabulated value), so the query count stays exactly
 2^n + n 2^(n-1) + n(n-1) 2^(n-2) for supermodularity and 2^n + n 2^(n-1)
-for monotonicity, and the scan itself compares integers.  An all-pairs
-O(4^n) checker over the lattice inequality itself serves as an independent
-cross-validation oracle at tiny n.  Checks refuse to run above the
-enumeration guard rather than silently sample.
+for monotonicity.  The scans compare integers; the symmetric supermodular
+inequality is tested once per unordered pair, and a failing pair yields
+both ordered records.  Non-negativity needs no marginal, so its one pass
+builds no table.  The all-pairs O(4^n) checker over the lattice inequality
+is the independent reference at tiny n; no check runs above the guard.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from math import lcm
 
 from .errors import ParameterError
 from .serialize import frac_from_str, frac_to_str, render_csv
-from .sets import Subset, check_guard, unchecked_subset, validate_ground_size
+from .sets import Subset, check_guard, is_int, unchecked_subset, validate_ground_size
 
 DEFAULT_VIOLATION_CAP = 100
 _EXACT_VALUES_ONLY = "oracle values must be int or Fraction"
@@ -44,7 +45,7 @@ class ViolationRecord:
 
 
 def _validate_cap(cap) -> None:
-    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
+    if not is_int(cap) or cap < 1:
         raise ParameterError(f"violation cap must be a positive int, got {cap!r}")
 
 
@@ -73,18 +74,6 @@ def _tabulate(oracle, n: int, repeats) -> tuple[list, list[int]]:
     return values, [v.numerator * (scale // v.denominator) for v in values]
 
 
-def _clean_at(table: list[int], base: int, outside: list[int]) -> bool:
-    """Whether f(S+i) + f(S+j) <= f(S) + f(S+i+j) for every pair i < j outside S."""
-    t_base = table[base]
-    for a, bit_i in enumerate(outside):
-        top = base | bit_i
-        gain = table[top] - t_base
-        for bit_j in outside[a + 1:]:
-            if gain + table[base | bit_j] > table[top | bit_j]:
-                return False
-    return True
-
-
 def check_supermodular(oracle, n: int, cap: int = DEFAULT_VIOLATION_CAP) -> list[ViolationRecord]:
     """All pairwise-marginal violations of supermodularity, up to `cap`.
 
@@ -94,32 +83,35 @@ def check_supermodular(oracle, n: int, cap: int = DEFAULT_VIOLATION_CAP) -> list
     2^n + n 2^(n-1) + n(n-1) 2^(n-2) queries, one per (base), (base, i) and
     (base, ordered i j), even when the cap is reached: the function is
     tabulated and the marginal queries replayed against the table.  The
-    symmetric inequality is scanned once per unordered pair in integers;
-    only at a violating base are records emitted, in (base, i, j) order
-    with the exact margins, until `cap` records have been collected.
+    inequality is symmetric in i and j, so each unordered pair is scanned
+    once in integers and a violating pair yields both records, (i, j) and
+    (j, i); records come in (base, i, j) order with the exact margins,
+    until `cap` records have been collected.
     """
-    validate_ground_size(n)
     check_guard(n, "supermodularity check")
     _validate_cap(cap)
     values, table = _tabulate(oracle, n, [c * c for c in range(n + 1)])
     bits = [1 << i for i in range(n)]
     violations: list[ViolationRecord] = []
-    for base in range(1 << n):
+    for base, t_base in enumerate(table):
         outside = [bit for bit in bits if not base & bit]
-        if _clean_at(table, base, outside):
+        pairs = []
+        for a, bit_i in enumerate(outside):
+            top = base | bit_i
+            gain = table[top] - t_base
+            for bit_j in outside[a + 1:]:
+                if gain + table[base | bit_j] > table[top | bit_j]:
+                    pairs += ((bit_i, bit_j), (bit_j, bit_i))
+        if not pairs:
             continue
         subset = Subset(base, n)
-        for bit_i in outside:
-            top = base | bit_i
-            gain = table[top] - table[base]
-            lhs = values[top] - values[base]
-            for bit_j in outside:
-                if bit_j != bit_i and gain + table[base | bit_j] > table[top | bit_j]:
-                    i, j = bit_i.bit_length() - 1, bit_j.bit_length() - 1
-                    rhs = values[top | bit_j] - values[base | bit_j]
-                    violations.append(ViolationRecord(subset, i, j, lhs, rhs))
-                    if len(violations) >= cap:
-                        return violations
+        for bit_i, bit_j in sorted(pairs):
+            lhs = values[base | bit_i] - values[base]
+            rhs = values[base | bit_i | bit_j] - values[base | bit_j]
+            i, j = bit_i.bit_length() - 1, bit_j.bit_length() - 1
+            violations.append(ViolationRecord(subset, i, j, lhs, rhs))
+            if len(violations) >= cap:
+                return violations
     return violations
 
 
@@ -159,7 +151,6 @@ def check_monotone(
     the cap is reached; the signs are read off the integer table and
     records come in (base, i) order with the exact margin.
     """
-    validate_ground_size(n)
     check_guard(n, "monotonicity check")
     if direction not in ("nondecreasing", "nonincreasing"):
         raise ParameterError(f"direction must be nondecreasing or nonincreasing, got {direction!r}")
@@ -180,7 +171,6 @@ def check_monotone(
 
 def check_nonnegative(oracle, n: int, cap: int = DEFAULT_VIOLATION_CAP) -> list[tuple[Subset, Fraction]]:
     """Subsets with negative value, up to `cap`.  Empty list means all >= 0."""
-    validate_ground_size(n)
     check_guard(n, "non-negativity check")
     _validate_cap(cap)
     violations: list[tuple[Subset, Fraction]] = []

@@ -1,9 +1,56 @@
-"""The package's public surface: every exported name exists, once."""
+"""The package's public surface: every exported name exists, once; no dead imports."""
+
+import ast
+from pathlib import Path
 
 import ratiolab
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_all_names_resolve_without_duplicates():
     assert len(ratiolab.__all__) == len(set(ratiolab.__all__))
     missing = [name for name in ratiolab.__all__ if not hasattr(ratiolab, name)]
     assert missing == []
+
+
+def _assigned(tree, name):
+    """The value a module assigns to `name` at top level, or None."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [name]:
+            return node.value
+    return None
+
+
+def _unreferenced_sibling_imports(path):
+    """Names a module imports from its own package and never reads."""
+    tree = ast.parse(path.read_text())
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = _assigned(tree, "__all__")
+    if exported is not None:
+        read |= set(ast.literal_eval(exported))
+    return {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if (alias.asname or alias.name) not in read
+    }
+
+
+def test_every_unread_sibling_import_is_a_tracing_binding():
+    # perfbench/tracing.py rebinds module attributes by name, so a module may
+    # import a function only for the tracer to find; any other unread import
+    # from inside the package is dead.
+    functions = _assigned(ast.parse((ROOT / "perfbench" / "tracing.py").read_text()), "FUNCTIONS")
+    traced = {
+        (owner, attribute)
+        for owners, attribute, _ in ast.literal_eval(functions)
+        for owner in owners
+    }
+    unread = {
+        (path.stem, name)
+        for path in sorted((ROOT / "src" / "ratiolab").glob("*.py"))
+        for name in _unreferenced_sibling_imports(path)
+    }
+    assert unread - traced == set()

@@ -27,7 +27,7 @@ from ratiolab.game import (
     union_bound,
 )
 from ratiolab.instances import DecreasingInstance, IncreasingInstance
-from ratiolab.optimize import OptResult, make_algorithm
+from ratiolab.optimize import OptResult, local_search, make_algorithm, random_search
 from ratiolab.oracles import QueryTranscript, differs_from_unplanted, instance_evaluator, make_oracles, ratio
 from ratiolab.sampling import derive_seed, random_k_subset
 from ratiolab.sets import Subset, iter_k_subset_masks
@@ -474,6 +474,37 @@ def test_increasing_game_rejects_bad_arguments():
         run_game_increasing(algorithm, planted, seed=0, trials=2)
     with pytest.raises(ParameterError):
         run_game_increasing(algorithm, INC_BARE, seed=0, trials=0)
+
+
+def _search(search, budget):
+    return lambda: search(*make_oracles(INC_BARE), INC_BARE.n, budget, 0)
+
+
+# Each count (budget, trials, n, alpha, beta, s) must be an int; a float is
+# not a count, and neither is a bool, although Python treats True as 1.
+@pytest.mark.parametrize("call", [
+    _search(random_search, 2.5),
+    _search(random_search, True),
+    _search(local_search, 20.5),
+    lambda: run_game_decreasing(make_algorithm("random", 10), DEC_BARE, seed=0, trials=2.5),
+    lambda: run_game_decreasing(make_algorithm("random", 10), DEC_BARE, seed=0, trials=True),
+    lambda: run_game_increasing(make_algorithm("random", 10), INC_BARE, seed=0, trials=True),
+    lambda: distinguish_probability(14, 4, 1, True),
+    lambda: distinguish_probability(14.0, 4, 1, 6),
+    lambda: distinguish_probability(14, 4.0, 1, 6),
+    lambda: distinguish_probability(14, 4, 1.0, 6),
+    lambda: union_bound([6.0], 14, 4, 1),
+    lambda: monte_carlo_distinguish(14, 4, 1, 6, trials=2.5, seed=0),
+    lambda: monte_carlo_distinguish(14, 4, 1, 6, trials=True, seed=0),
+], ids=[
+    "random-budget-float", "random-budget-bool", "local-budget-float",
+    "decreasing-trials-float", "decreasing-trials-bool", "increasing-trials-bool",
+    "prob-s-bool", "prob-n-float", "prob-alpha-float", "prob-beta-float",
+    "union-bound-float", "monte-carlo-trials-float", "monte-carlo-trials-bool",
+])
+def test_count_arguments_must_be_ints(call):
+    with pytest.raises(ParameterError):
+        call()
 
 
 # ------------------------------------------------------------- reporting

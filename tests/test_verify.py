@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import test_verify_reference as reference
+
 from ratiolab.errors import EnumerationGuardError, ParameterError
 from ratiolab.instances import DecreasingInstance, IncreasingInstance
 from ratiolab.oracles import CountingOracle, instance_evaluator
@@ -89,6 +91,21 @@ def test_cap_truncates_scan():
     assert len(check_supermodular(capped_size, 5, cap=3)) == 3
     assert len(check_monotone(size_minus_one, 4, "nonincreasing", cap=2)) == 2
     assert len(check_nonnegative(size_minus_one, 4, cap=1)) == 1
+
+
+@pytest.mark.parametrize("name", ["capped_size", "random_table"])
+def test_every_cap_is_a_prefix_of_the_reference(name):
+    # Every violating pair is reported in both orders, (i, j) then later
+    # (j, i), so the sweep includes caps that fall between the two.
+    n = 5
+    fn = reference.capped_size if name == "capped_size" else reference.random_table(n, 1)
+    records = reference.ref_check_supermodular(fn, n, 10**9)
+    keys = {(r.base, r.i, r.j) for r in records}
+    assert keys and keys == {(base, j, i) for base, i, j in keys}
+    want = reference.record_fields(records)
+    for cap in range(1, len(want) + 1):
+        got = reference.record_fields(check_supermodular(fn, n, cap))
+        assert got == want[:cap], (name, cap)
 
 
 def test_monotone_directions():
