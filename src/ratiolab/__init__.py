@@ -18,11 +18,9 @@ from .errors import (
 )
 from .game import (
     GameReport,
-    MonteCarloEstimate,
     distinguish_probability,
     find_consistent_plant,
     game_report_row,
-    monte_carlo_distinguish,
     run_game_decreasing,
     run_game_increasing,
     summarize_games,
@@ -33,7 +31,6 @@ from .instances import (
     IncreasingInstance,
     derive_decreasing_params,
     instance_from_descriptor,
-    instance_to_descriptor,
 )
 from .optimize import (
     OptResult,
@@ -55,9 +52,7 @@ from .sampling import SeededStream, derive_seed, random_k_subset
 from .serialize import approx_str, frac_from_str, frac_to_str
 from .sets import Subset
 from .verify import (
-    FunctionTable,
     ViolationRecord,
-    all_pairs_supermodular,
     check_monotone,
     check_nonnegative,
     check_supermodular,
@@ -69,11 +64,9 @@ __all__ = [
     "CountingOracle",
     "DecreasingInstance",
     "EnumerationGuardError",
-    "FunctionTable",
     "GameReport",
     "IncreasingInstance",
     "MissingPlantError",
-    "MonteCarloEstimate",
     "NoConsistentPlantError",
     "OptResult",
     "ParameterError",
@@ -83,7 +76,6 @@ __all__ = [
     "Subset",
     "UndefinedRatioError",
     "ViolationRecord",
-    "all_pairs_supermodular",
     "approx_str",
     "brute_force_max_ratio",
     "brute_force_min_ratio",
@@ -100,11 +92,9 @@ __all__ = [
     "game_report_row",
     "instance_evaluator",
     "instance_from_descriptor",
-    "instance_to_descriptor",
     "local_search",
     "make_algorithm",
     "make_oracles",
-    "monte_carlo_distinguish",
     "random_k_subset",
     "random_search",
     "ratio",

@@ -15,27 +15,27 @@ queries cover every half-size set leaves no place to hide a plant; it is
 recorded as distinguished, with union bound 1.
 
 Both games run one trial loop (`_play`).  The transcript is the g handle's
-own record, so it holds every g evaluation however the algorithm made it;
-a direct f call reveals nothing about the plant.  One scan
+own record of masks, so it holds every g evaluation however the algorithm
+made it; a direct f call reveals nothing about the plant.  One scan
 (`_first_difference`) compares the planted and unplanted g at every
-recorded set, in both games.  In the decreasing game a trial is
+recorded mask, in both games, through their integer (numerator,
+denominator) pair lookups.  In the decreasing game a trial is
 distinguished at the first set where they differ; in the increasing game
-a difference means the plant search is broken.  The harness scores the returned set itself, in the
-world that answered the trial: the value an algorithm claims for its set
-is never read, and an empty returned set, outside the ratio's domain, is
-refused in both games.
+a difference means the plant search is broken.  The harness scores the
+returned set itself, in the world that answered the trial: the value an
+algorithm claims for its set is never read, and an empty returned set,
+outside the ratio's domain, is refused in both games.
 
-Per-query distinguishing probabilities are exact rationals; Monte Carlo
-exists only to cross-check them.
+Per-query distinguishing probabilities are exact rationals.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import NoConsistentPlantError, ParameterError, RatioLabError, UndefinedRatioError
 from .instances import DecreasingInstance, IncreasingInstance
@@ -43,11 +43,11 @@ from .instances import DecreasingInstance, IncreasingInstance
 from .oracles import (
     QueryTranscript,
     differs_from_unplanted,  # noqa: F401
-    instance_evaluator,
     make_oracles,
+    pair_lookup,
     ratio,
 )
-from .sampling import SeededStream, derive_seed, random_k_subset
+from .sampling import derive_seed, random_k_subset
 from .serialize import frac_to_str
 from .sets import Subset, is_int, iter_k_subset_masks
 
@@ -58,8 +58,7 @@ GAME_CSV_COLUMNS = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class GameReport:
+class GameReport(NamedTuple):
     """One trial of the game: what the algorithm got vs the planted optimum."""
 
     family: str
@@ -120,40 +119,6 @@ def union_bound(cardinalities, n: int, alpha: int, beta: int) -> Fraction:
     return min(Fraction(1), total)
 
 
-@dataclass(frozen=True, slots=True)
-class MonteCarloEstimate:
-    """Empirical distinguishing frequency with its binomial standard error."""
-
-    frequency: Fraction
-    standard_error: float
-    trials: int
-    hits: int
-
-
-def monte_carlo_distinguish(
-    n: int, alpha: int, beta: int, s: int, trials: int, seed: int
-) -> MonteCarloEstimate:
-    """Sample plants uniformly and measure how often a fixed size-s set separates.
-
-    Cross-checks distinguish_probability; the fixed query set is {0..s-1},
-    which is lossless by symmetry.
-    """
-    if not is_int(trials) or trials < 1:
-        raise ParameterError(f"trials must be a positive int, got {trials!r}")
-    _check_query(n, alpha, beta, s)
-    s_mask = (1 << s) - 1
-    threshold = min(alpha, s)
-    stream = SeededStream(seed, "mc-distinguish", n, alpha, beta, s)
-    hits = 0
-    for _ in range(trials):
-        r_mask = stream.sample_mask(n, alpha)
-        if beta + (s_mask & ~r_mask).bit_count() < threshold:
-            hits += 1
-    frequency = Fraction(hits, trials)
-    variance = frequency * (1 - frequency) / trials
-    return MonteCarloEstimate(frequency, math.sqrt(variance), trials, hits)
-
-
 def find_consistent_plant(transcript: QueryTranscript, n: int) -> Subset:
     """Smallest half-size set (ascending mask) absent from the transcript.
 
@@ -162,9 +127,7 @@ def find_consistent_plant(transcript: QueryTranscript, n: int) -> Subset:
     Raises when the transcript already covers all C(n, n//2) candidates.
     """
     k = n // 2
-    excluded = {
-        S.mask for S in transcript.effective_sets() if S.mask.bit_count() == k
-    }
+    excluded = {mask for mask in transcript.effective_sets() if mask.bit_count() == k}
     for mask in iter_k_subset_masks(n, k):
         if mask not in excluded:
             return Subset(mask, n)
@@ -174,14 +137,14 @@ def find_consistent_plant(transcript: QueryTranscript, n: int) -> Subset:
 
 
 def _first_difference(transcript: QueryTranscript, g_a, g_b) -> int | None:
-    """Index of the first effective_sets() entry where the g evaluators g_a and g_b differ.
+    """Index of the first effective_sets() mask where the pair lookups g_a and g_b differ.
 
-    Where they agree they index one cached value table and return the very
-    same Fraction, so identity settles almost every set; `!=` keeps the
-    rest exact.
+    Where they agree they index one cached pair table and return the very
+    same tuple, so identity settles almost every set; `!=` keeps the rest
+    exact.
     """
-    for idx, S in enumerate(transcript.effective_sets()):
-        a, b = g_a(S), g_b(S)
+    for idx, mask in enumerate(transcript.effective_sets()):
+        a, b = g_a(mask), g_b(mask)
         if a is not b and a != b:
             return idx
     return None
@@ -242,7 +205,7 @@ def run_game_decreasing(algorithm, inst: DecreasingInstance, seed: int, trials: 
         return inst.with_plant(random_k_subset(inst.n, inst.alpha, derive_seed(trial_seed, "plant")))
 
     def score(planted: DecreasingInstance, transcript: QueryTranscript):
-        f, g_planted = instance_evaluator(planted, "f"), instance_evaluator(planted, "g")
+        f, g_planted = pair_lookup(planted, "f"), pair_lookup(planted, "g")
         first_idx = _first_difference(transcript, f, g_planted)
         return first_idx, union_bound(transcript.cardinalities(), inst.n, inst.alpha, inst.beta)
 
@@ -269,10 +232,10 @@ def run_game_increasing(algorithm, inst: IncreasingInstance, seed: int, trials: 
             # Every candidate was queried: the adversary cannot hide.  The
             # covering query is the latest first visit of a candidate.
             first_visit: dict[int, int] = {}
-            for idx, S in enumerate(transcript.effective_sets()):
-                first_visit.setdefault(S.mask, idx)
+            for idx, mask in enumerate(transcript.effective_sets()):
+                first_visit.setdefault(mask, idx)
             return max(i for mask, i in first_visit.items() if mask.bit_count() == inst.n // 2), Fraction(1)
-        g, g_star = instance_evaluator(unplanted, "g"), instance_evaluator(unplanted.with_plant(r_star), "g")
+        g, g_star = pair_lookup(unplanted, "g"), pair_lookup(unplanted.with_plant(r_star), "g")
         if _first_difference(transcript, g, g_star) is not None:
             raise RatioLabError("planted world disagrees with the transcript; plant search is broken")
         return None, Fraction(0)

@@ -19,7 +19,9 @@ from fractions import Fraction
 from .errors import ParameterError
 from .sampling import random_k_subset
 from .sets import Subset, is_int, validate_ground_size
-from .serialize import frac_from_str, frac_to_str
+from .serialize import frac_from_str
+# Not called here; kept as an instances attribute that perfbench/tracing.py rebinds.
+from .serialize import frac_to_str  # noqa: F401
 
 
 def _as_fraction(value, what: str) -> Fraction:
@@ -166,19 +168,6 @@ def _plant_from_descriptor(spec, n: int, k: int, what: str) -> Subset:
             raise ParameterError(f"{what}: plant list must contain integers")
         return Subset.from_elements(spec, n)
     raise ParameterError(f"{what}: plant must be an element list or a seed object")
-
-
-def instance_to_descriptor(inst: Instance) -> dict:
-    """Serialize an instance to its JSON descriptor (rationals as 'p/q')."""
-    out: dict = {"family": inst.family, "n": inst.n, "epsilon": frac_to_str(inst.epsilon)}
-    if isinstance(inst, DecreasingInstance):
-        out["alpha"] = inst.alpha
-        out["beta"] = inst.beta
-    else:
-        out["m"] = frac_to_str(inst.m)
-    if inst.plant is not None:
-        out["plant"] = inst.plant.to_json()
-    return out
 
 
 def instance_from_descriptor(desc: dict) -> Instance:

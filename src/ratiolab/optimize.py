@@ -9,28 +9,33 @@ Tie-breaking is global and fixed: optimal value first, then smaller
 cardinality, then ascending mask.  `brute_force_max_ratio` uses the same
 order, so argmin f/g and argmax g/f are the same set.
 
-Searches compare ratios as integer cross-multiplications of the (p, q)
-pairs from `ratio_terms`; a Fraction is built only for the returned value.
-The game harness does not read that value: it scores the returned set.
+Searches query by bit mask: each evaluation is one call of the module
+attribute `ratio`, bound to `oracles.query_terms`, which charges both
+handles, records the mask on g's transcript and yields the unreduced
+integer pair (p, q).  Searches compare ratios as integer
+cross-multiplications of those pairs; a Fraction is built only for the
+returned value.  The game harness does not read that value: it scores the
+returned set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ParameterError
 # The searches compare (p, q) integer pairs; the module-level name `ratio`
 # is the per-query evaluation that perfbench/tracing.py rebinds.
-from .oracles import ratio_terms as ratio
+from .oracles import query_terms as ratio
 from .sampling import SeededStream
-from .sets import Subset, check_guard, is_int, unchecked_subset, validate_ground_size
+from .sets import Subset, check_guard, is_int, validate_ground_size
+# Not called here; kept as an optimize attribute that perfbench/tracing.py rebinds.
+from .sets import unchecked_subset  # noqa: F401
 
 OPT_CSV_COLUMNS = ["method", "n", "family", "value_p", "value_q", "argset_hex", "queries", "seed"]
 
 
-@dataclass(frozen=True, slots=True)
-class OptResult:
+class OptResult(NamedTuple):
     """Outcome of one optimization run: the returned set and its exact value."""
 
     argset: Subset
@@ -54,7 +59,7 @@ def _search_masks(f_oracle, g_oracle, n: int, sign: int) -> OptResult:
     # Keys carry sign * p, so the maximizer (sign -1) is the minimizer of -f/g.
     best = None
     for mask in range(1, 1 << n):
-        p, q = ratio(unchecked_subset(mask, n), f_oracle, g_oracle)
+        p, q = ratio(mask, n, f_oracle, g_oracle)
         key = (sign * p, q, mask.bit_count(), mask)
         if best is None or _precedes(key, best):
             best = key
@@ -92,7 +97,7 @@ def local_search(f_oracle, g_oracle, n: int, budget: int, seed: int) -> OptResul
     def evaluate(mask: int) -> tuple:
         nonlocal remaining
         remaining -= 2
-        p, q = ratio(unchecked_subset(mask, n), f_oracle, g_oracle)
+        p, q = ratio(mask, n, f_oracle, g_oracle)
         return (p, q, mask.bit_count(), mask)
 
     current = stream.nonempty_mask(n)
@@ -138,7 +143,7 @@ def random_search(f_oracle, g_oracle, n: int, budget: int, seed: int) -> OptResu
     best = None
     for _ in range(budget):
         mask = stream.nonempty_mask(n)
-        p, q = ratio(unchecked_subset(mask, n), f_oracle, g_oracle)
+        p, q = ratio(mask, n, f_oracle, g_oracle)
         key = (p, q, mask.bit_count(), mask)
         if best is None or _precedes(key, best):
             best = key

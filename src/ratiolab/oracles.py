@@ -6,48 +6,53 @@ which would shred float precision and muddy every downstream comparison.
 
 A ratio query yields the unreduced integer pair (p, q) of `ratio_terms`:
 callers compare ratios by integer cross-multiplication, and a Fraction is
-built only for a value that is returned (`ratio`, OptResult.value).
+built only for a value that is returned (`ratio`, OptResult.value).  The
+searches query by bit mask through `query_terms`, which a handle from
+`make_oracles` answers from integer (numerator, denominator) pairs of the
+same cached value table that `instance_evaluator` indexes: no Subset, no
+Fraction.  There is one table per family parameters.
 
 In both families f is the same function in every world and the plant
 lives only in g, so the sets at which g was evaluated are all an algorithm
 can learn about the plant.  `make_oracles` therefore attaches a transcript
-to the g handle alone, and that handle records every set it evaluates,
+to the g handle alone, which records the mask of every set it evaluates,
 however the algorithm calls it.
-
-There is one value table per family parameters, shared by the planted and
-unplanted evaluators, and every evaluator checks the subset's ground size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
 from .errors import MissingPlantError, ParameterError, UndefinedRatioError
 from .instances import DecreasingInstance, IncreasingInstance, Instance
-from .sets import Subset
+from .sets import Subset, unchecked_subset
 
 
-def _ground_error(S: Subset, n: int) -> ParameterError:
-    return ParameterError(f"subset ground size {S.n} differs from instance n {n}")
+def _ground_error(size: int, n: int) -> ParameterError:
+    return ParameterError(f"subset ground size {size} differs from instance n {n}")
+
+
+def _pairs(values) -> tuple[tuple[int, int], ...]:
+    return tuple((v.numerator, v.denominator) for v in values)
 
 
 @lru_cache(maxsize=None)
-def _dec_values(alpha: int, epsilon: Fraction) -> tuple[Fraction, ...]:
-    """alpha + epsilon - t for t = 0..alpha: each decreasing-family value, by subtracted term."""
-    return tuple(alpha + epsilon - t for t in range(alpha + 1))
+def _dec_tables(alpha: int, epsilon: Fraction) -> tuple[tuple, tuple]:
+    """alpha + epsilon - t for t = 0..alpha, by subtracted term: the values and their pairs."""
+    values = tuple(alpha + epsilon - t for t in range(alpha + 1))
+    return values, _pairs(values)
 
 
 @lru_cache(maxsize=None)
-def _inc_values(n: int, m: Fraction, epsilon: Fraction) -> tuple[tuple, tuple]:
-    """Per-cardinality (f, g) values of the unplanted increasing pair."""
+def _inc_tables(n: int, m: Fraction, epsilon: Fraction) -> tuple[tuple, tuple]:
+    """Per-cardinality (f, g) of the unplanted increasing pair: the values and their pairs."""
     half = n // 2
     cards = range(n + 1)
     f = tuple(Fraction(c) if c <= half else m * (1 << (c + 1)) + c for c in cards)
     g = tuple(Fraction(2 * c, n) * epsilon if c <= half else Fraction(2 * (c - half)) for c in cards)
-    return f, g
+    return (f, g), (_pairs(f), _pairs(g))
 
 
 def differs_from_unplanted(S: Subset, inst: DecreasingInstance) -> bool:
@@ -56,7 +61,7 @@ def differs_from_unplanted(S: Subset, inst: DecreasingInstance) -> bool:
     Integer-only test; equivalent to comparing the f and g evaluators at S.
     """
     if S.n != inst.n:
-        raise _ground_error(S, inst.n)
+        raise _ground_error(S.n, inst.n)
     if inst.plant is None:
         raise MissingPlantError("the difference criterion needs a planted set")
     card = S.mask.bit_count()
@@ -64,31 +69,33 @@ def differs_from_unplanted(S: Subset, inst: DecreasingInstance) -> bool:
     return inst.beta + outside < min(inst.alpha, card)
 
 
-@dataclass
 class QueryTranscript:
-    """The sets at which g was evaluated, in order, plus the returned set.
+    """The masks of the sets at which g was evaluated, in order, plus the returned set's.
 
     The returned solution set counts as queried: distinguishing checks and
     plant searches always run over entries plus the returned set.
     """
 
-    entries: list[Subset] = field(default_factory=list)
-    returned: Subset | None = None
+    __slots__ = ("entries", "returned")
 
-    def record(self, S: Subset) -> None:
-        self.entries.append(S)
+    def __init__(self) -> None:
+        self.entries: list[int] = []
+        self.returned: int | None = None
+
+    def record(self, mask: int) -> None:
+        self.entries.append(mask)
 
     def set_returned(self, S: Subset) -> None:
-        self.returned = S
+        self.returned = S.mask
 
     def effective_sets(self):
-        """Every queried set in order, with the returned set appended."""
+        """Every queried mask in order, with the returned set's mask appended."""
         yield from self.entries
         if self.returned is not None:
             yield self.returned
 
     def cardinalities(self) -> list[int]:
-        return [S.mask.bit_count() for S in self.effective_sets()]
+        return [mask.bit_count() for mask in self.effective_sets()]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -98,37 +105,64 @@ class CountingOracle:
     """A value oracle that charges one query per evaluation.
 
     Wraps any Subset -> Fraction callable; `for_instance` binds the right
-    family evaluator for a role ("f" or "g").  A handle with a transcript
-    records every set it evaluates.  The plant, when present, stays inside
-    the instance: nothing about it leaks through this handle.
+    family evaluator for a role ("f" or "g") and its pair table, which
+    `query_terms` reads.  A handle with a transcript records the mask of
+    every set it evaluates.  The plant, when present, stays inside the
+    instance: nothing about it leaks through this handle.
     """
 
-    __slots__ = ("_fn", "count", "transcript")
+    __slots__ = ("_fn", "count", "transcript", "_pairs")
 
-    def __init__(
-        self,
-        fn: Callable[[Subset], Fraction],
-        transcript: QueryTranscript | None = None,
-    ) -> None:
+    def __init__(self, fn: Callable[[Subset], Fraction], transcript: QueryTranscript | None = None) -> None:
         self._fn = fn
         self.count = 0
         self.transcript = transcript
+        self._pairs = None
 
     @classmethod
     def for_instance(
-        cls,
-        inst: Instance,
-        role: str,
-        transcript: QueryTranscript | None = None,
+        cls, inst: Instance, role: str, transcript: QueryTranscript | None = None
     ) -> "CountingOracle":
-        return cls(instance_evaluator(inst, role), transcript)
+        oracle = cls(instance_evaluator(inst, role), transcript)
+        oracle._pairs = (inst.n, pair_lookup(inst, role))
+        return oracle
 
     def __call__(self, S: Subset) -> Fraction:
         self.count += 1
         value = self._fn(S)
         if self.transcript is not None:
-            self.transcript.record(S)
+            self.transcript.record(S.mask)
         return value
+
+
+_BY_CARDINALITY, _BY_TERM, _BY_PLANT = range(3)
+
+
+def _side(inst: Instance, role: str, column: int) -> tuple:
+    """One side of an instance as (rule, table, key); column 0 reads Fractions, 1 their pairs.
+
+    The rule names the value class: |S|, the decreasing g's subtracted term
+    min(beta + |S & out|, alpha, |S|) with key (out, alpha, beta), or |S|
+    with the increasing plant test, key (plant mask, the value 1).
+    """
+    if role not in ("f", "g"):
+        raise ParameterError(f"oracle role must be 'f' or 'g', got {role!r}")
+    n = inst.n
+    if isinstance(inst, DecreasingInstance):
+        table = _dec_tables(inst.alpha, inst.epsilon)[column]
+        if role == "f":
+            return _BY_CARDINALITY, [table[min(inst.alpha, c)] for c in range(n + 1)], None
+        if inst.plant is None:
+            raise MissingPlantError("decreasing g-oracle needs a planted instance")
+        return _BY_TERM, table, (((1 << n) - 1) & ~inst.plant.mask, inst.alpha, inst.beta)
+    if isinstance(inst, IncreasingInstance):
+        f_table, g_table = _inc_tables(n, inst.m, inst.epsilon)[column]
+        if role == "f":
+            return _BY_CARDINALITY, f_table, None
+        if inst.plant is None:
+            return _BY_CARDINALITY, g_table, None
+        return _BY_PLANT, g_table, (inst.plant.mask, (1, 1) if column else Fraction(1))
+    raise ParameterError(f"unknown instance type: {type(inst).__name__}")
 
 
 def instance_evaluator(inst: Instance, role: str) -> Callable[[Subset], Fraction]:
@@ -138,47 +172,47 @@ def instance_evaluator(inst: Instance, role: str) -> Callable[[Subset], Fraction
     size compare, a bit_count and a tuple lookup, never Fraction arithmetic.
     A subset of another ground size raises ParameterError.
     """
-    if role not in ("f", "g"):
-        raise ParameterError(f"oracle role must be 'f' or 'g', got {role!r}")
+    rule, table, key = _side(inst, role, 0)
     n = inst.n
-    if isinstance(inst, DecreasingInstance):
-        values = _dec_values(inst.alpha, inst.epsilon)
-        if role == "f":
-            return _by_cardinality([values[min(inst.alpha, c)] for c in range(n + 1)], n)
-        if inst.plant is None:
-            raise MissingPlantError("decreasing g-oracle needs a planted instance")
-        out_mask = ((1 << n) - 1) & ~inst.plant.mask
-
-        def g_dec(S, _t=values, _o=out_mask, _a=inst.alpha, _b=inst.beta, _n=n):
+    if rule == _BY_CARDINALITY:
+        def by_cardinality(S, _t=table, _n=n):
             if S.n != _n:
-                raise _ground_error(S, _n)
+                raise _ground_error(S.n, _n)
+            return _t[S.mask.bit_count()]
+
+        return by_cardinality
+    if rule == _BY_TERM:
+        def by_term(S, _t=table, _o=key[0], _a=key[1], _b=key[2], _n=n):
+            if S.n != _n:
+                raise _ground_error(S.n, _n)
             mask = S.mask
             return _t[min(_b + (mask & _o).bit_count(), _a, mask.bit_count())]
 
-        return g_dec
-    if isinstance(inst, IncreasingInstance):
-        f_values, g_values = _inc_values(n, inst.m, inst.epsilon)
-        if role == "f":
-            return _by_cardinality(f_values, n)
-        if inst.plant is None:
-            return _by_cardinality(g_values, n)
+        return by_term
 
-        def g_inc_planted(S, _t=g_values, _p=inst.plant.mask, _one=Fraction(1), _n=n):
-            if S.n != _n:
-                raise _ground_error(S, _n)
-            return _one if S.mask == _p else _t[S.mask.bit_count()]
-
-        return g_inc_planted
-    raise ParameterError(f"unknown instance type: {type(inst).__name__}")
-
-
-def _by_cardinality(table, n: int) -> Callable[[Subset], Fraction]:
-    def evaluate(S, _t=table, _n=n):
+    def by_plant(S, _t=table, _p=key[0], _one=key[1], _n=n):
         if S.n != _n:
-            raise _ground_error(S, _n)
-        return _t[S.mask.bit_count()]
+            raise _ground_error(S.n, _n)
+        return _one if S.mask == _p else _t[S.mask.bit_count()]
 
-    return evaluate
+    return by_plant
+
+
+def pair_lookup(inst: Instance, role: str) -> Callable[[int], tuple[int, int]]:
+    """Mask -> (numerator, denominator) of one side's value, uncounted and unchecked.
+
+    The mask-native twin of `instance_evaluator`, over the pairs of the same
+    cached table: equal values are the very same tuple.  The caller vouches
+    for the mask's ground size.
+    """
+    rule, table, key = _side(inst, role, 1)
+    if rule == _BY_CARDINALITY:
+        return lambda mask, _t=table: _t[mask.bit_count()]
+    if rule == _BY_TERM:
+        return lambda mask, _t=table, _o=key[0], _a=key[1], _b=key[2]: _t[
+            min(_b + (mask & _o).bit_count(), _a, mask.bit_count())
+        ]
+    return lambda mask, _t=table, _p=key[0], _one=key[1]: _one if mask == _p else _t[mask.bit_count()]
 
 
 def make_oracles(
@@ -211,6 +245,38 @@ def ratio_terms(S: Subset, f_oracle: CountingOracle, g_oracle: CountingOracle) -
     if q:
         return -p, -q
     raise UndefinedRatioError(f"g({S!r}) = 0; the ratio is undefined there")
+
+
+def query_terms(mask: int, n: int, f_oracle: CountingOracle, g_oracle: CountingOracle) -> tuple[int, int]:
+    """`ratio_terms` at Subset(mask, n): the same (p, q), charges, records and errors.
+
+    Handles from `for_instance` answer from their pair tables; any other
+    handle is called on unchecked_subset(mask, n) through `ratio_terms`.
+    """
+    try:
+        f_size, f_pair = f_oracle._pairs
+        g_size, g_pair = g_oracle._pairs
+    except (AttributeError, TypeError):
+        return ratio_terms(unchecked_subset(mask, n), f_oracle, g_oracle)
+    f_oracle.count += 1
+    if f_size != n:
+        raise _ground_error(n, f_size)
+    f_num, f_den = f_pair(mask)
+    if f_oracle.transcript is not None:
+        f_oracle.transcript.record(mask)
+    g_oracle.count += 1
+    if g_size != n:
+        raise _ground_error(n, g_size)
+    g_num, g_den = g_pair(mask)
+    if g_oracle.transcript is not None:
+        g_oracle.transcript.record(mask)
+    p = f_num * g_den
+    q = f_den * g_num
+    if q > 0:
+        return p, q
+    if q:
+        return -p, -q
+    raise UndefinedRatioError(f"g({unchecked_subset(mask, n)!r}) = 0; the ratio is undefined there")
 
 
 def ratio(S: Subset, f_oracle: CountingOracle, g_oracle: CountingOracle) -> Fraction:

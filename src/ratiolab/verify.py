@@ -9,28 +9,27 @@ return the tabulated value), so the query count stays exactly
 for monotonicity.  The scans compare integers; the symmetric supermodular
 inequality is tested once per unordered pair, and a failing pair yields
 both ordered records.  Non-negativity needs no marginal, so its one pass
-builds no table.  The all-pairs O(4^n) checker over the lattice inequality
-is the independent reference at tiny n; no check runs above the guard.
+builds no table.  No check runs above the guard.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
+from typing import NamedTuple
 
 from .errors import ParameterError
-from .serialize import frac_from_str, frac_to_str, render_csv
-from .sets import Subset, check_guard, is_int, unchecked_subset, validate_ground_size
+from .serialize import frac_to_str
+# Not called here; kept as verify attributes that perfbench/tracing.py rebinds.
+from .serialize import frac_from_str, render_csv  # noqa: F401
+from .sets import Subset, check_guard, is_int, unchecked_subset
 
 DEFAULT_VIOLATION_CAP = 100
 _EXACT_VALUES_ONLY = "oracle values must be int or Fraction"
 
 
-@dataclass(frozen=True, slots=True)
-class ViolationRecord:
+class ViolationRecord(NamedTuple):
     """A supermodularity failure: adding i helps less after j has been added.
 
     lhs_margin = f(base + i) - f(base), rhs_margin = f(base + i + j) -
@@ -115,31 +114,6 @@ def check_supermodular(oracle, n: int, cap: int = DEFAULT_VIOLATION_CAP) -> list
     return violations
 
 
-def all_pairs_supermodular(fn, n: int) -> bool:
-    """Check f(S) + f(T) <= f(S u T) + f(S n T) over all 4^n ordered pairs.
-
-    Independent cross-validation for check_supermodular; practical only at
-    tiny n.  The value table is rescaled to integers so the quadratic loop
-    compares machine-friendly ints instead of Fractions.
-    """
-    validate_ground_size(n)
-    if n > 10:
-        raise ParameterError(f"all-pairs check is quadratic in 2^n; n={n} > 10")
-    values = [fn(unchecked_subset(mask, n)) for mask in range(1 << n)]
-    try:
-        scale = lcm(*{v.denominator for v in values})
-    except AttributeError:
-        raise ParameterError(_EXACT_VALUES_ONLY) from None
-    table = [v.numerator * (scale // v.denominator) for v in values]
-    size = 1 << n
-    for s in range(size):
-        vs = table[s]
-        for t in range(size):
-            if vs + table[t] > table[s | t] + table[s & t]:
-                return False
-    return True
-
-
 def check_monotone(
     oracle, n: int, direction: str, cap: int = DEFAULT_VIOLATION_CAP
 ) -> list[tuple[Subset, int, Fraction]]:
@@ -187,49 +161,6 @@ def check_nonnegative(oracle, n: int, cap: int = DEFAULT_VIOLATION_CAP) -> list[
     return violations
 
 
-class FunctionTable:
-    """An explicit set function: one exact value per subset, ascending mask order.
-
-    Lets the checkers run against third-party functions ingested from JSON,
-    not just the bundled families.  Instances are callable like an oracle.
-    """
-
-    __slots__ = ("n", "values")
-
-    def __init__(self, n: int, values) -> None:
-        validate_ground_size(n)
-        try:
-            values = [Fraction(v.numerator, v.denominator) for v in values]
-        except AttributeError:
-            raise ParameterError(_EXACT_VALUES_ONLY) from None
-        if len(values) != 1 << n:
-            raise ParameterError(
-                f"function table for n={n} needs {1 << n} values, got {len(values)}"
-            )
-        self.n = n
-        self.values = values
-
-    def __call__(self, S: Subset) -> Fraction:
-        if S.n != self.n:
-            raise ParameterError(f"subset ground size {S.n} differs from table n {self.n}")
-        return self.values[S.mask]
-
-    @classmethod
-    def from_json(cls, payload) -> "FunctionTable":
-        if isinstance(payload, str):
-            payload = json.loads(payload)
-        if not isinstance(payload, dict) or set(payload) != {"n", "values"}:
-            raise ParameterError('function table JSON must be {"n": ..., "values": [...]}')
-        if not isinstance(payload["n"], int):
-            raise ParameterError("function table n must be an integer")
-        if not isinstance(payload["values"], list):
-            raise ParameterError("function table values must be a list of 'p/q' strings")
-        return cls(payload["n"], [frac_from_str(v) for v in payload["values"]])
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "values": [frac_to_str(v) for v in self.values]}
-
-
 VIOLATION_CSV_COLUMNS = ["base_mask_hex", "i", "j", "lhs", "rhs"]
 
 
@@ -237,7 +168,3 @@ def violation_row(v: ViolationRecord) -> tuple:
     """One ViolationRecord as a CSV row matching VIOLATION_CSV_COLUMNS."""
     return (v.base.hex_mask(), v.i, v.j, frac_to_str(v.lhs_margin), frac_to_str(v.rhs_margin))
 
-
-def violations_to_csv(violations: list[ViolationRecord]) -> str:
-    """CSV rendering of supermodularity violations: base_mask_hex, i, j, lhs, rhs."""
-    return render_csv(VIOLATION_CSV_COLUMNS, [violation_row(v) for v in violations])

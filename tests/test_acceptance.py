@@ -13,10 +13,11 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
 
+from reference import FunctionTable, all_pairs_supermodular, monte_carlo_distinguish
+
 from ratiolab.cli import main
 from ratiolab.game import (
     distinguish_probability,
-    monte_carlo_distinguish,
     run_game_decreasing,
     run_game_increasing,
 )
@@ -30,8 +31,6 @@ from ratiolab.oracles import instance_evaluator, make_oracles, ratio
 from ratiolab.sampling import SeededStream, random_k_subset
 from ratiolab.sets import Subset, iter_k_subset_masks, unchecked_subset
 from ratiolab.verify import (
-    FunctionTable,
-    all_pairs_supermodular,
     check_monotone,
     check_nonnegative,
     check_supermodular,

@@ -11,6 +11,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import monte_carlo_distinguish
 
 from ratiolab import game
 from ratiolab.errors import NoConsistentPlantError, ParameterError, RatioLabError, UndefinedRatioError
@@ -20,7 +21,6 @@ from ratiolab.game import (
     distinguish_probability,
     find_consistent_plant,
     game_report_row,
-    monte_carlo_distinguish,
     run_game_decreasing,
     run_game_increasing,
     summarize_games,
@@ -28,7 +28,7 @@ from ratiolab.game import (
 )
 from ratiolab.instances import DecreasingInstance, IncreasingInstance
 from ratiolab.optimize import OptResult, local_search, make_algorithm, random_search
-from ratiolab.oracles import QueryTranscript, differs_from_unplanted, instance_evaluator, make_oracles, ratio
+from ratiolab.oracles import QueryTranscript, differs_from_unplanted, make_oracles, pair_lookup, ratio
 from ratiolab.sampling import derive_seed, random_k_subset
 from ratiolab.sets import Subset, iter_k_subset_masks
 
@@ -153,8 +153,8 @@ def test_find_consistent_plant_skips_queried():
     # Gosper order at n=6, k=3 starts 7, 11, 13; excluding the first two
     # masks lands on {0, 2, 3}
     t = QueryTranscript()
-    t.record(Subset(7, 6))
-    t.record(Subset(11, 6))
+    t.record(7)
+    t.record(11)
     assert find_consistent_plant(t, 6) == Subset(13, 6)
     assert find_consistent_plant(t, 6).elements() == (0, 2, 3)
 
@@ -167,15 +167,15 @@ def test_find_consistent_plant_counts_returned_set():
 
 def test_find_consistent_plant_ignores_other_cardinalities():
     t = QueryTranscript()
-    t.record(Subset.full(6))
-    t.record(Subset.from_elements([0], 6))
+    t.record(Subset.full(6).mask)
+    t.record(Subset.from_elements([0], 6).mask)
     assert find_consistent_plant(t, 6) == Subset(7, 6)
 
 
 def test_find_consistent_plant_exhaustion():
     t = QueryTranscript()
     for mask in iter_k_subset_masks(4, 2):
-        t.record(Subset(mask, 4))
+        t.record(mask)
     with pytest.raises(NoConsistentPlantError):
         find_consistent_plant(t, 4)
 
@@ -235,8 +235,11 @@ def test_decreasing_game_first_idx_points_at_separator():
             f, g = make_oracles(planted, transcript)
             result = algorithm(f, g, DEC_BARE.n, derive_seed(r.seed, "alg"))
             transcript.set_returned(result.argset)
-            sets = transcript.effective_sets()
-            hits = [idx for idx, S in enumerate(sets) if differs_from_unplanted(S, planted)]
+            masks = transcript.effective_sets()
+            hits = [
+                idx for idx, mask in enumerate(masks)
+                if differs_from_unplanted(Subset(mask, DEC_BARE.n), planted)
+            ]
             assert r.first_idx == (hits[0] if hits else None)
         if method == "random":
             assert {r.distinguished for r in reports} == {True, False}
@@ -341,7 +344,7 @@ def test_increasing_game_plant_avoids_transcript():
     result = algorithm(f, g, INC_BARE.n, derive_seed(reports[0].seed, "alg"))
     transcript.set_returned(result.argset)
     r_star = find_consistent_plant(transcript, INC_BARE.n)
-    assert r_star.mask not in {S.mask for S in transcript.effective_sets()}
+    assert r_star.mask not in set(transcript.effective_sets())
     assert r_star.cardinality == 6
 
 
@@ -386,17 +389,17 @@ def test_increasing_game_exhaustion_by_returned_set():
 def test_increasing_game_recheck_accepts_equal_copies(monkeypatch):
     # equal values held in distinct objects pass: the recheck falls back to ==
     def copying(inst, role):
-        evaluate = instance_evaluator(inst, role)
+        lookup = pair_lookup(inst, role)
 
-        def copy(S):
-            value = evaluate(S)
-            return Fraction(value.numerator, value.denominator)
+        def copy(mask):
+            p, q = lookup(mask)
+            return (p, q)
 
         return copy
 
     algorithm = make_algorithm("random", budget=60)
     expected = run_game_increasing(algorithm, INC_BARE, seed=3, trials=2)
-    monkeypatch.setattr(game, "instance_evaluator", copying)
+    monkeypatch.setattr(game, "pair_lookup", copying)
     assert run_game_increasing(algorithm, INC_BARE, seed=3, trials=2) == expected
 
 
@@ -412,7 +415,7 @@ def test_increasing_game_recheck_rejects_a_queried_plant(monkeypatch, pick):
         return OptResult(high, Fraction(0), 2, "scripted")
 
     def broken_search(transcript, n):
-        return transcript.entries[0] if pick == "entry" else transcript.returned
+        return Subset(transcript.entries[0] if pick == "entry" else transcript.returned, n)
 
     monkeypatch.setattr(game, "find_consistent_plant", broken_search)
     with pytest.raises(RatioLabError, match="disagrees with the transcript"):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from reference import instance_to_descriptor
 
 from ratiolab.errors import ParameterError
 from ratiolab.instances import (
@@ -12,7 +13,6 @@ from ratiolab.instances import (
     IncreasingInstance,
     derive_decreasing_params,
     instance_from_descriptor,
-    instance_to_descriptor,
 )
 from ratiolab.sampling import random_k_subset
 from ratiolab.sets import Subset

@@ -21,9 +21,13 @@ from ratiolab.oracles import (
     differs_from_unplanted,
     instance_evaluator,
     make_oracles,
+    pair_lookup,
+    query_terms,
     ratio,
     ratio_terms,
 )
+from ratiolab.optimize import brute_force_min_ratio, local_search, random_search
+from ratiolab.sampling import random_k_subset
 from ratiolab.sets import Subset, unchecked_subset
 
 DEC = DecreasingInstance(8, 3, 1, Fraction(1, 2), plant=Subset.from_elements([0, 1, 2], 8))
@@ -288,8 +292,8 @@ def test_transcript_records_pairs_in_order():
     ratio(b, f, g)
     t.set_returned(b)
     assert len(t) == 2
-    assert t.entries == [a, b]
-    assert list(t.effective_sets()) == [a, b, b]
+    assert t.entries == [a.mask, b.mask]
+    assert list(t.effective_sets()) == [a.mask, b.mask, b.mask]
     assert t.cardinalities() == [1, 3, 3]
 
 
@@ -305,7 +309,7 @@ def test_only_the_g_handle_records():
     f(a)
     g(b)
     ratio(a, g, f)
-    assert t.entries == [b, a]
+    assert t.entries == [b.mask, a.mask]
     assert (f.count, g.count) == (2, 2)
 
 
@@ -345,3 +349,78 @@ def test_ratio_rejects_inexact_oracle_values():
     for f, g in ((inexact, exact), (exact, inexact), (inexact, inexact)):
         with pytest.raises(ParameterError, match="oracle values must be int or Fraction"):
             ratio(S, f, g)
+
+
+# ------------------------------------------------- the mask-native query path
+
+
+def _bundled_kinds(n):
+    return {
+        "decreasing-planted": DecreasingInstance(n, 4, 2, Fraction(1, 3), plant=random_k_subset(n, 4, n)),
+        "increasing-planted": IncreasingInstance(n, 7, Fraction(1, 5), plant=random_k_subset(n, n // 2, n)),
+        "increasing-unplanted": IncreasingInstance(n, 7, Fraction(1, 5)),
+    }
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (ParameterError, UndefinedRatioError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("n", [8, 10])
+@pytest.mark.parametrize("kind", ["decreasing-planted", "increasing-planted", "increasing-unplanted"])
+@pytest.mark.parametrize("order", ["fg", "gf"])
+def test_query_terms_matches_ratio_terms_on_every_mask(n, kind, order):
+    # same (p, q) or error, same counts and same transcript after every
+    # mask, with the handles in either argument order
+    inst = _bundled_kinds(n)[kind]
+    fast_t, slow_t = QueryTranscript(), QueryTranscript()
+    fast, slow = make_oracles(inst, fast_t), make_oracles(inst, slow_t)
+    if order == "gf":
+        fast, slow = fast[::-1], slow[::-1]
+    values = {role: instance_evaluator(inst, role) for role in ("f", "g")}
+    for mask in range(1 << n):
+        got = _outcome(lambda: query_terms(mask, n, *fast))
+        want = _outcome(lambda: ratio_terms(Subset(mask, n), *slow))
+        assert got == want, (kind, mask)
+        assert [h.count for h in fast] == [h.count for h in slow] == [mask + 1] * 2
+        assert fast_t.entries == slow_t.entries
+        for role, evaluate in values.items():
+            value = evaluate(Subset(mask, n))
+            assert pair_lookup(inst, role)(mask) == (value.numerator, value.denominator)
+    assert fast_t.entries == list(range(1 << n))
+    if kind == "increasing-unplanted":
+        assert _outcome(lambda: query_terms(0, n, *make_oracles(inst)))[0] is UndefinedRatioError
+
+
+@pytest.mark.parametrize("kind", ["decreasing-planted", "increasing-planted", "increasing-unplanted"])
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda f, g, n: brute_force_min_ratio(f, g, n),
+        lambda f, g, n: random_search(f, g, n, 5, 0),
+        lambda f, g, n: local_search(f, g, n, 40, 0),
+    ],
+)
+@pytest.mark.parametrize("g_n", [8, 9])
+def test_wrong_ground_size_search_fails_alike_on_both_paths(kind, search, g_n):
+    # a search at n = 9 on two n = 8 handles fails at f; at n = 8 with g of
+    # size 9 it fails at g.  The pair-table handles and plain evaluator
+    # handles raise the same ParameterError, after the same charges and with
+    # nothing recorded.
+    f_inst, g_inst, n = _bundled_kinds(8)[kind], _bundled_kinds(g_n)[kind], 17 - g_n
+    outcomes = []
+    for pair_handles in (True, False):
+        t = QueryTranscript()
+        if pair_handles:
+            f, g = CountingOracle.for_instance(f_inst, "f"), CountingOracle.for_instance(g_inst, "g", t)
+        else:
+            f = CountingOracle(instance_evaluator(f_inst, "f"))
+            g = CountingOracle(instance_evaluator(g_inst, "g"), t)
+        with pytest.raises(ParameterError) as info:
+            search(f, g, n)
+        outcomes.append((str(info.value), f.count, g.count, t.entries))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == (f"subset ground size {n} differs from instance n {17 - n}", 1, g_n - 8, [])

@@ -50,6 +50,35 @@ assert calls.get("game.find_consistent_plant") == 1, calls
 print("traced")
 """
 
+# A brute solve evaluates f/g once per nonempty set, each through one call
+# of the traced per-query evaluation.
+BRUTE_SOLVE = """
+inst = IncreasingInstance(6, 100, Fraction(1, 4), plant=Subset.from_elements([0, 2, 4], 6))
+f, g = oracles.make_oracles(inst)
+result = optimize.brute_force_min_ratio(f, g, 6)
+assert result.argset == inst.plant and result.queries_used == 2 * 63, result
+by_parent = tracer.summary()["calls_by_parent"]
+assert tracer.summary()["calls"].get("oracles.ratio") == 63, by_parent
+assert by_parent.get("oracles.ratio<optimize.brute_force_min_ratio") == 63, by_parent
+print("traced")
+"""
+
+# Every evaluation of a local-search trial is one traced ratio call, and the
+# g handle records its set inside that call.
+LOCAL_TRIAL = """
+algorithm = optimize.make_algorithm("local", 200)
+[report] = game.run_game_increasing(algorithm, IncreasingInstance(8, 100, Fraction(1, 4)), 4, 1)
+evaluations = report.queries // 2
+assert evaluations > 8, report
+summary = tracer.summary()
+calls, by_parent = summary["calls"], summary["calls_by_parent"]
+assert calls.get("oracles.ratio") == evaluations, calls
+assert by_parent.get("oracles.ratio<optimize.local_search") == evaluations, by_parent
+assert calls.get("oracles.record") == evaluations, calls
+assert by_parent.get("oracles.record<oracles.ratio") == evaluations, by_parent
+print("traced")
+"""
+
 
 def _run_traced(body: str) -> None:
     code = PRELUDE.format(src=str(ROOT / "src"), perfbench=str(ROOT / "perfbench")) + body
@@ -64,3 +93,11 @@ def test_tracer_installs_and_records_evaluations():
 
 def test_tracer_sees_every_recorded_query_of_a_game_trial():
     _run_traced(GAME_TRIAL)
+
+
+def test_tracer_sees_one_ratio_call_per_brute_evaluation():
+    _run_traced(BRUTE_SOLVE)
+
+
+def test_tracer_sees_one_ratio_call_and_record_per_local_evaluation():
+    _run_traced(LOCAL_TRIAL)

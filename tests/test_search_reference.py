@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from reference import FunctionTable
 
 from ratiolab.errors import UndefinedRatioError
 from ratiolab.instances import DecreasingInstance, IncreasingInstance
@@ -23,7 +24,6 @@ from ratiolab.optimize import (
 from ratiolab.oracles import CountingOracle, QueryTranscript, make_oracles
 from ratiolab.sampling import SeededStream
 from ratiolab.sets import Subset, unchecked_subset
-from ratiolab.verify import FunctionTable
 
 N = 8
 

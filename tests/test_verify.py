@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import test_verify_reference as reference
+from reference import FunctionTable, all_pairs_supermodular, violations_to_csv
 
 from ratiolab.errors import EnumerationGuardError, ParameterError
 from ratiolab.instances import DecreasingInstance, IncreasingInstance
@@ -15,13 +16,10 @@ from ratiolab.oracles import CountingOracle, instance_evaluator
 from ratiolab.sampling import SeededStream, random_k_subset
 from ratiolab.sets import Subset
 from ratiolab.verify import (
-    FunctionTable,
     ViolationRecord,
-    all_pairs_supermodular,
     check_monotone,
     check_nonnegative,
     check_supermodular,
-    violations_to_csv,
 )
 
 

@@ -12,11 +12,12 @@ reference stops at the cap.
 from fractions import Fraction
 
 import pytest
+from reference import FunctionTable
 
 from ratiolab.oracles import CountingOracle
 from ratiolab.sampling import SeededStream
 from ratiolab.sets import Subset, unchecked_subset
-from ratiolab.verify import FunctionTable, ViolationRecord, check_monotone, check_supermodular
+from ratiolab.verify import ViolationRecord, check_monotone, check_supermodular
 
 SIZES = range(3, 8)
 CAPS = (1, 3, 100, 10**9)
