@@ -77,12 +77,17 @@ class GameReport(NamedTuple):
 @lru_cache(maxsize=None)
 def _distinguish_probability(n: int, alpha: int, beta: int, s: int) -> Fraction:
     # P over uniform |R| = alpha that beta + |S \ R| < min{alpha, s};
-    # with t = |S n R| hypergeometric this is P[t > s - min{alpha, s} + beta]
+    # with t = |S n R| hypergeometric this is P[t > s - min{alpha, s} + beta].
+    # Each term C(s, t) C(n - s, alpha - t) after the first is one exact integer ratio step.
     t_lo = max(s - min(alpha, s) + beta + 1, 0, alpha - (n - s))
     t_hi = min(alpha, s)
-    favorable = sum(
-        math.comb(s, t) * math.comb(n - s, alpha - t) for t in range(t_lo, t_hi + 1)
-    )
+    if t_lo > t_hi:
+        return Fraction(0)
+    favorable = 0
+    term = math.comb(s, t_lo) * math.comb(n - s, alpha - t_lo)
+    for t in range(t_lo, t_hi + 1):
+        favorable += term
+        term = term * (s - t) * (alpha - t) // ((t + 1) * (n - s - alpha + t + 1))
     return Fraction(favorable, math.comb(n, alpha))
 
 

@@ -141,8 +141,11 @@ def derive_decreasing_params(n: int, x) -> tuple[int, int]:
 
     Rejects pairs violating beta + 1 <= alpha <= n instead of clamping: the
     recipe is asymptotic and many small (n, x) combinations are infeasible.
+    Pure arithmetic, so any positive int n is accepted; the instance
+    constructors bound the ground size.
     """
-    validate_ground_size(n)
+    if not is_int(n) or n < 1:
+        raise ParameterError(f"n must be a positive int, got {n!r}")
     x = _as_fraction(x, "x")
     if x <= 0:
         raise ParameterError(f"x must be > 0, got {x}")

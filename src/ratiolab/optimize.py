@@ -9,10 +9,10 @@ Tie-breaking is global and fixed: optimal value first, then smaller
 cardinality, then ascending mask.  `brute_force_max_ratio` uses the same
 order, so argmin f/g and argmax g/f are the same set.
 
-Searches query by bit mask: each evaluation is one call of the module
-attribute `ratio`, bound to `oracles.query_terms`, which charges both
-handles, records the mask on g's transcript and yields the unreduced
-integer pair (p, q).  Searches compare ratios as integer
+Searches query by bit mask, all in one loop, `_best_of`: each evaluation
+is one call of the module attribute `ratio`, bound to `oracles.query_terms`,
+which charges both handles, records the mask on g's transcript and yields
+the unreduced integer pair (p, q).  The loop compares ratios as integer
 cross-multiplications of those pairs; a Fraction is built only for the
 returned value.  The game harness does not read that value: it scores the
 returned set.
@@ -21,6 +21,7 @@ returned set.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from typing import NamedTuple
 
 from .errors import ParameterError
@@ -44,27 +45,33 @@ class OptResult(NamedTuple):
     method: str
 
 
-def _precedes(a, b) -> bool:
-    """Whether search key a = (p, q, cardinality, mask) orders before key b.
+def _best_of(masks, n: int, f_oracle, g_oracle, sign: int = 1, best=(1, 0, 0)):
+    """The first of `best` and `masks` in search order, as (sign * p, q, mask); 1/0 loses to every mask.
 
-    Lower ratio p/q first (q > 0, so by cross-multiplication), then smaller
-    cardinality, then smaller mask.
+    The one search loop: one `ratio` call per mask, in order.  Search order is
+    lower sign * p/q (q > 0), then smaller cardinality, then smaller mask.  A
+    strictly worse mask costs one cross-multiplication and nothing else.
     """
-    lhs = a[0] * b[1]
-    rhs = b[0] * a[1]
-    return lhs < rhs or (lhs == rhs and a[2:] < b[2:])
+    evaluate = ratio
+    best_p, best_q, best_mask = best
+    best_card = best_mask.bit_count()
+    for mask in masks:
+        p, q = evaluate(mask, n, f_oracle, g_oracle)
+        p *= sign
+        lhs = p * best_q
+        rhs = best_p * q
+        if lhs > rhs:
+            continue
+        card = mask.bit_count()
+        if lhs == rhs and (card > best_card or card == best_card and mask >= best_mask):
+            continue
+        best_p, best_q, best_mask, best_card = p, q, mask, card
+    return best_p, best_q, best_mask
 
 
 def _search_masks(f_oracle, g_oracle, n: int, sign: int) -> OptResult:
-    # Keys carry sign * p, so the maximizer (sign -1) is the minimizer of -f/g.
-    best = None
-    for mask in range(1, 1 << n):
-        p, q = ratio(mask, n, f_oracle, g_oracle)
-        key = (sign * p, q, mask.bit_count(), mask)
-        if best is None or _precedes(key, best):
-            best = key
-    value = Fraction(sign * best[0], best[1])
-    return OptResult(Subset(best[3], n), value, 2 * ((1 << n) - 1), "brute")
+    p, q, mask = _best_of(range(1, 1 << n), n, f_oracle, g_oracle, sign)
+    return OptResult(Subset(mask, n), Fraction(sign * p, q), 2 * ((1 << n) - 1), "brute")
 
 
 def brute_force_min_ratio(f_oracle, g_oracle, n: int) -> OptResult:
@@ -91,46 +98,28 @@ def local_search(f_oracle, g_oracle, n: int, budget: int, seed: int) -> OptResul
     if not is_int(budget) or budget < max(n, 2):
         raise ParameterError(f"local search needs an int budget >= max(n, 2) = {max(n, 2)}, got {budget!r}")
     start_queries = f_oracle.count + g_oracle.count
-    remaining = budget
     stream = SeededStream(seed, "local-search", n)
-
-    def evaluate(mask: int) -> tuple:
-        nonlocal remaining
-        remaining -= 2
-        p, q = ratio(mask, n, f_oracle, g_oracle)
-        return (p, q, mask.bit_count(), mask)
-
-    current = stream.nonempty_mask(n)
-    best = current_key = evaluate(current)
-
-    improved = True
-    while improved and remaining >= 2:
-        improved = False
+    # Each point evaluated is the current one or its neighbour and a move goes to the
+    # best neighbour, so the best point ever evaluated is the current one until the last.
+    best = _best_of((stream.nonempty_mask(n),), n, f_oracle, g_oracle)
+    remaining = budget - 2
+    while remaining >= 2:
+        current_p, current_q, current = best
         inside = [i for i in range(n) if current >> i & 1]
         outside = [i for i in range(n) if not current >> i & 1]
         neighbors = [current | (1 << j) for j in outside]
         if len(inside) > 1:
             neighbors += [current & ~(1 << i) for i in inside]
-        neighbors += [
-            (current & ~(1 << i)) | (1 << j) for i in inside for j in outside
-        ]
-        move = None
-        current_p, current_q = current_key[:2]
-        for mask in neighbors:
-            if remaining < 2:
-                break
-            key = evaluate(mask)
-            if _precedes(key, best):
-                best = key
-            if key[0] * current_q < current_p * key[1] and (move is None or _precedes(key, move)):
-                move = key
-        if move is not None:
-            current_key = move
-            current = move[3]
-            improved = True
+        neighbors += [(current & ~(1 << i)) | (1 << j) for i in inside for j in outside]
+        neighbors = neighbors[: remaining // 2]
+        remaining -= 2 * len(neighbors)
+        best = _best_of(neighbors, n, f_oracle, g_oracle, 1, best)
+        if best[0] * current_q >= current_p * best[1]:
+            break
 
     used = (f_oracle.count + g_oracle.count) - start_queries
-    return OptResult(Subset(best[3], n), Fraction(best[0], best[1]), used, "local")
+    p, q, mask = best
+    return OptResult(Subset(mask, n), Fraction(p, q), used, "local")
 
 
 def random_search(f_oracle, g_oracle, n: int, budget: int, seed: int) -> OptResult:
@@ -140,15 +129,9 @@ def random_search(f_oracle, g_oracle, n: int, budget: int, seed: int) -> OptResu
         raise ParameterError(f"random search needs an int budget >= 1, got {budget!r}")
     start_queries = f_oracle.count + g_oracle.count
     stream = SeededStream(seed, "random-search", n)
-    best = None
-    for _ in range(budget):
-        mask = stream.nonempty_mask(n)
-        p, q = ratio(mask, n, f_oracle, g_oracle)
-        key = (p, q, mask.bit_count(), mask)
-        if best is None or _precedes(key, best):
-            best = key
+    p, q, mask = _best_of(map(stream.nonempty_mask, repeat(n, budget)), n, f_oracle, g_oracle)
     used = (f_oracle.count + g_oracle.count) - start_queries
-    return OptResult(Subset(best[3], n), Fraction(best[0], best[1]), used, "random")
+    return OptResult(Subset(mask, n), Fraction(p, q), used, "random")
 
 
 # Method name -> search with signature (f_oracle, g_oracle, n, budget, seed).

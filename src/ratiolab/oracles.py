@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Callable
 
 from .errors import MissingPlantError, ParameterError, UndefinedRatioError
@@ -43,6 +44,20 @@ def _dec_tables(alpha: int, epsilon: Fraction) -> tuple[tuple, tuple]:
     """alpha + epsilon - t for t = 0..alpha, by subtracted term: the values and their pairs."""
     values = tuple(alpha + epsilon - t for t in range(alpha + 1))
     return values, _pairs(values)
+
+
+@lru_cache(maxsize=None)
+def _dec_grid(n: int, alpha: int, beta: int, epsilon: Fraction) -> tuple[tuple, tuple]:
+    """The planted decreasing g on one flat (|S minus R|, |S|) grid: the values and their pairs.
+
+    Cell x * (n + 1) + c holds alpha + epsilon - min(beta + x, alpha, c): row x is the
+    term table sliced at k = min(beta + x, alpha), so equal values are one object.
+    """
+    ks = [min(beta + x, alpha) for x in range(n + 1)]
+    return tuple(
+        tuple(chain.from_iterable(table[:k] + table[k:k + 1] * (n + 1 - k) for k in ks))
+        for table in _dec_tables(alpha, epsilon)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -135,26 +150,27 @@ class CountingOracle:
         return value
 
 
-_BY_CARDINALITY, _BY_TERM, _BY_PLANT = range(3)
+_BY_CARDINALITY, _BY_GRID, _BY_PLANT = range(3)
 
 
 def _side(inst: Instance, role: str, column: int) -> tuple:
     """One side of an instance as (rule, table, key); column 0 reads Fractions, 1 their pairs.
 
-    The rule names the value class: |S|, the decreasing g's subtracted term
-    min(beta + |S & out|, alpha, |S|) with key (out, alpha, beta), or |S|
-    with the increasing plant test, key (plant mask, the value 1).
+    The rule names the value class: |S|; the planted decreasing g's cell
+    |S & out| * (n + 1) + |S| of its grid, key (out, n + 1); or |S| with the
+    increasing plant test, key (plant mask, the value 1).
     """
     if role not in ("f", "g"):
         raise ParameterError(f"oracle role must be 'f' or 'g', got {role!r}")
     n = inst.n
     if isinstance(inst, DecreasingInstance):
-        table = _dec_tables(inst.alpha, inst.epsilon)[column]
         if role == "f":
-            return _BY_CARDINALITY, [table[min(inst.alpha, c)] for c in range(n + 1)], None
+            table = _dec_tables(inst.alpha, inst.epsilon)[column]
+            return _BY_CARDINALITY, table + table[inst.alpha:] * (n - inst.alpha), None
         if inst.plant is None:
             raise MissingPlantError("decreasing g-oracle needs a planted instance")
-        return _BY_TERM, table, (((1 << n) - 1) & ~inst.plant.mask, inst.alpha, inst.beta)
+        grid = _dec_grid(n, inst.alpha, inst.beta, inst.epsilon)[column]
+        return _BY_GRID, grid, (((1 << n) - 1) & ~inst.plant.mask, n + 1)
     if isinstance(inst, IncreasingInstance):
         f_table, g_table = _inc_tables(n, inst.m, inst.epsilon)[column]
         if role == "f":
@@ -181,14 +197,14 @@ def instance_evaluator(inst: Instance, role: str) -> Callable[[Subset], Fraction
             return _t[S.mask.bit_count()]
 
         return by_cardinality
-    if rule == _BY_TERM:
-        def by_term(S, _t=table, _o=key[0], _a=key[1], _b=key[2], _n=n):
+    if rule == _BY_GRID:
+        def by_grid(S, _t=table, _o=key[0], _w=key[1], _n=n):
             if S.n != _n:
                 raise _ground_error(S.n, _n)
             mask = S.mask
-            return _t[min(_b + (mask & _o).bit_count(), _a, mask.bit_count())]
+            return _t[(mask & _o).bit_count() * _w + mask.bit_count()]
 
-        return by_term
+        return by_grid
 
     def by_plant(S, _t=table, _p=key[0], _one=key[1], _n=n):
         if S.n != _n:
@@ -208,10 +224,9 @@ def pair_lookup(inst: Instance, role: str) -> Callable[[int], tuple[int, int]]:
     rule, table, key = _side(inst, role, 1)
     if rule == _BY_CARDINALITY:
         return lambda mask, _t=table: _t[mask.bit_count()]
-    if rule == _BY_TERM:
-        return lambda mask, _t=table, _o=key[0], _a=key[1], _b=key[2]: _t[
-            min(_b + (mask & _o).bit_count(), _a, mask.bit_count())
-        ]
+    if rule == _BY_GRID:
+        return lambda mask, _t=table, _o=key[0], _w=key[1]: _t[
+            (mask & _o).bit_count() * _w + mask.bit_count()]
     return lambda mask, _t=table, _p=key[0], _one=key[1]: _one if mask == _p else _t[mask.bit_count()]
 
 

@@ -11,12 +11,13 @@ streams come from distinct label tuples, and `derive_seed` turns one into a
 recordable seed: trial i of a game run with master seed s has seed
 derive_seed(s, "trial", i), and its plant and algorithm draw from seeds
 derived from that with the labels "plant" and "alg".  The scheme is stable
-across platforms and Python versions.
+across platforms and Python versions.  A search's draw, `nonempty_mask`,
+is one call: it reads n-bit words off the pool and rejects the all-ones word.
 """
 
 from __future__ import annotations
 
-import hashlib
+from hashlib import sha256
 
 from .errors import ParameterError
 from .sets import Subset, validate_ground_size
@@ -34,18 +35,18 @@ class SeededStream:
         self._pool = 0
         self._pool_bits = 0
 
-    def _refill(self) -> None:
-        block = hashlib.sha256(self._key + self._counter.to_bytes(8, "big")).digest()
+    def _block(self) -> int:
+        block = sha256(self._key + self._counter.to_bytes(8, "big")).digest()
         self._counter += 1
-        self._pool = (self._pool << 256) | int.from_bytes(block, "big")
-        self._pool_bits += 256
+        return int.from_bytes(block, "big")
 
     def getbits(self, k: int) -> int:
         """The next k bits of the stream as an unsigned integer."""
         if k < 0:
             raise ParameterError(f"bit count must be non-negative, got {k}")
         while self._pool_bits < k:
-            self._refill()
+            self._pool = (self._pool << 256) | self._block()
+            self._pool_bits += 256
         self._pool_bits -= k
         out = self._pool >> self._pool_bits
         self._pool &= (1 << self._pool_bits) - 1
@@ -74,8 +75,21 @@ class SeededStream:
         return mask
 
     def nonempty_mask(self, n: int) -> int:
-        """Mask of a uniform nonempty subset of {0..n-1}."""
-        return 1 + self.randbelow((1 << n) - 1)
+        """Mask of a uniform nonempty subset of {0..n-1}: 1 + randbelow(2^n - 1), bit for bit."""
+        full = (1 << n) - 1
+        if full <= 0:
+            raise ParameterError(f"bound must be positive, got {full}")
+        pool, bits = self._pool, self._pool_bits
+        while True:
+            while bits < n:
+                pool = (pool << 256) | self._block()
+                bits += 256
+            bits -= n
+            word = pool >> bits
+            pool &= (1 << bits) - 1
+            if word != full:
+                self._pool, self._pool_bits = pool, bits
+                return word + 1
 
 
 def derive_seed(master: int, *labels) -> int:

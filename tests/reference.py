@@ -1,10 +1,10 @@
 """Slow, independent references that only the tests use.
 
 Each of these cross-checks a fast path of the package from the outside:
-Monte Carlo against the exact distinguishing probability, the all-pairs
-lattice inequality against the pairwise-marginal supermodularity scan, an
-explicit value table as a third-party set function, and the write side of
-the instance descriptor and violation CSV forms.
+Monte Carlo and the plain binomial sum against the exact distinguishing
+probability, the all-pairs lattice inequality against the pairwise-marginal
+supermodularity scan, an explicit value table as a third-party set function,
+and the write side of the instance descriptor and violation CSV forms.
 """
 
 from __future__ import annotations
@@ -59,6 +59,13 @@ def monte_carlo_distinguish(
     frequency = Fraction(hits, trials)
     variance = frequency * (1 - frequency) / trials
     return MonteCarloEstimate(frequency, math.sqrt(variance), trials, hits)
+
+
+def binomial_distinguish_probability(n: int, alpha: int, beta: int, s: int) -> Fraction:
+    """P[t > s - min{alpha, s} + beta] for hypergeometric t = |S n R|, two binomials per term."""
+    t_lo = max(s - min(alpha, s) + beta + 1, 0, alpha - (n - s))
+    favorable = sum(math.comb(s, t) * math.comb(n - s, alpha - t) for t in range(t_lo, min(alpha, s) + 1))
+    return Fraction(favorable, math.comb(n, alpha))
 
 
 def all_pairs_supermodular(fn, n: int) -> bool:

@@ -132,6 +132,13 @@ def test_solve_decreasing_with_x(capsys):
     assert "method=random" in out and "queries=64" in out
 
 
+def test_solve_with_x_above_the_ground_cap_exits_2(capsys):
+    # the derivation is pure arithmetic; the instance constructor refuses n
+    code, _, err = run_cli(capsys, "solve", "--family", "decreasing", "--n", "400", "--x", "10")
+    assert code == 2
+    assert err == "error: ground size must satisfy 1 <= n <= 128, got 400\n"
+
+
 def test_solve_csv_output(tmp_path, capsys):
     out_csv = tmp_path / "s.csv"
     code, _, _ = run_cli(

@@ -11,7 +11,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import monte_carlo_distinguish
+from reference import binomial_distinguish_probability, monte_carlo_distinguish
 
 from ratiolab import game
 from ratiolab.errors import NoConsistentPlantError, ParameterError, RatioLabError, UndefinedRatioError
@@ -29,7 +29,7 @@ from ratiolab.game import (
 from ratiolab.instances import DecreasingInstance, IncreasingInstance
 from ratiolab.optimize import OptResult, local_search, make_algorithm, random_search
 from ratiolab.oracles import QueryTranscript, differs_from_unplanted, make_oracles, pair_lookup, ratio
-from ratiolab.sampling import derive_seed, random_k_subset
+from ratiolab.sampling import SeededStream, derive_seed, random_k_subset
 from ratiolab.sets import Subset, iter_k_subset_masks
 
 # ------------------------------------------------- distinguishing probability
@@ -94,6 +94,24 @@ def test_distinguish_probability_matches_enumeration():
                     assert distinguish_probability(n, alpha, beta, s) == exhaustive_probability(
                         n, alpha, beta, s
                     ), (n, alpha, beta, s)
+
+
+def test_term_ratio_recurrence_equals_the_binomial_sum():
+    # Every (n, alpha, beta <= 3, s) with n <= 40, then seeded cases up to n = 200.
+    fast = game._distinguish_probability.__wrapped__
+    for n in range(1, 41):
+        for alpha in range(n + 1):
+            for beta in range(4):
+                for s in range(n + 1):
+                    assert fast(n, alpha, beta, s) == binomial_distinguish_probability(n, alpha, beta, s), (
+                        n, alpha, beta, s)
+    stream = SeededStream(12, "recurrence")
+    for _ in range(400):
+        n = 41 + stream.randbelow(160)
+        alpha = stream.randbelow(n + 1)
+        beta = stream.randbelow(alpha + 2)
+        s = stream.randbelow(n + 1)
+        assert fast(n, alpha, beta, s) == binomial_distinguish_probability(n, alpha, beta, s), (n, alpha, beta, s)
 
 
 @settings(max_examples=60, deadline=None)

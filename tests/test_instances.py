@@ -163,6 +163,18 @@ def test_derive_decreasing_params_known_values():
     assert derive_decreasing_params(100, Fraction(5, 2)) == (5, 1)
 
 
+def test_derive_decreasing_params_is_pure_arithmetic_beyond_the_ground_cap():
+    # The asymptotic recipe at n = 25,600 and x = 10; the instance
+    # constructors, not the recipe, bound the ground size.
+    assert derive_decreasing_params(25600, 10) == (320, 20)
+    assert derive_decreasing_params(400, 10) == (40, 20)
+    with pytest.raises(ParameterError, match="ground size"):
+        DecreasingInstance(400, 40, 20, Fraction(1, 100))
+    for bad in (0, -4, 100.0, True, "100"):
+        with pytest.raises(ParameterError, match="positive int"):
+            derive_decreasing_params(bad, 5)
+
+
 def test_derive_decreasing_params_infeasible():
     with pytest.raises(ParameterError):
         derive_decreasing_params(25, 5)  # alpha = 5 = beta, needs beta + 1 <= alpha

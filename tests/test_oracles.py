@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ratiolab import oracles
 from ratiolab.errors import MissingPlantError, ParameterError, UndefinedRatioError
 from ratiolab.instances import DecreasingInstance, IncreasingInstance
 from ratiolab.oracles import (
@@ -27,7 +28,7 @@ from ratiolab.oracles import (
     ratio_terms,
 )
 from ratiolab.optimize import brute_force_min_ratio, local_search, random_search
-from ratiolab.sampling import random_k_subset
+from ratiolab.sampling import SeededStream, random_k_subset
 from ratiolab.sets import Subset, unchecked_subset
 
 DEC = DecreasingInstance(8, 3, 1, Fraction(1, 2), plant=Subset.from_elements([0, 1, 2], 8))
@@ -261,6 +262,69 @@ def test_difference_criterion_exhaustive():
     assert flagged == by_values
     assert flagged, "criterion should flag some sets for these parameters"
     assert inst.plant.mask in flagged
+
+
+# ------------------------------------------------------ the grid at game scale
+
+
+def _seeded_decreasing(seed: int, n: int) -> DecreasingInstance:
+    stream = SeededStream(seed, "grid-case", n)
+    alpha = 1 + stream.randbelow(n)
+    beta = stream.randbelow(alpha)
+    epsilon = Fraction(1 + stream.randbelow(9), 1 + stream.randbelow(200))
+    return DecreasingInstance(n, alpha, beta, epsilon, plant=Subset(stream.sample_mask(n, alpha), n))
+
+
+GAME_SCALE = [DecreasingInstance(100, 10, 5, Fraction(1, 100), plant=random_k_subset(100, 10, 3))] + [
+    _seeded_decreasing(seed, n) for seed, n in enumerate((1, 2, 37, 64, 100, 100, 127, 128))
+]
+
+
+@pytest.mark.parametrize("inst", GAME_SCALE, ids=lambda i: f"n{i.n}-a{i.alpha}-b{i.beta}")
+def test_decreasing_grid_at_game_scale(inst):
+    # Every cell of the grid, values and pairs, is alpha + eps - min(beta + x,
+    # alpha, c), and equal cells are one object.  Each reachable cell is what
+    # the g lookups return at a set with c - x plant elements and x others;
+    # f's lookups return the grid's last row.
+    n, alpha, beta = inst.n, inst.alpha, inst.beta
+    values, pairs = oracles._dec_grid(n, alpha, beta, inst.epsilon)
+    assert len(values) == len(pairs) == (n + 1) ** 2
+    expected = [alpha + inst.epsilon - t for t in range(alpha + 1)]
+    held = {}
+    for x in range(n + 1):
+        for c in range(n + 1):
+            term = min(beta + x, alpha, c)
+            value, pair = values[x * (n + 1) + c], pairs[x * (n + 1) + c]
+            assert value == expected[term] and pair == (value.numerator, value.denominator), (x, c)
+            first_value, first_pair = held.setdefault(term, (value, pair))
+            assert value is first_value and pair is first_pair, (x, c)
+    inside = [i for i in range(n) if inst.plant.mask >> i & 1]
+    outside = [i for i in range(n) if not inst.plant.mask >> i & 1]
+    f, g = instance_evaluator(inst, "f"), instance_evaluator(inst, "g")
+    f_pair, g_pair = pair_lookup(inst, "f"), pair_lookup(inst, "g")
+    for x in range(len(outside) + 1):
+        for a in range(alpha + 1):
+            mask = sum(1 << i for i in inside[:a] + outside[:x])
+            cell = x * (n + 1) + a + x
+            assert g_pair(mask) is pairs[cell] and g(unchecked_subset(mask, n)) is values[cell], (x, a)
+            last = n * (n + 1) + a + x
+            assert f_pair(mask) is pairs[last] and f(unchecked_subset(mask, n)) is values[last], (x, a)
+
+
+def test_difference_criterion_agrees_with_the_grid_at_n_100():
+    # Uniform draws at criterion 7's (alpha, beta) = (10, 5) never separate;
+    # the other parameters make both outcomes occur.
+    seen = set()
+    for alpha, beta in ((10, 5), (60, 5), (50, 30), (100, 0)):
+        inst = DecreasingInstance(100, alpha, beta, Fraction(1, 100), plant=random_k_subset(100, alpha, alpha))
+        f, g = instance_evaluator(inst, "f"), instance_evaluator(inst, "g")
+        stream = SeededStream(alpha, "difference-draws")
+        for _ in range(2000):
+            S = unchecked_subset(stream.nonempty_mask(100), 100)
+            differs = differs_from_unplanted(S, inst)
+            assert differs == (f(S) is not g(S)), (alpha, beta, S)
+            seen.add(differs)
+    assert seen == {False, True}
 
 
 # -------------------------------------------------------- query accounting

@@ -84,6 +84,26 @@ def test_nonempty_mask_never_empty():
         assert 1 <= mask < 1 << 5
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 30, 100, 128])
+def test_nonempty_mask_is_one_plus_randbelow(n):
+    # The one-call draw against its reference on a twin stream, with other
+    # draws interleaved so that the pools are shared mid-word; at n = 1 half
+    # of all words are the rejected all-ones word.
+    fast, slow = SeededStream(11, "draw", n), SeededStream(11, "draw", n)
+    for step in range(400):
+        assert fast.nonempty_mask(n) == 1 + slow.randbelow((1 << n) - 1), step
+        if step % 7 == 3:
+            assert fast.getbits(13) == slow.getbits(13)
+        if step % 11 == 5:
+            assert fast.sample_mask(n, n // 2) == slow.sample_mask(n, n // 2)
+    assert fast.getbits(256) == slow.getbits(256)
+
+
+def test_nonempty_mask_needs_a_nonempty_ground_set():
+    with pytest.raises(ParameterError):
+        SeededStream(0).nonempty_mask(0)
+
+
 def test_derive_seed_deterministic_and_bounded():
     a = derive_seed(99, "trial", 0)
     b = derive_seed(99, "trial", 0)
