@@ -12,10 +12,10 @@ order, so argmin f/g and argmax g/f are the same set.
 Searches query by bit mask, all in one loop, `_best_of`: each evaluation
 is one call of the module attribute `ratio`, bound to `oracles.query_terms`,
 which charges both handles, records the mask on g's transcript and yields
-the unreduced integer pair (p, q).  The loop compares ratios as integer
-cross-multiplications of those pairs; a Fraction is built only for the
-returned value.  The game harness does not read that value: it scores the
-returned set.
+the unreduced integer pair (p, q): one ratio-table lookup on a
+`make_oracles` pair.  The loop compares ratios as integer cross-products
+of those pairs; a Fraction is built only for the returned value.  The game
+harness does not read that value: it scores the returned set.
 """
 
 from __future__ import annotations

@@ -7,10 +7,10 @@ which would shred float precision and muddy every downstream comparison.
 A ratio query yields the unreduced integer pair (p, q) of `ratio_terms`:
 callers compare ratios by integer cross-multiplication, and a Fraction is
 built only for a value that is returned (`ratio`, OptResult.value).  The
-searches query by bit mask through `query_terms`, which a handle from
-`make_oracles` answers from integer (numerator, denominator) pairs of the
-same cached value table that `instance_evaluator` indexes: no Subset, no
-Fraction.  There is one table per family parameters.
+searches query by bit mask through `query_terms`.  Each `make_oracles` pair
+carries one cached ratio table, indexed by g's value class like the value
+table `instance_evaluator` reads: its cells are the (p, q) of f/g, so a
+search query on that pair is one lookup, with no Subset and no Fraction.
 
 In both families f is the same function in every world and the plant
 lives only in g, so the sets at which g was evaluated are all an algorithm
@@ -39,6 +39,14 @@ def _pairs(values) -> tuple[tuple[int, int], ...]:
     return tuple((v.numerator, v.denominator) for v in values)
 
 
+def _f_over_g(f_pairs, g_pairs) -> tuple:
+    """Cellwise f/g as unreduced (p, q), q > 0 as g >= 0, or None where g = 0; equal terms are one object."""
+    held: dict = {}
+    cells = (None if not g_num else (f_num * g_den, f_den * g_num)
+             for (f_num, f_den), (g_num, g_den) in zip(f_pairs, g_pairs))
+    return tuple(held.setdefault(term, term) for term in cells)
+
+
 @lru_cache(maxsize=None)
 def _dec_tables(alpha: int, epsilon: Fraction) -> tuple[tuple, tuple]:
     """alpha + epsilon - t for t = 0..alpha, by subtracted term: the values and their pairs."""
@@ -47,27 +55,33 @@ def _dec_tables(alpha: int, epsilon: Fraction) -> tuple[tuple, tuple]:
 
 
 @lru_cache(maxsize=None)
-def _dec_grid(n: int, alpha: int, beta: int, epsilon: Fraction) -> tuple[tuple, tuple]:
-    """The planted decreasing g on one flat (|S minus R|, |S|) grid: the values and their pairs.
+def _dec_grid(n: int, alpha: int, beta: int, epsilon: Fraction) -> tuple[tuple, tuple, tuple]:
+    """The planted decreasing g on one flat (|S minus R|, |S|) grid: the values, their pairs and f/g.
 
     Cell x * (n + 1) + c holds alpha + epsilon - min(beta + x, alpha, c): row x is the
     term table sliced at k = min(beta + x, alpha), so equal values are one object.
+    The last row is f, so f/g pairs each cell with that row's cell of its column;
+    the rows from x = alpha - beta on all equal f's, so f/g is built up to the first.
     """
     ks = [min(beta + x, alpha) for x in range(n + 1)]
-    return tuple(
+    values, pairs = (
         tuple(chain.from_iterable(table[:k] + table[k:k + 1] * (n + 1 - k) for k in ks))
         for table in _dec_tables(alpha, epsilon)
     )
+    head = alpha - beta + 1
+    terms = _f_over_g(pairs[n * (n + 1):] * head, pairs[:head * (n + 1)])
+    return values, pairs, tuple(chain(terms, *[terms[-(n + 1):]] * (n + 1 - head)))
 
 
 @lru_cache(maxsize=None)
-def _inc_tables(n: int, m: Fraction, epsilon: Fraction) -> tuple[tuple, tuple]:
-    """Per-cardinality (f, g) of the unplanted increasing pair: the values and their pairs."""
+def _inc_tables(n: int, m: Fraction, epsilon: Fraction) -> tuple[tuple, tuple, tuple]:
+    """Per-cardinality (f, g) of the unplanted increasing pair: values, pairs, (f's pairs as f/1, f/g)."""
     half = n // 2
     cards = range(n + 1)
     f = tuple(Fraction(c) if c <= half else m * (1 << (c + 1)) + c for c in cards)
     g = tuple(Fraction(2 * c, n) * epsilon if c <= half else Fraction(2 * (c - half)) for c in cards)
-    return (f, g), (_pairs(f), _pairs(g))
+    f_pairs, g_pairs = _pairs(f), _pairs(g)
+    return (f, g), (f_pairs, g_pairs), (f_pairs, _f_over_g(f_pairs, g_pairs))
 
 
 def differs_from_unplanted(S: Subset, inst: DecreasingInstance) -> bool:
@@ -120,27 +134,26 @@ class CountingOracle:
     """A value oracle that charges one query per evaluation.
 
     Wraps any Subset -> Fraction callable; `for_instance` binds the right
-    family evaluator for a role ("f" or "g") and its pair table, which
-    `query_terms` reads.  A handle with a transcript records the mask of
-    every set it evaluates.  The plant, when present, stays inside the
-    instance: nothing about it leaks through this handle.
+    family evaluator for a role ("f" or "g").  A handle with a transcript
+    records the mask of every set it evaluates.  A `make_oracles` g handle
+    also holds `_terms`, (its f handle, n, mask -> f/g terms), for
+    `query_terms`.  The plant, when present, stays inside the instance:
+    nothing about it leaks through this handle.
     """
 
-    __slots__ = ("_fn", "count", "transcript", "_pairs")
+    __slots__ = ("_fn", "count", "transcript", "_terms")
 
     def __init__(self, fn: Callable[[Subset], Fraction], transcript: QueryTranscript | None = None) -> None:
         self._fn = fn
         self.count = 0
         self.transcript = transcript
-        self._pairs = None
+        self._terms = None
 
     @classmethod
     def for_instance(
         cls, inst: Instance, role: str, transcript: QueryTranscript | None = None
     ) -> "CountingOracle":
-        oracle = cls(instance_evaluator(inst, role), transcript)
-        oracle._pairs = (inst.n, pair_lookup(inst, role))
-        return oracle
+        return cls(instance_evaluator(inst, role), transcript)
 
     def __call__(self, S: Subset) -> Fraction:
         self.count += 1
@@ -156,9 +169,10 @@ _BY_CARDINALITY, _BY_GRID, _BY_PLANT = range(3)
 def _side(inst: Instance, role: str, column: int) -> tuple:
     """One side of an instance as (rule, table, key); column 0 reads Fractions, 1 their pairs.
 
+    Column 2, read for g only, holds the pair's f/g terms by g's value class.
     The rule names the value class: |S|; the planted decreasing g's cell
     |S & out| * (n + 1) + |S| of its grid, key (out, n + 1); or |S| with the
-    increasing plant test, key (plant mask, the value 1).
+    increasing plant test, key (plant mask, the entry at g = 1).
     """
     if role not in ("f", "g"):
         raise ParameterError(f"oracle role must be 'f' or 'g', got {role!r}")
@@ -177,7 +191,7 @@ def _side(inst: Instance, role: str, column: int) -> tuple:
             return _BY_CARDINALITY, f_table, None
         if inst.plant is None:
             return _BY_CARDINALITY, g_table, None
-        return _BY_PLANT, g_table, (inst.plant.mask, (1, 1) if column else Fraction(1))
+        return _BY_PLANT, g_table, (inst.plant.mask, (Fraction(1), (1, 1), f_table[n // 2])[column])
     raise ParameterError(f"unknown instance type: {type(inst).__name__}")
 
 
@@ -221,7 +235,11 @@ def pair_lookup(inst: Instance, role: str) -> Callable[[int], tuple[int, int]]:
     cached table: equal values are the very same tuple.  The caller vouches
     for the mask's ground size.
     """
-    rule, table, key = _side(inst, role, 1)
+    return _lookup(*_side(inst, role, 1))
+
+
+def _lookup(rule: int, table: tuple, key) -> Callable[[int], object]:
+    """Mask -> the table entry of the mask's value class, under `_side`'s rule and key."""
     if rule == _BY_CARDINALITY:
         return lambda mask, _t=table: _t[mask.bit_count()]
     if rule == _BY_GRID:
@@ -233,11 +251,15 @@ def pair_lookup(inst: Instance, role: str) -> Callable[[int], tuple[int, int]]:
 def make_oracles(
     inst: Instance, transcript: QueryTranscript | None = None
 ) -> tuple[CountingOracle, CountingOracle]:
-    """The (f, g) oracle pair for an instance; the transcript records g's queries."""
-    return (
-        CountingOracle.for_instance(inst, "f"),
-        CountingOracle.for_instance(inst, "g", transcript),
-    )
+    """The (f, g) oracle pair for an instance; the transcript records g's queries.
+
+    The g handle names this f handle as its partner and holds the pair's
+    ratio table, so `query_terms` on exactly this pair is one lookup.
+    """
+    f_oracle = CountingOracle.for_instance(inst, "f")
+    g_oracle = CountingOracle.for_instance(inst, "g", transcript)
+    g_oracle._terms = (f_oracle, inst.n, _lookup(*_side(inst, "g", 2)))
+    return f_oracle, g_oracle
 
 
 def ratio_terms(S: Subset, f_oracle: CountingOracle, g_oracle: CountingOracle) -> tuple[int, int]:
@@ -265,33 +287,30 @@ def ratio_terms(S: Subset, f_oracle: CountingOracle, g_oracle: CountingOracle) -
 def query_terms(mask: int, n: int, f_oracle: CountingOracle, g_oracle: CountingOracle) -> tuple[int, int]:
     """`ratio_terms` at Subset(mask, n): the same (p, q), charges, records and errors.
 
-    Handles from `for_instance` answer from their pair tables; any other
-    handle is called on unchecked_subset(mask, n) through `ratio_terms`.
+    A pair from one `make_oracles` call, in (f, g) order, answers from the
+    g handle's ratio table: charge f, check the ground size, record on f's
+    transcript if any, charge and record g, then one lookup.  Every other
+    pair of handles is called on unchecked_subset(mask, n) through
+    `ratio_terms`.
     """
     try:
-        f_size, f_pair = f_oracle._pairs
-        g_size, g_pair = g_oracle._pairs
+        partner, size, lookup = g_oracle._terms
     except (AttributeError, TypeError):
+        partner = None
+    if partner is not f_oracle:
         return ratio_terms(unchecked_subset(mask, n), f_oracle, g_oracle)
     f_oracle.count += 1
-    if f_size != n:
-        raise _ground_error(n, f_size)
-    f_num, f_den = f_pair(mask)
+    if size != n:
+        raise _ground_error(n, size)
     if f_oracle.transcript is not None:
         f_oracle.transcript.record(mask)
     g_oracle.count += 1
-    if g_size != n:
-        raise _ground_error(n, g_size)
-    g_num, g_den = g_pair(mask)
     if g_oracle.transcript is not None:
         g_oracle.transcript.record(mask)
-    p = f_num * g_den
-    q = f_den * g_num
-    if q > 0:
-        return p, q
-    if q:
-        return -p, -q
-    raise UndefinedRatioError(f"g({unchecked_subset(mask, n)!r}) = 0; the ratio is undefined there")
+    terms = lookup(mask)
+    if terms is None:
+        raise UndefinedRatioError(f"g({unchecked_subset(mask, n)!r}) = 0; the ratio is undefined there")
+    return terms
 
 
 def ratio(S: Subset, f_oracle: CountingOracle, g_oracle: CountingOracle) -> Fraction:

@@ -7,6 +7,7 @@ straight from the README's formulas, with no tables or caches; the
 table-backed evaluators are cross-checked against it on every subset.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -287,7 +288,7 @@ def test_decreasing_grid_at_game_scale(inst):
     # the g lookups return at a set with c - x plant elements and x others;
     # f's lookups return the grid's last row.
     n, alpha, beta = inst.n, inst.alpha, inst.beta
-    values, pairs = oracles._dec_grid(n, alpha, beta, inst.epsilon)
+    values, pairs, _ = oracles._dec_grid(n, alpha, beta, inst.epsilon)
     assert len(values) == len(pairs) == (n + 1) ** 2
     expected = [alpha + inst.epsilon - t for t in range(alpha + 1)]
     held = {}
@@ -488,3 +489,151 @@ def test_wrong_ground_size_search_fails_alike_on_both_paths(kind, search, g_n):
         outcomes.append((str(info.value), f.count, g.count, t.entries))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0] == (f"subset ground size {n} differs from instance n {17 - n}", 1, g_n - 8, [])
+
+
+# ------------------------------------------------ the pair's ratio table
+
+
+def _table_lookup(inst):
+    """The mask -> (p, q) lookup of a `make_oracles` pair's ratio table."""
+    return make_oracles(inst)[1]._terms[2]
+
+
+def _expected_term(f_pair, g_pair):
+    (f_num, f_den), (g_num, g_den) = f_pair, g_pair
+    return (f_num * g_den, f_den * g_num) if g_num else None
+
+
+@pytest.mark.parametrize("inst", GAME_SCALE, ids=lambda i: f"n{i.n}-a{i.alpha}-b{i.beta}")
+def test_decreasing_ratio_table_at_game_scale(inst):
+    # Every cell (x, c) of the f/g column is f at |S| = c over the grid's g
+    # pair, and equal terms are one object.  Each reachable cell is what the
+    # pair's lookup returns at a set with c - x plant elements and x others,
+    # and there it agrees with pair_lookup.
+    n = inst.n
+    _, pairs, terms = oracles._dec_grid(n, inst.alpha, inst.beta, inst.epsilon)
+    assert len(terms) == (n + 1) ** 2
+    f_pair, g_pair = pair_lookup(inst, "f"), pair_lookup(inst, "g")
+    held = {}
+    for cell, term in enumerate(terms):
+        assert term == _expected_term(f_pair((1 << cell % (n + 1)) - 1), pairs[cell]), cell
+        assert held.setdefault(term, term) is term, cell
+    lookup = _table_lookup(inst)
+    inside = [i for i in range(n) if inst.plant.mask >> i & 1]
+    outside = [i for i in range(n) if not inst.plant.mask >> i & 1]
+    for x in range(len(outside) + 1):
+        for a in range(inst.alpha + 1):
+            mask = sum(1 << i for i in inside[:a] + outside[:x])
+            assert lookup(mask) is terms[x * (n + 1) + a + x], (x, a)
+            assert lookup(mask) == _expected_term(f_pair(mask), g_pair(mask)), (x, a)
+
+
+@pytest.mark.parametrize("m, epsilon", [(Fraction(100), Fraction(1, 4)), (Fraction(7, 3), Fraction(15, 16))])
+def test_increasing_ratio_table_at_game_scale(m, epsilon):
+    # At every cardinality and at the plant, planted and unplanted, the
+    # lookup is f/g of pair_lookup as (f_num * g_den, f_den * g_num), None
+    # where g = 0; equal terms are one object.
+    n = 30
+    plant = random_k_subset(n, n // 2, 30)
+    assert plant.mask != (1 << n // 2) - 1
+    held = {}
+    for inst in (IncreasingInstance(n, m, epsilon, plant=plant), IncreasingInstance(n, m, epsilon)):
+        lookup, f_pair, g_pair = _table_lookup(inst), pair_lookup(inst, "f"), pair_lookup(inst, "g")
+        for mask in [(1 << c) - 1 for c in range(n + 1)] + [plant.mask]:
+            term = lookup(mask)
+            assert term == _expected_term(f_pair(mask), g_pair(mask)), (inst.plant, mask)
+            assert held.setdefault(term, term) is term, (inst.plant, mask)
+        assert lookup(0) is None
+    assert _table_lookup(IncreasingInstance(n, m, epsilon, plant=plant))(plant.mask) == (n // 2, 1)
+
+
+GAME_SCALE_PAIRS = [i for i in GAME_SCALE if i.n == 100] + [
+    IncreasingInstance(30, 100, Fraction(1, 4), plant=random_k_subset(30, 15, 30)),
+    IncreasingInstance(30, 100, Fraction(1, 4)),
+]
+
+
+@pytest.mark.parametrize("inst", GAME_SCALE_PAIRS, ids=lambda i: f"{i.family}-n{i.n}-{i.plant is not None}")
+def test_query_terms_matches_ratio_terms_on_uniform_draws(inst):
+    # query_terms on a make_oracles pair and ratio_terms on a fresh pair give
+    # the same (p, q), counts and transcript over 2,000 seeded draws
+    n = inst.n
+    fast_t, slow_t = QueryTranscript(), QueryTranscript()
+    fast, slow = make_oracles(inst, fast_t), make_oracles(inst, slow_t)
+    stream = SeededStream(n, "query-terms-draws")
+    for _ in range(2000):
+        mask = stream.nonempty_mask(n)
+        assert query_terms(mask, n, *fast) == ratio_terms(Subset(mask, n), *slow), mask
+    assert [h.count for h in fast] == [h.count for h in slow] == [2000, 2000]
+    assert fast_t.entries == slow_t.entries and len(fast_t) == 2000
+
+
+def _partner_cases(inst):
+    """Handle pairs by name, each built fresh with its transcripts: (f, g, transcripts)."""
+    # f of the decreasing family depends on epsilon, f of the increasing one on m
+    other = replace(inst, epsilon=Fraction(1, 7)) if inst.family == "decreasing" else replace(inst, m=3)
+
+    def one_pair():
+        t = QueryTranscript()
+        return (*make_oracles(inst, t), [t])
+
+    def two_calls():
+        t = QueryTranscript()
+        return make_oracles(inst)[0], make_oracles(inst, t)[1], [t]
+
+    def swapped():
+        t = QueryTranscript()
+        f, g = make_oracles(inst, t)
+        return g, f, [t]
+
+    def f_transcript():
+        f_t, g_t = QueryTranscript(), QueryTranscript()
+        f, g = make_oracles(inst, g_t)
+        f.transcript = f_t
+        return f, g, [f_t, g_t]
+
+    def other_f():
+        t = QueryTranscript()
+        return make_oracles(other)[0], make_oracles(inst, t)[1], [t]
+
+    return {"one-pair": one_pair, "two-calls": two_calls, "swapped": swapped,
+            "f-transcript": f_transcript, "other-instance-f": other_f}
+
+
+@pytest.mark.parametrize("kind", ["decreasing-planted", "increasing-planted", "increasing-unplanted"])
+@pytest.mark.parametrize("case", ["one-pair", "two-calls", "swapped", "f-transcript", "other-instance-f"])
+def test_query_terms_partner_rule(kind, case):
+    # Only a make_oracles pair in (f, g) order reads its ratio table; every
+    # other pair of handles gives ratio_terms' outcomes, counts and records
+    n = 8
+    build = _partner_cases(_bundled_kinds(n)[kind])[case]
+    fast_f, fast_g, fast_ts = build()
+    slow_f, slow_g, slow_ts = build()
+    if case in ("one-pair", "f-transcript"):
+        def unreachable(S):
+            raise AssertionError("a make_oracles pair answers from its ratio table")
+
+        fast_f._fn = fast_g._fn = unreachable
+    for mask in range(1 << n):
+        got = _outcome(lambda: query_terms(mask, n, fast_f, fast_g))
+        want = _outcome(lambda: ratio_terms(unchecked_subset(mask, n), slow_f, slow_g))
+        assert got == want, (case, mask)
+    assert (fast_f.count, fast_g.count) == (slow_f.count, slow_g.count) == (1 << n, 1 << n)
+    assert [t.entries for t in fast_ts] == [t.entries for t in slow_ts]
+    assert all(t.entries == list(range(1 << n)) for t in fast_ts)
+
+
+@pytest.mark.parametrize("kind", ["decreasing-planted", "increasing-planted", "increasing-unplanted"])
+def test_pair_queried_at_the_wrong_ground_size(kind):
+    # The table path's own size check: ParameterError after f is charged
+    # once and g not at all, with nothing recorded, as ratio_terms gives
+    inst = _bundled_kinds(8)[kind]
+    outcomes = []
+    for query in (lambda f, g: query_terms(1, 9, f, g), lambda f, g: ratio_terms(unchecked_subset(1, 9), f, g)):
+        f_t, g_t = QueryTranscript(), QueryTranscript()
+        f, g = make_oracles(inst, g_t)
+        f.transcript = f_t
+        with pytest.raises(ParameterError) as info:
+            query(f, g)
+        outcomes.append((str(info.value), f.count, g.count, f_t.entries, g_t.entries))
+    assert outcomes[0] == outcomes[1] == ("subset ground size 9 differs from instance n 8", 1, 0, [], [])
