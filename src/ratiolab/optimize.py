@@ -21,7 +21,6 @@ harness does not read that value: it scores the returned set.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
 from typing import NamedTuple
 
 from .errors import ParameterError
@@ -129,7 +128,7 @@ def random_search(f_oracle, g_oracle, n: int, budget: int, seed: int) -> OptResu
         raise ParameterError(f"random search needs an int budget >= 1, got {budget!r}")
     start_queries = f_oracle.count + g_oracle.count
     stream = SeededStream(seed, "random-search", n)
-    p, q, mask = _best_of(map(stream.nonempty_mask, repeat(n, budget)), n, f_oracle, g_oracle)
+    p, q, mask = _best_of(stream.nonempty_masks(n, budget), n, f_oracle, g_oracle)
     used = (f_oracle.count + g_oracle.count) - start_queries
     return OptResult(Subset(mask, n), Fraction(p, q), used, "random")
 

@@ -472,7 +472,7 @@ def test_query_terms_matches_ratio_terms_on_every_mask(n, kind, order):
 @pytest.mark.parametrize("g_n", [8, 9])
 def test_wrong_ground_size_search_fails_alike_on_both_paths(kind, search, g_n):
     # a search at n = 9 on two n = 8 handles fails at f; at n = 8 with g of
-    # size 9 it fails at g.  The pair-table handles and plain evaluator
+    # size 9 it fails at g.  The `for_instance` handles and plain evaluator
     # handles raise the same ParameterError, after the same charges and with
     # nothing recorded.
     f_inst, g_inst, n = _bundled_kinds(8)[kind], _bundled_kinds(g_n)[kind], 17 - g_n

@@ -104,6 +104,103 @@ def test_nonempty_mask_needs_a_nonempty_ground_set():
         SeededStream(0).nonempty_mask(0)
 
 
+DRAW_NS = [1, 2, 3, 8, 30, 31, 32, 100, 127, 128]
+
+
+def _twin_draws(stream, n, count):
+    return [stream.nonempty_mask(n) for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", DRAW_NS)
+@pytest.mark.parametrize("count", [0, 1, 2, 40, 3000])
+def test_nonempty_masks_is_nonempty_mask_bit_for_bit(n, count):
+    # Three twin streams, each 5 bits in so that words straddle block
+    # boundaries: the batch, `count` single draws and `count` reference draws.  3,000 draws cross
+    # several refills at every n (at n = 128 one refill feeds 16 draws).
+    batch, single, slow = (SeededStream(12, "batch", n) for _ in range(3))
+    for stream in (batch, single, slow):
+        stream.getbits(5)
+    drawn = list(batch.nonempty_masks(n, count))
+    assert drawn == _twin_draws(single, n, count)
+    assert drawn == [1 + slow.randbelow((1 << n) - 1) for _ in range(count)]
+    assert vars(batch) == vars(single) == vars(slow)
+    after = [(s.getbits(13), s.sample_mask(n, n // 2), s.nonempty_mask(n), s.getbits(300))
+             for s in (batch, single, slow)]
+    assert after[0] == after[1] == after[2]
+
+
+@pytest.mark.parametrize("n", DRAW_NS)
+@pytest.mark.parametrize("taken", [0, 1, 9, 50])
+def test_closed_batch_leaves_the_stream_after_its_last_mask(n, taken):
+    # A batch that stops early may have hashed blocks its later draws would
+    # have read; they stay in the pool, so the stream reads on from the
+    # first bit after the last yielded mask.
+    batch, single = SeededStream(13, "closed", n), SeededStream(13, "closed", n)
+    draws = batch.nonempty_masks(n, 1000)
+    assert [next(draws) for _ in range(taken)] == _twin_draws(single, n, taken)
+    draws.close()
+    after = [(s.getbits(13), s.sample_mask(n, n // 2), s.nonempty_mask(n), s.getbits(1000))
+             for s in (batch, single)]
+    assert after[0] == after[1]
+
+
+def test_draws_hash_no_more_blocks_than_they_read(monkeypatch):
+    # A refill hashes only the blocks the remaining draws must read: one
+    # draw, a derived seed and a small search's draws from a fresh stream hash
+    # one block each at n <= 128; an empty batch hashes none.
+    hashed = []
+
+    def counting_sha256(data):
+        hashed.append(data)
+        return hashlib.sha256(data)
+
+    monkeypatch.setattr("ratiolab.sampling.sha256", counting_sha256)
+    for n in DRAW_NS:
+        hashed.clear()
+        SeededStream(14, "one", n).nonempty_mask(n)
+        assert len(hashed) == 1, n
+        hashed.clear()
+        assert list(SeededStream(14, "none", n).nonempty_masks(n, 0)) == []
+        assert hashed == []
+    hashed.clear()
+    derive_seed(14, "trial", 0)
+    assert len(hashed) == 1
+    hashed.clear()
+    list(SeededStream(14, "small").nonempty_masks(30, 8))
+    assert len(hashed) == 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: s.nonempty_mask(-1),
+        lambda s: s.nonempty_mask(0),
+        lambda s: s.nonempty_mask(True),
+        lambda s: s.nonempty_mask(2.0),
+        lambda s: s.nonempty_masks(0, 3),
+        lambda s: s.nonempty_masks(3.0, 3),
+        lambda s: s.nonempty_masks(3, -1),
+        lambda s: s.nonempty_masks(3, 2.0),
+        lambda s: s.nonempty_masks(3, True),
+        lambda s: s.getbits(2.5),
+        lambda s: s.getbits(True),
+        lambda s: s.randbelow(2.0),
+        lambda s: s.randbelow(True),
+        lambda s: s.sample_mask(5, 2.0),
+        lambda s: s.sample_mask(5.0, 2),
+        lambda s: s.sample_mask(True, 1),
+    ],
+)
+def test_count_arguments_are_ints(call):
+    # Each count argument is checked by `is_int` when the method is called:
+    # the batch draw raises before its first `next()`, and a failed call
+    # leaves the stream unread.
+    stream = SeededStream(15, "counts")
+    with pytest.raises(ParameterError):
+        call(stream)
+    assert stream.getbits(256) == SeededStream(15, "counts").getbits(256)
+
+
 def test_derive_seed_deterministic_and_bounded():
     a = derive_seed(99, "trial", 0)
     b = derive_seed(99, "trial", 0)
