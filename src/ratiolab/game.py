@@ -18,10 +18,10 @@ Both games run one trial loop (`_play`).  The transcript is the g handle's
 own record of masks, so it holds every g evaluation however the algorithm
 made it; a direct f call reveals nothing about the plant.  One scan
 (`_first_difference`) compares the planted and unplanted g at every
-recorded mask, in both games, through their integer (numerator,
-denominator) pair lookups.  In the decreasing game a trial is
-distinguished at the first set where they differ; in the increasing game
-a difference means the plant search is broken.  The harness scores the
+recorded mask, in both games, through their value lookups, which return
+the very value objects the evaluators answer with.  In the decreasing
+game a trial is distinguished at the first set where they differ; in the
+increasing game a difference means the plant search is broken.  The harness scores the
 returned set itself, in the world that answered the trial: the value an
 algorithm claims for its set is never read, and an empty returned set,
 outside the ratio's domain, is refused in both games.
@@ -44,12 +44,12 @@ from .oracles import (
     QueryTranscript,
     differs_from_unplanted,  # noqa: F401
     make_oracles,
-    pair_lookup,
     ratio,
+    value_lookup,
 )
 from .sampling import derive_seed, random_k_subset
 from .serialize import frac_to_str
-from .sets import Subset, is_int, iter_k_subset_masks
+from .sets import Subset, check_count, is_int, iter_k_subset_masks
 
 GAME_CSV_COLUMNS = [
     "family", "n", "trial", "seed", "queries", "distinguished", "first_idx",
@@ -142,10 +142,10 @@ def find_consistent_plant(transcript: QueryTranscript, n: int) -> Subset:
 
 
 def _first_difference(transcript: QueryTranscript, g_a, g_b) -> int | None:
-    """Index of the first effective_sets() mask where the pair lookups g_a and g_b differ.
+    """Index of the first effective_sets() mask where the value lookups g_a and g_b differ.
 
-    Where they agree they index one cached pair table and return the very
-    same tuple, so identity settles almost every set; `!=` keeps the rest
+    Where they agree they index one cached value table and return the very
+    same Fraction, so identity settles almost every set; `!=` keeps the rest
     exact.
     """
     for idx, mask in enumerate(transcript.effective_sets()):
@@ -167,8 +167,7 @@ def _play(algorithm, inst, seed: int, trials: int, world, score) -> list[GameRep
     """
     if inst.plant is not None:
         raise ParameterError("the game manages its own hidden sets; pass an unplanted instance")
-    if not is_int(trials) or trials < 1:
-        raise ParameterError(f"trials must be a positive int, got {trials!r}")
+    check_count(trials, 1, "trials")
     planted_optimum = inst.planted_ratio()
     reports = []
     for trial in range(trials):
@@ -210,7 +209,7 @@ def run_game_decreasing(algorithm, inst: DecreasingInstance, seed: int, trials: 
         return inst.with_plant(random_k_subset(inst.n, inst.alpha, derive_seed(trial_seed, "plant")))
 
     def score(planted: DecreasingInstance, transcript: QueryTranscript):
-        f, g_planted = pair_lookup(planted, "f"), pair_lookup(planted, "g")
+        f, g_planted = value_lookup(planted, "f"), value_lookup(planted, "g")
         first_idx = _first_difference(transcript, f, g_planted)
         return first_idx, union_bound(transcript.cardinalities(), inst.n, inst.alpha, inst.beta)
 
@@ -240,7 +239,7 @@ def run_game_increasing(algorithm, inst: IncreasingInstance, seed: int, trials: 
             for idx, mask in enumerate(transcript.effective_sets()):
                 first_visit.setdefault(mask, idx)
             return max(i for mask, i in first_visit.items() if mask.bit_count() == inst.n // 2), Fraction(1)
-        g, g_star = pair_lookup(unplanted, "g"), pair_lookup(unplanted.with_plant(r_star), "g")
+        g, g_star = value_lookup(unplanted, "g"), value_lookup(unplanted.with_plant(r_star), "g")
         if _first_difference(transcript, g, g_star) is not None:
             raise RatioLabError("planted world disagrees with the transcript; plant search is broken")
         return None, Fraction(0)

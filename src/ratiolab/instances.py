@@ -169,6 +169,8 @@ def _plant_from_descriptor(spec, n: int, k: int, what: str) -> Subset:
     if isinstance(spec, list):
         if not all(is_int(e) for e in spec):
             raise ParameterError(f"{what}: plant list must contain integers")
+        if len(set(spec)) != len(spec):
+            raise ParameterError(f"{what}: plant list repeats an element")
         return Subset.from_elements(spec, n)
     raise ParameterError(f"{what}: plant must be an element list or a seed object")
 

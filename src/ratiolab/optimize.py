@@ -28,7 +28,7 @@ from .errors import ParameterError
 # is the per-query evaluation that perfbench/tracing.py rebinds.
 from .oracles import query_terms as ratio
 from .sampling import SeededStream
-from .sets import Subset, check_guard, is_int, validate_ground_size
+from .sets import Subset, check_count, check_guard, validate_ground_size
 # Not called here; kept as an optimize attribute that perfbench/tracing.py rebinds.
 from .sets import unchecked_subset  # noqa: F401
 
@@ -94,8 +94,7 @@ def local_search(f_oracle, g_oracle, n: int, budget: int, seed: int) -> OptResul
     and returns the best point it ever evaluated.
     """
     validate_ground_size(n)
-    if not is_int(budget) or budget < max(n, 2):
-        raise ParameterError(f"local search needs an int budget >= max(n, 2) = {max(n, 2)}, got {budget!r}")
+    check_count(budget, max(n, 2), "local search budget")
     start_queries = f_oracle.count + g_oracle.count
     stream = SeededStream(seed, "local-search", n)
     # Each point evaluated is the current one or its neighbour and a move goes to the
@@ -124,8 +123,7 @@ def local_search(f_oracle, g_oracle, n: int, budget: int, seed: int) -> OptResul
 def random_search(f_oracle, g_oracle, n: int, budget: int, seed: int) -> OptResult:
     """Evaluate f/g at `budget` seeded uniform nonempty subsets; keep the best."""
     validate_ground_size(n)
-    if not is_int(budget) or budget < 1:
-        raise ParameterError(f"random search needs an int budget >= 1, got {budget!r}")
+    check_count(budget, 1, "random search budget")
     start_queries = f_oracle.count + g_oracle.count
     stream = SeededStream(seed, "random-search", n)
     p, q, mask = _best_of(stream.nonempty_masks(n, budget), n, f_oracle, g_oracle)

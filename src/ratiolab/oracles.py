@@ -7,10 +7,12 @@ which would shred float precision and muddy every downstream comparison.
 A ratio query yields the unreduced integer pair (p, q) of `ratio_terms`:
 callers compare ratios by integer cross-multiplication, and a Fraction is
 built only for a value that is returned (`ratio`, OptResult.value).  The
-searches query by bit mask through `query_terms`.  Each `make_oracles` pair
-carries one cached ratio table, indexed by g's value class like the value
-table `instance_evaluator` reads: its cells are the (p, q) of f/g, so a
-search query on that pair is one lookup, with no Subset and no Fraction.
+searches query by bit mask through `query_terms`.  Each side of an
+instance keeps two cached tables, indexed alike by the side's value class:
+its values, the Fractions `instance_evaluator` and `value_lookup` return,
+and for g the (p, q) of f/g, read off those values once at build time.
+The g handle of a `make_oracles` pair reads the second, so a search query
+on that pair is one lookup, with no Subset and no Fraction.
 
 In both families f is the same function in every world and the plant
 lives only in g, so the sets at which g was evaluated are all an algorithm
@@ -35,28 +37,23 @@ def _ground_error(size: int, n: int) -> ParameterError:
     return ParameterError(f"subset ground size {size} differs from instance n {n}")
 
 
-def _pairs(values) -> tuple[tuple[int, int], ...]:
-    return tuple((v.numerator, v.denominator) for v in values)
-
-
-def _f_over_g(f_pairs, g_pairs) -> tuple:
+def _f_over_g(f_values, g_values) -> tuple:
     """Cellwise f/g as unreduced (p, q), q > 0 as g >= 0, or None where g = 0; equal terms are one object."""
     held: dict = {}
-    cells = (None if not g_num else (f_num * g_den, f_den * g_num)
-             for (f_num, f_den), (g_num, g_den) in zip(f_pairs, g_pairs))
+    cells = (None if not g.numerator else (f.numerator * g.denominator, f.denominator * g.numerator)
+             for f, g in zip(f_values, g_values))
     return tuple(held.setdefault(term, term) for term in cells)
 
 
 @lru_cache(maxsize=None)
-def _dec_tables(alpha: int, epsilon: Fraction) -> tuple[tuple, tuple]:
-    """alpha + epsilon - t for t = 0..alpha, by subtracted term: the values and their pairs."""
-    values = tuple(alpha + epsilon - t for t in range(alpha + 1))
-    return values, _pairs(values)
+def _dec_values(alpha: int, epsilon: Fraction) -> tuple:
+    """alpha + epsilon - t for t = 0..alpha, by subtracted term."""
+    return tuple(alpha + epsilon - t for t in range(alpha + 1))
 
 
 @lru_cache(maxsize=None)
-def _dec_grid(n: int, alpha: int, beta: int, epsilon: Fraction) -> tuple[tuple, tuple, tuple]:
-    """The planted decreasing g on one flat (|S minus R|, |S|) grid: the values, their pairs and f/g.
+def _dec_grid(n: int, alpha: int, beta: int, epsilon: Fraction) -> tuple[tuple, tuple]:
+    """The planted decreasing g on one flat (|S minus R|, |S|) grid: its values and f/g.
 
     Cell x * (n + 1) + c holds alpha + epsilon - min(beta + x, alpha, c): row x is the
     term table sliced at k = min(beta + x, alpha), so equal values are one object.
@@ -64,24 +61,22 @@ def _dec_grid(n: int, alpha: int, beta: int, epsilon: Fraction) -> tuple[tuple, 
     the rows from x = alpha - beta on all equal f's, so f/g is built up to the first.
     """
     ks = [min(beta + x, alpha) for x in range(n + 1)]
-    values, pairs = (
-        tuple(chain.from_iterable(table[:k] + table[k:k + 1] * (n + 1 - k) for k in ks))
-        for table in _dec_tables(alpha, epsilon)
-    )
+    table = _dec_values(alpha, epsilon)
+    values = tuple(chain.from_iterable(table[:k] + table[k:k + 1] * (n + 1 - k) for k in ks))
     head = alpha - beta + 1
-    terms = _f_over_g(pairs[n * (n + 1):] * head, pairs[:head * (n + 1)])
-    return values, pairs, tuple(chain(terms, *[terms[-(n + 1):]] * (n + 1 - head)))
+    terms = _f_over_g(values[n * (n + 1):] * head, values[:head * (n + 1)])
+    return values, tuple(chain(terms, *[terms[-(n + 1):]] * (n + 1 - head)))
 
 
 @lru_cache(maxsize=None)
 def _inc_tables(n: int, m: Fraction, epsilon: Fraction) -> tuple[tuple, tuple, tuple]:
-    """Per-cardinality (f, g) of the unplanted increasing pair: values, pairs, (f's pairs as f/1, f/g)."""
+    """The increasing pair by cardinality: f, g and f/g, whose entry n + 1 is the plant's (g = 1)."""
     half = n // 2
     cards = range(n + 1)
     f = tuple(Fraction(c) if c <= half else m * (1 << (c + 1)) + c for c in cards)
     g = tuple(Fraction(2 * c, n) * epsilon if c <= half else Fraction(2 * (c - half)) for c in cards)
-    f_pairs, g_pairs = _pairs(f), _pairs(g)
-    return (f, g), (f_pairs, g_pairs), (f_pairs, _f_over_g(f_pairs, g_pairs))
+    g += (Fraction(1),)
+    return f, g, _f_over_g(f + f[half:half + 1], g)
 
 
 def differs_from_unplanted(S: Subset, inst: DecreasingInstance) -> bool:
@@ -166,32 +161,33 @@ class CountingOracle:
 _BY_CARDINALITY, _BY_GRID, _BY_PLANT = range(3)
 
 
-def _side(inst: Instance, role: str, column: int) -> tuple:
-    """One side of an instance as (rule, table, key); column 0 reads Fractions, 1 their pairs.
+def _side(inst: Instance, role: str) -> tuple:
+    """One side of an instance as (rule, key, values, terms), its two cached tables indexed alike.
 
-    Column 2, read for g only, holds the pair's f/g terms by g's value class.
-    The rule names the value class: |S|; the planted decreasing g's cell
-    |S & out| * (n + 1) + |S| of its grid, key (out, n + 1); or |S| with the
-    increasing plant test, key (plant mask, the entry at g = 1).
+    `values` holds the Fractions the side answers; `terms`, for g only (None
+    for f), the pair's f/g terms.  The rule names the value class: |S|; the
+    planted decreasing g's cell |S & out| * (n + 1) + |S| of its grid, key
+    (out, n + 1); or |S| with the increasing plant test, key (plant mask,
+    n + 1), the plant's entry.
     """
     if role not in ("f", "g"):
         raise ParameterError(f"oracle role must be 'f' or 'g', got {role!r}")
     n = inst.n
     if isinstance(inst, DecreasingInstance):
         if role == "f":
-            table = _dec_tables(inst.alpha, inst.epsilon)[column]
-            return _BY_CARDINALITY, table + table[inst.alpha:] * (n - inst.alpha), None
+            table = _dec_values(inst.alpha, inst.epsilon)
+            return _BY_CARDINALITY, None, table + table[inst.alpha:] * (n - inst.alpha), None
         if inst.plant is None:
             raise MissingPlantError("decreasing g-oracle needs a planted instance")
-        grid = _dec_grid(n, inst.alpha, inst.beta, inst.epsilon)[column]
-        return _BY_GRID, grid, (((1 << n) - 1) & ~inst.plant.mask, n + 1)
+        return (_BY_GRID, (((1 << n) - 1) & ~inst.plant.mask, n + 1),
+                *_dec_grid(n, inst.alpha, inst.beta, inst.epsilon))
     if isinstance(inst, IncreasingInstance):
-        f_table, g_table = _inc_tables(n, inst.m, inst.epsilon)[column]
+        f, g, terms = _inc_tables(n, inst.m, inst.epsilon)
         if role == "f":
-            return _BY_CARDINALITY, f_table, None
+            return _BY_CARDINALITY, None, f, None
         if inst.plant is None:
-            return _BY_CARDINALITY, g_table, None
-        return _BY_PLANT, g_table, (inst.plant.mask, (Fraction(1), (1, 1), f_table[n // 2])[column])
+            return _BY_CARDINALITY, None, g, terms
+        return _BY_PLANT, (inst.plant.mask, n + 1), g, terms
     raise ParameterError(f"unknown instance type: {type(inst).__name__}")
 
 
@@ -202,7 +198,7 @@ def instance_evaluator(inst: Instance, role: str) -> Callable[[Subset], Fraction
     size compare, a bit_count and a tuple lookup, never Fraction arithmetic.
     A subset of another ground size raises ParameterError.
     """
-    rule, table, key = _side(inst, role, 0)
+    rule, key, table, _ = _side(inst, role)
     n = inst.n
     if rule == _BY_CARDINALITY:
         def by_cardinality(S, _t=table, _n=n):
@@ -220,32 +216,33 @@ def instance_evaluator(inst: Instance, role: str) -> Callable[[Subset], Fraction
 
         return by_grid
 
-    def by_plant(S, _t=table, _p=key[0], _one=key[1], _n=n):
+    def by_plant(S, _t=table, _p=key[0], _i=key[1], _n=n):
         if S.n != _n:
             raise _ground_error(S.n, _n)
-        return _one if S.mask == _p else _t[S.mask.bit_count()]
+        return _t[_i] if S.mask == _p else _t[S.mask.bit_count()]
 
     return by_plant
 
 
-def pair_lookup(inst: Instance, role: str) -> Callable[[int], tuple[int, int]]:
-    """Mask -> (numerator, denominator) of one side's value, uncounted and unchecked.
+def value_lookup(inst: Instance, role: str) -> Callable[[int], Fraction]:
+    """Mask -> one side's value, uncounted and unchecked.
 
-    The mask-native twin of `instance_evaluator`, over the pairs of the same
-    cached table: equal values are the very same tuple.  The caller vouches
-    for the mask's ground size.
+    The mask-native twin of `instance_evaluator`: it returns the very object
+    that `instance_evaluator` returns at that set, so equal values from one
+    cached table are one object.  The caller vouches for the mask's ground size.
     """
-    return _lookup(*_side(inst, role, 1))
+    rule, key, values, _ = _side(inst, role)
+    return _lookup(rule, key, values)
 
 
-def _lookup(rule: int, table: tuple, key) -> Callable[[int], object]:
+def _lookup(rule: int, key, table: tuple) -> Callable[[int], object]:
     """Mask -> the table entry of the mask's value class, under `_side`'s rule and key."""
     if rule == _BY_CARDINALITY:
         return lambda mask, _t=table: _t[mask.bit_count()]
     if rule == _BY_GRID:
         return lambda mask, _t=table, _o=key[0], _w=key[1]: _t[
             (mask & _o).bit_count() * _w + mask.bit_count()]
-    return lambda mask, _t=table, _p=key[0], _one=key[1]: _one if mask == _p else _t[mask.bit_count()]
+    return lambda mask, _t=table, _p=key[0], _i=key[1]: _t[_i] if mask == _p else _t[mask.bit_count()]
 
 
 def make_oracles(
@@ -258,7 +255,8 @@ def make_oracles(
     """
     f_oracle = CountingOracle.for_instance(inst, "f")
     g_oracle = CountingOracle.for_instance(inst, "g", transcript)
-    g_oracle._terms = (f_oracle, inst.n, _lookup(*_side(inst, "g", 2)))
+    rule, key, _, terms = _side(inst, "g")
+    g_oracle._terms = (f_oracle, inst.n, _lookup(rule, key, terms))
     return f_oracle, g_oracle
 
 

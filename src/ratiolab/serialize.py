@@ -18,8 +18,14 @@ from .errors import ParameterError
 APPROX_DIGITS = 20
 
 
+def _exact(value: Fraction | int) -> Fraction:
+    if isinstance(value, (float, bool)):
+        raise ParameterError(f"a wire-form value must be int or Fraction, got {type(value).__name__}")
+    return Fraction(value)
+
+
 def frac_to_str(value: Fraction | int) -> str:
-    f = Fraction(value)
+    f = _exact(value)
     return f"{f.numerator}/{f.denominator}"
 
 
@@ -32,7 +38,7 @@ def frac_from_str(text: str) -> Fraction:
 
 def approx_str(value: Fraction | int) -> str:
     """Decimal approximation with 20 significant digits."""
-    f = Fraction(value)
+    f = _exact(value)
     with localcontext() as ctx:
         ctx.prec = APPROX_DIGITS
         return str(Decimal(f.numerator) / Decimal(f.denominator))

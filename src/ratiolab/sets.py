@@ -24,6 +24,12 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def check_count(value, least: int, what: str) -> None:
+    """Refuse a count argument that is not an int >= least."""
+    if not is_int(value) or value < least:
+        raise ParameterError(f"{what} must be an int >= {least}, got {value!r}")
+
+
 def validate_ground_size(n: int) -> None:
     if not is_int(n):
         raise ParameterError(f"ground size must be an integer, got {n!r}")

@@ -23,7 +23,7 @@ from .errors import ParameterError
 from .serialize import frac_to_str
 # Not called here; kept as verify attributes that perfbench/tracing.py rebinds.
 from .serialize import frac_from_str, render_csv  # noqa: F401
-from .sets import Subset, check_guard, is_int, unchecked_subset
+from .sets import Subset, check_count, check_guard, unchecked_subset
 
 DEFAULT_VIOLATION_CAP = 100
 _EXACT_VALUES_ONLY = "oracle values must be int or Fraction"
@@ -41,11 +41,6 @@ class ViolationRecord(NamedTuple):
     j: int
     lhs_margin: Fraction
     rhs_margin: Fraction
-
-
-def _validate_cap(cap) -> None:
-    if not is_int(cap) or cap < 1:
-        raise ParameterError(f"violation cap must be a positive int, got {cap!r}")
 
 
 def _tabulate(oracle, n: int, repeats) -> tuple[list, list[int]]:
@@ -88,7 +83,7 @@ def check_supermodular(oracle, n: int, cap: int = DEFAULT_VIOLATION_CAP) -> list
     until `cap` records have been collected.
     """
     check_guard(n, "supermodularity check")
-    _validate_cap(cap)
+    check_count(cap, 1, "violation cap")
     values, table = _tabulate(oracle, n, [c * c for c in range(n + 1)])
     bits = [1 << i for i in range(n)]
     violations: list[ViolationRecord] = []
@@ -128,7 +123,7 @@ def check_monotone(
     check_guard(n, "monotonicity check")
     if direction not in ("nondecreasing", "nonincreasing"):
         raise ParameterError(f"direction must be nondecreasing or nonincreasing, got {direction!r}")
-    _validate_cap(cap)
+    check_count(cap, 1, "violation cap")
     values, table = _tabulate(oracle, n, range(n + 1))
     if direction == "nonincreasing":
         table = [-t for t in table]
@@ -146,7 +141,7 @@ def check_monotone(
 def check_nonnegative(oracle, n: int, cap: int = DEFAULT_VIOLATION_CAP) -> list[tuple[Subset, Fraction]]:
     """Subsets with negative value, up to `cap`.  Empty list means all >= 0."""
     check_guard(n, "non-negativity check")
-    _validate_cap(cap)
+    check_count(cap, 1, "violation cap")
     violations: list[tuple[Subset, Fraction]] = []
     for mask in range(1 << n):
         value = oracle(unchecked_subset(mask, n))

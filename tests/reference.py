@@ -3,12 +3,14 @@
 Each of these cross-checks a fast path of the package from the outside:
 Monte Carlo and the plain binomial sum against the exact distinguishing
 probability, the all-pairs lattice inequality against the pairwise-marginal
-supermodularity scan, an explicit value table as a third-party set function,
-and the write side of the instance descriptor and violation CSV forms.
+supermodularity scan, a one-block-at-a-time stream reader against the
+seeded stream, an explicit value table as a third-party set function, and
+the write side of the instance descriptor and violation CSV forms.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -91,6 +93,49 @@ def all_pairs_supermodular(fn, n: int) -> bool:
             if vs + table[t] > table[s | t] + table[s & t]:
                 return False
     return True
+
+
+class ReferenceStream:
+    """The seeded stream as the sampling module docstring states it, read slowly.
+
+    It hashes one SHA-256 block at a time into a string of unread bits, reads
+    one word per draw and rejects a word by comparing it with its bound.
+    """
+
+    def __init__(self, seed: int, *labels) -> None:
+        self.key = b"ratiolab|" + "|".join(str(part) for part in (seed, *labels)).encode()
+        self.unread = ""
+        self.block = 0
+
+    def getbits(self, k: int) -> int:
+        while len(self.unread) < k:
+            digest = hashlib.sha256(self.key + self.block.to_bytes(8, "big")).digest()
+            self.unread += format(int.from_bytes(digest, "big"), "0256b")
+            self.block += 1
+        word, self.unread = self.unread[:k], self.unread[k:]
+        return int(word, 2) if word else 0
+
+    def randbelow(self, bound: int) -> int:
+        while True:
+            word = self.getbits(bound.bit_length())
+            if word < bound:
+                return word
+
+    def nonempty_mask(self, n: int) -> int:
+        return 1 + self.randbelow((1 << n) - 1)
+
+    def sample_mask(self, n: int, k: int) -> int:
+        order = list(range(n))
+        mask = 0
+        for i in range(k):
+            j = i + self.randbelow(n - i)
+            order[i], order[j] = order[j], order[i]
+            mask |= 1 << order[i]
+        return mask
+
+
+def reference_derive_seed(master: int, *labels) -> int:
+    return ReferenceStream(master, *labels).getbits(63)
 
 
 class FunctionTable:

@@ -1,6 +1,7 @@
 """The package's public surface: every exported name exists, once; no dead imports."""
 
 import ast
+import sys
 from pathlib import Path
 
 import ratiolab
@@ -54,3 +55,19 @@ def test_every_unread_sibling_import_is_a_tracing_binding():
         for name in _unreferenced_sibling_imports(path)
     }
     assert unread - traced == set()
+
+
+def test_src_imports_only_the_standard_library():
+    # The package has no runtime dependency beyond the standard library.
+    outside = set()
+    for path in sorted((ROOT / "src" / "ratiolab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside |= {(path.name, name) for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names}
+    assert outside == set()

@@ -179,6 +179,16 @@ def test_solve_flag_validation(capsys):
     assert code == 2  # beta + 1 <= alpha violated
 
 
+def test_solve_rejects_a_repeated_plant_element(capsys):
+    # 0,0,1 names three elements; collapsed to {0, 1} it would pass as alpha = 2
+    code, out, err = run_cli(
+        capsys, "solve", "--family", "decreasing", "--n", "5", "--alpha", "2",
+        "--beta", "1", "--plant", "0,0,1",
+    )
+    assert code == 2 and out == ""
+    assert "repeats an element" in err
+
+
 def test_solve_missing_plant_for_decreasing_g(capsys):
     code, _, err = run_cli(
         capsys, "solve", "--family", "decreasing", "--n", "8", "--alpha", "3", "--beta", "1",

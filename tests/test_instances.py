@@ -254,6 +254,7 @@ def test_descriptor_rejects_malformed():
         {"plant": [0, "1"]},
         {"plant": {"seed": True}},  # not the plant of seed 1 or of the label "True"
         {"plant": [True, False, 2]},  # not {0, 1, 2}
+        {"plant": [0, 0, 1, 2]},  # not {0, 1, 2}, which has cardinality alpha = 3
         {"plant": "012"},
     ):
         bad = {**base, **mutate}

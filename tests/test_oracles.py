@@ -23,10 +23,10 @@ from ratiolab.oracles import (
     differs_from_unplanted,
     instance_evaluator,
     make_oracles,
-    pair_lookup,
     query_terms,
     ratio,
     ratio_terms,
+    value_lookup,
 )
 from ratiolab.optimize import brute_force_min_ratio, local_search, random_search
 from ratiolab.sampling import SeededStream, random_k_subset
@@ -283,33 +283,32 @@ GAME_SCALE = [DecreasingInstance(100, 10, 5, Fraction(1, 100), plant=random_k_su
 
 @pytest.mark.parametrize("inst", GAME_SCALE, ids=lambda i: f"n{i.n}-a{i.alpha}-b{i.beta}")
 def test_decreasing_grid_at_game_scale(inst):
-    # Every cell of the grid, values and pairs, is alpha + eps - min(beta + x,
-    # alpha, c), and equal cells are one object.  Each reachable cell is what
-    # the g lookups return at a set with c - x plant elements and x others;
-    # f's lookups return the grid's last row.
+    # Every cell of the grid is alpha + eps - min(beta + x, alpha, c), and
+    # equal cells are one object.  Each reachable cell is what the g lookups
+    # return at a set with c - x plant elements and x others; f's lookups
+    # return the grid's last row.
     n, alpha, beta = inst.n, inst.alpha, inst.beta
-    values, pairs, _ = oracles._dec_grid(n, alpha, beta, inst.epsilon)
-    assert len(values) == len(pairs) == (n + 1) ** 2
+    values, _ = oracles._dec_grid(n, alpha, beta, inst.epsilon)
+    assert len(values) == (n + 1) ** 2
     expected = [alpha + inst.epsilon - t for t in range(alpha + 1)]
     held = {}
     for x in range(n + 1):
         for c in range(n + 1):
             term = min(beta + x, alpha, c)
-            value, pair = values[x * (n + 1) + c], pairs[x * (n + 1) + c]
-            assert value == expected[term] and pair == (value.numerator, value.denominator), (x, c)
-            first_value, first_pair = held.setdefault(term, (value, pair))
-            assert value is first_value and pair is first_pair, (x, c)
+            value = values[x * (n + 1) + c]
+            assert value == expected[term], (x, c)
+            assert value is held.setdefault(term, value), (x, c)
     inside = [i for i in range(n) if inst.plant.mask >> i & 1]
     outside = [i for i in range(n) if not inst.plant.mask >> i & 1]
     f, g = instance_evaluator(inst, "f"), instance_evaluator(inst, "g")
-    f_pair, g_pair = pair_lookup(inst, "f"), pair_lookup(inst, "g")
+    f_value, g_value = value_lookup(inst, "f"), value_lookup(inst, "g")
     for x in range(len(outside) + 1):
         for a in range(alpha + 1):
             mask = sum(1 << i for i in inside[:a] + outside[:x])
             cell = x * (n + 1) + a + x
-            assert g_pair(mask) is pairs[cell] and g(unchecked_subset(mask, n)) is values[cell], (x, a)
+            assert g_value(mask) is values[cell] and g(unchecked_subset(mask, n)) is values[cell], (x, a)
             last = n * (n + 1) + a + x
-            assert f_pair(mask) is pairs[last] and f(unchecked_subset(mask, n)) is values[last], (x, a)
+            assert f_value(mask) is values[last] and f(unchecked_subset(mask, n)) is values[last], (x, a)
 
 
 def test_difference_criterion_agrees_with_the_grid_at_n_100():
@@ -454,7 +453,7 @@ def test_query_terms_matches_ratio_terms_on_every_mask(n, kind, order):
         assert fast_t.entries == slow_t.entries
         for role, evaluate in values.items():
             value = evaluate(Subset(mask, n))
-            assert pair_lookup(inst, role)(mask) == (value.numerator, value.denominator)
+            assert value_lookup(inst, role)(mask) is value
     assert fast_t.entries == list(range(1 << n))
     if kind == "increasing-unplanted":
         assert _outcome(lambda: query_terms(0, n, *make_oracles(inst)))[0] is UndefinedRatioError
@@ -499,24 +498,25 @@ def _table_lookup(inst):
     return make_oracles(inst)[1]._terms[2]
 
 
-def _expected_term(f_pair, g_pair):
-    (f_num, f_den), (g_num, g_den) = f_pair, g_pair
-    return (f_num * g_den, f_den * g_num) if g_num else None
+def _expected_term(f_value, g_value):
+    if not g_value:
+        return None
+    return (f_value.numerator * g_value.denominator, f_value.denominator * g_value.numerator)
 
 
 @pytest.mark.parametrize("inst", GAME_SCALE, ids=lambda i: f"n{i.n}-a{i.alpha}-b{i.beta}")
 def test_decreasing_ratio_table_at_game_scale(inst):
-    # Every cell (x, c) of the f/g column is f at |S| = c over the grid's g
-    # pair, and equal terms are one object.  Each reachable cell is what the
+    # Every cell (x, c) of the f/g table is f at |S| = c over the grid's g
+    # value, and equal terms are one object.  Each reachable cell is what the
     # pair's lookup returns at a set with c - x plant elements and x others,
-    # and there it agrees with pair_lookup.
+    # and there it agrees with value_lookup.
     n = inst.n
-    _, pairs, terms = oracles._dec_grid(n, inst.alpha, inst.beta, inst.epsilon)
+    values, terms = oracles._dec_grid(n, inst.alpha, inst.beta, inst.epsilon)
     assert len(terms) == (n + 1) ** 2
-    f_pair, g_pair = pair_lookup(inst, "f"), pair_lookup(inst, "g")
+    f_value, g_value = value_lookup(inst, "f"), value_lookup(inst, "g")
     held = {}
     for cell, term in enumerate(terms):
-        assert term == _expected_term(f_pair((1 << cell % (n + 1)) - 1), pairs[cell]), cell
+        assert term == _expected_term(f_value((1 << cell % (n + 1)) - 1), values[cell]), cell
         assert held.setdefault(term, term) is term, cell
     lookup = _table_lookup(inst)
     inside = [i for i in range(n) if inst.plant.mask >> i & 1]
@@ -525,23 +525,23 @@ def test_decreasing_ratio_table_at_game_scale(inst):
         for a in range(inst.alpha + 1):
             mask = sum(1 << i for i in inside[:a] + outside[:x])
             assert lookup(mask) is terms[x * (n + 1) + a + x], (x, a)
-            assert lookup(mask) == _expected_term(f_pair(mask), g_pair(mask)), (x, a)
+            assert lookup(mask) == _expected_term(f_value(mask), g_value(mask)), (x, a)
 
 
 @pytest.mark.parametrize("m, epsilon", [(Fraction(100), Fraction(1, 4)), (Fraction(7, 3), Fraction(15, 16))])
 def test_increasing_ratio_table_at_game_scale(m, epsilon):
     # At every cardinality and at the plant, planted and unplanted, the
-    # lookup is f/g of pair_lookup as (f_num * g_den, f_den * g_num), None
+    # lookup is f/g of value_lookup as (f_num * g_den, f_den * g_num), None
     # where g = 0; equal terms are one object.
     n = 30
     plant = random_k_subset(n, n // 2, 30)
     assert plant.mask != (1 << n // 2) - 1
     held = {}
     for inst in (IncreasingInstance(n, m, epsilon, plant=plant), IncreasingInstance(n, m, epsilon)):
-        lookup, f_pair, g_pair = _table_lookup(inst), pair_lookup(inst, "f"), pair_lookup(inst, "g")
+        lookup, f_value, g_value = _table_lookup(inst), value_lookup(inst, "f"), value_lookup(inst, "g")
         for mask in [(1 << c) - 1 for c in range(n + 1)] + [plant.mask]:
             term = lookup(mask)
-            assert term == _expected_term(f_pair(mask), g_pair(mask)), (inst.plant, mask)
+            assert term == _expected_term(f_value(mask), g_value(mask)), (inst.plant, mask)
             assert held.setdefault(term, term) is term, (inst.plant, mask)
         assert lookup(0) is None
     assert _table_lookup(IncreasingInstance(n, m, epsilon, plant=plant))(plant.mask) == (n // 2, 1)

@@ -5,6 +5,8 @@ from collections import Counter
 
 import pytest
 
+from reference import ReferenceStream, reference_derive_seed
+
 from ratiolab.errors import ParameterError
 from ratiolab.sampling import SeededStream, derive_seed, random_k_subset
 from ratiolab.sets import Subset
@@ -199,6 +201,37 @@ def test_count_arguments_are_ints(call):
     with pytest.raises(ParameterError):
         call(stream)
     assert stream.getbits(256) == SeededStream(15, "counts").getbits(256)
+
+
+def test_stream_matches_the_reference_reader():
+    # Every draw on one interleaved stream against the slow reader written
+    # from the module docstring; after each kind of draw the next 300 bits
+    # agree, so both readers stand at the same position.
+    fast, slow = SeededStream(16, "reference"), ReferenceStream(16, "reference")
+
+    def same_position():
+        assert fast.getbits(300) == slow.getbits(300)
+
+    for k in (0, 1, 63, 256, 1000, 5000):
+        assert fast.getbits(k) == slow.getbits(k), k
+    same_position()
+    # just above a power of two, nearly half of all words are rejected
+    for bound in (2, 3, 5, 9, 17, 257, (1 << 64) + 1, (1 << 200) + 1):
+        assert [fast.randbelow(bound) for _ in range(30)] == [slow.randbelow(bound) for _ in range(30)], bound
+        same_position()
+    for n, k in ((1, 0), (1, 1), (10, 3), (30, 15), (100, 10), (128, 128)):
+        assert fast.sample_mask(n, k) == slow.sample_mask(n, k), (n, k)
+        same_position()
+    for n in (1, 2, 30, 100, 128):
+        assert [fast.nonempty_mask(n) for _ in range(5)] == [slow.nonempty_mask(n) for _ in range(5)], n
+        same_position()
+    for n, count, taken in ((1, 60, 60), (30, 3000, 3000), (100, 1000, 37), (128, 40, 0), (7, 9, 8)):
+        draws = fast.nonempty_masks(n, count)
+        assert [next(draws) for _ in range(taken)] == [slow.nonempty_mask(n) for _ in range(taken)], n
+        draws.close()
+        same_position()
+    for labels in ((), ("trial", 0), ("trial", 1, "alg")):
+        assert derive_seed(16, *labels) == reference_derive_seed(16, *labels), labels
 
 
 def test_derive_seed_deterministic_and_bounded():

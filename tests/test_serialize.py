@@ -30,6 +30,15 @@ def test_frac_from_str_rejects_garbage():
             frac_from_str(bad)
 
 
+@pytest.mark.parametrize("value", [0.1, 0.5, True, False])
+def test_wire_forms_reject_floats_and_bools(value):
+    # 0.1 would be written as its binary expansion and True as "1/1"
+    with pytest.raises(ParameterError):
+        frac_to_str(value)
+    with pytest.raises(ParameterError):
+        approx_str(value)
+
+
 def test_approx_str_twenty_significant_digits():
     assert approx_str(Fraction(1, 3)) == "0.33333333333333333333"
     assert approx_str(Fraction(1, 2)) == "0.5"
