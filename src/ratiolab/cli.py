@@ -17,7 +17,6 @@ from . import __version__
 from .errors import EnumerationGuardError, ParameterError, RatioLabError
 from .game import (
     GAME_CSV_COLUMNS,
-    distinguish_probability,
     game_report_row,
     run_game_decreasing,
     run_game_increasing,
@@ -27,6 +26,7 @@ from .game import (
 from .instances import derive_decreasing_params, instance_from_descriptor
 from .optimize import OPT_CSV_COLUMNS, SEARCHES, make_algorithm, opt_result_row
 # Not called here; kept as cli attributes that perfbench/tracing.py rebinds.
+from .game import distinguish_probability  # noqa: F401
 from .optimize import brute_force_min_ratio, local_search, random_search  # noqa: F401
 from .oracles import CountingOracle, make_oracles
 from .serialize import approx_str, frac_from_str, frac_to_str, write_csv, write_json
@@ -225,11 +225,7 @@ def cmd_game(args) -> int:
 
 def cmd_prob(args) -> int:
     cardinalities = _parse_int_list(args.s, "--s")
-    if len(cardinalities) == 1:
-        value = distinguish_probability(args.n, args.alpha, args.beta, cardinalities[0])
-    else:
-        value = union_bound(cardinalities, args.n, args.alpha, args.beta)
-    print(frac_to_str(value))
+    print(frac_to_str(union_bound(cardinalities, args.n, args.alpha, args.beta)))
     return 0
 
 

@@ -12,7 +12,8 @@ instance keeps two cached tables, indexed alike by the side's value class:
 its values, the Fractions `instance_evaluator` and `value_lookup` return,
 and for g the (p, q) of f/g, read off those values once at build time.
 The g handle of a `make_oracles` pair reads the second, so a search query
-on that pair is one lookup, with no Subset and no Fraction.
+on that pair is one lookup, with no Subset and no Fraction.  The planted
+decreasing g's grid has a row per |S minus R|; f reads its last row.
 
 In both families f is the same function in every world and the plant
 lives only in g, so the sets at which g was evaluated are all an algorithm
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from typing import Callable
 
 from .errors import MissingPlantError, ParameterError, UndefinedRatioError
@@ -37,35 +37,27 @@ def _ground_error(size: int, n: int) -> ParameterError:
     return ParameterError(f"subset ground size {size} differs from instance n {n}")
 
 
-def _f_over_g(f_values, g_values) -> tuple:
-    """Cellwise f/g as unreduced (p, q), q > 0 as g >= 0, or None where g = 0; equal terms are one object."""
+def _f_over_g(f_row: tuple, g_rows) -> list[tuple]:
+    """Per g row, cellwise f/g as unreduced (p, q), q > 0 as g >= 0, or None where g = 0; equal terms are one object."""
     held: dict = {}
-    cells = (None if not g.numerator else (f.numerator * g.denominator, f.denominator * g.numerator)
-             for f, g in zip(f_values, g_values))
-    return tuple(held.setdefault(term, term) for term in cells)
-
-
-@lru_cache(maxsize=None)
-def _dec_values(alpha: int, epsilon: Fraction) -> tuple:
-    """alpha + epsilon - t for t = 0..alpha, by subtracted term."""
-    return tuple(alpha + epsilon - t for t in range(alpha + 1))
+    rows = [[None if not g.numerator else (f.numerator * g.denominator, f.denominator * g.numerator)
+             for f, g in zip(f_row, g_row)] for g_row in g_rows]
+    return [tuple(held.setdefault(term, term) for term in row) for row in rows]
 
 
 @lru_cache(maxsize=None)
 def _dec_grid(n: int, alpha: int, beta: int, epsilon: Fraction) -> tuple[tuple, tuple]:
-    """The planted decreasing g on one flat (|S minus R|, |S|) grid: its values and f/g.
+    """The planted decreasing g as n + 1 rows by x = |S minus R|, each indexed by |S|: its values and f/g.
 
-    Cell x * (n + 1) + c holds alpha + epsilon - min(beta + x, alpha, c): row x is the
-    term table sliced at k = min(beta + x, alpha), so equal values are one object.
-    The last row is f, so f/g pairs each cell with that row's cell of its column;
-    the rows from x = alpha - beta on all equal f's, so f/g is built up to the first.
+    Row x holds alpha + epsilon - min(beta + x, alpha, c) at c = |S|, sliced from one
+    term table, so equal values are one object.  Every row from x = alpha - beta on is
+    one shared tuple, f's own row, and so is its f/g row.
     """
-    ks = [min(beta + x, alpha) for x in range(n + 1)]
-    table = _dec_values(alpha, epsilon)
-    values = tuple(chain.from_iterable(table[:k] + table[k:k + 1] * (n + 1 - k) for k in ks))
-    head = alpha - beta + 1
-    terms = _f_over_g(values[n * (n + 1):] * head, values[:head * (n + 1)])
-    return values, tuple(chain(terms, *[terms[-(n + 1):]] * (n + 1 - head)))
+    table = tuple(alpha + epsilon - t for t in range(alpha + 1))
+    rows = [table[:k] + table[k:k + 1] * (n + 1 - k) for k in range(beta, alpha + 1)]
+    terms = _f_over_g(rows[-1], rows)
+    tail = n + 1 - len(rows)
+    return tuple(rows + rows[-1:] * tail), tuple(terms + terms[-1:] * tail)
 
 
 @lru_cache(maxsize=None)
@@ -76,7 +68,7 @@ def _inc_tables(n: int, m: Fraction, epsilon: Fraction) -> tuple[tuple, tuple, t
     f = tuple(Fraction(c) if c <= half else m * (1 << (c + 1)) + c for c in cards)
     g = tuple(Fraction(2 * c, n) * epsilon if c <= half else Fraction(2 * (c - half)) for c in cards)
     g += (Fraction(1),)
-    return f, g, _f_over_g(f + f[half:half + 1], g)
+    return f, g, _f_over_g(f + f[half:half + 1], [g])[0]
 
 
 def differs_from_unplanted(S: Subset, inst: DecreasingInstance) -> bool:
@@ -166,21 +158,20 @@ def _side(inst: Instance, role: str) -> tuple:
 
     `values` holds the Fractions the side answers; `terms`, for g only (None
     for f), the pair's f/g terms.  The rule names the value class: |S|; the
-    planted decreasing g's cell |S & out| * (n + 1) + |S| of its grid, key
-    (out, n + 1); or |S| with the increasing plant test, key (plant mask,
-    n + 1), the plant's entry.
+    planted decreasing g's cell [|S & out|][|S|] of its grid rows, key out; or
+    |S| with the increasing plant test, key (plant mask, n + 1), the plant's
+    entry.  Decreasing f is the grid's last row.
     """
     if role not in ("f", "g"):
         raise ParameterError(f"oracle role must be 'f' or 'g', got {role!r}")
     n = inst.n
     if isinstance(inst, DecreasingInstance):
+        values, terms = _dec_grid(n, inst.alpha, inst.beta, inst.epsilon)
         if role == "f":
-            table = _dec_values(inst.alpha, inst.epsilon)
-            return _BY_CARDINALITY, None, table + table[inst.alpha:] * (n - inst.alpha), None
+            return _BY_CARDINALITY, None, values[-1], None
         if inst.plant is None:
             raise MissingPlantError("decreasing g-oracle needs a planted instance")
-        return (_BY_GRID, (((1 << n) - 1) & ~inst.plant.mask, n + 1),
-                *_dec_grid(n, inst.alpha, inst.beta, inst.epsilon))
+        return _BY_GRID, ((1 << n) - 1) & ~inst.plant.mask, values, terms
     if isinstance(inst, IncreasingInstance):
         f, g, terms = _inc_tables(n, inst.m, inst.epsilon)
         if role == "f":
@@ -195,8 +186,8 @@ def instance_evaluator(inst: Instance, role: str) -> Callable[[Subset], Fraction
     """The bare evaluation closure for one side of an instance, uncounted.
 
     The closures index the family's value table, so a query costs a ground
-    size compare, a bit_count and a tuple lookup, never Fraction arithmetic.
-    A subset of another ground size raises ParameterError.
+    size compare and a bit_count and tuple index per axis, never Fraction
+    arithmetic.  A subset of another ground size raises ParameterError.
     """
     rule, key, table, _ = _side(inst, role)
     n = inst.n
@@ -208,11 +199,11 @@ def instance_evaluator(inst: Instance, role: str) -> Callable[[Subset], Fraction
 
         return by_cardinality
     if rule == _BY_GRID:
-        def by_grid(S, _t=table, _o=key[0], _w=key[1], _n=n):
+        def by_grid(S, _t=table, _o=key, _n=n):
             if S.n != _n:
                 raise _ground_error(S.n, _n)
             mask = S.mask
-            return _t[(mask & _o).bit_count() * _w + mask.bit_count()]
+            return _t[(mask & _o).bit_count()][mask.bit_count()]
 
         return by_grid
 
@@ -240,8 +231,7 @@ def _lookup(rule: int, key, table: tuple) -> Callable[[int], object]:
     if rule == _BY_CARDINALITY:
         return lambda mask, _t=table: _t[mask.bit_count()]
     if rule == _BY_GRID:
-        return lambda mask, _t=table, _o=key[0], _w=key[1]: _t[
-            (mask & _o).bit_count() * _w + mask.bit_count()]
+        return lambda mask, _t=table, _o=key: _t[(mask & _o).bit_count()][mask.bit_count()]
     return lambda mask, _t=table, _p=key[0], _i=key[1]: _t[_i] if mask == _p else _t[mask.bit_count()]
 
 

@@ -21,7 +21,7 @@ plant and algorithm draw from seeds derived from that with the labels
 "plant" and "alg".  The scheme is stable across platforms and Python
 versions.  Every draw reads through one generator, which refills several
 blocks at a time and never more than its remaining words must read.  Every
-count argument is an int, checked by `check_count`.
+count argument is an int, checked by `check_count`, and so is every seed.
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ class SeededStream:
     """
 
     def __init__(self, seed: int, *labels) -> None:
+        if not is_int(seed):
+            raise ParameterError(f"a seed must be an int, got {seed!r}")
         key = "|".join(str(part) for part in (seed, *labels))
         self._key = _PREFIX + key.encode()
         self._counter = 0

@@ -30,6 +30,8 @@ def frac_to_str(value: Fraction | int) -> str:
 
 
 def frac_from_str(text: str) -> Fraction:
+    if not isinstance(text, str):
+        raise ParameterError(f"a wire-form rational must be a string, got {type(text).__name__}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

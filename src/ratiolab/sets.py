@@ -55,6 +55,8 @@ class Subset:
 
     def __post_init__(self) -> None:
         validate_ground_size(self.n)
+        if not is_int(self.mask):
+            raise ParameterError(f"a subset mask must be an int, got {self.mask!r}")
         if not 0 <= self.mask < (1 << self.n):
             raise ParameterError(
                 f"mask {self.mask:#x} has bits outside the ground set of size {self.n}"
@@ -72,6 +74,8 @@ class Subset:
     def from_elements(cls, elements, n: int) -> Subset:
         mask = 0
         for e in elements:
+            if not is_int(e):
+                raise ParameterError(f"a subset element must be an int, got {e!r}")
             if not 0 <= e < n:
                 raise ParameterError(f"element {e} outside ground set of size {n}")
             mask |= 1 << e

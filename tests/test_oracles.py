@@ -289,13 +289,13 @@ def test_decreasing_grid_at_game_scale(inst):
     # return the grid's last row.
     n, alpha, beta = inst.n, inst.alpha, inst.beta
     values, _ = oracles._dec_grid(n, alpha, beta, inst.epsilon)
-    assert len(values) == (n + 1) ** 2
+    assert len(values) == n + 1 and all(len(row) == n + 1 for row in values)
     expected = [alpha + inst.epsilon - t for t in range(alpha + 1)]
     held = {}
     for x in range(n + 1):
         for c in range(n + 1):
             term = min(beta + x, alpha, c)
-            value = values[x * (n + 1) + c]
+            value = values[x][c]
             assert value == expected[term], (x, c)
             assert value is held.setdefault(term, value), (x, c)
     inside = [i for i in range(n) if inst.plant.mask >> i & 1]
@@ -305,10 +305,28 @@ def test_decreasing_grid_at_game_scale(inst):
     for x in range(len(outside) + 1):
         for a in range(alpha + 1):
             mask = sum(1 << i for i in inside[:a] + outside[:x])
-            cell = x * (n + 1) + a + x
-            assert g_value(mask) is values[cell] and g(unchecked_subset(mask, n)) is values[cell], (x, a)
-            last = n * (n + 1) + a + x
-            assert f_value(mask) is values[last] and f(unchecked_subset(mask, n)) is values[last], (x, a)
+            cell = values[x][a + x]
+            assert g_value(mask) is cell and g(unchecked_subset(mask, n)) is cell, (x, a)
+            last = values[n][a + x]
+            assert f_value(mask) is last and f(unchecked_subset(mask, n)) is last, (x, a)
+
+
+@pytest.mark.parametrize("inst", GAME_SCALE, ids=lambda i: f"n{i.n}-a{i.alpha}-b{i.beta}")
+def test_decreasing_grid_rows_are_shared(inst):
+    # Row x = |S minus R| depends on x only through min(beta + x, alpha), so the
+    # grid holds at most alpha - beta + 1 distinct rows, and every row from
+    # x = alpha - beta on is the one tuple that f's side reads.
+    n, head = inst.n, inst.alpha - inst.beta
+    values, terms = oracles._dec_grid(n, inst.alpha, inst.beta, inst.epsilon)
+    f_row = oracles._side(inst, "f")[2]
+    assert len(values) == n + 1 and len(terms) == n + 1
+    for rows in (values, terms):
+        assert len({id(row) for row in rows}) <= head + 1
+        assert all(row is rows[-1] for row in rows[head:])
+    assert values[-1] is f_row
+    f_value = value_lookup(inst, "f")
+    for c in range(n + 1):
+        assert f_value((1 << c) - 1) is values[-1][c], c
 
 
 def test_difference_criterion_agrees_with_the_grid_at_n_100():
@@ -512,19 +530,20 @@ def test_decreasing_ratio_table_at_game_scale(inst):
     # and there it agrees with value_lookup.
     n = inst.n
     values, terms = oracles._dec_grid(n, inst.alpha, inst.beta, inst.epsilon)
-    assert len(terms) == (n + 1) ** 2
+    assert len(terms) == n + 1 and all(len(row) == n + 1 for row in terms)
     f_value, g_value = value_lookup(inst, "f"), value_lookup(inst, "g")
     held = {}
-    for cell, term in enumerate(terms):
-        assert term == _expected_term(f_value((1 << cell % (n + 1)) - 1), values[cell]), cell
-        assert held.setdefault(term, term) is term, cell
+    for x, row in enumerate(terms):
+        for c, term in enumerate(row):
+            assert term == _expected_term(f_value((1 << c) - 1), values[x][c]), (x, c)
+            assert held.setdefault(term, term) is term, (x, c)
     lookup = _table_lookup(inst)
     inside = [i for i in range(n) if inst.plant.mask >> i & 1]
     outside = [i for i in range(n) if not inst.plant.mask >> i & 1]
     for x in range(len(outside) + 1):
         for a in range(inst.alpha + 1):
             mask = sum(1 << i for i in inside[:a] + outside[:x])
-            assert lookup(mask) is terms[x * (n + 1) + a + x], (x, a)
+            assert lookup(mask) is terms[x][a + x], (x, a)
             assert lookup(mask) == _expected_term(f_value(mask), g_value(mask)), (x, a)
 
 

@@ -2,12 +2,17 @@
 
 import hashlib
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from reference import ReferenceStream, reference_derive_seed
 
 from ratiolab.errors import ParameterError
+from ratiolab.game import run_game_decreasing
+from ratiolab.instances import DecreasingInstance
+from ratiolab.optimize import local_search, make_algorithm, random_search
+from ratiolab.oracles import make_oracles
 from ratiolab.sampling import SeededStream, derive_seed, random_k_subset
 from ratiolab.sets import Subset
 
@@ -201,6 +206,25 @@ def test_count_arguments_are_ints(call):
     with pytest.raises(ParameterError):
         call(stream)
     assert stream.getbits(256) == SeededStream(15, "counts").getbits(256)
+
+
+@pytest.mark.parametrize("seed", [True, 1.0, "1", None])
+def test_seeds_are_ints(seed):
+    # True and 1.0 equal the seed 1 but would key another stream; every draw
+    # goes through the stream, so each seeded entry point refuses them.
+    inst = DecreasingInstance(6, 3, 1, Fraction(1, 2))
+    calls = [
+        lambda: SeededStream(seed, "seeds"),
+        lambda: derive_seed(seed),
+        lambda: random_k_subset(8, 3, seed),
+        lambda: random_search(*make_oracles(inst.with_plant(Subset(7, 6))), 6, 5, seed),
+        lambda: local_search(*make_oracles(inst.with_plant(Subset(7, 6))), 6, 5, seed),
+        lambda: run_game_decreasing(make_algorithm("random", budget=5), inst, seed, 1),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError):
+            call()
+    assert SeededStream(-1, "seeds").getbits(64) != SeededStream(1, "seeds").getbits(64)
 
 
 def test_stream_matches_the_reference_reader():

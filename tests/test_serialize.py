@@ -25,7 +25,7 @@ def test_frac_round_trip():
 
 
 def test_frac_from_str_rejects_garbage():
-    for bad in ("", "abc", "1/0", "1.5.2", "1/2/3"):
+    for bad in ("", "abc", "1/0", "1.5.2", "1/2/3", 5, None, 0.5, Fraction(1, 2)):
         with pytest.raises(ParameterError):
             frac_from_str(bad)
 

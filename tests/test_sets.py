@@ -44,6 +44,19 @@ def test_mask_bounds_rejected():
         Subset.from_elements([-1], 4)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Subset(True, 4),
+    lambda: Subset(1.0, 4),
+    lambda: Subset.from_elements([True], 4),
+    lambda: Subset.from_elements([1.5], 4),
+    lambda: Subset.from_elements(["a"], 4),
+])
+def test_non_int_mask_or_element_rejected(build):
+    # True would pass as mask 1 or element 1; a float or str would raise TypeError
+    with pytest.raises(ParameterError):
+        build()
+
+
 def test_ground_size_bounds():
     validate_ground_size(1)
     validate_ground_size(MAX_GROUND_SIZE)
