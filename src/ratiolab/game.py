@@ -18,13 +18,14 @@ Both games run one trial loop (`_play`).  The transcript is the g handle's
 own record of masks, so it holds every g evaluation however the algorithm
 made it; a direct f call reveals nothing about the plant.  One scan
 (`_first_difference`) compares the planted and unplanted g at every
-recorded mask, in both games, through their value lookups, which return
-the very value objects the evaluators answer with.  In the decreasing
-game a trial is distinguished at the first set where they differ; in the
-increasing game a difference means the plant search is broken.  The harness scores the
-returned set itself, in the world that answered the trial: the value an
-algorithm claims for its set is never read, and an empty returned set,
-outside the ratio's domain, is refused in both games.
+recorded mask, in both games, through their batch lookups, which map the
+whole transcript to the very value objects the evaluators answer with.
+In the decreasing game a trial is distinguished at the first set where
+they differ; in the increasing game a difference means the plant search
+is broken.  The harness scores the returned set itself, in the world that
+answered the trial: the value an algorithm claims for its set is never
+read, and an empty returned set, outside the ratio's domain, is refused in
+both games.
 
 Per-query distinguishing probabilities are exact rationals.
 """
@@ -35,6 +36,8 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, count
+from operator import is_not
 from typing import NamedTuple
 
 from .errors import NoConsistentPlantError, ParameterError, RatioLabError, UndefinedRatioError
@@ -42,10 +45,10 @@ from .instances import DecreasingInstance, IncreasingInstance
 # perfbench/tracing.py rebinds game.differs_from_unplanted; tests/test_perfbench_tracing.py fails without it.
 from .oracles import (
     QueryTranscript,
+    batch_lookup,
     differs_from_unplanted,  # noqa: F401
     make_oracles,
     ratio,
-    value_lookup,
 )
 from .sampling import derive_seed, random_k_subset
 from .serialize import frac_to_str
@@ -142,15 +145,16 @@ def find_consistent_plant(transcript: QueryTranscript, n: int) -> Subset:
 
 
 def _first_difference(transcript: QueryTranscript, g_a, g_b) -> int | None:
-    """Index of the first effective_sets() mask where the value lookups g_a and g_b differ.
+    """Index of the first effective_sets() mask where the batch lookups g_a and g_b differ.
 
     Where they agree they index one cached value table and return the very
-    same Fraction, so identity settles almost every set; `!=` keeps the rest
-    exact.
+    same Fraction, so identity settles almost every set in one C-level pass;
+    `!=` keeps the rest exact.
     """
-    for idx, mask in enumerate(transcript.effective_sets()):
-        a, b = g_a(mask), g_b(mask)
-        if a is not b and a != b:
+    masks = list(transcript.effective_sets())
+    a, b = g_a(masks), g_b(masks)
+    for idx in compress(count(), map(is_not, a, b)):
+        if a[idx] != b[idx]:
             return idx
     return None
 
@@ -209,7 +213,7 @@ def run_game_decreasing(algorithm, inst: DecreasingInstance, seed: int, trials: 
         return inst.with_plant(random_k_subset(inst.n, inst.alpha, derive_seed(trial_seed, "plant")))
 
     def score(planted: DecreasingInstance, transcript: QueryTranscript):
-        f, g_planted = value_lookup(planted, "f"), value_lookup(planted, "g")
+        f, g_planted = batch_lookup(planted, "f"), batch_lookup(planted, "g")
         first_idx = _first_difference(transcript, f, g_planted)
         return first_idx, union_bound(transcript.cardinalities(), inst.n, inst.alpha, inst.beta)
 
@@ -239,7 +243,7 @@ def run_game_increasing(algorithm, inst: IncreasingInstance, seed: int, trials: 
             for idx, mask in enumerate(transcript.effective_sets()):
                 first_visit.setdefault(mask, idx)
             return max(i for mask, i in first_visit.items() if mask.bit_count() == inst.n // 2), Fraction(1)
-        g, g_star = value_lookup(unplanted, "g"), value_lookup(unplanted.with_plant(r_star), "g")
+        g, g_star = batch_lookup(unplanted, "g"), batch_lookup(unplanted.with_plant(r_star), "g")
         if _first_difference(transcript, g, g_star) is not None:
             raise RatioLabError("planted world disagrees with the transcript; plant search is broken")
         return None, Fraction(0)

@@ -9,10 +9,11 @@ Tie-breaking is global and fixed: optimal value first, then smaller
 cardinality, then ascending mask.  `brute_force_max_ratio` uses the same
 order, so argmin f/g and argmax g/f are the same set.
 
-Searches query by bit mask, all in one loop, `_best_of`: each evaluation
-is one call of the module attribute `ratio`, bound to `oracles.query_terms`,
-which charges both handles, records the mask on g's transcript and yields
-the unreduced integer pair (p, q): one ratio-table lookup on a
+Searches query by bit mask, all in one loop, `_best_of`, which takes its
+masks in chunks of CHUNK: each chunk is one call of the module attribute
+`ratio`, bound to `oracles.query_batch`, which charges both handles once
+per mask, extends g's transcript by the chunk and yields each mask's
+unreduced integer pair (p, q): one pass of the ratio-table kernel on a
 `make_oracles` pair.  The loop compares ratios as integer cross-products
 of those pairs; a Fraction is built only for the returned value.  The game
 harness does not read that value: it scores the returned set.
@@ -21,16 +22,20 @@ harness does not read that value: it scores the returned set.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, islice
 from typing import NamedTuple
 
 from .errors import ParameterError
 # The searches compare (p, q) integer pairs; the module-level name `ratio`
-# is the per-query evaluation that perfbench/tracing.py rebinds.
-from .oracles import query_terms as ratio
+# is the per-chunk evaluation that perfbench/tracing.py rebinds.
+from .oracles import query_batch as ratio
 from .sampling import SeededStream
 from .sets import Subset, check_count, check_guard, validate_ground_size
 # Not called here; kept as an optimize attribute that perfbench/tracing.py rebinds.
 from .sets import unchecked_subset  # noqa: F401
+
+# Masks per `ratio` call: the searches hold at most this many masks and their terms at once.
+CHUNK = 4096
 
 OPT_CSV_COLUMNS = ["method", "n", "family", "value_p", "value_q", "argset_hex", "queries", "seed"]
 
@@ -47,24 +52,33 @@ class OptResult(NamedTuple):
 def _best_of(masks, n: int, f_oracle, g_oracle, sign: int = 1, best=(1, 0, 0)):
     """The first of `best` and `masks` in search order, as (sign * p, q, mask); 1/0 loses to every mask.
 
-    The one search loop: one `ratio` call per mask, in order.  Search order is
-    lower sign * p/q (q > 0), then smaller cardinality, then smaller mask.  A
-    strictly worse mask costs one cross-multiplication and nothing else.
+    The one search loop: one `ratio` call per chunk of up to CHUNK masks, in
+    order.  Search order is lower sign * p/q (q > 0), then smaller cardinality,
+    then smaller mask.  A chunk's best value is found among its distinct terms
+    by cross-multiplication; a chunk that does not reach the best so far costs
+    nothing more, and ties are broken by C-level passes over the chunk.
     """
     evaluate = ratio
     best_p, best_q, best_mask = best
-    best_card = best_mask.bit_count()
-    for mask in masks:
-        p, q = evaluate(mask, n, f_oracle, g_oracle)
-        p *= sign
+    masks = iter(masks)
+    while chunk := list(islice(masks, CHUNK)):
+        terms = evaluate(chunk, n, f_oracle, g_oracle)
+        distinct = set(terms)
+        p, q = 1, 0
+        for term_p, term_q in distinct:
+            term_p *= sign
+            if term_p * q < p * term_q:
+                p, q = term_p, term_q
         lhs = p * best_q
         rhs = best_p * q
         if lhs > rhs:
             continue
-        card = mask.bit_count()
-        if lhs == rhs and (card > best_card or card == best_card and mask >= best_mask):
-            continue
-        best_p, best_q, best_mask, best_card = p, q, mask, card
+        winners = {t for t in distinct if sign * t[0] * q == p * t[1]}
+        tied = list(compress(chunk, map(winners.__contains__, terms)))
+        if lhs == rhs:
+            tied.append(best_mask)
+        cards = list(map(int.bit_count, tied))
+        best_p, best_q, best_mask = p, q, min(compress(tied, map(min(cards).__eq__, cards)))
     return best_p, best_q, best_mask
 
 

@@ -7,13 +7,16 @@ which would shred float precision and muddy every downstream comparison.
 A ratio query yields the unreduced integer pair (p, q) of `ratio_terms`:
 callers compare ratios by integer cross-multiplication, and a Fraction is
 built only for a value that is returned (`ratio`, OptResult.value).  The
-searches query by bit mask through `query_terms`.  Each side of an
+searches query lists of bit masks through `query_batch`.  Each side of an
 instance keeps two cached tables, indexed alike by the side's value class:
-its values, the Fractions `instance_evaluator` and `value_lookup` return,
+its values, the Fractions `instance_evaluator` and `batch_lookup` return,
 and for g the (p, q) of f/g, read off those values once at build time.
-The g handle of a `make_oracles` pair reads the second, so a search query
-on that pair is one lookup, with no Subset and no Fraction.  The planted
-decreasing g's grid has a row per |S minus R|; f reads its last row.
+Masks reach a table through one kernel per value class, a comprehension
+from a list of masks to the list of their entries; `value_lookup` and
+`query_terms` are its one-mask calls.  The g handle of a `make_oracles`
+pair holds the kernel of the second table, so a search query on that pair
+builds no Subset and no Fraction.  The planted decreasing g's grid has a
+row per |S minus R|; f reads its last row.
 
 In both families f is the same function in every world and the plant
 lives only in g, so the sets at which g was evaluated are all an algorithm
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Callable
 
 from .errors import MissingPlantError, ParameterError, UndefinedRatioError
@@ -111,7 +115,7 @@ class QueryTranscript:
             yield self.returned
 
     def cardinalities(self) -> list[int]:
-        return [mask.bit_count() for mask in self.effective_sets()]
+        return list(map(int.bit_count, self.effective_sets()))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -123,9 +127,9 @@ class CountingOracle:
     Wraps any Subset -> Fraction callable; `for_instance` binds the right
     family evaluator for a role ("f" or "g").  A handle with a transcript
     records the mask of every set it evaluates.  A `make_oracles` g handle
-    also holds `_terms`, (its f handle, n, mask -> f/g terms), for
-    `query_terms`.  The plant, when present, stays inside the instance:
-    nothing about it leaks through this handle.
+    also holds `_terms`, (its f handle, n, mask -> f/g terms, masks -> f/g
+    terms), for `query_batch`.  The plant, when present, stays inside the
+    instance: nothing about it leaks through this handle.
     """
 
     __slots__ = ("_fn", "count", "transcript", "_terms")
@@ -215,24 +219,35 @@ def instance_evaluator(inst: Instance, role: str) -> Callable[[Subset], Fraction
     return by_plant
 
 
-def value_lookup(inst: Instance, role: str) -> Callable[[int], Fraction]:
-    """Mask -> one side's value, uncounted and unchecked.
+def batch_lookup(inst: Instance, role: str) -> Callable[[list[int]], list]:
+    """A list of masks -> one side's values, in order, uncounted and unchecked.
 
-    The mask-native twin of `instance_evaluator`: it returns the very object
-    that `instance_evaluator` returns at that set, so equal values from one
-    cached table are one object.  The caller vouches for the mask's ground size.
+    The mask-native twin of `instance_evaluator`: entry i is the very object
+    that `instance_evaluator` returns at the set of masks[i], so equal values
+    from one cached table are one object.  The caller vouches for the masks'
+    ground size.
     """
     rule, key, values, _ = _side(inst, role)
-    return _lookup(rule, key, values)
+    return _kernel(rule, key, values)
 
 
-def _lookup(rule: int, key, table: tuple) -> Callable[[int], object]:
-    """Mask -> the table entry of the mask's value class, under `_side`'s rule and key."""
-    if rule == _BY_CARDINALITY:
-        return lambda mask, _t=table: _t[mask.bit_count()]
+def value_lookup(inst: Instance, role: str) -> Callable[[int], Fraction]:
+    """Mask -> one side's value: `batch_lookup` called on one mask."""
+    kernel = batch_lookup(inst, role)
+    return lambda mask: kernel([mask])[0]
+
+
+def _kernel(rule: int, key, table: tuple) -> Callable[[list[int]], list]:
+    """A list of masks -> the table entries of their value classes, under `_side`'s rule and key.
+
+    Each rule is one list comprehension over the whole list.
+    """
     if rule == _BY_GRID:
-        return lambda mask, _t=table, _o=key: _t[(mask & _o).bit_count()][mask.bit_count()]
-    return lambda mask, _t=table, _p=key[0], _i=key[1]: _t[_i] if mask == _p else _t[mask.bit_count()]
+        return lambda masks: [table[(mask & key).bit_count()][mask.bit_count()] for mask in masks]
+    if rule == _BY_CARDINALITY:
+        return lambda masks: [table[mask.bit_count()] for mask in masks]
+    plant, planted = key[0], table[key[1]]
+    return lambda masks: [planted if mask == plant else table[mask.bit_count()] for mask in masks]
 
 
 def make_oracles(
@@ -241,12 +256,14 @@ def make_oracles(
     """The (f, g) oracle pair for an instance; the transcript records g's queries.
 
     The g handle names this f handle as its partner and holds the pair's
-    ratio table, so `query_terms` on exactly this pair is one lookup.
+    ratio-table kernel, so `query_batch` on exactly this pair maps its masks
+    through that kernel.
     """
     f_oracle = CountingOracle.for_instance(inst, "f")
     g_oracle = CountingOracle.for_instance(inst, "g", transcript)
     rule, key, _, terms = _side(inst, "g")
-    g_oracle._terms = (f_oracle, inst.n, _lookup(rule, key, terms))
+    kernel = _kernel(rule, key, terms)
+    g_oracle._terms = (f_oracle, inst.n, lambda mask: kernel([mask])[0], kernel)
     return f_oracle, g_oracle
 
 
@@ -272,33 +289,46 @@ def ratio_terms(S: Subset, f_oracle: CountingOracle, g_oracle: CountingOracle) -
     raise UndefinedRatioError(f"g({S!r}) = 0; the ratio is undefined there")
 
 
-def query_terms(mask: int, n: int, f_oracle: CountingOracle, g_oracle: CountingOracle) -> tuple[int, int]:
-    """`ratio_terms` at Subset(mask, n): the same (p, q), charges, records and errors.
+def query_batch(masks: list[int], n: int, f_oracle: CountingOracle, g_oracle: CountingOracle) -> list:
+    """`query_terms` at each of `masks` in order: the same (p, q)s, charges, records and errors.
 
-    A pair from one `make_oracles` call, in (f, g) order, answers from the
-    g handle's ratio table: charge f, check the ground size, record on f's
-    transcript if any, charge and record g, then one lookup.  Every other
-    pair of handles is called on unchecked_subset(mask, n) through
-    `ratio_terms`.
+    A `make_oracles` pair in (f, g) order maps the list through its ratio-table
+    kernel and charges and records the masks up to the first where g = 0, which
+    raises.  Every other pair goes one mask at a time through `ratio_terms`.
     """
     try:
-        partner, size, lookup = g_oracle._terms
+        partner, size, _, kernel = g_oracle._terms
     except (AttributeError, TypeError):
         partner = None
     if partner is not f_oracle:
-        return ratio_terms(unchecked_subset(mask, n), f_oracle, g_oracle)
-    f_oracle.count += 1
-    if size != n:
+        return [ratio_terms(unchecked_subset(mask, n), f_oracle, g_oracle) for mask in masks]
+    if size != n and masks:
+        f_oracle.count += 1
         raise _ground_error(n, size)
-    if f_oracle.transcript is not None:
-        f_oracle.transcript.record(mask)
-    g_oracle.count += 1
-    if g_oracle.transcript is not None:
-        g_oracle.transcript.record(mask)
-    terms = lookup(mask)
-    if terms is None:
-        raise UndefinedRatioError(f"g({unchecked_subset(mask, n)!r}) = 0; the ratio is undefined there")
+    terms = kernel(masks)
+    charged = masks[:terms.index(None) + 1] if None in terms else masks
+    f_oracle.count += len(charged)
+    g_oracle.count += len(charged)
+    f_record, g_record = f_oracle.transcript, g_oracle.transcript
+    if f_record is g_record is not None:
+        # one transcript on both handles records each mask twice, f's then g's
+        g_record.entries.extend(chain.from_iterable(zip(charged, charged)))
+    else:
+        for record in (f_record, g_record):
+            if record is not None:
+                record.entries.extend(charged)
+    if charged is not masks:
+        raise UndefinedRatioError(f"g({unchecked_subset(charged[-1], n)!r}) = 0; the ratio is undefined there")
     return terms
+
+
+def query_terms(mask: int, n: int, f_oracle: CountingOracle, g_oracle: CountingOracle) -> tuple[int, int]:
+    """`ratio_terms` at Subset(mask, n): the same (p, q), charges, records and errors.
+
+    It is `query_batch` on one mask: a `make_oracles` pair in (f, g) order
+    answers from its ratio table, every other pair through `ratio_terms`.
+    """
+    return query_batch([mask], n, f_oracle, g_oracle)[0]
 
 
 def ratio(S: Subset, f_oracle: CountingOracle, g_oracle: CountingOracle) -> Fraction:

@@ -28,7 +28,7 @@ from ratiolab.game import (
 )
 from ratiolab.instances import DecreasingInstance, IncreasingInstance
 from ratiolab.optimize import OptResult, local_search, make_algorithm, random_search
-from ratiolab.oracles import QueryTranscript, differs_from_unplanted, make_oracles, ratio, value_lookup
+from ratiolab.oracles import QueryTranscript, batch_lookup, differs_from_unplanted, make_oracles, ratio
 from ratiolab.sampling import SeededStream, derive_seed, random_k_subset
 from ratiolab.sets import Subset, iter_k_subset_masks
 
@@ -407,17 +407,16 @@ def test_increasing_game_exhaustion_by_returned_set():
 def test_increasing_game_recheck_accepts_equal_copies(monkeypatch):
     # equal values held in distinct objects pass: the recheck falls back to ==
     def copying(inst, role):
-        lookup = value_lookup(inst, role)
+        lookup = batch_lookup(inst, role)
 
-        def copy(mask):
-            value = lookup(mask)
-            return Fraction(value.numerator, value.denominator)
+        def copy(masks):
+            return [Fraction(value.numerator, value.denominator) for value in lookup(masks)]
 
         return copy
 
     algorithm = make_algorithm("random", budget=60)
     expected = run_game_increasing(algorithm, INC_BARE, seed=3, trials=2)
-    monkeypatch.setattr(game, "value_lookup", copying)
+    monkeypatch.setattr(game, "batch_lookup", copying)
     assert run_game_increasing(algorithm, INC_BARE, seed=3, trials=2) == expected
 
 

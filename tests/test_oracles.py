@@ -20,9 +20,11 @@ from ratiolab.instances import DecreasingInstance, IncreasingInstance
 from ratiolab.oracles import (
     CountingOracle,
     QueryTranscript,
+    batch_lookup,
     differs_from_unplanted,
     instance_evaluator,
     make_oracles,
+    query_batch,
     query_terms,
     ratio,
     ratio_terms,
@@ -649,6 +651,110 @@ def test_pair_queried_at_the_wrong_ground_size(kind):
     inst = _bundled_kinds(8)[kind]
     outcomes = []
     for query in (lambda f, g: query_terms(1, 9, f, g), lambda f, g: ratio_terms(unchecked_subset(1, 9), f, g)):
+        f_t, g_t = QueryTranscript(), QueryTranscript()
+        f, g = make_oracles(inst, g_t)
+        f.transcript = f_t
+        with pytest.raises(ParameterError) as info:
+            query(f, g)
+        outcomes.append((str(info.value), f.count, g.count, f_t.entries, g_t.entries))
+    assert outcomes[0] == outcomes[1] == ("subset ground size 9 differs from instance n 8", 1, 0, [], [])
+
+
+# ------------------------------------------- batch kernels vs one-mask calls
+
+BATCH_KINDS = ["decreasing-planted", "increasing-planted", "increasing-unplanted"]
+
+
+@pytest.mark.parametrize("n", [5, 10])
+@pytest.mark.parametrize("kind", BATCH_KINDS)
+def test_batch_lookup_returns_the_evaluators_objects(n, kind):
+    # over every mask, in ascending and in descending order, entry i is the
+    # very object instance_evaluator answers at masks[i]
+    inst = _bundled_kinds(n)[kind]
+    for role in ("f", "g"):
+        evaluate = instance_evaluator(inst, role)
+        for masks in (list(range(1 << n)), list(range(1 << n))[::-1]):
+            got = batch_lookup(inst, role)(masks)
+            assert len(got) == len(masks)
+            assert all(value is evaluate(Subset(mask, n)) for mask, value in zip(masks, got)), (kind, role)
+
+
+@pytest.mark.parametrize("n", [5, 10])
+@pytest.mark.parametrize("kind", BATCH_KINDS)
+def test_query_batch_matches_query_terms_on_every_nonempty_mask(n, kind):
+    # the same term objects, counts and transcripts as one query_terms call per mask
+    inst = _bundled_kinds(n)[kind]
+    masks = list(range(1, 1 << n))
+    fast_t, slow_t = QueryTranscript(), QueryTranscript()
+    fast, slow = make_oracles(inst, fast_t), make_oracles(inst, slow_t)
+    got = query_batch(masks, n, *fast)
+    want = [query_terms(mask, n, *slow) for mask in masks]
+    assert all(a is b for a, b in zip(got, want)) and len(got) == len(want)
+    assert [h.count for h in fast] == [h.count for h in slow] == [len(masks)] * 2
+    assert fast_t.entries == slow_t.entries == masks
+
+
+@pytest.mark.parametrize("n", [5, 10])
+def test_plant_entry_at_every_occurrence(n):
+    # the increasing plant placed first and last, among the other half-size sets
+    inst = _bundled_kinds(n)["increasing-planted"]
+    plant = inst.plant.mask
+    others = [mask for mask in range(1 << n) if mask.bit_count() == n // 2 and mask != plant]
+    masks = [plant, *others, plant]
+    values = batch_lookup(inst, "g")(masks)
+    planted = instance_evaluator(inst, "g")(inst.plant)
+    assert values[0] is values[-1] is planted == 1
+    assert all(value is not planted for value in values[1:-1])
+    terms = query_batch(masks, n, *make_oracles(inst))
+    assert terms[0] is terms[-1] == (n // 2, 1)
+    assert all(term != (n // 2, 1) for term in terms[1:-1])
+
+
+def _per_mask_until_raise(masks, n, f, g):
+    """query_terms one mask at a time, stopping at the first raise: (terms, error)."""
+    terms = []
+    for mask in masks:
+        try:
+            terms.append(query_terms(mask, n, f, g))
+        except UndefinedRatioError as exc:
+            return terms, (type(exc), str(exc))
+    return terms, None
+
+
+@pytest.mark.parametrize("n", [5, 10])
+@pytest.mark.parametrize("transcripts", ["g", "f-and-g", "shared"])
+@pytest.mark.parametrize("kind", ["increasing-planted", "increasing-unplanted"])
+def test_query_batch_stops_at_an_undefined_ratio(n, transcripts, kind):
+    # mask 0 in mid-list: charged and recorded up to and including it, then
+    # the UndefinedRatioError of the per-mask calls; the masks after it are
+    # neither charged nor recorded
+    inst = _bundled_kinds(n)[kind]
+    masks = list(range(1, 40)) + [0] + list(range(40, 90))
+    outcomes = []
+    for batched in (True, False):
+        g_t = QueryTranscript()
+        f, g = make_oracles(inst, g_t)
+        f_t = {"g": None, "f-and-g": QueryTranscript(), "shared": g_t}[transcripts]
+        f.transcript = f_t
+        if batched:
+            with pytest.raises(UndefinedRatioError) as info:
+                query_batch(masks, n, f, g)
+            error = (type(info.value), str(info.value))
+        else:
+            _, error = _per_mask_until_raise(masks, n, f, g)
+        outcomes.append((error, f.count, g.count, f_t.entries if f_t else None, list(g_t.entries)))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1:3] == (40, 40)
+    assert outcomes[0][0] == (UndefinedRatioError, f"g({Subset(0, n)!r}) = 0; the ratio is undefined there")
+
+
+@pytest.mark.parametrize("kind", BATCH_KINDS)
+def test_query_batch_at_the_wrong_ground_size(kind):
+    # f is charged once and g not at all, with nothing recorded, as
+    # query_terms gives on the batch's first mask
+    inst = _bundled_kinds(8)[kind]
+    outcomes = []
+    for query in (lambda f, g: query_batch([1, 2, 3], 9, f, g), lambda f, g: query_terms(1, 9, f, g)):
         f_t, g_t = QueryTranscript(), QueryTranscript()
         f, g = make_oracles(inst, g_t)
         f.transcript = f_t

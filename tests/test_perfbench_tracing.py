@@ -35,47 +35,60 @@ assert calls.get("oracles.eval") == 2, calls
 print("traced")
 """
 
-# Every g evaluation of the search is recorded by the g handle, inside the
-# search's ratio call, and the plant search runs once for the one trial.
+# A search evaluates its masks in batches: each batch is one traced ratio
+# call, which charges both handles and extends g's transcript by the whole
+# batch without a per-mask record call.  The plant search runs once for the
+# one trial.
 GAME_TRIAL = """
 algorithm = optimize.make_algorithm("random", 20)
 [report] = game.run_game_increasing(algorithm, IncreasingInstance(8, 100, Fraction(1, 4)), 0, 1)
 assert report.queries == 40 and not report.distinguished, report
 summary = tracer.summary()
 calls, by_parent = summary["calls"], summary["calls_by_parent"]
-assert calls.get("oracles.ratio") == 20, calls
-assert calls.get("oracles.record") == 20, calls
-assert by_parent.get("oracles.record<oracles.ratio") == 20, by_parent
+assert calls.get("oracles.ratio") == 1, calls
+assert by_parent.get("oracles.ratio<optimize.random_search") == 1, by_parent
+assert "oracles.record" not in calls, calls
 assert calls.get("game.find_consistent_plant") == 1, calls
 print("traced")
 """
 
-# A brute solve evaluates f/g once per nonempty set, each through one call
-# of the traced per-query evaluation.
+# A brute solve evaluates f/g once per nonempty set; at n = 6 its 63 sets
+# are one batch, one call of the traced evaluation.
 BRUTE_SOLVE = """
 inst = IncreasingInstance(6, 100, Fraction(1, 4), plant=Subset.from_elements([0, 2, 4], 6))
-f, g = oracles.make_oracles(inst)
+transcript = oracles.QueryTranscript()
+f, g = oracles.make_oracles(inst, transcript)
 result = optimize.brute_force_min_ratio(f, g, 6)
 assert result.argset == inst.plant and result.queries_used == 2 * 63, result
-by_parent = tracer.summary()["calls_by_parent"]
-assert tracer.summary()["calls"].get("oracles.ratio") == 63, by_parent
-assert by_parent.get("oracles.ratio<optimize.brute_force_min_ratio") == 63, by_parent
+assert (f.count, g.count) == (63, 63) and transcript.entries == list(range(1, 64)), transcript.entries
+summary = tracer.summary()
+calls, by_parent = summary["calls"], summary["calls_by_parent"]
+assert calls.get("oracles.ratio") == 1, calls
+assert by_parent.get("oracles.ratio<optimize.brute_force_min_ratio") == 1, by_parent
+assert "oracles.record" not in calls, calls
 print("traced")
 """
 
-# Every evaluation of a local-search trial is one traced ratio call, and the
-# g handle records its set inside that call.
+# A local search evaluates its start in one traced ratio call and each
+# neighbourhood in one more.  This trial's start has 24 neighbours and no
+# strictly better one, so it stops after two calls and 25 evaluations, each
+# on g's transcript.
 LOCAL_TRIAL = """
-algorithm = optimize.make_algorithm("local", 200)
+local = optimize.make_algorithm("local", 200)
+handles = []
+
+def algorithm(f, g, n, seed):
+    handles.append(g)
+    return local(f, g, n, seed)
+
 [report] = game.run_game_increasing(algorithm, IncreasingInstance(8, 100, Fraction(1, 4)), 4, 1)
-evaluations = report.queries // 2
-assert evaluations > 8, report
+[g] = handles
+assert report.queries == 2 * 25 and len(g.transcript) == g.count == 25, (report, g.transcript.entries)
 summary = tracer.summary()
 calls, by_parent = summary["calls"], summary["calls_by_parent"]
-assert calls.get("oracles.ratio") == evaluations, calls
-assert by_parent.get("oracles.ratio<optimize.local_search") == evaluations, by_parent
-assert calls.get("oracles.record") == evaluations, calls
-assert by_parent.get("oracles.record<oracles.ratio") == evaluations, by_parent
+assert calls.get("oracles.ratio") == 2, calls
+assert by_parent.get("oracles.ratio<optimize.local_search") == 2, by_parent
+assert "oracles.record" not in calls, calls
 print("traced")
 """
 
@@ -95,9 +108,9 @@ def test_tracer_sees_every_recorded_query_of_a_game_trial():
     _run_traced(GAME_TRIAL)
 
 
-def test_tracer_sees_one_ratio_call_per_brute_evaluation():
+def test_tracer_sees_one_ratio_call_per_brute_batch():
     _run_traced(BRUTE_SOLVE)
 
 
-def test_tracer_sees_one_ratio_call_and_record_per_local_evaluation():
+def test_tracer_sees_one_ratio_call_per_local_neighbourhood():
     _run_traced(LOCAL_TRIAL)

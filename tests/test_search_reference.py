@@ -15,6 +15,7 @@ from reference import FunctionTable
 from ratiolab.errors import UndefinedRatioError
 from ratiolab.instances import DecreasingInstance, IncreasingInstance
 from ratiolab.optimize import (
+    CHUNK,
     OptResult,
     brute_force_max_ratio,
     brute_force_min_ratio,
@@ -188,3 +189,58 @@ def test_local_search_matches_reference(pair, seed):
             _run(PAIRS[pair], local_search, budget, seed),
             _run(PAIRS[pair], ref_local, budget, seed),
         )
+
+
+# Searches across chunk boundaries: n = 13 has 8,191 nonempty sets, and a
+# random search of 2 * CHUNK + 7 draws ends in a short third chunk.
+WIDE_N = 13
+
+
+def _wide_pairs():
+    n = WIDE_N
+    tie_f, tie_g = _int_table_pair(n, 13)
+    tie_f = [v % 4 for v in tie_f]
+    return {
+        "decreasing-planted": lambda t: make_oracles(
+            DecreasingInstance(n, 5, 2, Fraction(1, 2), plant=Subset.from_elements([1, 4, 6, 9, 12], n)), t),
+        "increasing-planted": lambda t: make_oracles(
+            IncreasingInstance(n, 100, Fraction(1, 3), plant=Subset.from_elements([0, 2, 3, 7, 8, 11], n)), t),
+        "raw-int-ties": lambda t: (
+            CountingOracle(lambda S: tie_f[S.mask]),
+            CountingOracle(lambda S: tie_g[S.mask], transcript=t),
+        ),
+    }
+
+
+WIDE_PAIRS = _wide_pairs()
+
+
+def _run_wide(make_pair, search, *args):
+    transcript = QueryTranscript()
+    f, g = make_pair(transcript)
+    result = search(f, g, WIDE_N, *args)
+    return result, transcript.entries, (f.count, g.count)
+
+
+def test_wide_cases_cross_the_chunk_size():
+    assert (1 << WIDE_N) - 1 > CHUNK
+
+
+@pytest.mark.parametrize("pair", sorted(WIDE_PAIRS))
+@pytest.mark.parametrize("sign", [1, -1])
+def test_brute_across_chunks_matches_reference(pair, sign):
+    search = brute_force_min_ratio if sign == 1 else brute_force_max_ratio
+    _assert_same(
+        _run_wide(WIDE_PAIRS[pair], search),
+        _run_wide(WIDE_PAIRS[pair], lambda f, g, n: ref_brute(f, g, n, lambda v, b: sign * v < sign * b)),
+    )
+
+
+@pytest.mark.parametrize("pair", sorted(WIDE_PAIRS))
+@pytest.mark.parametrize("seed", range(2))
+def test_random_search_across_chunks_matches_reference(pair, seed):
+    budget = 2 * CHUNK + 7
+    _assert_same(
+        _run_wide(WIDE_PAIRS[pair], random_search, budget, seed),
+        _run_wide(WIDE_PAIRS[pair], ref_random, budget, seed),
+    )
