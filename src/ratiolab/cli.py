@@ -11,6 +11,7 @@ parameters or descriptor, 3 enumeration-guard refusal.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import __version__
@@ -39,7 +40,12 @@ from .verify import (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every `main` call.
+
+    Parsing leaves it unchanged, so callers must not mutate it either.
+    """
     parser = argparse.ArgumentParser(
         prog="ratiolab",
         description="Adversarial instance laboratory for ratio-of-supermodular-functions optimization.",
@@ -61,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="exhaustive structural checks at small n")
     add_instance_flags(p_verify)
     p_verify.add_argument("--out-csv", help="write supermodularity violations as CSV")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_solve = sub.add_parser("solve", help="minimize f/g over nonempty subsets")
     add_instance_flags(p_solve)
@@ -69,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--budget", type=int, help="query budget for heuristics (default n^3)")
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--out-csv", help="write the result row as CSV")
-    p_solve.set_defaults(func=cmd_solve)
 
     p_game = sub.add_parser("game", help="run the planted indistinguishability game")
     add_instance_flags(p_game)
@@ -79,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_game.add_argument("--seed", type=int, default=0)
     p_game.add_argument("--out-csv", help="write per-trial reports as CSV")
     p_game.add_argument("--out-json", help="write the aggregate summary as JSON")
-    p_game.set_defaults(func=cmd_game)
 
     p_prob = sub.add_parser("prob", help="exact distinguishing probability / union bound")
     p_prob.add_argument("--n", type=int, required=True)
@@ -89,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--s", required=True,
         help="query cardinality; a comma-separated list yields the union bound",
     )
-    p_prob.set_defaults(func=cmd_prob)
     return parser
 
 
@@ -229,11 +231,19 @@ def cmd_prob(args) -> int:
     return 0
 
 
+# Looked up by name at call time, so a rebound cli.cmd_* (perfbench/tracing.py) is the one that runs.
+COMMANDS = {
+    "verify": lambda args: cmd_verify(args),
+    "solve": lambda args: cmd_solve(args),
+    "game": lambda args: cmd_game(args),
+    "prob": lambda args: cmd_prob(args),
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return COMMANDS[args.command](args)
     except EnumerationGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -78,20 +78,20 @@ class GameReport(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _distinguish_probability(n: int, alpha: int, beta: int, s: int) -> Fraction:
-    # P over uniform |R| = alpha that beta + |S \ R| < min{alpha, s};
-    # with t = |S n R| hypergeometric this is P[t > s - min{alpha, s} + beta].
+def _favorable_plants(n: int, alpha: int, beta: int, s: int) -> int:
+    # The number of cardinality-alpha plants R with beta + |S \ R| < min{alpha, s}:
+    # C(n, alpha) P[t > s - min{alpha, s} + beta] with t = |S n R| hypergeometric.
     # Each term C(s, t) C(n - s, alpha - t) after the first is one exact integer ratio step.
     t_lo = max(s - min(alpha, s) + beta + 1, 0, alpha - (n - s))
     t_hi = min(alpha, s)
     if t_lo > t_hi:
-        return Fraction(0)
+        return 0
     favorable = 0
     term = math.comb(s, t_lo) * math.comb(n - s, alpha - t_lo)
     for t in range(t_lo, t_hi + 1):
         favorable += term
         term = term * (s - t) * (alpha - t) // ((t + 1) * (n - s - alpha + t + 1))
-    return Fraction(favorable, math.comb(n, alpha))
+    return favorable
 
 
 def _check_query(n: int, alpha: int, beta: int, s: int) -> None:
@@ -112,7 +112,7 @@ def distinguish_probability(n: int, alpha: int, beta: int, s: int) -> Fraction:
     probability depends on the query only through its cardinality s.
     """
     _check_query(n, alpha, beta, s)
-    return _distinguish_probability(n, alpha, beta, s)
+    return Fraction(_favorable_plants(n, alpha, beta, s), math.comb(n, alpha))
 
 
 def union_bound(cardinalities, n: int, alpha: int, beta: int) -> Fraction:
@@ -121,10 +121,14 @@ def union_bound(cardinalities, n: int, alpha: int, beta: int) -> Fraction:
     Bounds the probability that a whole query sequence (given by its
     cardinalities) separates the planted pair from the unplanted one.
     """
-    total = Fraction(0)
+    favorable = 0
     for s, count in Counter(cardinalities).items():
-        total += count * distinguish_probability(n, alpha, beta, s)
-    return min(Fraction(1), total)
+        _check_query(n, alpha, beta, s)
+        favorable += count * _favorable_plants(n, alpha, beta, s)
+    if not favorable:
+        return Fraction(0)
+    plants = math.comb(n, alpha)
+    return Fraction(1) if favorable >= plants else Fraction(favorable, plants)
 
 
 def find_consistent_plant(transcript: QueryTranscript, n: int) -> Subset:

@@ -1,10 +1,17 @@
 """Command-line behavior: output contracts, exit codes, byte-stable reruns."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from ratiolab.cli import main
+from ratiolab import cli
+from ratiolab.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -327,3 +334,100 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("ratiolab ")
+
+
+# ------------------------------------------- repeated calls in one process
+
+# Each subcommand twice, with different flags, in alternating order.
+REPEATED = [
+    ("solve", "--family", "increasing", "--n", "8", "--m", "100", "--epsilon", "1/2", "--plant", "0,1,2,3"),
+    ("verify", "--family", "decreasing", "--n", "8", "--alpha", "3", "--beta", "1", "--plant", "0,1,2"),
+    ("game", "--family", "decreasing", "--n", "14", "--alpha", "4", "--beta", "1", "--budget", "20",
+     "--trials", "3", "--seed", "5"),
+    ("prob", "--n", "14", "--alpha", "4", "--beta", "1", "--s", "6,6,6"),
+    ("solve", "--family", "decreasing", "--n", "8", "--alpha", "3", "--beta", "1", "--epsilon", "1/2",
+     "--plant-seed", "6", "--method", "random", "--budget", "40", "--seed", "2"),
+    ("verify", "--family", "increasing", "--n", "6", "--m", "10", "--plant-seed", "4"),
+    ("game", "--family", "increasing", "--n", "8", "--m", "100", "--method", "local", "--trials", "2"),
+    ("prob", "--n", "20", "--alpha", "5", "--beta", "2", "--s", "4"),
+]
+
+
+def fresh_parser_run(capsys, argv):
+    """The outputs of `main(argv)` with a parser built for this call alone."""
+    build_parser.cache_clear()
+    return run_cli(capsys, *argv)
+
+
+def help_text(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_main_builds_its_parser_once(capsys):
+    run_cli(capsys, *REPEATED[3])
+    parser = build_parser()
+    for argv in REPEATED:
+        run_cli(capsys, *argv)
+    assert build_parser() is parser
+
+
+def test_repeated_main_calls_leak_nothing(capsys):
+    expected = [fresh_parser_run(capsys, argv) for argv in REPEATED]
+    assert [code for code, _, _ in expected] == [0] * len(REPEATED)
+    build_parser.cache_clear()
+    for _ in range(2):
+        # solve --plant-seed after solve --plant must not see the earlier --plant
+        assert [run_cli(capsys, *argv) for argv in REPEATED] == expected
+
+
+@pytest.mark.parametrize("argv", [(), ("verify",), ("solve",), ("game",), ("prob",)])
+def test_help_is_the_same_on_every_call(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "100")
+    build_parser.cache_clear()
+    first = help_text(capsys, (*argv, "--help"))
+    second = help_text(capsys, (*argv, "--help"))
+    build_parser.cache_clear()
+    fresh = help_text(capsys, (*argv, "--help"))
+    assert first == second == fresh
+    assert first.startswith("usage: ratiolab")
+
+
+def test_an_argparse_error_leaves_the_next_call_intact(capsys):
+    prob = ("prob", "--n", "14", "--alpha", "4", "--beta", "1", "--s", "6,6,6")
+    assert run_cli(capsys, *prob) == (0, "45/1001\n", "")
+    for bad in (("prob", "--n", "14"), ("solve", "--family", "sideways", "--n", "8"), ("nope",)):
+        with pytest.raises(SystemExit) as exc:
+            main(list(bad))
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        assert run_cli(capsys, *prob) == (0, "45/1001\n", "")
+
+
+def test_commands_are_looked_up_by_name_at_call_time(capsys, monkeypatch):
+    # perfbench/tracing.py rebinds cli.cmd_* after the parser may already exist
+    prob = ["prob", "--n", "14", "--alpha", "4", "--beta", "1", "--s", "6"]
+    assert main(prob) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_prob", lambda args: seen.append(args.s) or 7)
+    assert main(prob) == 7
+    assert seen == ["6"]
+    assert capsys.readouterr().out == "15/1001\n"
+
+
+def run_module(*argv):
+    env = dict(os.environ, COLUMNS="100")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "ratiolab.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_one_shot_process(capsys, monkeypatch):
+    done = run_module("prob", "--n", "14", "--alpha", "4", "--beta", "1", "--s", "6,6,6")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "45/1001\n", "")
+    done = run_module("--help")
+    assert done.returncode == 0 and done.stderr == ""
+    monkeypatch.setenv("COLUMNS", "100")
+    assert done.stdout == help_text(capsys, ["--help"])

@@ -98,7 +98,9 @@ def test_distinguish_probability_matches_enumeration():
 
 def test_term_ratio_recurrence_equals_the_binomial_sum():
     # Every (n, alpha, beta <= 3, s) with n <= 40, then seeded cases up to n = 200.
-    fast = game._distinguish_probability.__wrapped__
+    def fast(n, alpha, beta, s):
+        return Fraction(game._favorable_plants.__wrapped__(n, alpha, beta, s), comb(n, alpha))
+
     for n in range(1, 41):
         for alpha in range(n + 1):
             for beta in range(4):
@@ -132,6 +134,25 @@ def test_union_bound_values():
     assert union_bound([7, 7], 14, 4, 1) == 0
     # the sum is capped at 1
     assert union_bound([3] * 5000, 14, 4, 1) == 1
+
+
+@pytest.mark.parametrize("n, alpha, beta", [(14, 4, 1), (30, 6, 0), (60, 12, 5), (100, 10, 1), (100, 50, 60)])
+def test_union_bound_equals_the_capped_fraction_sum(n, alpha, beta):
+    # Seeded cardinality lists, short and long, so the sum falls below 1, reaches it or is all zero.
+    stream = SeededStream(18, f"union/{n}/{alpha}/{beta}")
+    outcomes = set()
+    for length in (0, 1, 3, 40, 400, 4000):
+        for _ in range(4):
+            cards = [stream.randbelow(n + 1) for _ in range(length)]
+            total = sum((count * binomial_distinguish_probability(n, alpha, beta, s)
+                         for s, count in Counter(cards).items()), Fraction(0))
+            bound = union_bound(cards, n, alpha, beta)
+            assert type(bound) is Fraction
+            assert bound == min(Fraction(1), total), (n, alpha, beta, length)
+            outcomes.add("zero" if not total else "below 1" if total < 1 else "capped")
+    assert outcomes == ({"zero", "below 1", "capped"} if beta < alpha else {"zero"})
+    # an empty sequence checks no cardinality, so it is 0 even where C(n, alpha) is 0
+    assert union_bound([], n, n + 1, beta) == 0
 
 
 def test_monte_carlo_within_three_sigma():
