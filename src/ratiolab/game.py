@@ -120,13 +120,13 @@ def union_bound(cardinalities, n: int, alpha: int, beta: int) -> Fraction:
 
     Bounds the probability that a whole query sequence (given by its
     cardinalities) separates the planted pair from the unplanted one.
+    (n, alpha, beta) are checked as for one query, even for an empty sequence.
     """
+    _check_query(n, alpha, beta, 0)
     favorable = 0
     for s, count in Counter(cardinalities).items():
         _check_query(n, alpha, beta, s)
         favorable += count * _favorable_plants(n, alpha, beta, s)
-    if not favorable:
-        return Fraction(0)
     plants = math.comb(n, alpha)
     return Fraction(1) if favorable >= plants else Fraction(favorable, plants)
 
@@ -155,7 +155,7 @@ def _first_difference(transcript: QueryTranscript, g_a, g_b) -> int | None:
     same Fraction, so identity settles almost every set in one C-level pass;
     `!=` keeps the rest exact.
     """
-    masks = list(transcript.effective_sets())
+    masks = transcript.effective_sets()
     a, b = g_a(masks), g_b(masks)
     for idx in compress(count(), map(is_not, a, b)):
         if a[idx] != b[idx]:

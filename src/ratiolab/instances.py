@@ -36,6 +36,8 @@ def _as_fraction(value, what: str) -> Fraction:
 def _check_plant(plant: Subset | None, n: int, k: int, name: str) -> None:
     if plant is None:
         return
+    if not isinstance(plant, Subset):
+        raise ParameterError(f"plant must be a Subset, got {type(plant).__name__}")
     if plant.n != n:
         raise ParameterError("plant ground size differs from instance n")
     if plant.cardinality != k:

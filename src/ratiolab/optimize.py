@@ -13,10 +13,10 @@ Searches query by bit mask, all in one loop, `_best_of`, which takes its
 masks in chunks of CHUNK: each chunk is one call of the module attribute
 `ratio`, bound to `oracles.query_batch`, which charges both handles once
 per mask, extends g's transcript by the chunk and yields each mask's
-unreduced integer pair (p, q): one pass of the ratio-table kernel on a
-`make_oracles` pair.  The loop compares ratios as integer cross-products
-of those pairs; a Fraction is built only for the returned value.  The game
-harness does not read that value: it scores the returned set.
+value-class id, a class being an unreduced integer pair (p, q) and |S|.
+The loop compares a chunk's distinct classes as integer cross-products and
+settles ties once per class; a Fraction is built only for the returned
+value.  The game harness does not read that value: it scores the returned set.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from itertools import compress, islice
 from typing import NamedTuple
 
 from .errors import ParameterError
-# The searches compare (p, q) integer pairs; the module-level name `ratio`
+# The searches compare value classes; the module-level name `ratio`
 # is the per-chunk evaluation that perfbench/tracing.py rebinds.
 from .oracles import query_batch as ratio
 from .sampling import SeededStream
@@ -34,7 +34,7 @@ from .sets import Subset, check_count, check_guard, validate_ground_size
 # Not called here; kept as an optimize attribute that perfbench/tracing.py rebinds.
 from .sets import unchecked_subset  # noqa: F401
 
-# Masks per `ratio` call: the searches hold at most this many masks and their terms at once.
+# Masks per `ratio` call: the searches hold at most this many masks and their class ids at once.
 CHUNK = 4096
 
 OPT_CSV_COLUMNS = ["method", "n", "family", "value_p", "value_q", "argset_hex", "queries", "seed"]
@@ -54,31 +54,29 @@ def _best_of(masks, n: int, f_oracle, g_oracle, sign: int = 1, best=(1, 0, 0)):
 
     The one search loop: one `ratio` call per chunk of up to CHUNK masks, in
     order.  Search order is lower sign * p/q (q > 0), then smaller cardinality,
-    then smaller mask.  A chunk's best value is found among its distinct terms
-    by cross-multiplication; a chunk that does not reach the best so far costs
-    nothing more, and ties are broken by C-level passes over the chunk.
+    then smaller mask.  A chunk's best class is found among its distinct ids;
+    a chunk that does not reach the best so far costs nothing more.  Every
+    class tying it in value and |S| wins: one C-level pass takes the smallest
+    winning mask.
     """
     evaluate = ratio
     best_p, best_q, best_mask = best
     masks = iter(masks)
     while chunk := list(islice(masks, CHUNK)):
-        terms = evaluate(chunk, n, f_oracle, g_oracle)
-        distinct = set(terms)
-        p, q = 1, 0
-        for term_p, term_q in distinct:
-            term_p *= sign
-            if term_p * q < p * term_q:
-                p, q = term_p, term_q
-        lhs = p * best_q
-        rhs = best_p * q
-        if lhs > rhs:
+        ids, classes = evaluate(chunk, n, f_oracle, g_oracle)
+        distinct = set(ids)
+        p, q, card = 1, 0, 0
+        for i in distinct:
+            class_p, class_q, class_card = classes[i]
+            class_p *= sign
+            if (class_p * q, class_card) < (p * class_q, card):
+                p, q, card = class_p, class_q, class_card
+        key, best_key = (p * best_q, card), (best_p * q, best_mask.bit_count())
+        if key > best_key:
             continue
-        winners = {t for t in distinct if sign * t[0] * q == p * t[1]}
-        tied = list(compress(chunk, map(winners.__contains__, terms)))
-        if lhs == rhs:
-            tied.append(best_mask)
-        cards = list(map(int.bit_count, tied))
-        best_p, best_q, best_mask = p, q, min(compress(tied, map(min(cards).__eq__, cards)))
+        winners = {i for i in distinct if classes[i][2] == card and sign * classes[i][0] * q == p * classes[i][1]}
+        mask = min(compress(chunk, map(winners.__contains__, ids)))
+        best_p, best_q, best_mask = p, q, min(mask, best_mask) if key == best_key else mask
     return best_p, best_q, best_mask
 
 

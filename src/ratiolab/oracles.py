@@ -7,16 +7,15 @@ which would shred float precision and muddy every downstream comparison.
 A ratio query yields the unreduced integer pair (p, q) of `ratio_terms`:
 callers compare ratios by integer cross-multiplication, and a Fraction is
 built only for a value that is returned (`ratio`, OptResult.value).  The
-searches query lists of bit masks through `query_batch`.  Each side of an
-instance keeps two cached tables, indexed alike by the side's value class:
-its values, the Fractions `instance_evaluator` and `batch_lookup` return,
-and for g the (p, q) of f/g, read off those values once at build time.
-Masks reach a table through one kernel per value class, a comprehension
-from a list of masks to the list of their entries; `value_lookup` and
-`query_terms` are its one-mask calls.  The g handle of a `make_oracles`
-pair holds the kernel of the second table, so a search query on that pair
-builds no Subset and no Fraction.  The planted decreasing g's grid has a
-row per |S minus R|; f reads its last row.
+searches query lists of bit masks through `query_batch`, which gives each
+mask's small-int class id and the classes by id: a class is one distinct
+(p, q, |S|) of f/g, or None where g = 0.  Each side of an instance keeps
+cached tables indexed alike by the side's value class: its values, the
+Fractions `instance_evaluator` and `batch_lookup` return, and for g the
+class ids, read off those values once at build time.  One kernel per value
+class, a comprehension, maps a list of masks to their entries; a search
+query on a `make_oracles` pair builds no Subset, Fraction or tuple per mask.
+The planted decreasing g's grid has a row per |S minus R|; f reads its last row.
 
 In both families f is the same function in every world and the plant
 lives only in g, so the sets at which g was evaluated are all an algorithm
@@ -41,38 +40,42 @@ def _ground_error(size: int, n: int) -> ParameterError:
     return ParameterError(f"subset ground size {size} differs from instance n {n}")
 
 
-def _f_over_g(f_row: tuple, g_rows) -> list[tuple]:
-    """Per g row, cellwise f/g as unreduced (p, q), q > 0 as g >= 0, or None where g = 0; equal terms are one object."""
-    held: dict = {}
-    rows = [[None if not g.numerator else (f.numerator * g.denominator, f.denominator * g.numerator)
-             for f, g in zip(f_row, g_row)] for g_row in g_rows]
-    return [tuple(held.setdefault(term, term) for term in row) for row in rows]
+def _f_over_g(f_row: tuple, g_rows, cards) -> tuple[list[tuple], tuple]:
+    """Per g row, each cell's f/g class id, and the classes by id.
+
+    A class is one distinct (p, q, |S|), f/g unreduced with q > 0 as g >= 0, or None (id 0) where g = 0.
+    """
+    ids: dict = {None: 0} if any(0 in row for row in g_rows) else {}
+    keys = [[None if not g.numerator else (f.numerator * g.denominator, f.denominator * g.numerator, c)
+             for f, g, c in zip(f_row, g_row, cards)] for g_row in g_rows]
+    return [tuple(ids.setdefault(key, len(ids)) for key in row) for row in keys], tuple(ids)
 
 
 @lru_cache(maxsize=None)
-def _dec_grid(n: int, alpha: int, beta: int, epsilon: Fraction) -> tuple[tuple, tuple]:
-    """The planted decreasing g as n + 1 rows by x = |S minus R|, each indexed by |S|: its values and f/g.
+def _dec_grid(n: int, alpha: int, beta: int, epsilon: Fraction) -> tuple[tuple, tuple, tuple]:
+    """The planted decreasing g as n + 1 rows by x = |S minus R|, each indexed by |S|: its values, f/g class ids, classes.
 
     Row x holds alpha + epsilon - min(beta + x, alpha, c) at c = |S|, sliced from one
     term table, so equal values are one object.  Every row from x = alpha - beta on is
-    one shared tuple, f's own row, and so is its f/g row.
+    one shared tuple, f's own row, and so is its id row.
     """
     table = tuple(alpha + epsilon - t for t in range(alpha + 1))
     rows = [table[:k] + table[k:k + 1] * (n + 1 - k) for k in range(beta, alpha + 1)]
-    terms = _f_over_g(rows[-1], rows)
+    ids, classes = _f_over_g(rows[-1], rows, range(n + 1))
     tail = n + 1 - len(rows)
-    return tuple(rows + rows[-1:] * tail), tuple(terms + terms[-1:] * tail)
+    return tuple(rows + rows[-1:] * tail), tuple(ids + ids[-1:] * tail), classes
 
 
 @lru_cache(maxsize=None)
-def _inc_tables(n: int, m: Fraction, epsilon: Fraction) -> tuple[tuple, tuple, tuple]:
-    """The increasing pair by cardinality: f, g and f/g, whose entry n + 1 is the plant's (g = 1)."""
+def _inc_tables(n: int, m: Fraction, epsilon: Fraction) -> tuple[tuple, tuple, tuple, tuple]:
+    """The increasing pair by cardinality: f, g, f/g class ids and classes; entry n + 1 is the plant's (g = 1)."""
     half = n // 2
     cards = range(n + 1)
     f = tuple(Fraction(c) if c <= half else m * (1 << (c + 1)) + c for c in cards)
     g = tuple(Fraction(2 * c, n) * epsilon if c <= half else Fraction(2 * (c - half)) for c in cards)
     g += (Fraction(1),)
-    return f, g, _f_over_g(f + f[half:half + 1], [g])[0]
+    [ids], classes = _f_over_g(f + f[half:half + 1], [g], [*cards, half])
+    return f, g, ids, classes
 
 
 def differs_from_unplanted(S: Subset, inst: DecreasingInstance) -> bool:
@@ -108,11 +111,9 @@ class QueryTranscript:
     def set_returned(self, S: Subset) -> None:
         self.returned = S.mask
 
-    def effective_sets(self):
-        """Every queried mask in order, with the returned set's mask appended."""
-        yield from self.entries
-        if self.returned is not None:
-            yield self.returned
+    def effective_sets(self) -> list[int]:
+        """A new list of every queried mask in order, with the returned set's mask appended."""
+        return self.entries + ([] if self.returned is None else [self.returned])
 
     def cardinalities(self) -> list[int]:
         return list(map(int.bit_count, self.effective_sets()))
@@ -127,18 +128,18 @@ class CountingOracle:
     Wraps any Subset -> Fraction callable; `for_instance` binds the right
     family evaluator for a role ("f" or "g").  A handle with a transcript
     records the mask of every set it evaluates.  A `make_oracles` g handle
-    also holds `_terms`, (its f handle, n, mask -> f/g terms, masks -> f/g
-    terms), for `query_batch`.  The plant, when present, stays inside the
-    instance: nothing about it leaks through this handle.
+    also holds `_classes`, (its f handle, n, masks -> f/g class ids, the
+    classes by id), for `query_batch`.  The plant, when present, stays
+    inside the instance: nothing about it leaks through this handle.
     """
 
-    __slots__ = ("_fn", "count", "transcript", "_terms")
+    __slots__ = ("_fn", "count", "transcript", "_classes")
 
     def __init__(self, fn: Callable[[Subset], Fraction], transcript: QueryTranscript | None = None) -> None:
         self._fn = fn
         self.count = 0
         self.transcript = transcript
-        self._terms = None
+        self._classes = None
 
     @classmethod
     def for_instance(
@@ -158,31 +159,32 @@ _BY_CARDINALITY, _BY_GRID, _BY_PLANT = range(3)
 
 
 def _side(inst: Instance, role: str) -> tuple:
-    """One side of an instance as (rule, key, values, terms), its two cached tables indexed alike.
+    """One side of an instance as (rule, key, values, ids, classes), its cached tables indexed alike.
 
-    `values` holds the Fractions the side answers; `terms`, for g only (None
-    for f), the pair's f/g terms.  The rule names the value class: |S|; the
-    planted decreasing g's cell [|S & out|][|S|] of its grid rows, key out; or
-    |S| with the increasing plant test, key (plant mask, n + 1), the plant's
-    entry.  Decreasing f is the grid's last row.
+    `values` holds the Fractions the side answers; `ids` and `classes`, for g
+    only (None for f), the pair's f/g class ids and the classes by id.  The
+    rule names the value class: |S|; the planted decreasing g's cell
+    [|S & out|][|S|] of its grid rows, key out; or |S| with the increasing
+    plant test, key (plant mask, n + 1), the plant's entry.  Decreasing f is
+    the grid's last row.
     """
     if role not in ("f", "g"):
         raise ParameterError(f"oracle role must be 'f' or 'g', got {role!r}")
     n = inst.n
     if isinstance(inst, DecreasingInstance):
-        values, terms = _dec_grid(n, inst.alpha, inst.beta, inst.epsilon)
+        values, ids, classes = _dec_grid(n, inst.alpha, inst.beta, inst.epsilon)
         if role == "f":
-            return _BY_CARDINALITY, None, values[-1], None
+            return _BY_CARDINALITY, None, values[-1], None, None
         if inst.plant is None:
             raise MissingPlantError("decreasing g-oracle needs a planted instance")
-        return _BY_GRID, ((1 << n) - 1) & ~inst.plant.mask, values, terms
+        return _BY_GRID, ((1 << n) - 1) & ~inst.plant.mask, values, ids, classes
     if isinstance(inst, IncreasingInstance):
-        f, g, terms = _inc_tables(n, inst.m, inst.epsilon)
+        f, g, ids, classes = _inc_tables(n, inst.m, inst.epsilon)
         if role == "f":
-            return _BY_CARDINALITY, None, f, None
+            return _BY_CARDINALITY, None, f, None, None
         if inst.plant is None:
-            return _BY_CARDINALITY, None, g, terms
-        return _BY_PLANT, (inst.plant.mask, n + 1), g, terms
+            return _BY_CARDINALITY, None, g, ids, classes
+        return _BY_PLANT, (inst.plant.mask, n + 1), g, ids, classes
     raise ParameterError(f"unknown instance type: {type(inst).__name__}")
 
 
@@ -193,7 +195,7 @@ def instance_evaluator(inst: Instance, role: str) -> Callable[[Subset], Fraction
     size compare and a bit_count and tuple index per axis, never Fraction
     arithmetic.  A subset of another ground size raises ParameterError.
     """
-    rule, key, table, _ = _side(inst, role)
+    rule, key, table, _, _ = _side(inst, role)
     n = inst.n
     if rule == _BY_CARDINALITY:
         def by_cardinality(S, _t=table, _n=n):
@@ -227,7 +229,7 @@ def batch_lookup(inst: Instance, role: str) -> Callable[[list[int]], list]:
     from one cached table are one object.  The caller vouches for the masks'
     ground size.
     """
-    rule, key, values, _ = _side(inst, role)
+    rule, key, values, _, _ = _side(inst, role)
     return _kernel(rule, key, values)
 
 
@@ -256,14 +258,12 @@ def make_oracles(
     """The (f, g) oracle pair for an instance; the transcript records g's queries.
 
     The g handle names this f handle as its partner and holds the pair's
-    ratio-table kernel, so `query_batch` on exactly this pair maps its masks
-    through that kernel.
+    class-id kernel and classes, which `query_batch` reads on exactly this pair.
     """
     f_oracle = CountingOracle.for_instance(inst, "f")
     g_oracle = CountingOracle.for_instance(inst, "g", transcript)
-    rule, key, _, terms = _side(inst, "g")
-    kernel = _kernel(rule, key, terms)
-    g_oracle._terms = (f_oracle, inst.n, lambda mask: kernel([mask])[0], kernel)
+    rule, key, _, ids, classes = _side(inst, "g")
+    g_oracle._classes = (f_oracle, inst.n, _kernel(rule, key, ids), classes)
     return f_oracle, g_oracle
 
 
@@ -289,24 +289,26 @@ def ratio_terms(S: Subset, f_oracle: CountingOracle, g_oracle: CountingOracle) -
     raise UndefinedRatioError(f"g({S!r}) = 0; the ratio is undefined there")
 
 
-def query_batch(masks: list[int], n: int, f_oracle: CountingOracle, g_oracle: CountingOracle) -> list:
-    """`query_terms` at each of `masks` in order: the same (p, q)s, charges, records and errors.
+def query_batch(masks: list[int], n: int, f_oracle: CountingOracle, g_oracle: CountingOracle) -> tuple[list, tuple | list]:
+    """`query_terms` at each of `masks` as (ids, classes): the same charges, records and errors.
 
-    A `make_oracles` pair in (f, g) order maps the list through its ratio-table
-    kernel and charges and records the masks up to the first where g = 0, which
-    raises.  Every other pair goes one mask at a time through `ratio_terms`.
+    `classes[ids[i]]` is (p, q, |S|) at masks[i], (p, q) as `query_terms` gives.  A `make_oracles`
+    pair in (f, g) order maps the list through its class-id kernel and returns its cached classes,
+    charging and recording up to the first mask of the g = 0 class, id 0, which raises.  Every
+    other pair goes one mask at a time through `ratio_terms`, one class per mask.
     """
     try:
-        partner, size, _, kernel = g_oracle._terms
+        partner, size, kernel, classes = g_oracle._classes
     except (AttributeError, TypeError):
         partner = None
     if partner is not f_oracle:
-        return [ratio_terms(unchecked_subset(mask, n), f_oracle, g_oracle) for mask in masks]
+        classes = [ratio_terms(unchecked_subset(mask, n), f_oracle, g_oracle) + (mask.bit_count(),) for mask in masks]
+        return list(range(len(classes))), classes
     if size != n and masks:
         f_oracle.count += 1
         raise _ground_error(n, size)
-    terms = kernel(masks)
-    charged = masks[:terms.index(None) + 1] if None in terms else masks
+    ids = kernel(masks)
+    charged = masks[:ids.index(0) + 1] if classes[0] is None and not all(ids) else masks
     f_oracle.count += len(charged)
     g_oracle.count += len(charged)
     f_record, g_record = f_oracle.transcript, g_oracle.transcript
@@ -319,16 +321,13 @@ def query_batch(masks: list[int], n: int, f_oracle: CountingOracle, g_oracle: Co
                 record.entries.extend(charged)
     if charged is not masks:
         raise UndefinedRatioError(f"g({unchecked_subset(charged[-1], n)!r}) = 0; the ratio is undefined there")
-    return terms
+    return ids, classes
 
 
 def query_terms(mask: int, n: int, f_oracle: CountingOracle, g_oracle: CountingOracle) -> tuple[int, int]:
-    """`ratio_terms` at Subset(mask, n): the same (p, q), charges, records and errors.
-
-    It is `query_batch` on one mask: a `make_oracles` pair in (f, g) order
-    answers from its ratio table, every other pair through `ratio_terms`.
-    """
-    return query_batch([mask], n, f_oracle, g_oracle)[0]
+    """`ratio_terms` at Subset(mask, n) as `query_batch` on one mask: the same (p, q), charges, records and errors."""
+    ids, classes = query_batch([mask], n, f_oracle, g_oracle)
+    return classes[ids[0]][:2]
 
 
 def ratio(S: Subset, f_oracle: CountingOracle, g_oracle: CountingOracle) -> Fraction:

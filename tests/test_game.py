@@ -134,6 +134,10 @@ def test_union_bound_values():
     assert union_bound([7, 7], 14, 4, 1) == 0
     # the sum is capped at 1
     assert union_bound([3] * 5000, 14, 4, 1) == 1
+    # bad (n, alpha, beta) raise with no cardinality to check
+    for n, alpha, beta in ((14, 40, 1), (14, 4, -3), (1.5, 4, 1)):
+        with pytest.raises(ParameterError):
+            union_bound([], n, alpha, beta)
 
 
 @pytest.mark.parametrize("n, alpha, beta", [(14, 4, 1), (30, 6, 0), (60, 12, 5), (100, 10, 1), (100, 50, 60)])
@@ -151,8 +155,9 @@ def test_union_bound_equals_the_capped_fraction_sum(n, alpha, beta):
             assert bound == min(Fraction(1), total), (n, alpha, beta, length)
             outcomes.add("zero" if not total else "below 1" if total < 1 else "capped")
     assert outcomes == ({"zero", "below 1", "capped"} if beta < alpha else {"zero"})
-    # an empty sequence checks no cardinality, so it is 0 even where C(n, alpha) is 0
-    assert union_bound([], n, n + 1, beta) == 0
+    # (n, alpha, beta) are checked before the sum, so an empty sequence does not hide them
+    with pytest.raises(ParameterError):
+        union_bound([], n, n + 1, beta)
 
 
 def test_monte_carlo_within_three_sigma():

@@ -144,6 +144,16 @@ def test_increasing_plant_validation():
         IncreasingInstance(9, 100, Fraction(1, 2), plant=Subset.from_elements([0, 1, 2, 3, 4], 9))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: DecreasingInstance(6, 3, 1, Fraction(1, 2), plant=7),
+    lambda: IncreasingInstance(6, 10, Fraction(1, 4), plant=[0, 1, 2]),
+], ids=["decreasing-int", "increasing-list"])
+def test_a_plant_that_is_not_a_subset_is_rejected(build):
+    # a mask or an element list is not a plant: ParameterError, not AttributeError
+    with pytest.raises(ParameterError, match="plant must be a Subset"):
+        build()
+
+
 def test_increasing_floor_and_gap_formulas():
     inst = IncreasingInstance(30, 10**6, Fraction(1, 1000))
     assert inst.min_ratio_floor() == min(Fraction(30 * 1000, 2), Fraction(10**6)) == 15000

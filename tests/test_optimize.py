@@ -16,7 +16,8 @@ from ratiolab.optimize import (
     opt_result_row,
     random_search,
 )
-from ratiolab.oracles import make_oracles, ratio
+from ratiolab.oracles import CountingOracle, QueryTranscript, make_oracles, ratio
+from ratiolab.sampling import random_k_subset
 from ratiolab.sets import Subset
 
 DEC = DecreasingInstance(8, 3, 1, Fraction(1, 2), plant=Subset.from_elements([0, 1, 2], 8))
@@ -142,6 +143,66 @@ def test_heuristics_never_beat_brute():
             # the reported value really is the ratio at the reported set
             fv, gv = make_oracles(INC)
             assert ratio(res.argset, fv, gv) == res.value
+
+
+# ------------------------------------------ class ids vs one class per mask
+
+CLASS_SEARCHES = {
+    "brute-min": lambda f, g, n: brute_force_min_ratio(f, g, n),
+    "brute-max": lambda f, g, n: brute_force_max_ratio(f, g, n),
+    "random": lambda f, g, n: random_search(f, g, n, 300, 5),
+    "local": lambda f, g, n: local_search(f, g, n, 200, 5),
+}
+
+
+def _class_kinds(n):
+    # the unplanted decreasing g is f itself: that instance has no g oracle
+    return {
+        "decreasing-planted": DecreasingInstance(n, 4, 2, Fraction(1, 3), plant=random_k_subset(n, 4, n)),
+        "increasing-planted": IncreasingInstance(n, 7, Fraction(1, 5), plant=random_k_subset(n, n // 2, n)),
+        "increasing-unplanted": IncreasingInstance(n, 7, Fraction(1, 5)),
+    }
+
+
+@pytest.mark.parametrize("n", [5, 10])
+@pytest.mark.parametrize("kind", ["decreasing-planted", "increasing-planted", "increasing-unplanted"])
+@pytest.mark.parametrize("search", sorted(CLASS_SEARCHES))
+def test_class_table_and_per_mask_classes_search_alike(n, kind, search):
+    # A make_oracles pair hands the search its cached class ids; handles from
+    # two make_oracles calls are not partners, so each mask is its own class
+    # built through ratio_terms.  Results, counts and transcripts agree.
+    inst = _class_kinds(n)[kind]
+    runs = []
+    for split in (False, True):
+        t = QueryTranscript()
+        f, g = (make_oracles(inst)[0], make_oracles(inst, t)[1]) if split else make_oracles(inst, t)
+        assert (g._classes[0] is f) is not split
+        result = CLASS_SEARCHES[search](f, g, n)
+        runs.append((result, f.count, g.count, t.entries))
+    assert runs[0] == runs[1]
+
+
+def _scaled_ties():
+    """Wrapped handles at n = 6 where f/g is base(S) scaled as (k * base, k), k = 1 + mask % 3.
+
+    The minimum 1 is taken at masks 49 and 56 (|S| = 3, classes (2, 2, 3) and
+    (3, 3, 3)) and 15 (|S| = 4); the maximum 100 at masks 40 and 48 (|S| = 2,
+    classes (200, 2, 2) and (100, 1, 2)) and 7 (|S| = 3, class (200, 2, 3)).
+    Every other set has base 2 + |S|.
+    """
+    base = {49: 1, 56: 1, 15: 1, 40: 100, 48: 100, 7: 100}
+    f = CountingOracle(lambda S: (1 + S.mask % 3) * base.get(S.mask, 2 + S.mask.bit_count()))
+    g = CountingOracle(lambda S: 1 + S.mask % 3)
+    return f, g
+
+
+def test_ties_across_unreduced_classes():
+    # equal values from different (p, q): every tying class of the smallest
+    # cardinality wins, and the smallest of their masks is returned
+    assert brute_force_min_ratio(*_scaled_ties(), 6)[:2] == (Subset(49, 6), 1)
+    assert brute_force_max_ratio(*_scaled_ties(), 6)[:2] == (Subset(40, 6), 100)
+    # 2,000 draws cover all 63 sets, so random search finds the same minimum
+    assert random_search(*_scaled_ties(), 6, 2000, 1)[:2] == (Subset(49, 6), 1)
 
 
 # ------------------------------------------------------- algorithm handles

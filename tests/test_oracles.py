@@ -290,7 +290,7 @@ def test_decreasing_grid_at_game_scale(inst):
     # return at a set with c - x plant elements and x others; f's lookups
     # return the grid's last row.
     n, alpha, beta = inst.n, inst.alpha, inst.beta
-    values, _ = oracles._dec_grid(n, alpha, beta, inst.epsilon)
+    values = oracles._dec_grid(n, alpha, beta, inst.epsilon)[0]
     assert len(values) == n + 1 and all(len(row) == n + 1 for row in values)
     expected = [alpha + inst.epsilon - t for t in range(alpha + 1)]
     held = {}
@@ -319,10 +319,10 @@ def test_decreasing_grid_rows_are_shared(inst):
     # grid holds at most alpha - beta + 1 distinct rows, and every row from
     # x = alpha - beta on is the one tuple that f's side reads.
     n, head = inst.n, inst.alpha - inst.beta
-    values, terms = oracles._dec_grid(n, inst.alpha, inst.beta, inst.epsilon)
+    values, ids, _ = oracles._dec_grid(n, inst.alpha, inst.beta, inst.epsilon)
     f_row = oracles._side(inst, "f")[2]
-    assert len(values) == n + 1 and len(terms) == n + 1
-    for rows in (values, terms):
+    assert len(values) == n + 1 and len(ids) == n + 1
+    for rows in (values, ids):
         assert len({id(row) for row in rows}) <= head + 1
         assert all(row is rows[-1] for row in rows[head:])
     assert values[-1] is f_row
@@ -514,46 +514,46 @@ def test_wrong_ground_size_search_fails_alike_on_both_paths(kind, search, g_n):
 
 
 def _table_lookup(inst):
-    """The mask -> (p, q) lookup of a `make_oracles` pair's ratio table."""
-    return make_oracles(inst)[1]._terms[2]
+    """The mask -> class lookup of a `make_oracles` pair's class-id table, uncharged."""
+    _, _, kernel, classes = make_oracles(inst)[1]._classes
+    return lambda mask: classes[kernel([mask])[0]]
 
 
-def _expected_term(f_value, g_value):
+def _expected_class(f_value, g_value, card):
     if not g_value:
         return None
-    return (f_value.numerator * g_value.denominator, f_value.denominator * g_value.numerator)
+    return (f_value.numerator * g_value.denominator, f_value.denominator * g_value.numerator, card)
 
 
 @pytest.mark.parametrize("inst", GAME_SCALE, ids=lambda i: f"n{i.n}-a{i.alpha}-b{i.beta}")
 def test_decreasing_ratio_table_at_game_scale(inst):
-    # Every cell (x, c) of the f/g table is f at |S| = c over the grid's g
-    # value, and equal terms are one object.  Each reachable cell is what the
-    # pair's lookup returns at a set with c - x plant elements and x others,
-    # and there it agrees with value_lookup.
+    # Every cell (x, c) of the id table names the class of f at |S| = c over
+    # the grid's g value, at c, and equal classes are one id.  Each reachable
+    # cell is what the pair's lookup returns at a set with c - x plant
+    # elements and x others, and there it agrees with value_lookup.
     n = inst.n
-    values, terms = oracles._dec_grid(n, inst.alpha, inst.beta, inst.epsilon)
-    assert len(terms) == n + 1 and all(len(row) == n + 1 for row in terms)
+    values, ids, classes = oracles._dec_grid(n, inst.alpha, inst.beta, inst.epsilon)
+    assert len(ids) == n + 1 and all(len(row) == n + 1 for row in ids)
+    assert len(set(classes)) == len(classes) and None not in classes
     f_value, g_value = value_lookup(inst, "f"), value_lookup(inst, "g")
-    held = {}
-    for x, row in enumerate(terms):
-        for c, term in enumerate(row):
-            assert term == _expected_term(f_value((1 << c) - 1), values[x][c]), (x, c)
-            assert held.setdefault(term, term) is term, (x, c)
+    for x, row in enumerate(ids):
+        for c, i in enumerate(row):
+            assert classes[i] == _expected_class(f_value((1 << c) - 1), values[x][c], c), (x, c)
     lookup = _table_lookup(inst)
     inside = [i for i in range(n) if inst.plant.mask >> i & 1]
     outside = [i for i in range(n) if not inst.plant.mask >> i & 1]
     for x in range(len(outside) + 1):
         for a in range(inst.alpha + 1):
             mask = sum(1 << i for i in inside[:a] + outside[:x])
-            assert lookup(mask) is terms[x][a + x], (x, a)
-            assert lookup(mask) == _expected_term(f_value(mask), g_value(mask)), (x, a)
+            assert lookup(mask) is classes[ids[x][a + x]], (x, a)
+            assert lookup(mask) == _expected_class(f_value(mask), g_value(mask), a + x), (x, a)
 
 
 @pytest.mark.parametrize("m, epsilon", [(Fraction(100), Fraction(1, 4)), (Fraction(7, 3), Fraction(15, 16))])
 def test_increasing_ratio_table_at_game_scale(m, epsilon):
     # At every cardinality and at the plant, planted and unplanted, the
-    # lookup is f/g of value_lookup as (f_num * g_den, f_den * g_num), None
-    # where g = 0; equal terms are one object.
+    # lookup is f/g of value_lookup as (f_num * g_den, f_den * g_num, |S|),
+    # None where g = 0; equal classes are one object.
     n = 30
     plant = random_k_subset(n, n // 2, 30)
     assert plant.mask != (1 << n // 2) - 1
@@ -562,10 +562,10 @@ def test_increasing_ratio_table_at_game_scale(m, epsilon):
         lookup, f_value, g_value = _table_lookup(inst), value_lookup(inst, "f"), value_lookup(inst, "g")
         for mask in [(1 << c) - 1 for c in range(n + 1)] + [plant.mask]:
             term = lookup(mask)
-            assert term == _expected_term(f_value(mask), g_value(mask)), (inst.plant, mask)
+            assert term == _expected_class(f_value(mask), g_value(mask), mask.bit_count()), (inst.plant, mask)
             assert held.setdefault(term, term) is term, (inst.plant, mask)
         assert lookup(0) is None
-    assert _table_lookup(IncreasingInstance(n, m, epsilon, plant=plant))(plant.mask) == (n // 2, 1)
+    assert _table_lookup(IncreasingInstance(n, m, epsilon, plant=plant))(plant.mask) == (n // 2, 1, n // 2)
 
 
 GAME_SCALE_PAIRS = [i for i in GAME_SCALE if i.n == 100] + [
@@ -682,14 +682,15 @@ def test_batch_lookup_returns_the_evaluators_objects(n, kind):
 @pytest.mark.parametrize("n", [5, 10])
 @pytest.mark.parametrize("kind", BATCH_KINDS)
 def test_query_batch_matches_query_terms_on_every_nonempty_mask(n, kind):
-    # the same term objects, counts and transcripts as one query_terms call per mask
+    # the classes of the ids are query_terms' (p, q) and |S| at each mask,
+    # with the counts and transcripts of one query_terms call per mask
     inst = _bundled_kinds(n)[kind]
     masks = list(range(1, 1 << n))
     fast_t, slow_t = QueryTranscript(), QueryTranscript()
     fast, slow = make_oracles(inst, fast_t), make_oracles(inst, slow_t)
-    got = query_batch(masks, n, *fast)
-    want = [query_terms(mask, n, *slow) for mask in masks]
-    assert all(a is b for a, b in zip(got, want)) and len(got) == len(want)
+    ids, classes = query_batch(masks, n, *fast)
+    want = [query_terms(mask, n, *slow) + (mask.bit_count(),) for mask in masks]
+    assert [classes[i] for i in ids] == want
     assert [h.count for h in fast] == [h.count for h in slow] == [len(masks)] * 2
     assert fast_t.entries == slow_t.entries == masks
 
@@ -705,9 +706,9 @@ def test_plant_entry_at_every_occurrence(n):
     planted = instance_evaluator(inst, "g")(inst.plant)
     assert values[0] is values[-1] is planted == 1
     assert all(value is not planted for value in values[1:-1])
-    terms = query_batch(masks, n, *make_oracles(inst))
-    assert terms[0] is terms[-1] == (n // 2, 1)
-    assert all(term != (n // 2, 1) for term in terms[1:-1])
+    ids, classes = query_batch(masks, n, *make_oracles(inst))
+    assert ids[0] == ids[-1] and classes[ids[0]] == (n // 2, 1, n // 2)
+    assert all(classes[i] != (n // 2, 1, n // 2) for i in ids[1:-1])
 
 
 def _per_mask_until_raise(masks, n, f, g):
