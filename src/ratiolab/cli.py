@@ -5,7 +5,7 @@ is counter-mode, and report files carry no timestamps, so identical
 invocations produce byte-identical outputs.
 
 Exit codes: 0 success, 1 verification found violations, 2 invalid
-parameters or descriptor, 3 enumeration-guard refusal.
+parameters, descriptor or unwritable output file, 3 enumeration-guard refusal.
 """
 
 from __future__ import annotations
@@ -68,17 +68,18 @@ def build_parser() -> argparse.ArgumentParser:
     add_instance_flags(p_verify)
     p_verify.add_argument("--out-csv", help="write supermodularity violations as CSV")
 
+    units = "local: queries, two per ratio; random: sampled sets, two queries each; brute: unused (default n^3)"
     p_solve = sub.add_parser("solve", help="minimize f/g over nonempty subsets")
     add_instance_flags(p_solve)
     p_solve.add_argument("--method", choices=tuple(SEARCHES), default="brute")
-    p_solve.add_argument("--budget", type=int, help="query budget for heuristics (default n^3)")
+    p_solve.add_argument("--budget", type=int, help=units)
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--out-csv", help="write the result row as CSV")
 
     p_game = sub.add_parser("game", help="run the planted indistinguishability game")
     add_instance_flags(p_game)
     p_game.add_argument("--method", choices=tuple(SEARCHES), default="random")
-    p_game.add_argument("--budget", type=int, help="per-trial budget (default n^3)")
+    p_game.add_argument("--budget", type=int, help="per trial; " + units)
     p_game.add_argument("--trials", type=int, default=100)
     p_game.add_argument("--seed", type=int, default=0)
     p_game.add_argument("--out-csv", help="write per-trial reports as CSV")
@@ -247,7 +248,7 @@ def main(argv=None) -> int:
     except EnumerationGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except RatioLabError as exc:
+    except (RatioLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,9 @@ callers compare ratios by integer cross-multiplication, and a Fraction is
 built only for a value that is returned (`ratio`, OptResult.value).  The
 searches query lists of bit masks through `query_batch`, which gives each
 mask's small-int class id and the classes by id: a class is one distinct
-(p, q, |S|) of f/g, or None where g = 0.  Each side of an instance keeps
+(p, q, |S|) of f/g, or None where g = 0.  `ratio_terms` alone defines a
+query's charges, records and errors; `query_batch` calls it mask by mask
+wherever its table shortcut would differ.  Each side of an instance keeps
 cached tables indexed alike by the side's value class: its values, the
 Fractions `instance_evaluator` and `batch_lookup` return, and for g the
 class ids, read off those values once at build time.  One kernel per value
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from typing import Callable
 
 from .errors import MissingPlantError, ParameterError, UndefinedRatioError
@@ -129,8 +130,8 @@ class CountingOracle:
     family evaluator for a role ("f" or "g").  A handle with a transcript
     records the mask of every set it evaluates.  A `make_oracles` g handle
     also holds `_classes`, (its f handle, n, masks -> f/g class ids, the
-    classes by id), for `query_batch`.  The plant, when present, stays
-    inside the instance: nothing about it leaks through this handle.
+    classes by id), read by `query_batch` with that f handle alone.  The
+    plant stays inside the instance: nothing about it leaks through here.
     """
 
     __slots__ = ("_fn", "count", "transcript", "_classes")
@@ -233,12 +234,6 @@ def batch_lookup(inst: Instance, role: str) -> Callable[[list[int]], list]:
     return _kernel(rule, key, values)
 
 
-def value_lookup(inst: Instance, role: str) -> Callable[[int], Fraction]:
-    """Mask -> one side's value: `batch_lookup` called on one mask."""
-    kernel = batch_lookup(inst, role)
-    return lambda mask: kernel([mask])[0]
-
-
 def _kernel(rule: int, key, table: tuple) -> Callable[[list[int]], list]:
     """A list of masks -> the table entries of their value classes, under `_side`'s rule and key.
 
@@ -257,8 +252,8 @@ def make_oracles(
 ) -> tuple[CountingOracle, CountingOracle]:
     """The (f, g) oracle pair for an instance; the transcript records g's queries.
 
-    The g handle names this f handle as its partner and holds the pair's
-    class-id kernel and classes, which `query_batch` reads on exactly this pair.
+    The g handle holds this f handle, n and the pair's class-id kernel and
+    classes, which `query_batch` reads on exactly this pair in (f, g) order.
     """
     f_oracle = CountingOracle.for_instance(inst, "f")
     g_oracle = CountingOracle.for_instance(inst, "g", transcript)
@@ -290,44 +285,25 @@ def ratio_terms(S: Subset, f_oracle: CountingOracle, g_oracle: CountingOracle) -
 
 
 def query_batch(masks: list[int], n: int, f_oracle: CountingOracle, g_oracle: CountingOracle) -> tuple[list, tuple | list]:
-    """`query_terms` at each of `masks` as (ids, classes): the same charges, records and errors.
+    """`ratio_terms` at each of `masks` as (ids, classes): the same charges, records and errors.
 
-    `classes[ids[i]]` is (p, q, |S|) at masks[i], (p, q) as `query_terms` gives.  A `make_oracles`
-    pair in (f, g) order maps the list through its class-id kernel and returns its cached classes,
-    charging and recording up to the first mask of the g = 0 class, id 0, which raises.  Every
-    other pair goes one mask at a time through `ratio_terms`, one class per mask.
+    `classes[ids[i]]` is (p, q, |S|) at masks[i], (p, q) as `ratio_terms` gives.  The class-id table
+    answers the common case only: a `make_oracles` pair as built, in (f, g) order, f without a
+    transcript, queried at the table's n, on a list with no set where g = 0 (id 0 is None).  It
+    charges each handle len(masks), extends g's transcript and returns the cached classes.  Every
+    other call goes one mask at a time through `ratio_terms`, one class per mask.
     """
-    try:
-        partner, size, kernel, classes = g_oracle._classes
-    except (AttributeError, TypeError):
-        partner = None
-    if partner is not f_oracle:
-        classes = [ratio_terms(unchecked_subset(mask, n), f_oracle, g_oracle) + (mask.bit_count(),) for mask in masks]
-        return list(range(len(classes))), classes
-    if size != n and masks:
-        f_oracle.count += 1
-        raise _ground_error(n, size)
-    ids = kernel(masks)
-    charged = masks[:ids.index(0) + 1] if classes[0] is None and not all(ids) else masks
-    f_oracle.count += len(charged)
-    g_oracle.count += len(charged)
-    f_record, g_record = f_oracle.transcript, g_oracle.transcript
-    if f_record is g_record is not None:
-        # one transcript on both handles records each mask twice, f's then g's
-        g_record.entries.extend(chain.from_iterable(zip(charged, charged)))
-    else:
-        for record in (f_record, g_record):
-            if record is not None:
-                record.entries.extend(charged)
-    if charged is not masks:
-        raise UndefinedRatioError(f"g({unchecked_subset(charged[-1], n)!r}) = 0; the ratio is undefined there")
-    return ids, classes
-
-
-def query_terms(mask: int, n: int, f_oracle: CountingOracle, g_oracle: CountingOracle) -> tuple[int, int]:
-    """`ratio_terms` at Subset(mask, n) as `query_batch` on one mask: the same (p, q), charges, records and errors."""
-    ids, classes = query_batch([mask], n, f_oracle, g_oracle)
-    return classes[ids[0]][:2]
+    partner, size, kernel, classes = getattr(g_oracle, "_classes", None) or (None,) * 4
+    if partner is f_oracle and f_oracle.transcript is None and size == n:
+        ids = kernel(masks)
+        if classes[0] is not None or all(ids):
+            f_oracle.count += len(masks)
+            g_oracle.count += len(masks)
+            if g_oracle.transcript is not None:
+                g_oracle.transcript.entries.extend(masks)
+            return ids, classes
+    classes = [ratio_terms(unchecked_subset(mask, n), f_oracle, g_oracle) + (mask.bit_count(),) for mask in masks]
+    return list(range(len(classes))), classes
 
 
 def ratio(S: Subset, f_oracle: CountingOracle, g_oracle: CountingOracle) -> Fraction:

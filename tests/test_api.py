@@ -57,6 +57,40 @@ def test_every_unread_sibling_import_is_a_tracing_binding():
     assert unread - traced == set()
 
 
+def _read_identifiers(path):
+    """Every identifier a module reads: a Name, an attribute, an imported name, or a string constant naming one."""
+    read = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            read.add(node.value)
+    return read
+
+
+def test_every_public_definition_is_exported_or_read():
+    # A public top-level def or class that is neither in ratiolab.__all__ nor
+    # read anywhere in src/, scripts/ or perfbench/ has no caller but tests.
+    # String constants count as reads: perfbench/tracing.py names its owners
+    # in strings.  So does an import: that every sibling import is read, or
+    # rebound by the tracer, is the test above.
+    sources = [path for folder in ("src", "scripts", "perfbench") for path in sorted((ROOT / folder).rglob("*.py"))]
+    read = set(ratiolab.__all__).union(*map(_read_identifiers, sources))
+    dead = {
+        (path.stem, node.name)
+        for path in sorted((ROOT / "src" / "ratiolab").glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in read
+    }
+    assert dead == set()
+
+
 def test_src_imports_only_the_standard_library():
     # The package has no runtime dependency beyond the standard library.
     outside = set()

@@ -158,6 +158,36 @@ def test_solve_csv_output(tmp_path, capsys):
     assert "brute,8,decreasing,1,5,7,510,0" in lines
 
 
+@pytest.mark.parametrize("command, printed", [
+    (["verify", "--family", "decreasing", "--n", "6", "--alpha", "3", "--beta", "1", "--plant-seed", "4"], "f: "),
+    (["solve", "--family", "increasing", "--n", "6"], "method=brute "),
+], ids=["verify", "solve"])
+def test_an_unwritable_output_file_exits_2(tmp_path, capsys, command, printed):
+    # a write error is one "error:" line and exit 2, not a traceback and
+    # exit 1, which would read as "verification found violations"
+    path = tmp_path / "missing" / "out.csv"
+    code, out, err = run_cli(capsys, *command, "--out-csv", str(path))
+    assert code == 2
+    assert out.startswith(printed)
+    assert err == f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
+    assert not path.parent.exists()
+
+
+def test_budget_units_match_the_help(capsys):
+    # random spends two queries per sampled set, local one per budget unit
+    code, out, _ = run_cli(capsys, "solve", "--family", "increasing", "--n", "6",
+                           "--method", "random", "--budget", "50")
+    assert code == 0 and out.endswith(" queries=100\n")
+    code, out, _ = run_cli(capsys, "solve", "--family", "increasing", "--n", "10",
+                           "--method", "local", "--budget", "50")
+    assert code == 0 and out.endswith(" queries=50\n")
+    for command in ("solve", "game"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "local: queries, two per ratio; random: sampled sets, two queries each;" in help_text
+
+
 def test_solve_flag_validation(capsys):
     code, _, err = run_cli(
         capsys, "solve", "--family", "increasing", "--n", "8", "--alpha", "3",

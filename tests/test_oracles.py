@@ -25,10 +25,8 @@ from ratiolab.oracles import (
     instance_evaluator,
     make_oracles,
     query_batch,
-    query_terms,
     ratio,
     ratio_terms,
-    value_lookup,
 )
 from ratiolab.optimize import brute_force_min_ratio, local_search, random_search
 from ratiolab.sampling import SeededStream, random_k_subset
@@ -303,14 +301,14 @@ def test_decreasing_grid_at_game_scale(inst):
     inside = [i for i in range(n) if inst.plant.mask >> i & 1]
     outside = [i for i in range(n) if not inst.plant.mask >> i & 1]
     f, g = instance_evaluator(inst, "f"), instance_evaluator(inst, "g")
-    f_value, g_value = value_lookup(inst, "f"), value_lookup(inst, "g")
-    for x in range(len(outside) + 1):
-        for a in range(alpha + 1):
-            mask = sum(1 << i for i in inside[:a] + outside[:x])
-            cell = values[x][a + x]
-            assert g_value(mask) is cell and g(unchecked_subset(mask, n)) is cell, (x, a)
-            last = values[n][a + x]
-            assert f_value(mask) is last and f(unchecked_subset(mask, n)) is last, (x, a)
+    cells = [(x, a) for x in range(len(outside) + 1) for a in range(alpha + 1)]
+    masks = [sum(1 << i for i in inside[:a] + outside[:x]) for x, a in cells]
+    f_values, g_values = batch_lookup(inst, "f")(masks), batch_lookup(inst, "g")(masks)
+    for (x, a), mask, f_value, g_value in zip(cells, masks, f_values, g_values):
+        cell = values[x][a + x]
+        assert g_value is cell and g(unchecked_subset(mask, n)) is cell, (x, a)
+        last = values[n][a + x]
+        assert f_value is last and f(unchecked_subset(mask, n)) is last, (x, a)
 
 
 @pytest.mark.parametrize("inst", GAME_SCALE, ids=lambda i: f"n{i.n}-a{i.alpha}-b{i.beta}")
@@ -326,9 +324,9 @@ def test_decreasing_grid_rows_are_shared(inst):
         assert len({id(row) for row in rows}) <= head + 1
         assert all(row is rows[-1] for row in rows[head:])
     assert values[-1] is f_row
-    f_value = value_lookup(inst, "f")
+    f_values = batch_lookup(inst, "f")([(1 << c) - 1 for c in range(n + 1)])
     for c in range(n + 1):
-        assert f_value((1 << c) - 1) is values[-1][c], c
+        assert f_values[c] is values[-1][c], c
 
 
 def test_difference_criterion_agrees_with_the_grid_at_n_100():
@@ -453,12 +451,25 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
+def _one_query(mask, n, f, g):
+    """query_batch on the one mask: its class (p, q, |S|)."""
+    ids, classes = query_batch([mask], n, f, g)
+    return classes[ids[0]]
+
+
+def _reference_query(mask, n, f, g):
+    """ratio_terms at the set of the mask, with |S|: the class query_batch must give."""
+    return ratio_terms(unchecked_subset(mask, n), f, g) + (mask.bit_count(),)
+
+
 @pytest.mark.parametrize("n", [8, 10])
 @pytest.mark.parametrize("kind", ["decreasing-planted", "increasing-planted", "increasing-unplanted"])
 @pytest.mark.parametrize("order", ["fg", "gf"])
 def test_query_terms_matches_ratio_terms_on_every_mask(n, kind, order):
-    # same (p, q) or error, same counts and same transcript after every
-    # mask, with the handles in either argument order
+    # query_batch on one mask at a time against ratio_terms: same (p, q)
+    # or error, same counts and same transcript after every mask, with the
+    # handles in either argument order; the value kernels on the same mask
+    # return the evaluators' objects
     inst = _bundled_kinds(n)[kind]
     fast_t, slow_t = QueryTranscript(), QueryTranscript()
     fast, slow = make_oracles(inst, fast_t), make_oracles(inst, slow_t)
@@ -466,17 +477,17 @@ def test_query_terms_matches_ratio_terms_on_every_mask(n, kind, order):
         fast, slow = fast[::-1], slow[::-1]
     values = {role: instance_evaluator(inst, role) for role in ("f", "g")}
     for mask in range(1 << n):
-        got = _outcome(lambda: query_terms(mask, n, *fast))
-        want = _outcome(lambda: ratio_terms(Subset(mask, n), *slow))
+        got = _outcome(lambda: _one_query(mask, n, *fast))
+        want = _outcome(lambda: _reference_query(mask, n, *slow))
         assert got == want, (kind, mask)
         assert [h.count for h in fast] == [h.count for h in slow] == [mask + 1] * 2
         assert fast_t.entries == slow_t.entries
         for role, evaluate in values.items():
             value = evaluate(Subset(mask, n))
-            assert value_lookup(inst, role)(mask) is value
+            assert batch_lookup(inst, role)([mask])[0] is value
     assert fast_t.entries == list(range(1 << n))
     if kind == "increasing-unplanted":
-        assert _outcome(lambda: query_terms(0, n, *make_oracles(inst)))[0] is UndefinedRatioError
+        assert _outcome(lambda: _one_query(0, n, *make_oracles(inst)))[0] is UndefinedRatioError
 
 
 @pytest.mark.parametrize("kind", ["decreasing-planted", "increasing-planted", "increasing-unplanted"])
@@ -513,6 +524,12 @@ def test_wrong_ground_size_search_fails_alike_on_both_paths(kind, search, g_n):
 # ------------------------------------------------ the pair's ratio table
 
 
+def _at_mask(inst, role):
+    """Mask -> one side's value, through instance_evaluator on a Subset."""
+    evaluate = instance_evaluator(inst, role)
+    return lambda mask: evaluate(unchecked_subset(mask, inst.n))
+
+
 def _table_lookup(inst):
     """The mask -> class lookup of a `make_oracles` pair's class-id table, uncharged."""
     _, _, kernel, classes = make_oracles(inst)[1]._classes
@@ -530,12 +547,12 @@ def test_decreasing_ratio_table_at_game_scale(inst):
     # Every cell (x, c) of the id table names the class of f at |S| = c over
     # the grid's g value, at c, and equal classes are one id.  Each reachable
     # cell is what the pair's lookup returns at a set with c - x plant
-    # elements and x others, and there it agrees with value_lookup.
+    # elements and x others, and there it agrees with instance_evaluator.
     n = inst.n
     values, ids, classes = oracles._dec_grid(n, inst.alpha, inst.beta, inst.epsilon)
     assert len(ids) == n + 1 and all(len(row) == n + 1 for row in ids)
     assert len(set(classes)) == len(classes) and None not in classes
-    f_value, g_value = value_lookup(inst, "f"), value_lookup(inst, "g")
+    f_value, g_value = _at_mask(inst, "f"), _at_mask(inst, "g")
     for x, row in enumerate(ids):
         for c, i in enumerate(row):
             assert classes[i] == _expected_class(f_value((1 << c) - 1), values[x][c], c), (x, c)
@@ -552,14 +569,14 @@ def test_decreasing_ratio_table_at_game_scale(inst):
 @pytest.mark.parametrize("m, epsilon", [(Fraction(100), Fraction(1, 4)), (Fraction(7, 3), Fraction(15, 16))])
 def test_increasing_ratio_table_at_game_scale(m, epsilon):
     # At every cardinality and at the plant, planted and unplanted, the
-    # lookup is f/g of value_lookup as (f_num * g_den, f_den * g_num, |S|),
+    # lookup is f/g of instance_evaluator as (f_num * g_den, f_den * g_num, |S|),
     # None where g = 0; equal classes are one object.
     n = 30
     plant = random_k_subset(n, n // 2, 30)
     assert plant.mask != (1 << n // 2) - 1
     held = {}
     for inst in (IncreasingInstance(n, m, epsilon, plant=plant), IncreasingInstance(n, m, epsilon)):
-        lookup, f_value, g_value = _table_lookup(inst), value_lookup(inst, "f"), value_lookup(inst, "g")
+        lookup, f_value, g_value = _table_lookup(inst), _at_mask(inst, "f"), _at_mask(inst, "g")
         for mask in [(1 << c) - 1 for c in range(n + 1)] + [plant.mask]:
             term = lookup(mask)
             assert term == _expected_class(f_value(mask), g_value(mask), mask.bit_count()), (inst.plant, mask)
@@ -576,15 +593,16 @@ GAME_SCALE_PAIRS = [i for i in GAME_SCALE if i.n == 100] + [
 
 @pytest.mark.parametrize("inst", GAME_SCALE_PAIRS, ids=lambda i: f"{i.family}-n{i.n}-{i.plant is not None}")
 def test_query_terms_matches_ratio_terms_on_uniform_draws(inst):
-    # query_terms on a make_oracles pair and ratio_terms on a fresh pair give
-    # the same (p, q), counts and transcript over 2,000 seeded draws
+    # query_batch one mask at a time on a make_oracles pair and ratio_terms
+    # on a fresh pair give the same (p, q), counts and transcript over
+    # 2,000 seeded draws
     n = inst.n
     fast_t, slow_t = QueryTranscript(), QueryTranscript()
     fast, slow = make_oracles(inst, fast_t), make_oracles(inst, slow_t)
     stream = SeededStream(n, "query-terms-draws")
     for _ in range(2000):
         mask = stream.nonempty_mask(n)
-        assert query_terms(mask, n, *fast) == ratio_terms(Subset(mask, n), *slow), mask
+        assert _one_query(mask, n, *fast) == _reference_query(mask, n, *slow), mask
     assert [h.count for h in fast] == [h.count for h in slow] == [2000, 2000]
     assert fast_t.entries == slow_t.entries and len(fast_t) == 2000
 
@@ -624,40 +642,40 @@ def _partner_cases(inst):
 @pytest.mark.parametrize("kind", ["decreasing-planted", "increasing-planted", "increasing-unplanted"])
 @pytest.mark.parametrize("case", ["one-pair", "two-calls", "swapped", "f-transcript", "other-instance-f"])
 def test_query_terms_partner_rule(kind, case):
-    # Only a make_oracles pair in (f, g) order reads its ratio table; every
-    # other pair of handles gives ratio_terms' outcomes, counts and records
+    # Only a make_oracles pair as built, in (f, g) order and f without a
+    # transcript, reads its ratio table, and only on masks where g != 0;
+    # every other query goes mask by mask through ratio_terms and calls the
+    # handles' evaluators.  Either way the outcomes, counts and records are
+    # ratio_terms'.
     n = 8
-    build = _partner_cases(_bundled_kinds(n)[kind])[case]
+    inst = _bundled_kinds(n)[kind]
+    build = _partner_cases(inst)[case]
     fast_f, fast_g, fast_ts = build()
     slow_f, slow_g, slow_ts = build()
-    if case in ("one-pair", "f-transcript"):
-        def unreachable(S):
-            raise AssertionError("a make_oracles pair answers from its ratio table")
+    calls = ([], [])
+    for handle, seen in zip((fast_f, fast_g), calls):
+        def spy(S, _fn=handle._fn, _seen=seen):
+            _seen.append(S.mask)
+            return _fn(S)
 
-        fast_f._fn = fast_g._fn = unreachable
-    for mask in range(1 << n):
-        got = _outcome(lambda: query_terms(mask, n, fast_f, fast_g))
-        want = _outcome(lambda: ratio_terms(unchecked_subset(mask, n), slow_f, slow_g))
+        handle._fn = spy
+    masks = list(range(1 << n))
+    for mask in masks:
+        got = _outcome(lambda: _one_query(mask, n, fast_f, fast_g))
+        want = _outcome(lambda: _reference_query(mask, n, slow_f, slow_g))
         assert got == want, (case, mask)
+    g_is_zero = _at_mask(inst, "g")(0) == 0
+    routed = ([0] if g_is_zero else []) if case == "one-pair" else masks
+    assert calls == (routed, routed)
     assert (fast_f.count, fast_g.count) == (slow_f.count, slow_g.count) == (1 << n, 1 << n)
     assert [t.entries for t in fast_ts] == [t.entries for t in slow_ts]
-    assert all(t.entries == list(range(1 << n)) for t in fast_ts)
-
-
-@pytest.mark.parametrize("kind", ["decreasing-planted", "increasing-planted", "increasing-unplanted"])
-def test_pair_queried_at_the_wrong_ground_size(kind):
-    # The table path's own size check: ParameterError after f is charged
-    # once and g not at all, with nothing recorded, as ratio_terms gives
-    inst = _bundled_kinds(8)[kind]
-    outcomes = []
-    for query in (lambda f, g: query_terms(1, 9, f, g), lambda f, g: ratio_terms(unchecked_subset(1, 9), f, g)):
-        f_t, g_t = QueryTranscript(), QueryTranscript()
-        f, g = make_oracles(inst, g_t)
-        f.transcript = f_t
-        with pytest.raises(ParameterError) as info:
-            query(f, g)
-        outcomes.append((str(info.value), f.count, g.count, f_t.entries, g_t.entries))
-    assert outcomes[0] == outcomes[1] == ("subset ground size 9 differs from instance n 8", 1, 0, [], [])
+    assert all(t.entries == masks for t in fast_ts)
+    # one batch of every nonempty mask: a pair as built calls no evaluator
+    ids, classes = query_batch(masks[1:], n, fast_f, fast_g)
+    assert [classes[i] for i in ids] == [_reference_query(mask, n, slow_f, slow_g) for mask in masks[1:]]
+    batched = [] if case == "one-pair" else masks[1:]
+    assert calls == (routed + batched, routed + batched)
+    assert [t.entries for t in fast_ts] == [t.entries for t in slow_ts]
 
 
 # ------------------------------------------- batch kernels vs one-mask calls
@@ -682,14 +700,14 @@ def test_batch_lookup_returns_the_evaluators_objects(n, kind):
 @pytest.mark.parametrize("n", [5, 10])
 @pytest.mark.parametrize("kind", BATCH_KINDS)
 def test_query_batch_matches_query_terms_on_every_nonempty_mask(n, kind):
-    # the classes of the ids are query_terms' (p, q) and |S| at each mask,
-    # with the counts and transcripts of one query_terms call per mask
+    # the classes of the ids are ratio_terms' (p, q) and |S| at each mask,
+    # with the counts and transcripts of one ratio_terms call per mask
     inst = _bundled_kinds(n)[kind]
     masks = list(range(1, 1 << n))
     fast_t, slow_t = QueryTranscript(), QueryTranscript()
     fast, slow = make_oracles(inst, fast_t), make_oracles(inst, slow_t)
     ids, classes = query_batch(masks, n, *fast)
-    want = [query_terms(mask, n, *slow) + (mask.bit_count(),) for mask in masks]
+    want = [_reference_query(mask, n, *slow) for mask in masks]
     assert [classes[i] for i in ids] == want
     assert [h.count for h in fast] == [h.count for h in slow] == [len(masks)] * 2
     assert fast_t.entries == slow_t.entries == masks
@@ -712,11 +730,11 @@ def test_plant_entry_at_every_occurrence(n):
 
 
 def _per_mask_until_raise(masks, n, f, g):
-    """query_terms one mask at a time, stopping at the first raise: (terms, error)."""
+    """ratio_terms one mask at a time, stopping at the first raise: (terms, error)."""
     terms = []
     for mask in masks:
         try:
-            terms.append(query_terms(mask, n, f, g))
+            terms.append(ratio_terms(unchecked_subset(mask, n), f, g))
         except UndefinedRatioError as exc:
             return terms, (type(exc), str(exc))
     return terms, None
@@ -751,15 +769,19 @@ def test_query_batch_stops_at_an_undefined_ratio(n, transcripts, kind):
 
 @pytest.mark.parametrize("kind", BATCH_KINDS)
 def test_query_batch_at_the_wrong_ground_size(kind):
-    # f is charged once and g not at all, with nothing recorded, as
-    # query_terms gives on the batch's first mask
+    # A pair queried at n = 9, with and without a transcript on f: f is
+    # charged once and g not at all, with nothing recorded, as ratio_terms
+    # gives on the batch's first mask
     inst = _bundled_kinds(8)[kind]
-    outcomes = []
-    for query in (lambda f, g: query_batch([1, 2, 3], 9, f, g), lambda f, g: query_terms(1, 9, f, g)):
-        f_t, g_t = QueryTranscript(), QueryTranscript()
-        f, g = make_oracles(inst, g_t)
-        f.transcript = f_t
-        with pytest.raises(ParameterError) as info:
-            query(f, g)
-        outcomes.append((str(info.value), f.count, g.count, f_t.entries, g_t.entries))
-    assert outcomes[0] == outcomes[1] == ("subset ground size 9 differs from instance n 8", 1, 0, [], [])
+    for f_recorded in (False, True):
+        outcomes = []
+        for query in (lambda f, g: query_batch([1, 2, 3], 9, f, g),
+                      lambda f, g: ratio_terms(unchecked_subset(1, 9), f, g)):
+            f_t, g_t = QueryTranscript(), QueryTranscript()
+            f, g = make_oracles(inst, g_t)
+            if f_recorded:
+                f.transcript = f_t
+            with pytest.raises(ParameterError) as info:
+                query(f, g)
+            outcomes.append((str(info.value), f.count, g.count, f_t.entries, g_t.entries))
+        assert outcomes[0] == outcomes[1] == ("subset ground size 9 differs from instance n 8", 1, 0, [], [])

@@ -244,3 +244,28 @@ def test_random_search_across_chunks_matches_reference(pair, seed):
         _run_wide(WIDE_PAIRS[pair], random_search, budget, seed),
         _run_wide(WIDE_PAIRS[pair], ref_random, budget, seed),
     )
+
+
+def _flat_ties_pair(t):
+    """Wrapped handles valued by |S| alone, least at |S| = 4, with unreduced terms scaled by 1 + mask % 3."""
+    return (
+        CountingOracle(lambda S: (1 + S.mask % 3) * ((S.mask.bit_count() - 4) ** 2 + 1)),
+        CountingOracle(lambda S: 1 + S.mask % 3, transcript=t),
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ties_across_classes_drawn_out_of_mask_order(seed):
+    # Every 4-set ties in value and |S|, each as its own class (wrapped
+    # handles give one class per mask), and one chunk of random draws meets
+    # them out of ascending mask order: the smallest tying mask must win,
+    # not the first one drawn.
+    fast = _run(_flat_ties_pair, random_search, 90, seed)
+    _assert_same(fast, _run(_flat_ties_pair, ref_random, 90, seed))
+    ties = [mask for mask in fast[1] if mask.bit_count() == 4]
+    assert len(ties) > 1 and ties[0] != min(ties)
+    for budget in (41, 400):
+        _assert_same(
+            _run(_flat_ties_pair, local_search, budget, seed),
+            _run(_flat_ties_pair, ref_local, budget, seed),
+        )
