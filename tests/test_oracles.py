@@ -767,6 +767,22 @@ def test_query_batch_stops_at_an_undefined_ratio(n, transcripts, kind):
     assert outcomes[0][0] == (UndefinedRatioError, f"g({Subset(0, n)!r}) = 0; the ratio is undefined there")
 
 
+@pytest.mark.parametrize("kind", ["decreasing-planted", "increasing-planted", "increasing-unplanted"])
+def test_pair_queried_at_the_wrong_ground_size(kind):
+    # One mask at n = 9 with a transcript on f: ParameterError after f is
+    # charged once and g not at all, with nothing recorded, as ratio_terms gives
+    inst = _bundled_kinds(8)[kind]
+    outcomes = []
+    for query in (lambda f, g: _one_query(1, 9, f, g), lambda f, g: ratio_terms(unchecked_subset(1, 9), f, g)):
+        f_t, g_t = QueryTranscript(), QueryTranscript()
+        f, g = make_oracles(inst, g_t)
+        f.transcript = f_t
+        with pytest.raises(ParameterError) as info:
+            query(f, g)
+        outcomes.append((str(info.value), f.count, g.count, f_t.entries, g_t.entries))
+    assert outcomes[0] == outcomes[1] == ("subset ground size 9 differs from instance n 8", 1, 0, [], [])
+
+
 @pytest.mark.parametrize("kind", BATCH_KINDS)
 def test_query_batch_at_the_wrong_ground_size(kind):
     # A pair queried at n = 9, with and without a transcript on f: f is
