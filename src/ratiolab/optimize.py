@@ -14,6 +14,10 @@ masks in chunks of CHUNK: each chunk is one call of the module attribute
 `ratio`, bound to `oracles.query_batch`, which charges both handles once
 per mask, extends g's transcript by the chunk and yields each mask's
 value-class id, a class being an unreduced integer pair (p, q) and |S|.
+Brute force passes a range, cut into ranges at multiples of CHUNK, the
+oracles' block width, so a `make_oracles` pair answers each chunk with one
+`bytes.translate`; random search's draws and local search's neighbourhoods
+are cut into lists.
 The loop compares a chunk's distinct classes as integer cross-products and
 settles ties once per class; a Fraction is built only for the returned
 value.  The game harness does not read that value: it scores the returned set.
@@ -26,6 +30,7 @@ from itertools import compress, islice
 from typing import NamedTuple
 
 from .errors import ParameterError
+from .oracles import BLOCK
 # The searches compare value classes; the module-level name `ratio`
 # is the per-chunk evaluation that perfbench/tracing.py rebinds.
 from .oracles import query_batch as ratio
@@ -35,7 +40,8 @@ from .sets import Subset, check_count, check_guard, validate_ground_size
 from .sets import unchecked_subset  # noqa: F401
 
 # Masks per `ratio` call: the searches hold at most this many masks and their class ids at once.
-CHUNK = 4096
+# It is the oracles' block width, so a chunk cut from a range lies inside one aligned block.
+CHUNK = BLOCK
 
 OPT_CSV_COLUMNS = ["method", "n", "family", "value_p", "value_q", "argset_hex", "queries", "seed"]
 
@@ -53,16 +59,23 @@ def _best_of(masks, n: int, f_oracle, g_oracle, sign: int = 1, best=(1, 0, 0)):
     """The first of `best` and `masks` in search order, as (sign * p, q, mask); 1/0 loses to every mask.
 
     The one search loop: one `ratio` call per chunk of up to CHUNK masks, in
-    order.  Search order is lower sign * p/q (q > 0), then smaller cardinality,
-    then smaller mask.  A chunk's best class is found among its distinct ids;
-    a chunk that does not reach the best so far costs nothing more.  Every
-    class tying it in value and |S| wins: one C-level pass takes the smallest
-    winning mask.
+    order.  A step-1 range is cut at multiples of CHUNK into ranges, each
+    inside one aligned block, whose ids may come as `bytes`; any other
+    iterable is cut into lists.  Search order is lower sign * p/q (q > 0),
+    then smaller cardinality, then smaller mask.  A chunk's best class is
+    found among its distinct ids; a chunk that does not reach the best so far
+    costs nothing more.  Every class tying it in value and |S| wins: one
+    C-level pass takes the smallest winning mask.
     """
     evaluate = ratio
     best_p, best_q, best_mask = best
-    masks = iter(masks)
-    while chunk := list(islice(masks, CHUNK)):
+    if type(masks) is range and masks.step == 1 and masks:
+        cuts = [masks.start, *range(masks.start // CHUNK * CHUNK + CHUNK, masks.stop, CHUNK), masks.stop]
+        chunks = map(range, cuts, cuts[1:])
+    else:
+        masks = iter(masks)
+        chunks = iter(lambda: list(islice(masks, CHUNK)), [])
+    for chunk in chunks:
         ids, classes = evaluate(chunk, n, f_oracle, g_oracle)
         distinct = set(ids)
         p, q, card = 1, 0, 0
@@ -81,8 +94,10 @@ def _best_of(masks, n: int, f_oracle, g_oracle, sign: int = 1, best=(1, 0, 0)):
 
 
 def _search_masks(f_oracle, g_oracle, n: int, sign: int) -> OptResult:
+    start_queries = f_oracle.count + g_oracle.count
     p, q, mask = _best_of(range(1, 1 << n), n, f_oracle, g_oracle, sign)
-    return OptResult(Subset(mask, n), Fraction(sign * p, q), 2 * ((1 << n) - 1), "brute")
+    used = (f_oracle.count + g_oracle.count) - start_queries
+    return OptResult(Subset(mask, n), Fraction(sign * p, q), used, "brute")
 
 
 def brute_force_min_ratio(f_oracle, g_oracle, n: int) -> OptResult:

@@ -7,8 +7,8 @@ which would shred float precision and muddy every downstream comparison.
 A ratio query yields the unreduced integer pair (p, q) of `ratio_terms`:
 callers compare ratios by integer cross-multiplication, and a Fraction is
 built only for a value that is returned (`ratio`, OptResult.value).  The
-searches query lists of bit masks through `query_batch`, which gives each
-mask's small-int class id and the classes by id: a class is one distinct
+searches query bit masks through `query_batch`, which gives each mask's
+small-int class id and the classes by id: a class is one distinct
 (p, q, |S|) of f/g, or None where g = 0.  `ratio_terms` alone defines a
 query's charges, records and errors; `query_batch` calls it mask by mask
 wherever its table shortcut would differ.  Each side of an instance keeps
@@ -17,7 +17,11 @@ Fractions `instance_evaluator` and `batch_lookup` return, and for g the
 class ids, read off those values once at build time.  One kernel per value
 class, a comprehension, maps a list of masks to their entries; a search
 query on a `make_oracles` pair builds no Subset, Fraction or tuple per mask.
-The planted decreasing g's grid has a row per |S minus R|; f reads its last row.
+A pair with at most 256 classes answers a step-1 range inside one aligned
+block of BLOCK masks, as brute force asks, with one `bytes.translate`
+(`_id_kernel`); drawn and neighbour lists, and larger pairs, take the
+comprehension.  The planted decreasing g's grid has a row per |S minus R|;
+f reads its last row.
 
 In both families f is the same function in every world and the plant
 lives only in g, so the sets at which g was evaluated are all an algorithm
@@ -35,6 +39,11 @@ from typing import Callable
 from .errors import MissingPlantError, ParameterError, UndefinedRatioError
 from .instances import DecreasingInstance, IncreasingInstance, Instance
 from .sets import Subset, unchecked_subset
+
+# Range queries are answered an aligned block of BLOCK masks at a time.  A low
+# part m < BLOCK has state _STRIDE * |m & out| + |m|, at most 168: one byte.
+BLOCK = 4096
+_STRIDE = 13
 
 
 def _ground_error(size: int, n: int) -> ParameterError:
@@ -247,6 +256,53 @@ def _kernel(rule: int, key, table: tuple) -> Callable[[list[int]], list]:
     return lambda masks: [planted if mask == plant else table[mask.bit_count()] for mask in masks]
 
 
+@lru_cache(maxsize=64)
+def _low_states(out_low: int) -> bytes:
+    """The state of each low part m < BLOCK, by doubling: bit b adds 1, plus _STRIDE where b is in out_low."""
+    states = b"\0"
+    while len(states) < BLOCK:
+        step = _STRIDE + 1 if out_low & len(states) else 1
+        states += states.translate(bytes(range(step, 256)).ljust(256, b"\0"))
+    return states
+
+
+def _id_kernel(rule: int, key, ids: tuple, classes: tuple, n: int) -> Callable:
+    """Masks -> the pair's f/g class ids: `_kernel`'s list, or bytes for a step-1 range inside one aligned block.
+
+    A cell [|S & out|][|S|] (out = 0 under the cardinality rules) adds the
+    high part's counts, one pair per block, to the low part's: a block is a
+    slice of `_low_states` put through a 256-byte translate table of the high
+    counts, with the increasing plant's byte patched in.  Ids must fit a byte,
+    so a pair with more than 256 classes takes the list.  Tables are built on
+    first use, so a pair that never queries a range pays for none of them.
+    """
+    by_list = _kernel(rule, key, ids)
+    if len(classes) > 256:
+        return by_list
+    rows, out = (ids, key) if rule == _BY_GRID else ((ids,), 0)
+    plant, planted = (key[0], ids[key[1]]) if rule == _BY_PLANT else (-1, 0)
+    tables = {}
+
+    def by_block(masks):
+        if type(masks) is not range or masks.step != 1:
+            return by_list(masks)
+        start, stop = masks.start, masks.stop
+        high = start & -BLOCK
+        if not 0 <= start < stop <= min(high + BLOCK, 1 << n):
+            return by_list(masks)
+        out_high, card_high = counts = (high & out).bit_count(), high.bit_count()
+        if counts not in tables:
+            # state _STRIDE * a + c -> rows[out_high + a][card_high + c]; cells past the grid are never read
+            tables[counts] = b"".join(bytes(row[card_high:card_high + _STRIDE]).ljust(_STRIDE, b"\0")
+                                      for row in rows[out_high:out_high + _STRIDE]).ljust(256, b"\0")
+        block = _low_states(out & (BLOCK - 1))[start - high:stop - high].translate(tables[counts])
+        if start <= plant < stop:
+            block = block[:plant - start] + bytes((planted,)) + block[plant - start + 1:]
+        return block
+
+    return by_block
+
+
 def make_oracles(
     inst: Instance, transcript: QueryTranscript | None = None
 ) -> tuple[CountingOracle, CountingOracle]:
@@ -254,11 +310,13 @@ def make_oracles(
 
     The g handle holds this f handle, n and the pair's class-id kernel and
     classes, which `query_batch` reads on exactly this pair in (f, g) order.
+    The kernel (`_id_kernel`) answers a step-1 range inside one aligned block
+    with `bytes` when the pair has at most 256 classes, anything else with a list.
     """
     f_oracle = CountingOracle.for_instance(inst, "f")
     g_oracle = CountingOracle.for_instance(inst, "g", transcript)
     rule, key, _, ids, classes = _side(inst, "g")
-    g_oracle._classes = (f_oracle, inst.n, _kernel(rule, key, ids), classes)
+    g_oracle._classes = (f_oracle, inst.n, _id_kernel(rule, key, ids, classes, inst.n), classes)
     return f_oracle, g_oracle
 
 
@@ -284,14 +342,16 @@ def ratio_terms(S: Subset, f_oracle: CountingOracle, g_oracle: CountingOracle) -
     raise UndefinedRatioError(f"g({S!r}) = 0; the ratio is undefined there")
 
 
-def query_batch(masks: list[int], n: int, f_oracle: CountingOracle, g_oracle: CountingOracle) -> tuple[list, tuple | list]:
+def query_batch(masks: list[int] | range, n: int, f_oracle: CountingOracle, g_oracle: CountingOracle) -> tuple[list, tuple | list]:
     """`ratio_terms` at each of `masks` as (ids, classes): the same charges, records and errors.
 
-    `classes[ids[i]]` is (p, q, |S|) at masks[i], (p, q) as `ratio_terms` gives.  The class-id table
-    answers the common case only: a `make_oracles` pair as built, in (f, g) order, f without a
-    transcript, queried at the table's n, on a list with no set where g = 0 (id 0 is None).  It
-    charges each handle len(masks), extends g's transcript and returns the cached classes.  Every
-    other call goes one mask at a time through `ratio_terms`, one class per mask.
+    `masks` is a list or a range.  `classes[ids[i]]` is (p, q, |S|) at masks[i], (p, q) as
+    `ratio_terms` gives.  The class-id table answers the common case only: a `make_oracles` pair as
+    built, in (f, g) order, f without a transcript, queried at the table's n, with no set where
+    g = 0 (id 0 is None).  It charges each handle len(masks), extends g's transcript and returns
+    the cached classes; ids are `bytes` for a step-1 range inside one aligned block of a pair with
+    at most 256 classes, else a list.  Every other call goes one mask at a time through
+    `ratio_terms`, one class per mask.
     """
     partner, size, kernel, classes = getattr(g_oracle, "_classes", None) or (None,) * 4
     if partner is f_oracle and f_oracle.transcript is None and size == n:

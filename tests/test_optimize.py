@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from ratiolab import optimize
 from ratiolab.errors import EnumerationGuardError, ParameterError
 from ratiolab.instances import DecreasingInstance, IncreasingInstance
 from ratiolab.optimize import (
+    CHUNK,
     OPT_CSV_COLUMNS,
     OptResult,
     brute_force_max_ratio,
@@ -16,7 +18,7 @@ from ratiolab.optimize import (
     opt_result_row,
     random_search,
 )
-from ratiolab.oracles import CountingOracle, QueryTranscript, make_oracles, ratio
+from ratiolab.oracles import CountingOracle, QueryTranscript, make_oracles, query_batch, ratio
 from ratiolab.sampling import random_k_subset
 from ratiolab.sets import Subset
 
@@ -73,6 +75,48 @@ def test_brute_respects_guard():
     with pytest.raises(EnumerationGuardError):
         brute_force_min_ratio(f, g, 25)
     assert f.count == g.count == 0
+
+
+# Plants with elements both below and above bit 12, so a search at n = 20 meets many high-part tables.
+WIDE = [
+    DecreasingInstance(20, 6, 3, Fraction(1, 10), plant=Subset.from_elements([1, 5, 11, 13, 16, 19], 20)),
+    IncreasingInstance(20, 1000, Fraction(1, 100), plant=Subset.from_elements([0, 2, 3, 7, 9, 12, 14, 15, 17, 18], 20)),
+]
+
+
+@pytest.mark.parametrize("inst", WIDE, ids=lambda inst: inst.family)
+def test_brute_at_n_20_finds_the_unique_plant(inst):
+    f, g = make_oracles(inst)
+    res = brute_force_min_ratio(f, g, 20)
+    assert res.argset == inst.plant
+    assert res.value == inst.planted_ratio()
+    assert res.queries_used == 2 * (2**20 - 1) == f.count + g.count
+
+
+def test_no_ratio_call_holds_more_than_a_chunk(monkeypatch):
+    # Brute force cuts its range at multiples of CHUNK, one aligned block per
+    # call; random search cuts its draws, and local search its first
+    # neighbourhood, 128 + |S| (128 - |S|) masks (4,224 at |S| = 64)
+    calls = []
+
+    def spy(masks, *args):
+        calls.append(masks)
+        return query_batch(masks, *args)
+
+    monkeypatch.setattr(optimize, "ratio", spy)
+    for inst in WIDE:
+        brute_force_min_ratio(*make_oracles(inst), 20)
+    assert len(calls) == 2 * (1 << 20) // CHUNK
+    assert all(type(masks) is range and masks.start // CHUNK == (masks.stop - 1) // CHUNK for masks in calls)
+    calls.clear()
+    wide = IncreasingInstance(128, 1000, Fraction(1, 100))
+    random_search(*make_oracles(wide), 128, 2 * CHUNK + 7, 3)
+    assert list(map(len, calls)) == [CHUNK, CHUNK, 7]
+    calls.clear()
+    local_search(*make_oracles(wide), 128, 10_000, 3)
+    k = calls[0][0].bit_count()
+    assert [len(masks) for masks in calls[1:3]] == [CHUNK, 128 + k * (128 - k) - CHUNK]
+    assert max(map(len, calls)) == CHUNK
 
 
 # -------------------------------------------------------------- heuristics

@@ -697,20 +697,75 @@ def test_batch_lookup_returns_the_evaluators_objects(n, kind):
             assert all(value is evaluate(Subset(mask, n)) for mask, value in zip(masks, got)), (kind, role)
 
 
-@pytest.mark.parametrize("n", [5, 10])
-@pytest.mark.parametrize("kind", BATCH_KINDS)
-def test_query_batch_matches_query_terms_on_every_nonempty_mask(n, kind):
+def _range_kinds(n):
+    """The bundled kinds that exist at n; at n = 1 only the decreasing family, with alpha = 1 and beta = 0."""
+    if n == 1:
+        return {"decreasing-planted": DecreasingInstance(1, 1, 0, Fraction(1, 3), plant=Subset(1, 1))}
+    return _bundled_kinds(n)
+
+
+def _step_ranges(n, plant):
+    """Step-1 ranges of masks at n: the whole cube, one mask, none, the last aligned block, the
+    plant's block and the plant's neighbours, each block edge straddled, and a block holding mask 0."""
+    top, block = 1 << n, oracles.BLOCK
+    home = plant & -block
+    return [
+        range(1, top), range(1, 2), range(top - 1, top), range(top - 1, top - 1),
+        range(max(1, top - block), top), range(max(1, home), min(top, home + block)),
+        range(plant, plant + 1), range(max(1, plant - 2), min(top, plant + 3)),
+        *(range(edge - 3, min(top, edge + 3)) for edge in range(block, top, block)),
+        range(0, min(top, block)),
+    ]
+
+
+def _batch_outcome(masks, n, inst):
+    """query_batch on a fresh pair: each mask's class and the ids' type, or the error and None; charges; transcript."""
+    t = QueryTranscript()
+    f, g = make_oracles(inst, t)
+    try:
+        ids, classes = query_batch(masks, n, f, g)
+        got = [classes[i] for i in ids], type(ids)
+    except UndefinedRatioError as exc:
+        got = (type(exc), str(exc)), None
+    return *got, f.count, g.count, t.entries
+
+
+@pytest.mark.parametrize("kind, n", [(kind, n) for kind in BATCH_KINDS for n in (1, 5, 10, 12, 13, 14)
+                                     if kind in _range_kinds(n)])
+def test_query_batch_matches_query_terms_on_every_nonempty_mask(kind, n):
     # the classes of the ids are ratio_terms' (p, q) and |S| at each mask,
-    # with the counts and transcripts of one ratio_terms call per mask
-    inst = _bundled_kinds(n)[kind]
+    # with the counts and transcripts of one ratio_terms call per mask, for
+    # a list and for a step-1 range of the same masks; a nonempty range
+    # inside one aligned block of masks where g > 0 is answered as bytes
+    inst = _range_kinds(n)[kind]
     masks = list(range(1, 1 << n))
-    fast_t, slow_t = QueryTranscript(), QueryTranscript()
-    fast, slow = make_oracles(inst, fast_t), make_oracles(inst, slow_t)
-    ids, classes = query_batch(masks, n, *fast)
+    slow_t = QueryTranscript()
+    slow = make_oracles(inst, slow_t)
     want = [_reference_query(mask, n, *slow) for mask in masks]
-    assert [classes[i] for i in ids] == want
-    assert [h.count for h in fast] == [h.count for h in slow] == [len(masks)] * 2
-    assert fast_t.entries == slow_t.entries == masks
+    assert _batch_outcome(masks, n, inst) == (want, list, len(masks), len(masks), masks)
+    for span in _step_ranges(n, inst.plant.mask if inst.plant else (1 << n) * 2 // 3):
+        slow_t = QueryTranscript()
+        slow = make_oracles(inst, slow_t)
+        want = _outcome(lambda: [_reference_query(mask, n, *slow) for mask in span])
+        reference = (want, slow[0].count, slow[1].count, slow_t.entries)
+        by_range, by_list = _batch_outcome(span, n, inst), _batch_outcome(list(span), n, inst)
+        assert by_range[:1] + by_range[2:] == by_list[:1] + by_list[2:] == reference, span
+        one_block = span and span.start // oracles.BLOCK == (span.stop - 1) // oracles.BLOCK
+        assert by_range[1] is (bytes if one_block and by_list[1] else by_list[1]), span
+
+
+def test_a_pair_past_256_classes_answers_a_block_as_the_list_does():
+    # DecreasingInstance(24, 23, 0, 1/4) with a plant has 324 classes, too
+    # many for byte ids: the plant's aligned block, queried as a range, gets
+    # the list path's ids and classes, charges and transcript
+    n = 24
+    inst = DecreasingInstance(n, 23, 0, Fraction(1, 4), plant=random_k_subset(n, 23, 24))
+    home = inst.plant.mask & -oracles.BLOCK
+    block = range(home, home + oracles.BLOCK)
+    by_range, by_list = _batch_outcome(block, n, inst), _batch_outcome(list(block), n, inst)
+    assert len(make_oracles(inst)[1]._classes[3]) == 324
+    assert by_range == by_list
+    assert by_range[1:4] == (list, oracles.BLOCK, oracles.BLOCK)
 
 
 @pytest.mark.parametrize("n", [5, 10])
