@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from . import __version__
@@ -194,6 +195,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_game(args) -> int:
+    if args.out_csv and args.out_json and os.path.realpath(args.out_csv) == os.path.realpath(args.out_json):
+        raise ParameterError(f"--out-csv and --out-json name one file: {args.out_json!r}")
     desc = _descriptor_from_args(args)
     inst = instance_from_descriptor(desc)
     budget = args.budget if args.budget is not None else inst.n ** 3

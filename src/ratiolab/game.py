@@ -22,10 +22,10 @@ recorded mask, in both games, through their batch lookups, which map the
 whole transcript to the very value objects the evaluators answer with.
 In the decreasing game a trial is distinguished at the first set where
 they differ; in the increasing game a difference means the plant search
-is broken.  The harness scores the returned set itself, in the world that
-answered the trial: the value an algorithm claims for its set is never
-read, and an empty returned set, outside the ratio's domain, is refused in
-both games.
+is broken.  The harness scores the returned set itself, on the trial's own
+pair once the algorithm's queries are counted, so the transcript ends with
+it; the value an algorithm claims for its set is never read, and an empty
+returned set, outside the ratio's domain, is refused in both games.
 
 Per-query distinguishing probabilities are exact rationals.
 """
@@ -132,14 +132,14 @@ def union_bound(cardinalities, n: int, alpha: int, beta: int) -> Fraction:
 
 
 def find_consistent_plant(transcript: QueryTranscript, n: int) -> Subset:
-    """Smallest half-size set (ascending mask) absent from the transcript.
+    """Smallest half-size set (ascending mask) absent from the transcript's entries.
 
     For the increasing family g and g_R differ only at R itself, so any
     untouched candidate is consistent with everything the algorithm saw.
-    Raises when the transcript already covers all C(n, n//2) candidates.
+    Raises when the entries already cover all C(n, n//2) candidates.
     """
     k = n // 2
-    excluded = {mask for mask in transcript.effective_sets() if mask.bit_count() == k}
+    excluded = {mask for mask in transcript.entries if mask.bit_count() == k}
     for mask in iter_k_subset_masks(n, k):
         if mask not in excluded:
             return Subset(mask, n)
@@ -149,14 +149,13 @@ def find_consistent_plant(transcript: QueryTranscript, n: int) -> Subset:
 
 
 def _first_difference(transcript: QueryTranscript, g_a, g_b) -> int | None:
-    """Index of the first effective_sets() mask where the batch lookups g_a and g_b differ.
+    """Index of the first transcript entry where the batch lookups g_a and g_b differ.
 
-    Where they agree they index one cached value table and return the very
-    same Fraction, so identity settles almost every set in one C-level pass;
-    `!=` keeps the rest exact.
+    The lookups read the entries in place.  Where they agree they index one
+    cached value table and return the very same Fraction, so identity
+    settles almost every set in one C-level pass; `!=` keeps the rest exact.
     """
-    masks = transcript.effective_sets()
-    a, b = g_a(masks), g_b(masks)
+    a, b = g_a(transcript.entries), g_b(transcript.entries)
     for idx in compress(count(), map(is_not, a, b)):
         if a[idx] != b[idx]:
             return idx
@@ -167,11 +166,10 @@ def _play(algorithm, inst, seed: int, trials: int, world, score) -> list[GameRep
     """The trial loop both games share.
 
     Per trial: `world(trial_seed)` is the instance the oracles answer from,
-    the algorithm runs against it with its own derived seed, its returned
-    set joins the transcript, and `score(world_instance, transcript)` gives
-    (first_idx, union_bound).  The algorithm's value is f/g at its returned
-    set in that world, evaluated here on a fresh oracle pair outside the
-    trial's query count; an empty returned set raises UndefinedRatioError.
+    the algorithm runs against it with its own derived seed, and its query
+    count is read.  Its value, f/g at its returned set, is then scored on
+    the same pair, so that set ends g's transcript, and `score(world_instance,
+    transcript)` gives (first_idx, union_bound).  An empty returned set raises UndefinedRatioError.
     """
     if inst.plant is not None:
         raise ParameterError("the game manages its own hidden sets; pass an unplanted instance")
@@ -186,15 +184,15 @@ def _play(algorithm, inst, seed: int, trials: int, world, score) -> list[GameRep
         result = algorithm(f_oracle, g_oracle, inst.n, derive_seed(trial_seed, "alg"))
         if not result.argset.mask:
             raise UndefinedRatioError("the returned set is empty; the ratio is defined on nonempty sets only")
-        value = ratio(result.argset, *make_oracles(answering))
-        transcript.set_returned(result.argset)
+        queries = f_oracle.count + g_oracle.count
+        value = ratio(result.argset, f_oracle, g_oracle)
         first_idx, union = score(answering, transcript)
         reports.append(GameReport(
             family=inst.family,
             n=inst.n,
             trial=trial,
             seed=trial_seed,
-            queries=f_oracle.count + g_oracle.count,
+            queries=queries,
             distinguished=first_idx is not None,
             first_idx=first_idx,
             algorithm_value=value,
@@ -209,8 +207,8 @@ def run_game_decreasing(algorithm, inst: DecreasingInstance, seed: int, trials: 
     """Per trial: draw a plant, run the algorithm against it, score the gap.
 
     The algorithm handle has signature (f_oracle, g_oracle, n, seed) ->
-    OptResult.  Its returned set joins the transcript before any check.
-    The unplanted g is f, so the scan compares f with the planted g.
+    OptResult.  The transcript ends with its returned set, which the scan and
+    the union bound therefore cover.  The unplanted g is f: the scan compares f with the planted g.
     """
 
     def draw_plant(trial_seed: int) -> DecreasingInstance:
@@ -219,7 +217,7 @@ def run_game_decreasing(algorithm, inst: DecreasingInstance, seed: int, trials: 
     def score(planted: DecreasingInstance, transcript: QueryTranscript):
         f, g_planted = batch_lookup(planted, "f"), batch_lookup(planted, "g")
         first_idx = _first_difference(transcript, f, g_planted)
-        return first_idx, union_bound(transcript.cardinalities(), inst.n, inst.alpha, inst.beta)
+        return first_idx, union_bound(map(int.bit_count, transcript.entries), inst.n, inst.alpha, inst.beta)
 
     return _play(algorithm, inst, seed, trials, draw_plant, score)
 
@@ -241,12 +239,11 @@ def run_game_increasing(algorithm, inst: IncreasingInstance, seed: int, trials: 
         try:
             r_star = find_consistent_plant(transcript, inst.n)
         except NoConsistentPlantError:
-            # Every candidate was queried: the adversary cannot hide.  The
-            # covering query is the latest first visit of a candidate.
-            first_visit: dict[int, int] = {}
-            for idx, mask in enumerate(transcript.effective_sets()):
-                first_visit.setdefault(mask, idx)
-            return max(i for mask, i in first_visit.items() if mask.bit_count() == inst.n // 2), Fraction(1)
+            # Every candidate was queried: the adversary cannot hide.  The covering
+            # query is the latest first visit of a candidate: the last candidate
+            # among the distinct entries, which dict.fromkeys keeps in first-visit order.
+            last = next(mask for mask in reversed(dict.fromkeys(transcript.entries)) if mask.bit_count() == inst.n // 2)
+            return transcript.entries.index(last), Fraction(1)
         g, g_star = batch_lookup(unplanted, "g"), batch_lookup(unplanted.with_plant(r_star), "g")
         if _first_difference(transcript, g, g_star) is not None:
             raise RatioLabError("planted world disagrees with the transcript; plant search is broken")

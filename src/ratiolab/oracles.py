@@ -27,7 +27,7 @@ In both families f is the same function in every world and the plant
 lives only in g, so the sets at which g was evaluated are all an algorithm
 can learn about the plant.  `make_oracles` therefore attaches a transcript
 to the g handle alone, which records the mask of every set it evaluates,
-however the algorithm calls it.
+however the algorithm calls it, and nothing else.
 """
 
 from __future__ import annotations
@@ -103,30 +103,20 @@ def differs_from_unplanted(S: Subset, inst: DecreasingInstance) -> bool:
 
 
 class QueryTranscript:
-    """The masks of the sets at which g was evaluated, in order, plus the returned set's.
+    """The masks of the sets at which g was evaluated, in order, and nothing else.
 
-    The returned solution set counts as queried: distinguishing checks and
-    plant searches always run over entries plus the returned set.
+    One entry per answered g evaluation.  The game scores the returned set
+    on the trial's own pair, so after a trial the last entry is the
+    returned set and `len(transcript) == g.count`.
     """
 
-    __slots__ = ("entries", "returned")
+    __slots__ = ("entries",)
 
     def __init__(self) -> None:
         self.entries: list[int] = []
-        self.returned: int | None = None
 
     def record(self, mask: int) -> None:
         self.entries.append(mask)
-
-    def set_returned(self, S: Subset) -> None:
-        self.returned = S.mask
-
-    def effective_sets(self) -> list[int]:
-        """A new list of every queried mask in order, with the returned set's mask appended."""
-        return self.entries + ([] if self.returned is None else [self.returned])
-
-    def cardinalities(self) -> list[int]:
-        return list(map(int.bit_count, self.effective_sets()))
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -297,6 +297,20 @@ def test_game_csv_and_json_outputs(tmp_path, capsys):
     assert payload["config"]["seed"] == 3
 
 
+@pytest.mark.parametrize("second", ["./same.out", "link.out"])
+def test_game_outputs_naming_one_file_exit_2(tmp_path, monkeypatch, capsys, second):
+    # the JSON would overwrite the CSV: the call is refused before any trial
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link.out").symlink_to(tmp_path / "same.out")
+    code, out, err = run_cli(
+        capsys, "game", "--family", "decreasing", "--n", "8", "--alpha", "3", "--beta", "1",
+        "--trials", "2", "--budget", "10", "--out-csv", "same.out", "--out-json", second,
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: --out-csv and --out-json name one file: {second!r}\n"
+    assert not (tmp_path / "same.out").exists()
+
+
 def test_game_exhaustion_is_an_outcome(tmp_path, capsys):
     # 400 random queries at n = 6 cover all 20 candidate plants in every
     # trial; each trial is reported as distinguished instead of exiting 2

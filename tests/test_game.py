@@ -203,10 +203,22 @@ def test_find_consistent_plant_skips_queried():
     assert find_consistent_plant(t, 6).elements() == (0, 2, 3)
 
 
-def test_find_consistent_plant_counts_returned_set():
-    t = QueryTranscript()
-    t.set_returned(Subset(7, 6))
-    assert find_consistent_plant(t, 6) == Subset(11, 6)
+def test_find_consistent_plant_counts_returned_set(monkeypatch):
+    # an algorithm that queries nothing and returns the first candidate: the
+    # harness scores that set on the trial's pair, so the plant search sees it
+    searched = []
+
+    def spy(transcript, n):
+        searched.append((list(transcript.entries), find_consistent_plant(transcript, n)))
+        return searched[-1][1]
+
+    def returns_first(f_oracle, g_oracle, n, seed):
+        return OptResult(Subset(7, n), Fraction(0), 0, "scripted")
+
+    monkeypatch.setattr(game, "find_consistent_plant", spy)
+    [r] = run_game_increasing(returns_first, IncreasingInstance(6, 10, Fraction(1, 4)), seed=0, trials=1)
+    assert searched == [([7], Subset(11, 6))]
+    assert not r.distinguished and r.queries == 0
 
 
 def test_find_consistent_plant_ignores_other_cardinalities():
@@ -278,10 +290,9 @@ def test_decreasing_game_first_idx_points_at_separator():
             transcript = QueryTranscript()
             f, g = make_oracles(planted, transcript)
             result = algorithm(f, g, DEC_BARE.n, derive_seed(r.seed, "alg"))
-            transcript.set_returned(result.argset)
-            masks = transcript.effective_sets()
+            ratio(result.argset, f, g)
             hits = [
-                idx for idx, mask in enumerate(masks)
+                idx for idx, mask in enumerate(transcript.entries)
                 if differs_from_unplanted(Subset(mask, DEC_BARE.n), planted)
             ]
             assert r.first_idx == (hits[0] if hits else None)
@@ -386,9 +397,10 @@ def test_increasing_game_plant_avoids_transcript():
     transcript = QueryTranscript()
     f, g = make_oracles(INC_BARE, transcript)
     result = algorithm(f, g, INC_BARE.n, derive_seed(reports[0].seed, "alg"))
-    transcript.set_returned(result.argset)
+    ratio(result.argset, f, g)
+    assert transcript.entries[-1] == result.argset.mask
     r_star = find_consistent_plant(transcript, INC_BARE.n)
-    assert r_star.mask not in set(transcript.effective_sets())
+    assert r_star.mask not in transcript.entries
     assert r_star.cardinality == 6
 
 
@@ -458,7 +470,7 @@ def test_increasing_game_recheck_rejects_a_queried_plant(monkeypatch, pick):
         return OptResult(high, Fraction(0), 2, "scripted")
 
     def broken_search(transcript, n):
-        return Subset(transcript.entries[0] if pick == "entry" else transcript.returned, n)
+        return Subset(transcript.entries[0] if pick == "entry" else transcript.entries[-1], n)
 
     monkeypatch.setattr(game, "find_consistent_plant", broken_search)
     with pytest.raises(RatioLabError, match="disagrees with the transcript"):
@@ -493,6 +505,69 @@ def test_swapped_ratio_call_gets_a_normal_report(run, inst, value):
     assert not r.distinguished and r.union_bound == 0 and r.queries == 2
     assert r.algorithm_value == value
     assert r.empirical_ratio == value / inst.planted_ratio()
+
+
+@pytest.mark.parametrize("method", ["random", "local", "brute"])
+@pytest.mark.parametrize("run, inst", [
+    (run_game_increasing, IncreasingInstance(8, 100, Fraction(1, 4))),
+    (run_game_decreasing, DecreasingInstance(8, 3, 1, Fraction(1, 2))),
+], ids=["increasing", "decreasing"])
+def test_transcript_ends_with_the_returned_set(run, inst, method):
+    # the harness scores the returned set on the trial's own pair, after
+    # counting the algorithm's charges: g's transcript holds one entry per g
+    # charge, the returned mask last, and the report counts the algorithm's
+    # charges only
+    search = make_algorithm(method, budget=30)
+    seen = []
+
+    def algorithm(f_oracle, g_oracle, n, seed):
+        result = search(f_oracle, g_oracle, n, seed)
+        seen.append((g_oracle, result.argset.mask, f_oracle.count + g_oracle.count))
+        return result
+
+    reports = run(algorithm, inst, seed=2, trials=3)
+    assert len(reports) == len(seen) == 3
+    for r, (g, returned, charges) in zip(reports, seen):
+        assert g.transcript.entries[-1] == returned
+        assert len(g.transcript) == g.count
+        assert r.queries == charges
+
+
+def test_decreasing_first_idx_can_be_the_returned_set():
+    # singletons never separate (beta >= 1), so the returned plant is the
+    # first and only separating set: the transcript's last entry
+    trial_seed = derive_seed(0, "trial", 0)
+    plant = random_k_subset(DEC_BARE.n, DEC_BARE.alpha, derive_seed(trial_seed, "plant"))
+    handles = []
+
+    def returns_plant(f_oracle, g_oracle, n, seed):
+        handles.append(g_oracle)
+        for i in range(n):
+            ratio(Subset.from_elements([i], n), f_oracle, g_oracle)
+        return OptResult(plant, Fraction(0), 2 * n, "scripted")
+
+    [r] = run_game_decreasing(returns_plant, DEC_BARE, seed=0, trials=1)
+    [g] = handles
+    assert r.distinguished and r.first_idx == len(g.transcript.entries) - 1 == DEC_BARE.n
+    assert r.queries == 2 * DEC_BARE.n
+    assert r.union_bound == union_bound([1] * DEC_BARE.n + [DEC_BARE.alpha], 14, 4, 1)
+    assert r.algorithm_value == DEC_BARE.planted_ratio() and r.empirical_ratio == 1
+
+
+def test_increasing_exhaustion_reports_the_covering_first_visit():
+    # {2, 3}, the last candidate covered, is queried at index 5 and again at
+    # 6, then returned (index 7): first_idx is its first visit
+    inst = IncreasingInstance(4, 10, Fraction(1, 2))
+    masks = list(iter_k_subset_masks(4, 2))
+
+    def revisiting(f_oracle, g_oracle, n, seed):
+        for mask in masks + masks[-1:]:
+            ratio(Subset(mask, n), f_oracle, g_oracle)
+        return OptResult(Subset(masks[-1], n), Fraction(0), 0, "scripted")
+
+    [r] = run_game_increasing(revisiting, inst, seed=0, trials=1)
+    assert r.distinguished and r.first_idx == len(masks) - 1 == 5
+    assert r.union_bound == 1 and r.queries == 2 * 7
 
 
 def _returns_empty(f_oracle, g_oracle, n, seed):

@@ -37,8 +37,9 @@ print("traced")
 
 # A search evaluates its masks in batches: each batch is one traced ratio
 # call, which charges both handles and extends g's transcript by the whole
-# batch without a per-mask record call.  The plant search runs once for the
-# one trial.
+# batch without a per-mask record call.  The harness then scores the returned
+# set on the trial's pair, one recorded g call.  The plant search runs once
+# for the one trial.
 GAME_TRIAL = """
 algorithm = optimize.make_algorithm("random", 20)
 [report] = game.run_game_increasing(algorithm, IncreasingInstance(8, 100, Fraction(1, 4)), 0, 1)
@@ -47,7 +48,7 @@ summary = tracer.summary()
 calls, by_parent = summary["calls"], summary["calls_by_parent"]
 assert calls.get("oracles.ratio") == 1, calls
 assert by_parent.get("oracles.ratio<optimize.random_search") == 1, by_parent
-assert "oracles.record" not in calls, calls
+assert calls.get("oracles.record") == by_parent.get("oracles.record<game.run_game_increasing") == 1, calls
 assert calls.get("game.find_consistent_plant") == 1, calls
 print("traced")
 """
@@ -72,7 +73,7 @@ print("traced")
 # A local search evaluates its start in one traced ratio call and each
 # neighbourhood in one more.  This trial's start has 24 neighbours and no
 # strictly better one, so it stops after two calls and 25 evaluations, each
-# on g's transcript.
+# on g's transcript; scoring the returned set records the 26th.
 LOCAL_TRIAL = """
 local = optimize.make_algorithm("local", 200)
 handles = []
@@ -83,12 +84,12 @@ def algorithm(f, g, n, seed):
 
 [report] = game.run_game_increasing(algorithm, IncreasingInstance(8, 100, Fraction(1, 4)), 4, 1)
 [g] = handles
-assert report.queries == 2 * 25 and len(g.transcript) == g.count == 25, (report, g.transcript.entries)
+assert report.queries == 2 * 25 and len(g.transcript) == g.count == 26, (report, g.transcript.entries)
 summary = tracer.summary()
 calls, by_parent = summary["calls"], summary["calls_by_parent"]
 assert calls.get("oracles.ratio") == 2, calls
 assert by_parent.get("oracles.ratio<optimize.local_search") == 2, by_parent
-assert "oracles.record" not in calls, calls
+assert calls.get("oracles.record") == 1, calls
 print("traced")
 """
 

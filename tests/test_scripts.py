@@ -1,5 +1,6 @@
 """Smoke runs of the scripts/ entry points, each in a fresh interpreter."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -35,3 +36,16 @@ def test_gap_demo_smoke():
     assert done.returncode == 0, done.stderr
     assert "increasing family: n=8" in done.stdout
     assert "decreasing family: n=14" in done.stdout
+
+
+def test_every_mutant_still_applies():
+    # each mutant's old text occurs exactly once in its file, and its test
+    # files exist, so the list in scripts/mutants.py cannot rot unnoticed
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS) >= 8
+    for m in mutants.MUTANTS:
+        assert mutants.occurrences(m) == 1, m.name
+        assert m.old != m.new and m.tests, m.name
+        assert all((ROOT / path).is_file() for path in m.tests), m.name
