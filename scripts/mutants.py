@@ -43,6 +43,27 @@ MUTANTS = [
         ("tests/test_search_reference.py",),
     ),
     Mutant(
+        "best-of-last-winning-byte",
+        "src/ratiolab/optimize.py",
+        "chunk[min(map(ids.find, winners))]",
+        "chunk[min(map(ids.rfind, winners))]",
+        ("tests/test_optimize.py",),
+    ),
+    Mutant(
+        "best-of-presence-scan-skips-last-class",
+        "src/ratiolab/optimize.py",
+        "[i for i in range(len(classes)) if i in ids]",
+        "[i for i in range(len(classes) - 1) if i in ids]",
+        ("tests/test_optimize.py",),
+    ),
+    Mutant(
+        "query-batch-bytes-skips-g-zero",
+        "src/ratiolab/oracles.py",
+        "(0 not in ids if type(ids) is bytes else all(ids))",
+        "(type(ids) is bytes or all(ids))",
+        ("tests/test_oracles.py",),
+    ),
+    Mutant(
         "favorable-plants-t-lo-off-by-one",
         "src/ratiolab/game.py",
         "t_lo = max(s - min(alpha, s) + beta + 1, 0, alpha - (n - s))",

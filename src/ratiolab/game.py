@@ -168,7 +168,8 @@ def _play(algorithm, inst, seed: int, trials: int, world, score) -> list[GameRep
     Per trial: `world(trial_seed)` is the instance the oracles answer from,
     the algorithm runs against it with its own derived seed, and its query
     count is read.  Its value, f/g at its returned set, is then scored on
-    the same pair, so that set ends g's transcript, and `score(world_instance,
+    the same pair, so that set ends g's transcript, one entry per answered g
+    charge (a refused call is charged only), and `score(world_instance,
     transcript)` gives (first_idx, union_bound).  An empty returned set raises UndefinedRatioError.
     """
     if inst.plant is not None:

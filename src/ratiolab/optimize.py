@@ -21,6 +21,10 @@ are cut into lists.
 The loop compares a chunk's distinct classes as integer cross-products and
 settles ties once per class; a Fraction is built only for the returned
 value.  The game harness does not read that value: it scores the returned set.
+On a block's `bytes` ids no pass over the masks runs in Python: the
+distinct classes are one `in` test (a C `memchr`) per class of the pair,
+and the smallest winning mask is the range's entry at the least first index
+(`bytes.find`) of a winning class.
 """
 
 from __future__ import annotations
@@ -64,8 +68,11 @@ def _best_of(masks, n: int, f_oracle, g_oracle, sign: int = 1, best=(1, 0, 0)):
     iterable is cut into lists.  Search order is lower sign * p/q (q > 0),
     then smaller cardinality, then smaller mask.  A chunk's best class is
     found among its distinct ids; a chunk that does not reach the best so far
-    costs nothing more.  Every class tying it in value and |S| wins: one
-    C-level pass takes the smallest winning mask.
+    costs nothing more.  Every class tying it in value and |S| wins.  A list
+    of ids gets its distinct ids from a set and the smallest winning mask
+    from one C-level pass.  Ids as `bytes` come for an ascending range only,
+    so a class is present when its byte is `in` them, and a winner's first
+    index, `ids.find`, is its smallest mask.
     """
     evaluate = ratio
     best_p, best_q, best_mask = best
@@ -77,7 +84,8 @@ def _best_of(masks, n: int, f_oracle, g_oracle, sign: int = 1, best=(1, 0, 0)):
         chunks = iter(lambda: list(islice(masks, CHUNK)), [])
     for chunk in chunks:
         ids, classes = evaluate(chunk, n, f_oracle, g_oracle)
-        distinct = set(ids)
+        as_bytes = type(ids) is bytes
+        distinct = [i for i in range(len(classes)) if i in ids] if as_bytes else set(ids)
         p, q, card = 1, 0, 0
         for i in distinct:
             class_p, class_q, class_card = classes[i]
@@ -88,7 +96,10 @@ def _best_of(masks, n: int, f_oracle, g_oracle, sign: int = 1, best=(1, 0, 0)):
         if key > best_key:
             continue
         winners = {i for i in distinct if classes[i][2] == card and sign * classes[i][0] * q == p * classes[i][1]}
-        mask = min(compress(chunk, map(winners.__contains__, ids)))
+        if as_bytes:
+            mask = chunk[min(map(ids.find, winners))]
+        else:
+            mask = min(compress(chunk, map(winners.__contains__, ids)))
         best_p, best_q, best_mask = p, q, min(mask, best_mask) if key == best_key else mask
     return best_p, best_q, best_mask
 

@@ -20,8 +20,9 @@ query on a `make_oracles` pair builds no Subset, Fraction or tuple per mask.
 A pair with at most 256 classes answers a step-1 range inside one aligned
 block of BLOCK masks, as brute force asks, with one `bytes.translate`
 (`_id_kernel`); drawn and neighbour lists, and larger pairs, take the
-comprehension.  The planted decreasing g's grid has a row per |S minus R|;
-f reads its last row.
+comprehension.  `query_batch` looks for a set where g = 0 (id 0) in such
+`bytes` with one `0 not in ids`, a C `memchr`, and in a list with `all(ids)`.
+The planted decreasing g's grid has a row per |S minus R|; f reads its last row.
 
 In both families f is the same function in every world and the plant
 lives only in g, so the sets at which g was evaluated are all an algorithm
@@ -105,9 +106,11 @@ def differs_from_unplanted(S: Subset, inst: DecreasingInstance) -> bool:
 class QueryTranscript:
     """The masks of the sets at which g was evaluated, in order, and nothing else.
 
-    One entry per answered g evaluation.  The game scores the returned set
-    on the trial's own pair, so after a trial the last entry is the
-    returned set and `len(transcript) == g.count`.
+    One entry per answered g evaluation: a g call its evaluator refuses
+    (a set of another ground size) is charged but not recorded.  The game
+    scores the returned set on the trial's own pair, so after a trial the
+    last entry is the returned set, and `len(transcript) == g.count` holds
+    when every g charge was answered.
     """
 
     __slots__ = ("entries",)
@@ -346,7 +349,7 @@ def query_batch(masks: list[int] | range, n: int, f_oracle: CountingOracle, g_or
     partner, size, kernel, classes = getattr(g_oracle, "_classes", None) or (None,) * 4
     if partner is f_oracle and f_oracle.transcript is None and size == n:
         ids = kernel(masks)
-        if classes[0] is not None or all(ids):
+        if classes[0] is not None or (0 not in ids if type(ids) is bytes else all(ids)):
             f_oracle.count += len(masks)
             g_oracle.count += len(masks)
             if g_oracle.transcript is not None:

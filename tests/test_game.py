@@ -533,6 +533,25 @@ def test_transcript_ends_with_the_returned_set(run, inst, method):
         assert r.queries == charges
 
 
+def test_a_refused_g_call_is_charged_but_not_recorded():
+    # g at a set of another ground size raises after its charge; the
+    # algorithm catches it, so the trial ends with one charge more than
+    # the transcript has entries, and the report counts that charge
+    inst = IncreasingInstance(6, 10, Fraction(1, 4))
+    handles = []
+
+    def probes_a_wider_set(f_oracle, g_oracle, n, seed):
+        handles.append(g_oracle)
+        with pytest.raises(ParameterError, match="ground size"):
+            g_oracle(Subset.full(n + 1))
+        return OptResult(Subset.full(n), Fraction(0), 1, "refused")
+
+    [r] = run_game_increasing(probes_a_wider_set, inst, seed=0, trials=1)
+    [g] = handles
+    assert g.count == 2 and g.transcript.entries == [Subset.full(6).mask]
+    assert r.queries == 1 and not r.distinguished
+
+
 def test_decreasing_first_idx_can_be_the_returned_set():
     # singletons never separate (beta >= 1), so the returned plant is the
     # first and only separating set: the transcript's last entry

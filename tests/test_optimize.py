@@ -249,6 +249,29 @@ def test_ties_across_unreduced_classes():
     assert random_search(*_scaled_ties(), 6, 2000, 1)[:2] == (Subset(49, 6), 1)
 
 
+# Crafted classes by id for one block of masks 1..63: value 1 at |S| 3 is the
+# minimum and value 9 at |S| 3 the maximum, each taken by two classes, the
+# higher id first; ids 1 and 2 take the same values at |S| 4 and lose on |S|.
+_BLOCK_CLASSES = ((3, 1, 2), (9, 1, 4), (1, 1, 4), (1, 1, 3), (18, 2, 3), (9, 1, 3), (2, 2, 3))
+_BLOCK_IDS = [{3: 1, 5: 2, 10: 6, 12: 5, 20: 3, 25: 4, 30: 6, 40: 5}.get(i, 0) for i in range(63)]
+
+
+@pytest.mark.parametrize("search, mask, value", [(brute_force_min_ratio, 11, 1), (brute_force_max_ratio, 13, 9)])
+def test_block_ties_read_from_bytes_as_from_a_list(monkeypatch, search, mask, value):
+    # a block's ids as bytes take the memchr path: the tying classes' first
+    # positions, not the first class found, give the smallest winning mask,
+    # the same set, value and count as the same ids given as a list
+    runs = []
+    for ids in (bytes(_BLOCK_IDS), _BLOCK_IDS):
+        def crafted(masks, n, f, g, _ids=ids):
+            assert masks == range(1, 64) and n == 6
+            return _ids, _BLOCK_CLASSES
+
+        monkeypatch.setattr(optimize, "ratio", crafted)
+        runs.append(search(CountingOracle(int), CountingOracle(int), 6))
+    assert runs[0] == runs[1] == (Subset(mask, 6), value, 0, "brute")
+
+
 # ------------------------------------------------------- algorithm handles
 
 
