@@ -80,9 +80,44 @@ MUTANTS = [
     Mutant(
         "supermodular-scan-ge",
         "src/ratiolab/verify.py",
-        "if gain + table[base | bit_j] > table[top | bit_j]:",
-        "if gain + table[base | bit_j] >= table[top | bit_j]:",
+        "_first_bases(gt, _split(gain",
+        "_first_bases(lambda a, b: a >= b, _split(gain",
         ("tests/test_verify.py",),
+    ),
+    Mutant(
+        "unsqueeze-drops-a-place",
+        "src/ratiolab/verify.py",
+        "(k >> i << (i + 1))",
+        "(k >> i << i)",
+        ("tests/test_verify.py", "tests/test_verify_reference.py"),
+    ),
+    Mutant(
+        "monotone-comparison-swapped",
+        "src/ratiolab/verify.py",
+        'wrong_sign = gt if direction == "nondecreasing" else lt',
+        'wrong_sign = lt if direction == "nondecreasing" else gt',
+        ("tests/test_verify.py", "tests/test_verify_reference.py"),
+    ),
+    Mutant(
+        "supermodular-pair-cap-one-short",
+        "src/ratiolab/verify.py",
+        "_split(gain, 1 << (j - 1)), cap)",
+        "_split(gain, 1 << (j - 1)), cap - 1)",
+        ("tests/test_verify.py", "tests/test_verify_reference.py"),
+    ),
+    Mutant(
+        "supermodular-records-unsorted",
+        "src/ratiolab/verify.py",
+        "    found.sort()\n    return [\n        ViolationRecord(",
+        "    return [\n        ViolationRecord(",
+        ("tests/test_verify.py", "tests/test_verify_reference.py"),
+    ),
+    Mutant(
+        "monotone-records-unsorted",
+        "src/ratiolab/verify.py",
+        "    found.sort()\n    return [(Subset(base, n), i,",
+        "    return [(Subset(base, n), i,",
+        ("tests/test_verify.py", "tests/test_verify_reference.py"),
     ),
     Mutant(
         "first-difference-loses-index-0",
@@ -113,6 +148,56 @@ MUTANTS = [
         "return transcript.entries.index(last), Fraction(1)",
         "return len(transcript.entries) - 1 - transcript.entries[::-1].index(last), Fraction(1)",
         ("tests/test_game.py",),
+    ),
+    # Brute force's block path: a step-1 range inside one aligned block answered as bytes.
+    Mutant(
+        "block-without-plant-patch",
+        "src/ratiolab/oracles.py",
+        "if start <= plant < stop:",
+        "if start <= plant < stop and False:",
+        ("tests/test_oracles.py",),
+    ),
+    Mutant(
+        "block-without-edge-check",
+        "src/ratiolab/oracles.py",
+        "if not 0 <= start < stop <= min(high + BLOCK, 1 << n):",
+        "if not 0 <= start < stop <= 1 << n:",
+        ("tests/test_oracles.py",),
+    ),
+    Mutant(
+        "block-high-counts-swapped",
+        "src/ratiolab/oracles.py",
+        "out_high, card_high = counts = (high & out).bit_count(), high.bit_count()",
+        "card_high, out_high = counts = (high & out).bit_count(), high.bit_count()",
+        ("tests/test_oracles.py",),
+    ),
+    Mutant(
+        "block-without-256-class-guard",
+        "src/ratiolab/oracles.py",
+        "if len(classes) > 256:",
+        "if len(classes) > 256 and False:",
+        ("tests/test_oracles.py",),
+    ),
+    Mutant(
+        "block-low-state-mask-wrong",
+        "src/ratiolab/oracles.py",
+        "_low_states(out & (BLOCK - 1))",
+        "_low_states(out & (BLOCK - 2))",
+        ("tests/test_oracles.py",),
+    ),
+    Mutant(
+        "range-charged-one-short",
+        "src/ratiolab/oracles.py",
+        "            f_oracle.count += len(masks)\n",
+        "            f_oracle.count += len(masks) - (type(masks) is range)\n",
+        ("tests/test_oracles.py", "tests/test_optimize.py"),
+    ),
+    Mutant(
+        "chunks-cut-at-start-plus-chunk",
+        "src/ratiolab/optimize.py",
+        "*range(masks.start // CHUNK * CHUNK + CHUNK, masks.stop, CHUNK)",
+        "*range(masks.start + CHUNK, masks.stop, CHUNK)",
+        ("tests/test_optimize.py",),
     ),
 ]
 

@@ -103,11 +103,16 @@ class Subset:
         return f"Subset({{{','.join(map(str, self.elements()))}}}, n={self.n})"
 
 
+# The slot descriptors' own setters: they fill a new Subset without the frozen __setattr__.
+_set_mask = Subset.__dict__["mask"].__set__
+_set_n = Subset.__dict__["n"].__set__
+
+
 def unchecked_subset(mask: int, n: int) -> Subset:
     """Build a Subset skipping validation.  For hot loops over known-valid masks."""
     s = object.__new__(Subset)
-    object.__setattr__(s, "mask", mask)
-    object.__setattr__(s, "n", n)
+    _set_mask(s, mask)
+    _set_n(s, n)
     return s
 
 

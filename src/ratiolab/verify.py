@@ -4,19 +4,27 @@ The supermodularity and monotonicity checks tabulate the function once:
 one query per set in ascending mask order, with the values put on one
 common denominator as integers.  The marginal queries of the pairwise
 characterization are then replayed against that table (each repeat must
-return the tabulated value), so the query count stays exactly
+return the tabulated value), so the query count and order stay exactly
 2^n + n 2^(n-1) + n(n-1) 2^(n-2) for supermodularity and 2^n + n 2^(n-1)
-for monotonicity.  The scans compare integers; the symmetric supermodular
-inequality is tested once per unordered pair, and a failing pair yields
-both ordered records.  Non-negativity needs no marginal, so its one pass
+for monotonicity.  The scans then compare whole half-tables in C: `_split`
+cuts a list at bit i into the entries without i and those with it, and
+`map(gt/lt, lo, hi)` compares them pairwise, with no Python step per set.
+Supermodularity splits each gain table f(S + i) - f(S) once more at j > i,
+so each unordered pair is tested once and a failing pair yields both
+ordered records.  A scan keeps the first `cap` violating bases of each
+pair (of each i for monotonicity), which is exact: a record among the first
+`cap` overall has fewer than `cap` records, so fewer than `cap` of its own
+pair, before it.  The kept records are sorted and cut to `cap`, and only
+they get exact margins.  Non-negativity needs no marginal, so its one pass
 builds no table.  No check runs above the guard.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, count, islice, repeat
 from math import lcm
+from operator import gt, lt, sub
 from typing import NamedTuple
 
 from .errors import ParameterError
@@ -68,6 +76,38 @@ def _tabulate(oracle, n: int, repeats) -> tuple[list, list[int]]:
     return values, [v.numerator * (scale // v.denominator) for v in values]
 
 
+def _split(seq: list, bit: int) -> tuple[list, list]:
+    """The entries of `seq` at the indices without `bit`, and at those indices plus `bit`, each ascending.
+
+    len(seq) is a power of two above `bit`.  Each half takes min(bit, len/(2 bit))
+    slices, at most about sqrt(len): one extended-slice assignment per residue
+    below `bit`, or one plain slice per block of 2 bit entries.
+    """
+    step = 2 * bit
+    if bit * step <= len(seq):
+        lo = [None] * (len(seq) // 2)
+        hi = lo.copy()
+        for r in range(bit):
+            lo[r::bit] = seq[r::step]
+            hi[r::bit] = seq[r + bit::step]
+        return lo, hi
+    lo, hi = [], []
+    for start in range(0, len(seq), step):
+        lo += seq[start:start + bit]
+        hi += seq[start + bit:start + step]
+    return lo, hi
+
+
+def _first_bases(wrong, halves: tuple[list, list], cap: int) -> list[int]:
+    """The first `cap` positions k at which wrong(lo[k], hi[k]) holds, for halves (lo, hi); one C-level pass."""
+    return list(islice(compress(count(), map(wrong, *halves)), cap))
+
+
+def _unsqueeze(k: int, i: int) -> int:
+    """The index with bit i clear whose other bits, in order, are those of k: the inverse of a `_split` position."""
+    return (k >> i << (i + 1)) | (k & ((1 << i) - 1))
+
+
 def check_supermodular(oracle, n: int, cap: int = DEFAULT_VIOLATION_CAP) -> list[ViolationRecord]:
     """All pairwise-marginal violations of supermodularity, up to `cap`.
 
@@ -75,38 +115,38 @@ def check_supermodular(oracle, n: int, cap: int = DEFAULT_VIOLATION_CAP) -> list
     ordered pair i != j outside S, which is equivalent to the lattice
     inequality f(S) + f(T) <= f(S u T) + f(S n T).  Costs exactly
     2^n + n 2^(n-1) + n(n-1) 2^(n-2) queries, one per (base), (base, i) and
-    (base, ordered i j), even when the cap is reached: the function is
-    tabulated and the marginal queries replayed against the table.  The
-    inequality is symmetric in i and j, so each unordered pair is scanned
-    once in integers and a violating pair yields both records, (i, j) and
-    (j, i); records come in (base, i, j) order with the exact margins,
-    until `cap` records have been collected.
+    (base, ordered i j), in the same order even when the cap is reached: the
+    function is tabulated and the marginal queries replayed against the
+    table.  For each i the integer gains f(S + i) - f(S) form one list; for
+    each j > i it is split at j and the halves compared by `map(gt, ...)`,
+    so each unordered pair is scanned once and a violating base yields both
+    records, (i, j) and (j, i).  Each pair keeps its first `cap` violating
+    bases, enough for the first `cap` records overall; records come in
+    (base, i, j) order with the exact margins, at most `cap` of them.
     """
     check_guard(n, "supermodularity check")
     check_count(cap, 1, "violation cap")
     values, table = _tabulate(oracle, n, [c * c for c in range(n + 1)])
-    bits = [1 << i for i in range(n)]
-    violations: list[ViolationRecord] = []
-    for base, t_base in enumerate(table):
-        outside = [bit for bit in bits if not base & bit]
-        pairs = []
-        for a, bit_i in enumerate(outside):
-            top = base | bit_i
-            gain = table[top] - t_base
-            for bit_j in outside[a + 1:]:
-                if gain + table[base | bit_j] > table[top | bit_j]:
-                    pairs += ((bit_i, bit_j), (bit_j, bit_i))
-        if not pairs:
-            continue
-        subset = Subset(base, n)
-        for bit_i, bit_j in sorted(pairs):
-            lhs = values[base | bit_i] - values[base]
-            rhs = values[base | bit_i | bit_j] - values[base | bit_j]
-            i, j = bit_i.bit_length() - 1, bit_j.bit_length() - 1
-            violations.append(ViolationRecord(subset, i, j, lhs, rhs))
-            if len(violations) >= cap:
-                return violations
-    return violations
+    found = []
+    for i in range(n):
+        lo, hi = _split(table, 1 << i)
+        gain = list(map(sub, hi, lo))
+        del lo, hi  # one list's halves at a time: these go before gain is split
+        for j in range(i + 1, n):
+            # in gain's squeezed indices, j is bit j - 1
+            for k in _first_bases(gt, _split(gain, 1 << (j - 1)), cap):
+                base = _unsqueeze(_unsqueeze(k, j - 1), i)
+                found += ((base, i, j), (base, j, i))
+        del gain
+    found.sort()
+    return [
+        ViolationRecord(
+            Subset(base, n), i, j,
+            values[base | 1 << i] - values[base],
+            values[base | 1 << i | 1 << j] - values[base | 1 << j],
+        )
+        for base, i, j in found[:cap]
+    ]
 
 
 def check_monotone(
@@ -116,26 +156,24 @@ def check_monotone(
 
     direction "nondecreasing" flags negative marginals, "nonincreasing"
     flags positive ones.  Empty list means every marginal conforms.  Costs
-    exactly 2^n + n 2^(n-1) queries, one per (base) and (base, i), even when
-    the cap is reached; the signs are read off the integer table and
-    records come in (base, i) order with the exact margin.
+    exactly 2^n + n 2^(n-1) queries, one per (base) and (base, i), in the
+    same order even when the cap is reached.  For each i the integer table
+    is split at i and its halves compared by `map(gt, ...)` or
+    `map(lt, ...)`; each i keeps its first `cap` violating bases, enough for
+    the first `cap` records overall, and records come in (base, i) order
+    with the exact margin, at most `cap` of them.
     """
     check_guard(n, "monotonicity check")
     if direction not in ("nondecreasing", "nonincreasing"):
         raise ParameterError(f"direction must be nondecreasing or nonincreasing, got {direction!r}")
     check_count(cap, 1, "violation cap")
     values, table = _tabulate(oracle, n, range(n + 1))
-    if direction == "nonincreasing":
-        table = [-t for t in table]
-    bits = list(enumerate(1 << i for i in range(n)))
-    violations: list[tuple[Subset, int, Fraction]] = []
-    for base, t_base in enumerate(table):
-        for i, bit in bits:
-            if not base & bit and table[base | bit] < t_base:
-                violations.append((Subset(base, n), i, values[base | bit] - values[base]))
-                if len(violations) >= cap:
-                    return violations
-    return violations
+    wrong_sign = gt if direction == "nondecreasing" else lt
+    found = []
+    for i in range(n):
+        found += ((_unsqueeze(k, i), i) for k in _first_bases(wrong_sign, _split(table, 1 << i), cap))
+    found.sort()
+    return [(Subset(base, n), i, values[base | 1 << i] - values[base]) for base, i in found[:cap]]
 
 
 def check_nonnegative(oracle, n: int, cap: int = DEFAULT_VIOLATION_CAP) -> list[tuple[Subset, Fraction]]:

@@ -1,5 +1,7 @@
 """Subsets: masks, enumeration order, the guard, wire forms."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +92,24 @@ def test_unchecked_subset_matches_checked():
     assert s == Subset(0b1011, 5)
     assert s.cardinality == 3
     assert hash(s) == hash(Subset(0b1011, 5))
+    for n in (1, 5, 70):
+        for mask in (0, 1, (1 << n) - 1, 0x2A2A2A2A2A2A2A2A2A & ((1 << n) - 1)):
+            fast, checked = unchecked_subset(mask, n), Subset(mask, n)
+            assert type(fast) is Subset
+            assert fast == checked and not fast != checked
+            assert hash(fast) == hash(checked)
+            assert repr(fast) == repr(checked)
+            assert (fast.mask, fast.n) == (mask, n)
+    assert unchecked_subset(3, 5) != Subset(3, 6)
+    assert unchecked_subset(3, 5) != Subset(5, 5)
+
+
+@pytest.mark.parametrize("field", ["mask", "n"])
+def test_unchecked_subset_stays_frozen(field):
+    s = unchecked_subset(0b1011, 5)
+    with pytest.raises(FrozenInstanceError):
+        setattr(s, field, 1)
+    assert s == Subset(0b1011, 5)
 
 
 def test_gosper_masks_ascending_and_complete():

@@ -21,6 +21,7 @@ from ratiolab.verify import (
     check_nonnegative,
     check_supermodular,
 )
+from ratiolab.verify import _split, _unsqueeze
 
 
 def modular_size(S: Subset) -> Fraction:
@@ -236,6 +237,76 @@ def test_checkers_agree_on_perturbed_supermodular():
         values[bump_mask] += Fraction(7, 2)  # a bump above the lattice makes it non-supermodular
         table = FunctionTable(n, values)
         assert (check_supermodular(table, n) == []) == all_pairs_supermodular(table, n)
+
+
+# ------------------------------------------------------- the slice scans
+
+
+@pytest.mark.parametrize("size", [1 << e for e in range(1, 13)])
+def test_split_matches_a_comprehension_at_every_bit(size):
+    # both branches run: per residue while 2 bit^2 <= size, per block above
+    seq = [k * 7919 % (2 * size + 1) for k in range(size)]
+    for e in range(size.bit_length() - 1):
+        bit = 1 << e
+        without = [k for k in range(size) if not k & bit]
+        lo, hi = _split(seq, bit)
+        assert lo == [seq[k] for k in without], (size, bit)
+        assert hi == [seq[k | bit] for k in without], (size, bit)
+        assert [_unsqueeze(k, e) for k in range(size // 2)] == without, (size, bit)
+
+
+def strictly_submodular(S: Subset) -> int:
+    """-|S|^2: every (base, i, j) violates supermodularity, every marginal is negative."""
+    return -S.cardinality ** 2
+
+
+def small_functions(n: int):
+    yield from (reference.random_table(n, seed) for seed in range(6))
+    yield from (reference.int_hash, reference.mixed_types, strictly_submodular, modular_size)
+
+
+def assert_matches_reference(fn, n: int, cap: int) -> tuple[bool, bool]:
+    """The checks on `fn` give the reference loops' records; (supermodular, monotone) verdicts."""
+    got = check_supermodular(fn, n, cap)
+    assert reference.record_fields(got) == reference.record_fields(
+        reference.ref_check_supermodular(fn, n, cap)
+    ), (n, cap)
+    monotone_violations = False
+    for direction in ("nondecreasing", "nonincreasing"):
+        got_monotone = check_monotone(fn, n, direction, cap)
+        assert reference.as_tuples(got_monotone) == reference.as_tuples(
+            reference.ref_check_monotone(fn, n, direction, cap)
+        ), (n, cap, direction)
+        monotone_violations |= bool(got_monotone)
+    return bool(got), monotone_violations
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("cap", reference.CAPS)
+def test_smallest_grounds_match_the_reference(n, cap):
+    # n = 1 has no pair, so no supermodularity violation; n = 2 has one pair
+    verdicts = [assert_matches_reference(fn, n, cap) for fn in small_functions(n)]
+    assert {supermodular for supermodular, _ in verdicts} == ({False, True} if n == 2 else {False})
+    assert any(monotone for _, monotone in verdicts)
+    oracle = CountingOracle(strictly_submodular)
+    check_supermodular(oracle, n, cap)
+    assert oracle.count == (1 << n) + n * (1 << (n - 1)) + (n == 2) * 2
+
+
+@pytest.mark.parametrize("cap", reference.CAPS)
+def test_violation_dense_tables_at_n_10_match_the_reference(cap):
+    n = 10
+    for fn in (strictly_submodular, reference.random_table(n, 3)):
+        assert assert_matches_reference(fn, n, cap) == (True, True)
+    records = check_supermodular(strictly_submodular, n, cap)
+    assert len(records) == min(cap, n * (n - 1) << (n - 2))
+    if cap == 3:
+        # the cap falls inside the empty base, across its pairs (0, 1), (0, 2), (0, 3)
+        assert [(r.base.mask, r.i, r.j) for r in records] == [(0, 0, 1), (0, 0, 2), (0, 0, 3)]
+    marginals = check_monotone(strictly_submodular, n, "nondecreasing", cap)
+    assert len(marginals) == min(cap, n << (n - 1))
+    if cap == 3:
+        assert [(base.mask, i) for base, i, _ in marginals] == [(0, 0), (0, 1), (0, 2)]
 
 
 # ------------------------------------------------------------ wire formats
