@@ -199,6 +199,28 @@ MUTANTS = [
         "*range(masks.start + CHUNK, masks.stop, CHUNK)",
         ("tests/test_optimize.py",),
     ),
+    # The stream's bulk cut: a batch of words spread into slots, cut at the first word >= bound.
+    Mutant(
+        "batch-close-one-word-late",
+        "src/ratiolab/sampling.py",
+        "bits -= k * (len(words) - length_hint(batch))",
+        "bits -= k * (len(words) - length_hint(batch) + 1)",
+        ("tests/test_sampling.py",),
+    ),
+    Mutant(
+        "batch-without-bound-test",
+        "src/ratiolab/sampling.py",
+        "    if over:\n",
+        "    if over and False:\n",
+        ("tests/test_sampling.py",),
+    ),
+    Mutant(
+        "spread-step-one-bit-far",
+        "src/ratiolab/sampling.py",
+        "half * (slot - k)))",
+        "half * (slot - k) + 1))",
+        ("tests/test_sampling.py",),
+    ),
 ]
 
 

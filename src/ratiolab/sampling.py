@@ -19,22 +19,98 @@ label tuples, and `derive_seed` turns one into a recordable seed: trial i of
 a game run with master seed s has seed derive_seed(s, "trial", i), and its
 plant and algorithm draw from seeds derived from that with the labels
 "plant" and "alg".  The scheme is stable across platforms and Python
-versions.  Every draw reads through one generator, which refills several
-blocks at a time and never more than its remaining words must read.  Every
-count argument is an int, checked by `check_count`, and so is every seed.
+versions.
+
+Every draw reads through one generator of k-bit words, which refills
+several blocks at a time and never more than its remaining words must read.
+A draw of 64 or more words of under 64 bits cuts each refill into its words
+in bulk, with no Python step per word: the m whole words it will read come
+off the pool as one integer, are spread into byte-aligned slots (the power
+of two above k, at least 8 bits) by log2(m) mask-and-shift steps, and are
+read back through `to_bytes` and an `array` as a list.  Single draws and
+wider words are cut off the pool one word at a time.  Every count argument
+is an int, checked by `check_count`, and so is every seed.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+from functools import cache
 from hashlib import sha256
+from operator import length_hint
 
 from .errors import ParameterError
 from .sets import Subset, check_count, is_int, validate_ground_size
 
 _PREFIX = b"ratiolab|"
-# Most blocks one refill hashes: enough to amortise the join and the
-# conversion, few enough that the pool's shifts stay cheap.
-_REFILL_BLOCKS = 8
+# Most blocks one refill hashes.  A bulk cut costs a few big-int operations
+# per batch, so its pool is large; a word-at-a-time cut shifts the pool once
+# per word, so its pool stays small.
+_BULK_BLOCKS = 64
+_WORD_BLOCKS = 8
+# Fewest words a bulk cut takes.  Its fixed cost, about forty big-int
+# operations and an array, is more than the word-at-a-time loop spends on
+# fewer than 32 to 48 words.
+_MIN_BATCH = 64
+# An array typecode for each slot width in bits.
+_TYPECODES = {array(code).itemsize * 8: code for code in "BHILQ"}
+_SWAP = sys.byteorder == "little"
+
+
+def _slot(k: int) -> int:
+    """The bits of a k-bit word's slot in a bulk cut: the power of two above k, at least 8."""
+    return 1 << max(k.bit_length(), 3)
+
+
+@cache
+def _spread_plan(k: int, size: int) -> tuple[list[tuple[int, int]], int]:
+    """The steps that spread `size` packed k-bit words into slots, as (mask, shift) pairs, and a 1 in each slot.
+
+    `size` is a power of two.  The steps run from one field of `size` slots
+    down to single slots: each field keeps its lower half of words where
+    they are (the mask) and moves its upper half up by half * (slot - k)
+    bits, to the bottom of its upper half.  Fewer words than `size` spread
+    the same way: they are the low words of `size`, the rest zero.  The
+    draws ask for at most a few hundred plans: 6 <= k < 64 and
+    64 <= size <= 2048.
+    """
+    slot = _slot(k)
+    steps, group = [], size
+    while group > 1:
+        half = group >> 1
+        field = ((1 << half * k) - 1).to_bytes(group * slot >> 3, "big")
+        steps.append((int.from_bytes(field * (size // group), "big"), half * (slot - k)))
+        group = half
+    return steps, int.from_bytes((1).to_bytes(slot >> 3, "big") * size, "big")
+
+
+def _cut(x: int, k: int, m: int, bound: int, offset: int) -> tuple[list[int], bool]:
+    """The m k-bit words packed in x, the first on top, cut just before the first word >= bound.
+
+    Returns the words before it, each plus offset, as a list, and whether a
+    word >= bound ended them.  k < 64 and bound + offset <= 2^k, so a word
+    plus offset, and plus 2^k - bound - offset after that, stays below
+    2^(k+1), within its slot: a word is >= bound exactly when the second
+    sum carries into bit k, and the first such word holds the top carry.
+    """
+    size = 1 << (m - 1).bit_length()
+    steps, ones = _spread_plan(k, size)
+    for mask, shift in steps:
+        low = x & mask
+        x = low | (x ^ low) << shift
+    slot = _slot(k)
+    ones >>= (size - m) * slot
+    x += offset * ones
+    kept = m
+    over = (x + ((1 << k) - bound - offset) * ones) & ones << k
+    if over:
+        kept = (m * slot - over.bit_length()) // slot
+        x >>= (m - kept) * slot
+    words = array(_TYPECODES[slot], x.to_bytes(kept * slot >> 3, "big"))
+    if _SWAP:
+        words.byteswap()
+    return words.tolist(), kept < m
 
 
 class SeededStream:
@@ -99,28 +175,54 @@ class SeededStream:
     def _words(self, k: int, bound: int, offset: int, count: int):
         """An iterator over the next `count` k-bit words below `bound`, each plus `offset`.
 
-        The stream's state lives in locals and is written back when the
-        iterator ends or is closed.  The pool is masked only at refills: a
-        word is read off the top of the unread bits and the read bits stay
-        above them until then.
+        bound + offset <= 2^k.  The stream's state lives in locals and is
+        written back when the iterator ends or is closed.  The pool is masked
+        only at refills: words are read off the top of the unread bits and
+        the read bits stay above them until then.  A draw of at least
+        _MIN_BATCH words of under 64 bits refills up to _BULK_BLOCKS blocks
+        and cuts the whole unread words with one `_cut` per batch: as many as
+        the pool holds, the count left and the expected run of words below
+        `bound` allow, ended just before a word >= bound.  The batch is
+        handed on from its list's iterator; closed meanwhile, that
+        iterator's `length_hint` gives the words not read, so the stream
+        stands right after the last word yielded.  Every other draw refills
+        up to _WORD_BLOCKS blocks, and the words a batch cannot take are cut
+        one at a time until the pool runs short.
         """
         key, word_mask = self._key, (1 << k) - 1
         pool, bits, counter = self._pool, self._pool_bits, self._counter
+        bulk = count >= _MIN_BATCH and _slot(k) in _TYPECODES
+        most = _WORD_BLOCKS
+        if bulk:
+            # a batch is no longer than the expected run of words below bound
+            most, run = _BULK_BLOCKS, (1 << k) // ((1 << k) - bound or 1)
+        words = ()
         try:
             while count:
                 while bits < k:
-                    blocks = min(_REFILL_BLOCKS, (k * count - bits + 255) >> 8)
+                    blocks = min(most, (k * count - bits + 255) >> 8)
                     fresh = b"".join([sha256(key + j.to_bytes(8, "big")).digest()
                                       for j in range(counter, counter + blocks)])
                     pool = (pool & ((1 << bits) - 1)) << (blocks << 8) | int.from_bytes(fresh, "big")
                     counter += blocks
                     bits += blocks << 8
-                bits -= k
-                word = pool >> bits & word_mask
-                if word < bound:
-                    count -= 1
-                    yield word + offset
+                if bulk and (m := min(bits // k, count, run)) >= _MIN_BATCH:
+                    words, ended = _cut(pool >> (bits - m * k) & ((1 << m * k) - 1), k, m, bound, offset)
+                    batch = iter(words)
+                    yield from batch
+                    count -= len(words)
+                    bits -= k * (len(words) + ended)
+                    words = ()
+                    continue
+                while count and bits >= k:
+                    bits -= k
+                    word = pool >> bits & word_mask
+                    if word < bound:
+                        count -= 1
+                        yield word + offset
         finally:
+            if words:
+                bits -= k * (len(words) - length_hint(batch))
             self._pool, self._pool_bits, self._counter = pool & ((1 << bits) - 1), bits, counter
 
 

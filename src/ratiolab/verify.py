@@ -81,9 +81,15 @@ def _split(seq: list, bit: int) -> tuple[list, list]:
 
     len(seq) is a power of two above `bit`.  Each half takes min(bit, len/(2 bit))
     slices, at most about sqrt(len): one extended-slice assignment per residue
-    below `bit`, or one plain slice per block of 2 bit entries.
+    below `bit`, or one plain slice per block of 2 bit entries.  At bit 1 and
+    when one block spans `seq`, each half is one slice, so the split holds
+    nothing but its halves.
     """
     step = 2 * bit
+    if bit == 1:
+        return seq[0::2], seq[1::2]
+    if step == len(seq):
+        return seq[:bit], seq[bit:]
     if bit * step <= len(seq):
         lo = [None] * (len(seq) // 2)
         hi = lo.copy()

@@ -1,8 +1,11 @@
 """Deterministic randomness: replayability, labeling, and uniformity checks."""
 
+import copy
 import hashlib
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,6 +16,7 @@ from ratiolab.game import run_game_decreasing
 from ratiolab.instances import DecreasingInstance
 from ratiolab.optimize import local_search, make_algorithm, random_search
 from ratiolab.oracles import make_oracles
+from ratiolab import sampling
 from ratiolab.sampling import SeededStream, derive_seed, random_k_subset
 from ratiolab.sets import Subset
 
@@ -111,7 +115,7 @@ def test_nonempty_mask_needs_a_nonempty_ground_set():
         SeededStream(0).nonempty_mask(0)
 
 
-DRAW_NS = [1, 2, 3, 8, 30, 31, 32, 100, 127, 128]
+DRAW_NS = [1, 2, 3, 7, 8, 9, 16, 30, 31, 32, 63, 64, 65, 100, 127, 128]
 
 
 def _twin_draws(stream, n, count):
@@ -175,6 +179,75 @@ def test_draws_hash_no_more_blocks_than_they_read(monkeypatch):
     hashed.clear()
     list(SeededStream(14, "small").nonempty_masks(30, 8))
     assert len(hashed) == 1
+
+
+def test_a_batch_closed_at_every_position_of_its_first_bulk_cut(monkeypatch):
+    # nonempty_masks(30, 1000) hashes 64 blocks at its first refill and cuts
+    # all 546 whole words of them at once.  Closed after any number of masks
+    # up to past that cut, it leaves the stream where as many single draws do.
+    cuts = []
+
+    def spied_cut(x, k, m, bound, offset):
+        cuts.append(m)
+        return real_cut(x, k, m, bound, offset)
+
+    real_cut = sampling._cut
+    monkeypatch.setattr(sampling, "_cut", spied_cut)
+    single, snapshots, expected = SeededStream(17, "every", 30), [], []
+    for _ in range(560):
+        snapshots.append(copy.copy(single))
+        expected.append(single.nonempty_mask(30))
+    for taken, at in enumerate(snapshots):
+        stream = SeededStream(17, "every", 30)
+        draws = stream.nonempty_masks(30, 1000)
+        assert list(islice(draws, taken)) == expected[:taken]
+        draws.close()
+        after = [(s.getbits(7), s.nonempty_mask(30), s.getbits(300)) for s in (stream, at)]
+        assert after[0] == after[1], taken
+    assert cuts[0] == 16384 // 30  # the first cut is the batch walked through
+
+
+def _planted_sha256(k: int, positions, blocks: int = 100):
+    """sha256 for a stream whose k-bit words at `positions` (word indices from its start) read all ones."""
+    planted = 0
+    for p in positions:
+        planted |= ((1 << k) - 1) << (256 * blocks - (p + 1) * k)
+
+    def sha256(data):
+        j = int.from_bytes(data[-8:], "big")
+        word = int.from_bytes(hashlib.sha256(data).digest(), "big")
+        if j < blocks:
+            word |= planted >> (256 * (blocks - 1 - j)) & ((1 << 256) - 1)
+        return SimpleNamespace(digest=lambda: word.to_bytes(32, "big"))
+
+    return sha256
+
+
+@pytest.mark.parametrize("n", [16, 30, 64])
+def test_an_all_ones_word_inside_a_batch_is_rejected_in_place(monkeypatch, n):
+    # The all-ones word is the one rejected word of a nonempty-mask draw.
+    # Planted at the first, last and a middle word of the first 64-block
+    # cut, as a pair and just past the cut, each ends its batch there: the
+    # batch yields the masks before it, and the stream reads on after it.
+    first_cut = 16384 // n
+    positions = [0, 5, 6, first_cut // 2, first_cut - 1, first_cut, first_cut + 40]
+    monkeypatch.setattr("ratiolab.sampling.sha256", _planted_sha256(n, positions))
+    ended = []
+
+    def spied_cut(x, k, m, bound, offset):
+        words, end = real_cut(x, k, m, bound, offset)
+        ended.append(end)
+        return words, end
+
+    real_cut = sampling._cut
+    monkeypatch.setattr(sampling, "_cut", spied_cut)
+    batch, single = SeededStream(18, "planted", n), SeededStream(18, "planted", n)
+    drawn = list(batch.nonempty_masks(n, 3000))
+    assert drawn == _twin_draws(single, n, 3000)
+    assert vars(batch) == vars(single)
+    assert max(drawn) < 1 << n
+    # words of 64 bits and more are cut one at a time
+    assert ended.count(True) == (len(positions) if n < 64 else 0)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Structural checkers: pairwise marginals, all-pairs cross-check, monotonicity."""
 
+import struct
+import tracemalloc
 from fractions import Fraction
 from itertools import count
 
@@ -253,6 +255,21 @@ def test_split_matches_a_comprehension_at_every_bit(size):
         assert lo == [seq[k] for k in without], (size, bit)
         assert hi == [seq[k | bit] for k in without], (size, bit)
         assert [_unsqueeze(k, e) for k in range(size // 2)] == without, (size, bit)
+
+
+@pytest.mark.parametrize("bit", [1, 1 << 13])
+def test_split_at_bit_1_and_at_half_holds_only_its_halves(bit):
+    # At bit 1 and when one block spans the list, _split makes two plain
+    # slices: its peak is the halves' 2^14 pointers, with no buffer beside them.
+    seq = list(range(1 << 14))
+    tracemalloc.start()
+    try:
+        lo, hi = _split(seq, bit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (lo, hi) == ([k for k in seq if not k & bit], [k for k in seq if k & bit])
+    assert peak <= 1.05 * struct.calcsize("P") * len(seq), peak
 
 
 def strictly_submodular(S: Subset) -> int:
