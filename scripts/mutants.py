@@ -57,10 +57,10 @@ MUTANTS = [
         ("tests/test_optimize.py",),
     ),
     Mutant(
-        "query-batch-bytes-skips-g-zero",
+        "query-batch-skips-g-zero",
         "src/ratiolab/oracles.py",
-        "(0 not in ids if type(ids) is bytes else all(ids))",
-        "(type(ids) is bytes or all(ids))",
+        "if classes[0] is not None or 0 not in ids:",
+        "if classes[0] is not None or ids:",
         ("tests/test_oracles.py",),
     ),
     Mutant(
@@ -193,18 +193,18 @@ MUTANTS = [
         ("tests/test_oracles.py", "tests/test_optimize.py"),
     ),
     Mutant(
-        "chunks-cut-at-start-plus-chunk",
+        "brute-cuts-one-past-each-block",
         "src/ratiolab/optimize.py",
-        "*range(masks.start // CHUNK * CHUNK + CHUNK, masks.stop, CHUNK)",
-        "*range(masks.start + CHUNK, masks.stop, CHUNK)",
+        "cuts = [1, *range(CHUNK, 1 << n, CHUNK), 1 << n]",
+        "cuts = [1, *range(CHUNK + 1, 1 << n, CHUNK), 1 << n]",
         ("tests/test_optimize.py",),
     ),
     # The stream's bulk cut: a batch of words spread into slots, cut at the first word >= bound.
     Mutant(
-        "batch-close-one-word-late",
+        "closed-batch-redraws-one-mask-more",
         "src/ratiolab/sampling.py",
-        "bits -= k * (len(words) - length_hint(batch))",
-        "bits -= k * (len(words) - length_hint(batch) + 1)",
+        "len(masks) - length_hint(rest))",
+        "len(masks) - length_hint(rest) + 1)",
         ("tests/test_sampling.py",),
     ),
     Mutant(
@@ -220,6 +220,50 @@ MUTANTS = [
         "half * (slot - k)))",
         "half * (slot - k) + 1))",
         ("tests/test_sampling.py",),
+    ),
+    # Random search's lists, the list winner and the difference scan's one comparison.
+    Mutant(
+        "mask-lists-drop-last-partial",
+        "src/ratiolab/sampling.py",
+        "for done in range(0, count, size))",
+        "for done in range(0, count - size + 1, size))",
+        ("tests/test_optimize.py", "tests/test_search_reference.py"),
+    ),
+    Mutant(
+        "list-winner-first-drawn",
+        "src/ratiolab/optimize.py",
+        "mask = min(compress(chunk, ids.translate(selector)))",
+        "mask = next(compress(chunk, ids.translate(selector)))",
+        ("tests/test_search_reference.py",),
+    ),
+    Mutant(
+        "scan-equal-by-length",
+        "src/ratiolab/game.py",
+        "    if a == b:\n        return None\n",
+        "    if len(a) == len(b):\n        return None\n",
+        ("tests/test_difference_scan.py",),
+    ),
+    # Hand-run in earlier changes and kept here.
+    Mutant(
+        "stream-rejection-le",
+        "src/ratiolab/sampling.py",
+        "if word < bound:",
+        "if word <= bound:",
+        ("tests/test_sampling.py",),
+    ),
+    Mutant(
+        "query-batch-without-n-check",
+        "src/ratiolab/oracles.py",
+        "if partner is f_oracle and f_oracle.transcript is None and size == n:",
+        "if partner is f_oracle and f_oracle.transcript is None:",
+        ("tests/test_oracles.py",),
+    ),
+    Mutant(
+        "union-bound-without-cap",
+        "src/ratiolab/game.py",
+        "return Fraction(1) if favorable >= plants else Fraction(favorable, plants)",
+        "return Fraction(favorable, plants)",
+        ("tests/test_game.py",),
     ),
 ]
 

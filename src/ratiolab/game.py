@@ -19,7 +19,8 @@ own record of masks, so it holds every g evaluation however the algorithm
 made it; a direct f call reveals nothing about the plant.  One scan
 (`_first_difference`) compares the planted and unplanted g at every
 recorded mask, in both games, through their batch lookups, which map the
-whole transcript to the very value objects the evaluators answer with.
+whole transcript to the very value objects the evaluators answer with, so
+one C-level list `==` settles a transcript on which they agree.
 In the decreasing game a trial is distinguished at the first set where
 they differ; in the increasing game a difference means the plant search
 is broken.  The harness scores the returned set itself, on the trial's own
@@ -152,10 +153,14 @@ def _first_difference(transcript: QueryTranscript, g_a, g_b) -> int | None:
     """Index of the first transcript entry where the batch lookups g_a and g_b differ.
 
     The lookups read the entries in place.  Where they agree they index one
-    cached value table and return the very same Fraction, so identity
-    settles almost every set in one C-level pass; `!=` keeps the rest exact.
+    cached value table and return the very same Fraction, so one list `==`,
+    identity first and in C, settles a transcript without a difference.
+    Otherwise identity settles almost every set in one C-level pass and
+    `!=` keeps the rest exact.
     """
     a, b = g_a(transcript.entries), g_b(transcript.entries)
+    if a == b:
+        return None
     for idx in compress(count(), map(is_not, a, b)):
         if a[idx] != b[idx]:
             return idx

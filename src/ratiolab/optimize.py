@@ -10,27 +10,30 @@ cardinality, then ascending mask.  `brute_force_max_ratio` uses the same
 order, so argmin f/g and argmax g/f are the same set.
 
 Searches query by bit mask, all in one loop, `_best_of`, which takes its
-masks in chunks of CHUNK: each chunk is one call of the module attribute
-`ratio`, bound to `oracles.query_batch`, which charges both handles once
-per mask, extends g's transcript by the chunk and yields each mask's
-value-class id, a class being an unreduced integer pair (p, q) and |S|.
-Brute force passes a range, cut into ranges at multiples of CHUNK, the
-oracles' block width, so a `make_oracles` pair answers each chunk with one
-`bytes.translate`; random search's draws and local search's neighbourhoods
-are cut into lists.
+masks in chunks of at most CHUNK: each chunk is one call of the module
+attribute `ratio`, bound to `oracles.query_batch`, which charges both
+handles once per mask, extends g's transcript by the chunk and gives each
+mask's value-class id, a class being an unreduced integer pair (p, q) and
+|S|.  Brute force passes ranges cut at multiples of CHUNK, the oracles'
+block width, so a `make_oracles` pair answers each chunk with one
+`bytes.translate`; random search passes the lists its stream draws
+(`SeededStream.nonempty_mask_lists`), and local search its neighbourhoods
+cut into lists.  No Python step runs per mask between the draw and the ids.
 The loop compares a chunk's distinct classes as integer cross-products and
 settles ties once per class; a Fraction is built only for the returned
 value.  The game harness does not read that value: it scores the returned set.
-On a block's `bytes` ids no pass over the masks runs in Python: the
-distinct classes are one `in` test (a C `memchr`) per class of the pair,
-and the smallest winning mask is the range's entry at the least first index
-(`bytes.find`) of a winning class.
+On `bytes` ids, which a pair with at most 256 classes gives for lists and
+ranges alike, no pass over the masks runs in Python: the distinct classes
+are one `in` test (a C `memchr`) per class of the pair, and the smallest
+winning mask is a range's entry at the least first index (`bytes.find`) of
+a winning class, or a list's least mask that `compress` keeps under the ids
+translated to 1 at the winning classes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, islice
+from itertools import compress
 from typing import NamedTuple
 
 from .errors import ParameterError
@@ -59,29 +62,23 @@ class OptResult(NamedTuple):
     method: str
 
 
-def _best_of(masks, n: int, f_oracle, g_oracle, sign: int = 1, best=(1, 0, 0)):
-    """The first of `best` and `masks` in search order, as (sign * p, q, mask); 1/0 loses to every mask.
+def _best_of(chunks, n: int, f_oracle, g_oracle, sign: int = 1, best=(1, 0, 0)):
+    """The first of `best` and the masks of `chunks` in search order, as (sign * p, q, mask); 1/0 loses to every mask.
 
-    The one search loop: one `ratio` call per chunk of up to CHUNK masks, in
-    order.  A step-1 range is cut at multiples of CHUNK into ranges, each
-    inside one aligned block, whose ids may come as `bytes`; any other
-    iterable is cut into lists.  Search order is lower sign * p/q (q > 0),
-    then smaller cardinality, then smaller mask.  A chunk's best class is
-    found among its distinct ids; a chunk that does not reach the best so far
-    costs nothing more.  Every class tying it in value and |S| wins.  A list
-    of ids gets its distinct ids from a set and the smallest winning mask
-    from one C-level pass.  Ids as `bytes` come for an ascending range only,
-    so a class is present when its byte is `in` them, and a winner's first
-    index, `ids.find`, is its smallest mask.
+    The one search loop: one `ratio` call per chunk, in order.  A chunk is a
+    list or a step-1 range of at most CHUNK masks.  Search order is lower
+    sign * p/q (q > 0), then smaller cardinality, then smaller mask.  A
+    chunk's best class is found among its distinct ids; a chunk that does
+    not reach the best so far costs nothing more.  Every class tying it in
+    value and |S| wins.  Ids as `bytes` hold a class when its byte is `in`
+    them; the smallest winning mask of a range is its entry at the least
+    first index, `ids.find`, of a winning class, and of a list the least
+    mask `compress` keeps under the ids put through a table of the winning
+    bytes.  A list of ids gets its distinct ids from a set and the smallest
+    winning mask from one C-level pass.
     """
     evaluate = ratio
     best_p, best_q, best_mask = best
-    if type(masks) is range and masks.step == 1 and masks:
-        cuts = [masks.start, *range(masks.start // CHUNK * CHUNK + CHUNK, masks.stop, CHUNK), masks.stop]
-        chunks = map(range, cuts, cuts[1:])
-    else:
-        masks = iter(masks)
-        chunks = iter(lambda: list(islice(masks, CHUNK)), [])
     for chunk in chunks:
         ids, classes = evaluate(chunk, n, f_oracle, g_oracle)
         as_bytes = type(ids) is bytes
@@ -96,17 +93,23 @@ def _best_of(masks, n: int, f_oracle, g_oracle, sign: int = 1, best=(1, 0, 0)):
         if key > best_key:
             continue
         winners = {i for i in distinct if classes[i][2] == card and sign * classes[i][0] * q == p * classes[i][1]}
-        if as_bytes:
+        if not as_bytes:
+            mask = min(compress(chunk, map(winners.__contains__, ids)))
+        elif type(chunk) is range:
             mask = chunk[min(map(ids.find, winners))]
         else:
-            mask = min(compress(chunk, map(winners.__contains__, ids)))
+            selector = bytearray(256)
+            for i in winners:
+                selector[i] = 1
+            mask = min(compress(chunk, ids.translate(selector)))
         best_p, best_q, best_mask = p, q, min(mask, best_mask) if key == best_key else mask
     return best_p, best_q, best_mask
 
 
 def _search_masks(f_oracle, g_oracle, n: int, sign: int) -> OptResult:
     start_queries = f_oracle.count + g_oracle.count
-    p, q, mask = _best_of(range(1, 1 << n), n, f_oracle, g_oracle, sign)
+    cuts = [1, *range(CHUNK, 1 << n, CHUNK), 1 << n]
+    p, q, mask = _best_of(map(range, cuts, cuts[1:]), n, f_oracle, g_oracle, sign)
     used = (f_oracle.count + g_oracle.count) - start_queries
     return OptResult(Subset(mask, n), Fraction(sign * p, q), used, "brute")
 
@@ -137,7 +140,7 @@ def local_search(f_oracle, g_oracle, n: int, budget: int, seed: int) -> OptResul
     stream = SeededStream(seed, "local-search", n)
     # Each point evaluated is the current one or its neighbour and a move goes to the
     # best neighbour, so the best point ever evaluated is the current one until the last.
-    best = _best_of((stream.nonempty_mask(n),), n, f_oracle, g_oracle)
+    best = _best_of([[stream.nonempty_mask(n)]], n, f_oracle, g_oracle)
     remaining = budget - 2
     while remaining >= 2:
         current_p, current_q, current = best
@@ -149,7 +152,8 @@ def local_search(f_oracle, g_oracle, n: int, budget: int, seed: int) -> OptResul
         neighbors += [(current & ~(1 << i)) | (1 << j) for i in inside for j in outside]
         neighbors = neighbors[: remaining // 2]
         remaining -= 2 * len(neighbors)
-        best = _best_of(neighbors, n, f_oracle, g_oracle, 1, best)
+        chunks = (neighbors[i:i + CHUNK] for i in range(0, len(neighbors), CHUNK))
+        best = _best_of(chunks, n, f_oracle, g_oracle, 1, best)
         if best[0] * current_q >= current_p * best[1]:
             break
 
@@ -164,7 +168,7 @@ def random_search(f_oracle, g_oracle, n: int, budget: int, seed: int) -> OptResu
     check_count(budget, 1, "random search budget")
     start_queries = f_oracle.count + g_oracle.count
     stream = SeededStream(seed, "random-search", n)
-    p, q, mask = _best_of(stream.nonempty_masks(n, budget), n, f_oracle, g_oracle)
+    p, q, mask = _best_of(stream.nonempty_mask_lists(n, budget, CHUNK), n, f_oracle, g_oracle)
     used = (f_oracle.count + g_oracle.count) - start_queries
     return OptResult(Subset(mask, n), Fraction(p, q), used, "random")
 

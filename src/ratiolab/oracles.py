@@ -17,11 +17,13 @@ Fractions `instance_evaluator` and `batch_lookup` return, and for g the
 class ids, read off those values once at build time.  One kernel per value
 class, a comprehension, maps a list of masks to their entries; a search
 query on a `make_oracles` pair builds no Subset, Fraction or tuple per mask.
-A pair with at most 256 classes answers a step-1 range inside one aligned
-block of BLOCK masks, as brute force asks, with one `bytes.translate`
-(`_id_kernel`); drawn and neighbour lists, and larger pairs, take the
-comprehension.  `query_batch` looks for a set where g = 0 (id 0) in such
-`bytes` with one `0 not in ids`, a C `memchr`, and in a list with `all(ids)`.
+A pair with at most 256 classes gives its ids as `bytes` (`_id_kernel`): a
+step-1 range inside one aligned block of BLOCK masks, as brute force asks,
+with one `bytes.translate`, and drawn and neighbour lists as the
+comprehension's list put into `bytes`; a larger pair gets the list.
+`query_batch` looks for a set where g = 0 (id 0) with one `0 not in ids`,
+a C `memchr` on `bytes`; only a pair past 256 classes gives a list, and no
+bundled pair has both that many classes and a set where g = 0.
 The planted decreasing g's grid has a row per |S minus R|; f reads its last row.
 
 In both families f is the same function in every world and the plant
@@ -79,14 +81,16 @@ def _dec_grid(n: int, alpha: int, beta: int, epsilon: Fraction) -> tuple[tuple, 
 
 @lru_cache(maxsize=None)
 def _inc_tables(n: int, m: Fraction, epsilon: Fraction) -> tuple[tuple, tuple, tuple, tuple]:
-    """The increasing pair by cardinality: f, g, f/g class ids and classes; entry n + 1 is the plant's (g = 1)."""
+    """The increasing pair: f by |S|, g and the f/g class ids each as (by |S|, the plant's entry), and the classes.
+
+    The plant's entry (g = 1) is kept apart, so no cardinality reads it.
+    """
     half = n // 2
     cards = range(n + 1)
     f = tuple(Fraction(c) if c <= half else m * (1 << (c + 1)) + c for c in cards)
     g = tuple(Fraction(2 * c, n) * epsilon if c <= half else Fraction(2 * (c - half)) for c in cards)
-    g += (Fraction(1),)
-    [ids], classes = _f_over_g(f + f[half:half + 1], [g], [*cards, half])
-    return f, g, ids, classes
+    [ids], classes = _f_over_g(f + f[half:half + 1], [g + (Fraction(1),)], [*cards, half])
+    return f, (g, Fraction(1)), (ids[:-1], ids[-1]), classes
 
 
 def differs_from_unplanted(S: Subset, inst: DecreasingInstance) -> bool:
@@ -167,9 +171,9 @@ def _side(inst: Instance, role: str) -> tuple:
     `values` holds the Fractions the side answers; `ids` and `classes`, for g
     only (None for f), the pair's f/g class ids and the classes by id.  The
     rule names the value class: |S|; the planted decreasing g's cell
-    [|S & out|][|S|] of its grid rows, key out; or |S| with the increasing
-    plant test, key (plant mask, n + 1), the plant's entry.  Decreasing f is
-    the grid's last row.
+    [|S & out|][|S|] of its grid rows, key out; or the increasing plant
+    test, key the plant mask, whose tables are pairs (by |S|, the plant's
+    entry).  Decreasing f is the grid's last row.
     """
     if role not in ("f", "g"):
         raise ParameterError(f"oracle role must be 'f' or 'g', got {role!r}")
@@ -186,8 +190,8 @@ def _side(inst: Instance, role: str) -> tuple:
         if role == "f":
             return _BY_CARDINALITY, None, f, None, None
         if inst.plant is None:
-            return _BY_CARDINALITY, None, g, ids, classes
-        return _BY_PLANT, (inst.plant.mask, n + 1), g, ids, classes
+            return _BY_CARDINALITY, None, g[0], ids[0], classes
+        return _BY_PLANT, inst.plant.mask, g, ids, classes
     raise ParameterError(f"unknown instance type: {type(inst).__name__}")
 
 
@@ -216,10 +220,10 @@ def instance_evaluator(inst: Instance, role: str) -> Callable[[Subset], Fraction
 
         return by_grid
 
-    def by_plant(S, _t=table, _p=key[0], _i=key[1], _n=n):
+    def by_plant(S, _t=table[0], _v=table[1], _p=key, _n=n):
         if S.n != _n:
             raise _ground_error(S.n, _n)
-        return _t[_i] if S.mask == _p else _t[S.mask.bit_count()]
+        return _v if S.mask == _p else _t[S.mask.bit_count()]
 
     return by_plant
 
@@ -229,8 +233,9 @@ def batch_lookup(inst: Instance, role: str) -> Callable[[list[int]], list]:
 
     The mask-native twin of `instance_evaluator`: entry i is the very object
     that `instance_evaluator` returns at the set of masks[i], so equal values
-    from one cached table are one object.  The caller vouches for the masks'
-    ground size.
+    from one cached table are one object.  The caller vouches that every
+    mask lies in the ground set, 0 <= mask < 2^n: no mask is checked, and
+    outside it the answer, or the error, is unspecified.
     """
     rule, key, values, _, _ = _side(inst, role)
     return _kernel(rule, key, values)
@@ -245,8 +250,8 @@ def _kernel(rule: int, key, table: tuple) -> Callable[[list[int]], list]:
         return lambda masks: [table[(mask & key).bit_count()][mask.bit_count()] for mask in masks]
     if rule == _BY_CARDINALITY:
         return lambda masks: [table[mask.bit_count()] for mask in masks]
-    plant, planted = key[0], table[key[1]]
-    return lambda masks: [planted if mask == plant else table[mask.bit_count()] for mask in masks]
+    (cards, planted), plant = table, key
+    return lambda masks: [planted if mask == plant else cards[mask.bit_count()] for mask in masks]
 
 
 @lru_cache(maxsize=64)
@@ -260,29 +265,30 @@ def _low_states(out_low: int) -> bytes:
 
 
 def _id_kernel(rule: int, key, ids: tuple, classes: tuple, n: int) -> Callable:
-    """Masks -> the pair's f/g class ids: `_kernel`'s list, or bytes for a step-1 range inside one aligned block.
+    """Masks -> the pair's f/g class ids, as `bytes` when the pair has at most 256 classes, else `_kernel`'s list.
 
-    A cell [|S & out|][|S|] (out = 0 under the cardinality rules) adds the
-    high part's counts, one pair per block, to the low part's: a block is a
-    slice of `_low_states` put through a 256-byte translate table of the high
-    counts, with the increasing plant's byte patched in.  Ids must fit a byte,
-    so a pair with more than 256 classes takes the list.  Tables are built on
+    A list, or a range that is not a step-1 range inside one aligned block,
+    takes `_kernel`'s list put into `bytes`.  On a block, a cell
+    [|S & out|][|S|] (out = 0 under the cardinality rules) adds the high
+    part's counts, one pair per block, to the low part's: a block is a slice
+    of `_low_states` put through a 256-byte translate table of the high
+    counts, with the increasing plant's byte patched in.  Tables are built on
     first use, so a pair that never queries a range pays for none of them.
     """
     by_list = _kernel(rule, key, ids)
     if len(classes) > 256:
         return by_list
-    rows, out = (ids, key) if rule == _BY_GRID else ((ids,), 0)
-    plant, planted = (key[0], ids[key[1]]) if rule == _BY_PLANT else (-1, 0)
+    rows, out = (ids, key) if rule == _BY_GRID else ((ids[0] if rule == _BY_PLANT else ids,), 0)
+    plant, planted = (key, ids[1]) if rule == _BY_PLANT else (-1, 0)
     tables = {}
 
     def by_block(masks):
         if type(masks) is not range or masks.step != 1:
-            return by_list(masks)
+            return bytes(by_list(masks))
         start, stop = masks.start, masks.stop
         high = start & -BLOCK
         if not 0 <= start < stop <= min(high + BLOCK, 1 << n):
-            return by_list(masks)
+            return bytes(by_list(masks))
         out_high, card_high = counts = (high & out).bit_count(), high.bit_count()
         if counts not in tables:
             # state _STRIDE * a + c -> rows[out_high + a][card_high + c]; cells past the grid are never read
@@ -303,8 +309,8 @@ def make_oracles(
 
     The g handle holds this f handle, n and the pair's class-id kernel and
     classes, which `query_batch` reads on exactly this pair in (f, g) order.
-    The kernel (`_id_kernel`) answers a step-1 range inside one aligned block
-    with `bytes` when the pair has at most 256 classes, anything else with a list.
+    The kernel (`_id_kernel`) answers with `bytes` when the pair has at most
+    256 classes, else with a list.
     """
     f_oracle = CountingOracle.for_instance(inst, "f")
     g_oracle = CountingOracle.for_instance(inst, "g", transcript)
@@ -342,14 +348,15 @@ def query_batch(masks: list[int] | range, n: int, f_oracle: CountingOracle, g_or
     `ratio_terms` gives.  The class-id table answers the common case only: a `make_oracles` pair as
     built, in (f, g) order, f without a transcript, queried at the table's n, with no set where
     g = 0 (id 0 is None).  It charges each handle len(masks), extends g's transcript and returns
-    the cached classes; ids are `bytes` for a step-1 range inside one aligned block of a pair with
-    at most 256 classes, else a list.  Every other call goes one mask at a time through
-    `ratio_terms`, one class per mask.
+    the cached classes; ids are `bytes` on a pair with at most 256 classes, else a list.  Every
+    other call goes one mask at a time through `ratio_terms`, one class per mask.  The caller
+    vouches, as for `batch_lookup` and `unchecked_subset`, that every mask lies in the ground set,
+    0 <= mask < 2^n: neither path checks it, and outside it the answer, or the error, is unspecified.
     """
     partner, size, kernel, classes = getattr(g_oracle, "_classes", None) or (None,) * 4
     if partner is f_oracle and f_oracle.transcript is None and size == n:
         ids = kernel(masks)
-        if classes[0] is not None or (0 not in ids if type(ids) is bytes else all(ids)):
+        if classes[0] is not None or 0 not in ids:
             f_oracle.count += len(masks)
             g_oracle.count += len(masks)
             if g_oracle.transcript is not None:

@@ -10,8 +10,9 @@ The stream is its blocks in order, each read most significant bit first,
 so a draw is a pure function of (seed, labels, position).  `getbits(k)` is
 the next k bits as an unsigned int; `randbelow(b)` reads words of
 b.bit_length() bits until one is below b; `nonempty_mask(n)` is
-1 + randbelow(2^n - 1), and `nonempty_masks(n, count)` yields `count` of
-them in turn; `sample_mask(n, k)` is the mask of the first k elements of
+1 + randbelow(2^n - 1), `nonempty_masks(n, count)` yields `count` of them in
+turn, and `nonempty_mask_lists(n, count, size)` hands the same masks on as
+lists of `size`; `sample_mask(n, k)` is the mask of the first k elements of
 [0, ..., n-1] after swapping position i with position i + randbelow(n - i)
 for i = 0..k-1; `derive_seed(master, *labels)` is getbits(63) of the stream
 keyed by ``(master, labels...)``.  Independent streams come from distinct
@@ -21,15 +22,18 @@ plant and algorithm draw from seeds derived from that with the labels
 "plant" and "alg".  The scheme is stable across platforms and Python
 versions.
 
-Every draw reads through one generator of k-bit words, which refills
-several blocks at a time and never more than its remaining words must read.
-A draw of 64 or more words of under 64 bits cuts each refill into its words
-in bulk, with no Python step per word: the m whole words it will read come
-off the pool as one integer, are spread into byte-aligned slots (the power
-of two above k, at least 8 bits) by log2(m) mask-and-shift steps, and are
-read back through `to_bytes` and an `array` as a list.  Single draws and
-wider words are cut off the pool one word at a time.  Every count argument
-is an int, checked by `check_count`, and so is every seed.
+Every draw reads through one reader of k-bit words, `_words`, which returns
+a call's words as a list and keeps the stream's state on the stream between
+calls; a single draw is one call, with no generator.  It refills several
+blocks at a time and never more than its remaining words must read.  A call
+for 64 or more words of under 64 bits cuts each refill into its words in
+bulk, with no Python step per word: the m whole words it will read come off
+the pool as one integer, are spread into byte-aligned slots (the power of
+two above k, at least 8 bits) by log2(m) mask-and-shift steps, and are read
+back through `to_bytes` and an `array` as a list, which extends the call's
+list.  Single draws and wider words are cut off the pool one word at a
+time.  Every count argument is an int, checked by `check_count`, and so is
+every seed.
 """
 
 from __future__ import annotations
@@ -53,6 +57,8 @@ _WORD_BLOCKS = 8
 # operations and an array, is more than the word-at-a-time loop spends on
 # fewer than 32 to 48 words.
 _MIN_BATCH = 64
+# Masks `nonempty_masks` draws ahead at a time.
+_EACH = 4096
 # An array typecode for each slot width in bits.
 _TYPECODES = {array(code).itemsize * 8: code for code in "BHILQ"}
 _SWAP = sys.byteorder == "little"
@@ -118,7 +124,8 @@ class SeededStream:
 
     The stream's state is the unread bits of its last blocks (`_pool`, the
     low `_pool_bits` bits) and the index of its next block (`_counter`).
-    Every draw reads through one generator, `_words`.
+    Every draw reads through one word reader, `_words`, which keeps that
+    state on the stream between calls.
     """
 
     def __init__(self, seed: int, *labels) -> None:
@@ -133,14 +140,12 @@ class SeededStream:
     def getbits(self, k: int) -> int:
         """The next k bits of the stream as an unsigned integer."""
         check_count(k, 0, "bit count")
-        (value,) = self._words(k, 1 << k, 0, 1)
-        return value
+        return self._words(k, 1 << k, 0, 1)[0]
 
     def randbelow(self, bound: int) -> int:
         """Uniform integer in [0, bound) by rejection sampling (exactly uniform)."""
         check_count(bound, 1, "bound")
-        (value,) = self._words(bound.bit_length(), bound, 0, 1)
-        return value
+        return self._words(bound.bit_length(), bound, 0, 1)[0]
 
     def sample_mask(self, n: int, k: int) -> int:
         """Mask of a uniform cardinality-k subset of {0..n-1} (partial Fisher-Yates)."""
@@ -149,45 +154,70 @@ class SeededStream:
         pool = list(range(n))
         mask = 0
         for i in range(k):
-            j = i + self.randbelow(n - i)
+            j = i + self._words((n - i).bit_length(), n - i, 0, 1)[0]
             pool[i], pool[j] = pool[j], pool[i]
             mask |= 1 << pool[i]
         return mask
 
     def nonempty_mask(self, n: int) -> int:
-        """Mask of a uniform nonempty subset of {0..n-1}, 1 + randbelow(2^n - 1): the batch draw with count 1."""
-        (mask,) = self.nonempty_masks(n, 1)
-        return mask
+        """Mask of a uniform nonempty subset of {0..n-1}, 1 + randbelow(2^n - 1)."""
+        check_count(n, 1, "ground size")
+        return self._words(n, (1 << n) - 1, 1, 1)[0]
+
+    def nonempty_mask_lists(self, n: int, count: int, size: int):
+        """An iterator over `count` nonempty masks as lists of `size`, the last one shorter.
+
+        The lists hold, in turn, exactly the masks of `count` calls of
+        `nonempty_mask`, and each is drawn when it is asked for, so the
+        stream stands right after the last mask handed on.  The arguments
+        are checked here, before the first draw.
+        """
+        check_count(n, 1, "ground size")
+        check_count(count, 0, "draw count")
+        check_count(size, 1, "list size")
+        return (self._words(n, (1 << n) - 1, 1, min(size, count - done)) for done in range(0, count, size))
 
     def nonempty_masks(self, n: int, count: int):
         """An iterator over `count` masks of uniform nonempty subsets of {0..n-1}.
 
         It yields exactly the masks, and leaves the stream exactly where,
         `count` calls of `nonempty_mask` would; closed early, it leaves the
-        stream right after its last yielded mask.  It holds the stream's state
-        until it ends or is closed, so draw nothing else from the stream
-        meanwhile.  The arguments are checked here, before the first draw.
+        stream right after its last yielded mask.  It draws lists of up to
+        _EACH masks ahead and, closed mid-list, moves the stream back to the
+        list's start and draws again the masks it yielded, so draw nothing
+        else from the stream until it ends or is closed.  The arguments are
+        checked here, before the first draw.
         """
         check_count(n, 1, "ground size")
         check_count(count, 0, "draw count")
-        return self._words(n, (1 << n) - 1, 1, count)
+        return self._each(n, count)
 
-    def _words(self, k: int, bound: int, offset: int, count: int):
-        """An iterator over the next `count` k-bit words below `bound`, each plus `offset`.
+    def _each(self, n: int, count: int):
+        while count:
+            start = self._pool, self._pool_bits, self._counter
+            masks = self._words(n, (1 << n) - 1, 1, min(count, _EACH))
+            count -= len(masks)
+            rest = iter(masks)
+            try:
+                yield from rest
+            finally:
+                if length_hint(rest):
+                    self._pool, self._pool_bits, self._counter = start
+                    self._words(n, (1 << n) - 1, 1, len(masks) - length_hint(rest))
 
-        bound + offset <= 2^k.  The stream's state lives in locals and is
-        written back when the iterator ends or is closed.  The pool is masked
-        only at refills: words are read off the top of the unread bits and
-        the read bits stay above them until then.  A draw of at least
-        _MIN_BATCH words of under 64 bits refills up to _BULK_BLOCKS blocks
-        and cuts the whole unread words with one `_cut` per batch: as many as
-        the pool holds, the count left and the expected run of words below
-        `bound` allow, ended just before a word >= bound.  The batch is
-        handed on from its list's iterator; closed meanwhile, that
-        iterator's `length_hint` gives the words not read, so the stream
-        stands right after the last word yielded.  Every other draw refills
-        up to _WORD_BLOCKS blocks, and the words a batch cannot take are cut
-        one at a time until the pool runs short.
+    def _words(self, k: int, bound: int, offset: int, count: int) -> list[int]:
+        """The next `count` k-bit words below `bound`, each plus `offset`, as a list.
+
+        bound + offset <= 2^k.  The state is read into locals and written
+        back to the stream before returning.  The pool is masked only at
+        refills: words are read off the top of the unread bits and the read
+        bits stay above them until then.  A draw of at least _MIN_BATCH words
+        of under 64 bits refills up to _BULK_BLOCKS blocks and cuts the whole
+        unread words with one `_cut` per batch: as many as the pool holds,
+        the count left and the expected run of words below `bound` allow,
+        ended just before a word >= bound.  Every other draw refills up to
+        _WORD_BLOCKS blocks, and the words a batch cannot take are cut one at
+        a time until the pool runs short.
         """
         key, word_mask = self._key, (1 << k) - 1
         pool, bits, counter = self._pool, self._pool_bits, self._counter
@@ -196,34 +226,29 @@ class SeededStream:
         if bulk:
             # a batch is no longer than the expected run of words below bound
             most, run = _BULK_BLOCKS, (1 << k) // ((1 << k) - bound or 1)
-        words = ()
-        try:
-            while count:
-                while bits < k:
-                    blocks = min(most, (k * count - bits + 255) >> 8)
-                    fresh = b"".join([sha256(key + j.to_bytes(8, "big")).digest()
-                                      for j in range(counter, counter + blocks)])
-                    pool = (pool & ((1 << bits) - 1)) << (blocks << 8) | int.from_bytes(fresh, "big")
-                    counter += blocks
-                    bits += blocks << 8
-                if bulk and (m := min(bits // k, count, run)) >= _MIN_BATCH:
-                    words, ended = _cut(pool >> (bits - m * k) & ((1 << m * k) - 1), k, m, bound, offset)
-                    batch = iter(words)
-                    yield from batch
-                    count -= len(words)
-                    bits -= k * (len(words) + ended)
-                    words = ()
-                    continue
-                while count and bits >= k:
-                    bits -= k
-                    word = pool >> bits & word_mask
-                    if word < bound:
-                        count -= 1
-                        yield word + offset
-        finally:
-            if words:
-                bits -= k * (len(words) - length_hint(batch))
-            self._pool, self._pool_bits, self._counter = pool & ((1 << bits) - 1), bits, counter
+        words = []
+        while count:
+            while bits < k:
+                blocks = min(most, (k * count - bits + 255) >> 8)
+                fresh = b"".join([sha256(key + j.to_bytes(8, "big")).digest()
+                                  for j in range(counter, counter + blocks)])
+                pool = (pool & ((1 << bits) - 1)) << (blocks << 8) | int.from_bytes(fresh, "big")
+                counter += blocks
+                bits += blocks << 8
+            if bulk and (m := min(bits // k, count, run)) >= _MIN_BATCH:
+                batch, ended = _cut(pool >> (bits - m * k) & ((1 << m * k) - 1), k, m, bound, offset)
+                words += batch
+                count -= len(batch)
+                bits -= k * (len(batch) + ended)
+                continue
+            while count and bits >= k:
+                bits -= k
+                word = pool >> bits & word_mask
+                if word < bound:
+                    count -= 1
+                    words.append(word + offset)
+        self._pool, self._pool_bits, self._counter = pool & ((1 << bits) - 1), bits, counter
+        return words
 
 
 def derive_seed(master: int, *labels) -> int:

@@ -735,14 +735,14 @@ def _batch_outcome(masks, n, inst):
 def test_query_batch_matches_query_terms_on_every_nonempty_mask(kind, n):
     # the classes of the ids are ratio_terms' (p, q) and |S| at each mask,
     # with the counts and transcripts of one ratio_terms call per mask, for
-    # a list and for a step-1 range of the same masks; a nonempty range
-    # inside one aligned block of masks where g > 0 is answered as bytes
+    # a list and for a step-1 range of the same masks; every pair here has
+    # at most 256 classes, so masks where g > 0 are answered as bytes
     inst = _range_kinds(n)[kind]
     masks = list(range(1, 1 << n))
     slow_t = QueryTranscript()
     slow = make_oracles(inst, slow_t)
     want = [_reference_query(mask, n, *slow) for mask in masks]
-    assert _batch_outcome(masks, n, inst) == (want, list, len(masks), len(masks), masks)
+    assert _batch_outcome(masks, n, inst) == (want, bytes, len(masks), len(masks), masks)
     for span in _step_ranges(n, inst.plant.mask if inst.plant else (1 << n) * 2 // 3):
         slow_t = QueryTranscript()
         slow = make_oracles(inst, slow_t)
@@ -750,8 +750,7 @@ def test_query_batch_matches_query_terms_on_every_nonempty_mask(kind, n):
         reference = (want, slow[0].count, slow[1].count, slow_t.entries)
         by_range, by_list = _batch_outcome(span, n, inst), _batch_outcome(list(span), n, inst)
         assert by_range[:1] + by_range[2:] == by_list[:1] + by_list[2:] == reference, span
-        one_block = span and span.start // oracles.BLOCK == (span.stop - 1) // oracles.BLOCK
-        assert by_range[1] is (bytes if one_block and by_list[1] else by_list[1]), span
+        assert by_range[1] is by_list[1] is (None if 0 in span and kind.startswith("increasing") else bytes), span
 
 
 def test_a_pair_past_256_classes_answers_a_block_as_the_list_does():
@@ -766,6 +765,42 @@ def test_a_pair_past_256_classes_answers_a_block_as_the_list_does():
     assert len(make_oracles(inst)[1]._classes[3]) == 324
     assert by_range == by_list
     assert by_range[1:4] == (list, oracles.BLOCK, oracles.BLOCK)
+
+
+@pytest.mark.parametrize("past_256", [False, True])
+def test_drawn_lists_get_byte_ids_up_to_256_classes(past_256):
+    # A drawn list, in no mask order, with the plant in it twice: a pair with
+    # at most 256 classes gives its ids as bytes, one with more (324) as a
+    # list, and either way each id's class is ratio_terms' at its mask, with
+    # one charge per mask on each handle and the list as g's transcript
+    n = 24
+    if past_256:
+        inst = DecreasingInstance(n, 23, 0, Fraction(1, 4), plant=random_k_subset(n, 23, 24))
+    else:
+        inst = IncreasingInstance(n, 1000, Fraction(1, 100), plant=random_k_subset(n, n // 2, 24))
+    stream = SeededStream(24, "drawn", n)
+    masks = [stream.nonempty_mask(n) for _ in range(600)]
+    masks[7:7] = masks[300:300] = [inst.plant.mask]
+    slow_t = QueryTranscript()
+    slow = make_oracles(inst, slow_t)
+    want = [_reference_query(mask, n, *slow) for mask in masks]
+    assert len(make_oracles(inst)[1]._classes[3]) == (324 if past_256 else 26)
+    assert _batch_outcome(masks, n, inst) == (want, list if past_256 else bytes, len(masks), len(masks), masks)
+
+
+@pytest.mark.parametrize("n", [5, 10, 11])
+def test_increasing_plant_is_kept_apart_from_the_cardinality_table(n):
+    # The increasing tables are indexed by |S| alone, 0..n, and the plant's
+    # value and id are kept beside them, so no cardinality reads the plant's
+    # entry: the full set keeps its own class whether the pair is planted or not
+    inst = IncreasingInstance(n, 7, Fraction(1, 5))
+    f, g, ids, classes = oracles._inc_tables(n, inst.m, inst.epsilon)
+    assert len(f) == len(g[0]) == len(ids[0]) == n + 1
+    assert g[1] == 1 and classes[ids[1]] == (n // 2, 1, n // 2)
+    full = (1 << n) - 1
+    for pair in (inst, inst.with_plant(random_k_subset(n, n // 2, n))):
+        assert _one_query(full, n, *make_oracles(pair)) == _reference_query(full, n, *make_oracles(pair))
+        assert _one_query(full, n, *make_oracles(pair)) != (n // 2, 1, n // 2)
 
 
 @pytest.mark.parametrize("n", [5, 10])
@@ -801,9 +836,10 @@ def _per_mask_until_raise(masks, n, f, g):
 def test_query_batch_stops_at_an_undefined_ratio(n, transcripts, kind):
     # mask 0 in mid-list: charged and recorded up to and including it, then
     # the UndefinedRatioError of the per-mask calls; the masks after it are
-    # neither charged nor recorded
+    # neither charged nor recorded.  Every mask lies in the ground set: at
+    # n = 5 the nonempty masks repeat from 1 after 31.
     inst = _bundled_kinds(n)[kind]
-    masks = list(range(1, 40)) + [0] + list(range(40, 90))
+    masks = [1 + i % ((1 << n) - 1) for i in range(39)] + [0] + [1 + i % ((1 << n) - 1) for i in range(39, 89)]
     outcomes = []
     for batched in (True, False):
         g_t = QueryTranscript()

@@ -22,7 +22,7 @@ from ratiolab.optimize import (
     local_search,
     random_search,
 )
-from ratiolab.oracles import CountingOracle, QueryTranscript, make_oracles
+from ratiolab.oracles import CountingOracle, QueryTranscript, make_oracles, ratio_terms
 from ratiolab.sampling import SeededStream
 from ratiolab.sets import Subset, unchecked_subset
 
@@ -269,3 +269,66 @@ def test_ties_across_classes_drawn_out_of_mask_order(seed):
             _run(_flat_ties_pair, local_search, budget, seed),
             _run(_flat_ties_pair, ref_local, budget, seed),
         )
+
+
+def ref_random_terms(f_oracle, g_oracle, n, budget, seed):
+    """Random search drawing one mask at a time with `nonempty_mask`, each queried through `ratio_terms`."""
+    start_queries = f_oracle.count + g_oracle.count
+    stream = SeededStream(seed, "random-search", n)
+    best = None
+    for _ in range(budget):
+        mask = stream.nonempty_mask(n)
+        p, q = ratio_terms(unchecked_subset(mask, n), f_oracle, g_oracle)
+        key = (Fraction(p, q), mask.bit_count(), mask)
+        if best is None or key < best:
+            best = key
+    used = (f_oracle.count + g_oracle.count) - start_queries
+    return OptResult(Subset(best[2], n), best[0], used, "random")
+
+
+def _hashed_ties(n):
+    """Wrapped handles at any n: a 4-valued f over a 3-valued g by a hash of the mask, so ties are everywhere."""
+    return lambda t: (
+        CountingOracle(lambda S: (S.mask * 2654435761 >> 7) % 4),
+        CountingOracle(lambda S: 1 + (S.mask * 40503 >> 5) % 3, transcript=t),
+    )
+
+
+def _drawn_pairs():
+    """Pairs at n = 30, whose draws are cut in bulk, and n = 100, whose draws are cut a word at a time.
+
+    The table pairs at n = 30 and the increasing pair at n = 100 have at most
+    256 classes and get byte ids; the decreasing pair at n = 100 has 566 and
+    gets lists, and so do the wrapped handles, one class per mask.
+    """
+    return {
+        "increasing-planted-30": (30, lambda t: make_oracles(
+            IncreasingInstance(30, 10**6, Fraction(1, 1000), plant=Subset((1 << 15) - 1 << 7, 30)), t)),
+        "increasing-unplanted-30": (30, lambda t: make_oracles(IncreasingInstance(30, 10**6, Fraction(1, 1000)), t)),
+        "hashed-ties-30": (30, _hashed_ties(30)),
+        "decreasing-planted-100": (100, lambda t: make_oracles(
+            DecreasingInstance(100, 10, 5, Fraction(1, 100), plant=Subset((1 << 10) - 1 << 40, 100)), t)),
+        "increasing-unplanted-100": (100, lambda t: make_oracles(IncreasingInstance(100, 10**6, Fraction(1, 100)), t)),
+        "hashed-ties-100": (100, _hashed_ties(100)),
+    }
+
+
+DRAWN_PAIRS = _drawn_pairs()
+
+
+def _run_at(n, make_pair, search, *args):
+    transcript = QueryTranscript()
+    f, g = make_pair(transcript)
+    result = search(f, g, n, *args)
+    return result, transcript.entries, (f.count, g.count)
+
+
+# Budgets below a bulk cut's 64 words, past the first refill (546 masks at
+# n = 30; 20 at n = 100) and past a chunk and a refill.
+@pytest.mark.parametrize("budget", [1, 63, 64, 600, CHUNK + 600])
+@pytest.mark.parametrize("pair", sorted(DRAWN_PAIRS))
+def test_random_search_matches_single_draws_through_ratio_terms(pair, budget):
+    n, make_pair = DRAWN_PAIRS[pair]
+    fast = _run_at(n, make_pair, random_search, budget, 3)
+    _assert_same(fast, _run_at(n, make_pair, ref_random_terms, budget, 3))
+    assert len(fast[1]) == budget
