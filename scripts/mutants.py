@@ -225,8 +225,8 @@ MUTANTS = [
     Mutant(
         "mask-lists-drop-last-partial",
         "src/ratiolab/sampling.py",
-        "for done in range(0, count, size))",
-        "for done in range(0, count - size + 1, size))",
+        "for done in range(0, count, _EACH))",
+        "for done in range(0, count - _EACH + 1, _EACH))",
         ("tests/test_optimize.py", "tests/test_search_reference.py"),
     ),
     Mutant(

@@ -168,7 +168,7 @@ def random_search(f_oracle, g_oracle, n: int, budget: int, seed: int) -> OptResu
     check_count(budget, 1, "random search budget")
     start_queries = f_oracle.count + g_oracle.count
     stream = SeededStream(seed, "random-search", n)
-    p, q, mask = _best_of(stream.nonempty_mask_lists(n, budget, CHUNK), n, f_oracle, g_oracle)
+    p, q, mask = _best_of(stream.nonempty_mask_lists(n, budget), n, f_oracle, g_oracle)
     used = (f_oracle.count + g_oracle.count) - start_queries
     return OptResult(Subset(mask, n), Fraction(p, q), used, "random")
 

@@ -10,9 +10,9 @@ The stream is its blocks in order, each read most significant bit first,
 so a draw is a pure function of (seed, labels, position).  `getbits(k)` is
 the next k bits as an unsigned int; `randbelow(b)` reads words of
 b.bit_length() bits until one is below b; `nonempty_mask(n)` is
-1 + randbelow(2^n - 1), `nonempty_masks(n, count)` yields `count` of them in
-turn, and `nonempty_mask_lists(n, count, size)` hands the same masks on as
-lists of `size`; `sample_mask(n, k)` is the mask of the first k elements of
+1 + randbelow(2^n - 1), `nonempty_mask_lists(n, count)` hands `count` of them
+on as lists of 4,096, and `nonempty_masks(n, count)` yields the same masks one
+at a time; `sample_mask(n, k)` is the mask of the first k elements of
 [0, ..., n-1] after swapping position i with position i + randbelow(n - i)
 for i = 0..k-1; `derive_seed(master, *labels)` is getbits(63) of the stream
 keyed by ``(master, labels...)``.  Independent streams come from distinct
@@ -57,7 +57,8 @@ _WORD_BLOCKS = 8
 # operations and an array, is more than the word-at-a-time loop spends on
 # fewer than 32 to 48 words.
 _MIN_BATCH = 64
-# Masks `nonempty_masks` draws ahead at a time.
+# Masks in each list of `nonempty_mask_lists`: one brute-force block, and
+# random search's chunk.
 _EACH = 4096
 # An array typecode for each slot width in bits.
 _TYPECODES = {array(code).itemsize * 8: code for code in "BHILQ"}
@@ -164,8 +165,8 @@ class SeededStream:
         check_count(n, 1, "ground size")
         return self._words(n, (1 << n) - 1, 1, 1)[0]
 
-    def nonempty_mask_lists(self, n: int, count: int, size: int):
-        """An iterator over `count` nonempty masks as lists of `size`, the last one shorter.
+    def nonempty_mask_lists(self, n: int, count: int):
+        """An iterator over `count` nonempty masks as lists of _EACH, the last one shorter.
 
         The lists hold, in turn, exactly the masks of `count` calls of
         `nonempty_mask`, and each is drawn when it is asked for, so the
@@ -174,29 +175,27 @@ class SeededStream:
         """
         check_count(n, 1, "ground size")
         check_count(count, 0, "draw count")
-        check_count(size, 1, "list size")
-        return (self._words(n, (1 << n) - 1, 1, min(size, count - done)) for done in range(0, count, size))
+        return (self._words(n, (1 << n) - 1, 1, min(_EACH, count - done)) for done in range(0, count, _EACH))
 
     def nonempty_masks(self, n: int, count: int):
         """An iterator over `count` masks of uniform nonempty subsets of {0..n-1}.
 
         It yields exactly the masks, and leaves the stream exactly where,
         `count` calls of `nonempty_mask` would; closed early, it leaves the
-        stream right after its last yielded mask.  It draws lists of up to
-        _EACH masks ahead and, closed mid-list, moves the stream back to the
-        list's start and draws again the masks it yielded, so draw nothing
-        else from the stream until it ends or is closed.  The arguments are
-        checked here, before the first draw.
+        stream right after its last yielded mask.  It yields the lists of
+        `nonempty_mask_lists` and, closed mid-list, moves the stream back to
+        the list's start and draws again the masks it yielded, so draw
+        nothing else from the stream until it ends or is closed.  The
+        arguments are checked here, before the first draw.
         """
-        check_count(n, 1, "ground size")
-        check_count(count, 0, "draw count")
-        return self._each(n, count)
+        return self._each(n, self.nonempty_mask_lists(n, count))
 
-    def _each(self, n: int, count: int):
-        while count:
+    def _each(self, n: int, lists):
+        while True:
             start = self._pool, self._pool_bits, self._counter
-            masks = self._words(n, (1 << n) - 1, 1, min(count, _EACH))
-            count -= len(masks)
+            masks = next(lists, None)
+            if masks is None:
+                return
             rest = iter(masks)
             try:
                 yield from rest

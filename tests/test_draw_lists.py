@@ -22,11 +22,11 @@ def _after(stream, n):
 
 
 @pytest.mark.parametrize("n", [1, 5, 30, 63, 64, 100])
-@pytest.mark.parametrize("count, size", [(0, 4), (1, 4), (63, 64), (64, 64), (700, 64), (700, 300), (1000, 1000)])
-def test_lists_are_single_draws_cut_to_size(n, count, size):
+@pytest.mark.parametrize("count", [0, 1, 63, 64, 700, _EACH, _EACH + 1, 2 * _EACH + 700])
+def test_lists_are_single_draws_cut_to_size(n, count):
     lists, single = SeededStream(21, "lists", n), SeededStream(21, "lists", n)
-    drawn = list(lists.nonempty_mask_lists(n, count, size))
-    assert [len(masks) for masks in drawn] == [min(size, count - done) for done in range(0, count, size)]
+    drawn = list(lists.nonempty_mask_lists(n, count))
+    assert [len(masks) for masks in drawn] == [min(_EACH, count - done) for done in range(0, count, _EACH)]
     assert [mask for masks in drawn for mask in masks] == _singles(single, n, count)
     assert vars(lists) == vars(single)
     assert _after(lists, n) == _after(single, n)
@@ -36,17 +36,17 @@ def test_lists_are_single_draws_cut_to_size(n, count, size):
 def test_each_list_is_drawn_when_asked_for(n):
     # after two lists of a longer draw the stream stands right after their masks
     lists, single = SeededStream(22, "lazy", n), SeededStream(22, "lazy", n)
-    handed = list(islice(lists.nonempty_mask_lists(n, 10_000, 300), 2))
-    assert [mask for masks in handed for mask in masks] == _singles(single, n, 600)
+    handed = list(islice(lists.nonempty_mask_lists(n, 3 * _EACH), 2))
+    assert [mask for masks in handed for mask in masks] == _singles(single, n, 2 * _EACH)
     assert _after(lists, n) == _after(single, n)
 
 
 @pytest.mark.parametrize("call", [
-    lambda s: s.nonempty_mask_lists(0, 3, 2),
-    lambda s: s.nonempty_mask_lists(3, -1, 2),
-    lambda s: s.nonempty_mask_lists(3, 3, 0),
-    lambda s: s.nonempty_mask_lists(3, 3, 2.0),
-    lambda s: s.nonempty_mask_lists(3, True, 2),
+    lambda s: s.nonempty_mask_lists(0, 3),
+    lambda s: s.nonempty_mask_lists(3, -1),
+    lambda s: s.nonempty_mask_lists(3, 3.0),
+    lambda s: s.nonempty_mask_lists(3, True),
+    lambda s: s.nonempty_masks(3, -1),
 ])
 def test_list_arguments_are_checked_before_any_draw(call):
     stream = SeededStream(23, "checks")
