@@ -2,8 +2,8 @@
 """Mutation check: every named mutant must make its own test files fail.
 
 A mutant is one exact text replacement in one file, with the test files
-that must catch it.  For each mutant the runner copies src/, tests/ and
-pyproject.toml into a fresh temporary directory, applies the replacement
+that must catch it.  For each mutant the runner copies src/, tests/,
+scripts/ and pyproject.toml into a fresh temporary directory, applies the replacement
 there and runs `python -m pytest -x` on the named test files, one
 subprocess at a time.  The tests first run once on an unmutated copy, so
 a failing suite cannot pass for a kill.
@@ -120,26 +120,12 @@ MUTANTS = [
         ("tests/test_verify.py", "tests/test_verify_reference.py"),
     ),
     Mutant(
-        "first-difference-loses-index-0",
-        "src/ratiolab/game.py",
-        "if a[idx] != b[idx]:",
-        "if idx and a[idx] != b[idx]:",
-        ("tests/test_game.py",),
-    ),
-    Mutant(
         "queries-read-after-scoring",
         "src/ratiolab/game.py",
         "        queries = f_oracle.count + g_oracle.count\n"
         "        value = ratio(result.argset, f_oracle, g_oracle)\n",
         "        value = ratio(result.argset, f_oracle, g_oracle)\n"
         "        queries = f_oracle.count + g_oracle.count\n",
-        ("tests/test_game.py",),
-    ),
-    Mutant(
-        "first-difference-skips-returned-set",
-        "src/ratiolab/game.py",
-        "a, b = g_a(transcript.entries), g_b(transcript.entries)",
-        "a, b = g_a(transcript.entries[:-1]), g_b(transcript.entries[:-1])",
         ("tests/test_game.py",),
     ),
     Mutant(
@@ -221,7 +207,7 @@ MUTANTS = [
         "half * (slot - k) + 1))",
         ("tests/test_sampling.py",),
     ),
-    # Random search's lists, the list winner and the difference scan's one comparison.
+    # Random search's lists and the list winner.
     Mutant(
         "mask-lists-drop-last-partial",
         "src/ratiolab/sampling.py",
@@ -236,14 +222,85 @@ MUTANTS = [
         "mask = next(compress(chunk, ids.translate(selector)))",
         ("tests/test_search_reference.py",),
     ),
+    # The game scored from the class ids the queries recorded.
     Mutant(
-        "scan-equal-by-length",
+        "separation-read-as-p-below-q",
         "src/ratiolab/game.py",
-        "    if a == b:\n        return None\n",
-        "    if len(a) == len(b):\n        return None\n",
-        ("tests/test_difference_scan.py",),
+        "separating = [key[0] != key[1] for key in classes]",
+        "separating = [key[0] < key[1] for key in classes]",
+        ("tests/test_game_scoring.py",),
+    ),
+    Mutant(
+        "run-start-off-by-one",
+        "src/ratiolab/oracles.py",
+        "transcript.runs.append((len(transcript.entries), ids, classes))",
+        "transcript.runs.append((len(transcript.entries) + 1, ids, classes))",
+        ("tests/test_game_scoring.py",),
+    ),
+    Mutant(
+        "entries-recorded-one-at-a-time-unfilled",
+        "src/ratiolab/game.py",
+        "                runs.append((done, kernel(entries[done:start])))\n",
+        "                pass\n",
+        ("tests/test_game_scoring.py",),
+    ),
+    Mutant(
+        "recheck-compares-recorded-ids-with-themselves",
+        "src/ratiolab/game.py",
+        "if planted(transcript.entries[start:start + len(ids)]) != ids:",
+        "if ids != ids:",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "union-counts-folded-by-class-id",
+        "src/ratiolab/game.py",
+        "cards[classes[i][2]] += times",
+        "cards[i] += times",
+        ("tests/test_game_scoring.py",),
+    ),
+    Mutant(
+        "listed-ids-ignore-the-plant",
+        "src/ratiolab/oracles.py",
+        "if rule == _BY_GRID or rule == _BY_PLANT and plant in masks:",
+        "if rule == _BY_GRID:",
+        ("tests/test_oracles.py",),
     ),
     # Hand-run in earlier changes and kept here.
+    Mutant(
+        "evaluator-grid-row-by-cardinality",
+        "src/ratiolab/oracles.py",
+        "return _t[(mask & _o).bit_count()][mask.bit_count()]",
+        "return _t[mask.bit_count()][mask.bit_count()]",
+        ("tests/test_oracles.py",),
+    ),
+    Mutant(
+        "kernel-grid-row-by-cardinality",
+        "src/ratiolab/oracles.py",
+        "table[(mask & key).bit_count()][mask.bit_count()]",
+        "table[mask.bit_count()][mask.bit_count()]",
+        ("tests/test_oracles.py",),
+    ),
+    Mutant(
+        "union-bound-without-count",
+        "src/ratiolab/game.py",
+        "favorable += times * _favorable_plants(n, alpha, beta, s)",
+        "favorable += _favorable_plants(n, alpha, beta, s)",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "union-bound-without-empty-sequence-guard",
+        "src/ratiolab/game.py",
+        "    _check_query(n, alpha, beta, 0)\n    favorable = 0\n",
+        "    favorable = 0\n",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "closed-list-without-write-back",
+        "src/ratiolab/sampling.py",
+        "                if length_hint(rest):\n",
+        "                if False:\n",
+        ("tests/test_sampling.py",),
+    ),
     Mutant(
         "stream-rejection-le",
         "src/ratiolab/sampling.py",
@@ -276,7 +333,7 @@ def run_tests(mutant: Mutant | None, tests: tuple[str, ...]) -> tuple[int, float
     """(pytest's exit status, seconds) for `tests` on a fresh copy, with `mutant` applied if given."""
     with tempfile.TemporaryDirectory(prefix="ratiolab-mutant-") as tmp:
         work = Path(tmp)
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "scripts"):
             shutil.copytree(ROOT / part, work / part, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
         if mutant is not None:

@@ -16,17 +16,18 @@ recorded as distinguished, with union bound 1.
 
 Both games run one trial loop (`_play`).  The transcript is the g handle's
 own record of masks, so it holds every g evaluation however the algorithm
-made it; a direct f call reveals nothing about the plant.  One scan
-(`_first_difference`) compares the planted and unplanted g at every
-recorded mask, in both games, through their batch lookups, which map the
-whole transcript to the very value objects the evaluators answer with, so
-one C-level list `==` settles a transcript on which they agree.
-In the decreasing game a trial is distinguished at the first set where
-they differ; in the increasing game a difference means the plant search
-is broken.  The harness scores the returned set itself, on the trial's own
-pair once the algorithm's queries are counted, so the transcript ends with
-it; the value an algorithm claims for its set is never read, and an empty
-returned set, outside the ratio's domain, is refused in both games.
+made it; a direct f call reveals nothing about the plant.  A trial is
+scored from each entry's f/g class (p, q, |S|) (`_class_runs`): the ids
+`query_batch` recorded, and the answering pair's id kernel for entries
+recorded one at a time.  f is the same in both worlds, so equal classes
+mean equal g.  A decreasing trial is distinguished at the first class with
+p != q, where g_R differs from f; the increasing plant search reads the
+half-size classes, and a difference in the recheck of the planted pair's
+ids at every entry means it is broken.  The harness scores the returned set
+itself, on the trial's own pair once the algorithm's queries are counted,
+so the transcript ends with it; the value an algorithm claims for its set
+is never read, and an empty returned set, outside the ratio's domain, is
+refused in both games.
 
 Per-query distinguishing probabilities are exact rationals.
 """
@@ -38,7 +39,6 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count
-from operator import is_not
 from typing import NamedTuple
 
 from .errors import NoConsistentPlantError, ParameterError, RatioLabError, UndefinedRatioError
@@ -46,7 +46,7 @@ from .instances import DecreasingInstance, IncreasingInstance
 # perfbench/tracing.py rebinds game.differs_from_unplanted; tests/test_perfbench_tracing.py fails without it.
 from .oracles import (
     QueryTranscript,
-    batch_lookup,
+    class_lookup,
     differs_from_unplanted,  # noqa: F401
     make_oracles,
     ratio,
@@ -120,14 +120,16 @@ def union_bound(cardinalities, n: int, alpha: int, beta: int) -> Fraction:
     """min(1, sum of per-query distinguishing probabilities), exact.
 
     Bounds the probability that a whole query sequence (given by its
-    cardinalities) separates the planted pair from the unplanted one.
-    (n, alpha, beta) are checked as for one query, even for an empty sequence.
+    cardinalities, or as a mapping cardinality -> count of queries) separates
+    the planted pair from the unplanted one.  (n, alpha, beta) are checked
+    as for one query, even for an empty sequence, and each count is an int >= 0.
     """
     _check_query(n, alpha, beta, 0)
     favorable = 0
-    for s, count in Counter(cardinalities).items():
+    for s, times in Counter(cardinalities).items():
         _check_query(n, alpha, beta, s)
-        favorable += count * _favorable_plants(n, alpha, beta, s)
+        check_count(times, 0, "query count")
+        favorable += times * _favorable_plants(n, alpha, beta, s)
     plants = math.comb(n, alpha)
     return Fraction(1) if favorable >= plants else Fraction(favorable, plants)
 
@@ -137,10 +139,16 @@ def find_consistent_plant(transcript: QueryTranscript, n: int) -> Subset:
 
     For the increasing family g and g_R differ only at R itself, so any
     untouched candidate is consistent with everything the algorithm saw.
+    Entries in a run are read by their class's |S|, the others by their own.
     Raises when the entries already cover all C(n, n//2) candidates.
     """
     k = n // 2
-    excluded = {mask for mask in transcript.entries if mask.bit_count() == k}
+    entries, excluded, done = transcript.entries, set(), 0
+    for start, ids, classes in [*transcript.runs, (len(entries), b"", ())]:
+        excluded.update(mask for mask in entries[done:start] if mask.bit_count() == k)
+        half = [key is not None and key[2] == k for key in classes]
+        excluded.update(compress(entries[start:start + len(ids)], _flagged(ids, half)))
+        done = start + len(ids)
     for mask in iter_k_subset_masks(n, k):
         if mask not in excluded:
             return Subset(mask, n)
@@ -149,22 +157,62 @@ def find_consistent_plant(transcript: QueryTranscript, n: int) -> Subset:
     )
 
 
-def _first_difference(transcript: QueryTranscript, g_a, g_b) -> int | None:
-    """Index of the first transcript entry where the batch lookups g_a and g_b differ.
+def _flagged(ids, flags: list[bool]):
+    """Whether flags[i] holds at each id i, for `compress`: one translate on `bytes`, a map on a list."""
+    if type(ids) is bytes:
+        return ids.translate(bytes(flags).ljust(256, b"\0"))
+    return map(flags.__getitem__, ids)
 
-    The lookups read the entries in place.  Where they agree they index one
-    cached value table and return the very same Fraction, so one list `==`,
-    identity first and in C, settles a transcript without a difference.
-    Otherwise identity settles almost every set in one C-level pass and
-    `!=` keeps the rest exact.
+
+def _class_runs(transcript: QueryTranscript, kernel, classes: tuple) -> list[tuple]:
+    """Every entry's id in `classes`, as (start, ids) runs in entry order.
+
+    Runs recorded on these classes are read as recorded; the entries in none
+    (the returned set, direct g calls, the per-mask path) go through `kernel`.
     """
-    a, b = g_a(transcript.entries), g_b(transcript.entries)
-    if a == b:
-        return None
-    for idx in compress(count(), map(is_not, a, b)):
-        if a[idx] != b[idx]:
-            return idx
-    return None
+    entries, runs, done = transcript.entries, [], 0
+    for start, ids, recorded in [*transcript.runs, (len(entries), kernel([]), classes)]:
+        if recorded is classes:
+            if done < start:
+                runs.append((done, kernel(entries[done:start])))
+            runs.append((start, ids))
+            done = start + len(ids)
+    return runs
+
+
+def _score_decreasing(planted: DecreasingInstance, transcript: QueryTranscript):
+    """(first_idx, union bound) of a decreasing trial: the first entry whose f/g_R class has p != q; ids counted by |S|."""
+    kernel, classes = class_lookup(planted)
+    runs = _class_runs(transcript, kernel, classes)
+    counts = Counter()
+    for _, ids in runs:
+        counts.update(ids)
+    separating = [key[0] != key[1] for key in classes]
+    hits = (start + i for start, ids in runs for i in compress(count(), _flagged(ids, separating)))
+    first_idx = next(hits) if any(separating[i] for i in counts) else None
+    cards = Counter()
+    for i, times in counts.items():
+        cards[classes[i][2]] += times
+    return first_idx, union_bound(cards, planted.n, planted.alpha, planted.beta)
+
+
+def _score_increasing(unplanted: IncreasingInstance, transcript: QueryTranscript):
+    """(first_idx, union bound) of an increasing trial: a consistent plant R*, its pair's ids rechecked at every entry."""
+    n = unplanted.n
+    try:
+        r_star = find_consistent_plant(transcript, n)
+    except NoConsistentPlantError:
+        # Every candidate was queried: the adversary cannot hide.  The covering
+        # query is the latest first visit of a candidate: the last candidate
+        # among the distinct entries, which dict.fromkeys keeps in first-visit order.
+        last = next(mask for mask in reversed(dict.fromkeys(transcript.entries)) if mask.bit_count() == n // 2)
+        return transcript.entries.index(last), Fraction(1)
+    kernel, classes = class_lookup(unplanted)
+    planted, _ = class_lookup(unplanted.with_plant(r_star))
+    for start, ids in _class_runs(transcript, kernel, classes):
+        if planted(transcript.entries[start:start + len(ids)]) != ids:
+            raise RatioLabError("planted world disagrees with the transcript; plant search is broken")
+    return None, Fraction(0)
 
 
 def _play(algorithm, inst, seed: int, trials: int, world, score) -> list[GameReport]:
@@ -220,12 +268,7 @@ def run_game_decreasing(algorithm, inst: DecreasingInstance, seed: int, trials: 
     def draw_plant(trial_seed: int) -> DecreasingInstance:
         return inst.with_plant(random_k_subset(inst.n, inst.alpha, derive_seed(trial_seed, "plant")))
 
-    def score(planted: DecreasingInstance, transcript: QueryTranscript):
-        f, g_planted = batch_lookup(planted, "f"), batch_lookup(planted, "g")
-        first_idx = _first_difference(transcript, f, g_planted)
-        return first_idx, union_bound(map(int.bit_count, transcript.entries), inst.n, inst.alpha, inst.beta)
-
-    return _play(algorithm, inst, seed, trials, draw_plant, score)
+    return _play(algorithm, inst, seed, trials, draw_plant, _score_decreasing)
 
 
 def run_game_increasing(algorithm, inst: IncreasingInstance, seed: int, trials: int) -> list[GameReport]:
@@ -233,29 +276,15 @@ def run_game_increasing(algorithm, inst: IncreasingInstance, seed: int, trials: 
 
     After the run, the planted world with R* agrees with the unplanted one
     at every set where g was evaluated, returned set included; that
-    agreement is re-checked by `_first_difference`, so each undistinguished
-    report certifies literal indistinguishability.
+    agreement is re-checked at every entry (`_score_increasing`), so each
+    undistinguished report certifies literal indistinguishability.
     When the queries (returned set included) cover all C(n, n//2)
     candidates, no R* exists: the trial is distinguished, first_idx is the
     query that covered the last candidate, the union bound is 1, and the
     planted optimum is floor(n/2), its value for every plant.
     """
 
-    def score(unplanted: IncreasingInstance, transcript: QueryTranscript):
-        try:
-            r_star = find_consistent_plant(transcript, inst.n)
-        except NoConsistentPlantError:
-            # Every candidate was queried: the adversary cannot hide.  The covering
-            # query is the latest first visit of a candidate: the last candidate
-            # among the distinct entries, which dict.fromkeys keeps in first-visit order.
-            last = next(mask for mask in reversed(dict.fromkeys(transcript.entries)) if mask.bit_count() == inst.n // 2)
-            return transcript.entries.index(last), Fraction(1)
-        g, g_star = batch_lookup(unplanted, "g"), batch_lookup(unplanted.with_plant(r_star), "g")
-        if _first_difference(transcript, g, g_star) is not None:
-            raise RatioLabError("planted world disagrees with the transcript; plant search is broken")
-        return None, Fraction(0)
-
-    return _play(algorithm, inst, seed, trials, lambda trial_seed: inst, score)
+    return _play(algorithm, inst, seed, trials, lambda trial_seed: inst, _score_increasing)
 
 
 def game_report_row(report: GameReport) -> tuple:

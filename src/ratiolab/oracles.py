@@ -13,24 +13,26 @@ small-int class id and the classes by id: a class is one distinct
 query's charges, records and errors; `query_batch` calls it mask by mask
 wherever its table shortcut would differ.  Each side of an instance keeps
 cached tables indexed alike by the side's value class: its values, the
-Fractions `instance_evaluator` and `batch_lookup` return, and for g the
-class ids, read off those values once at build time.  One kernel per value
-class, a comprehension, maps a list of masks to their entries; a search
-query on a `make_oracles` pair builds no Subset, Fraction or tuple per mask.
-A pair with at most 256 classes gives its ids as `bytes` (`_id_kernel`): a
-step-1 range inside one aligned block of BLOCK masks, as brute force asks,
-with one `bytes.translate`, and drawn and neighbour lists as the
-comprehension's list put into `bytes`; a larger pair gets the list.
-`query_batch` looks for a set where g = 0 (id 0) with one `0 not in ids`,
-a C `memchr` on `bytes`; only a pair past 256 classes gives a list, and no
-bundled pair has both that many classes and a set where g = 0.
+Fractions `instance_evaluator` returns, and for g the class ids, read off
+those values once at build time.  One kernel per value class, a
+comprehension, maps a list of masks to their entries; a search query on a
+`make_oracles` pair builds no Subset, Fraction or tuple per mask.  A pair
+with at most 256 classes gives its ids as `bytes` (`_id_kernel`): a step-1
+range inside one aligned block of BLOCK masks, as brute force asks, with
+one `bytes.translate`, and drawn and neighbour lists with one more by |S|
+(the planted decreasing grid's as the comprehension's list put into
+`bytes`); a larger pair gets the list.  `query_batch` looks for a set where
+g = 0 (id 0) with one `0 not in ids`, a C `memchr` on `bytes`; only a pair
+past 256 classes gives a list, and no bundled pair has both that many
+classes and a set where g = 0.
 The planted decreasing g's grid has a row per |S minus R|; f reads its last row.
 
 In both families f is the same function in every world and the plant
 lives only in g, so the sets at which g was evaluated are all an algorithm
 can learn about the plant.  `make_oracles` therefore attaches a transcript
 to the g handle alone, which records the mask of every set it evaluates,
-however the algorithm calls it, and nothing else.
+however the algorithm calls it, and the class ids of every chunk the
+class-id table answers, which the game scores from.
 """
 
 from __future__ import annotations
@@ -108,19 +110,23 @@ def differs_from_unplanted(S: Subset, inst: DecreasingInstance) -> bool:
 
 
 class QueryTranscript:
-    """The masks of the sets at which g was evaluated, in order, and nothing else.
+    """The masks of the sets at which g was evaluated, in order, and the class ids `query_batch` gave them.
 
     One entry per answered g evaluation: a g call its evaluator refuses
     (a set of another ground size) is charged but not recorded.  The game
     scores the returned set on the trial's own pair, so after a trial the
     last entry is the returned set, and `len(transcript) == g.count` holds
-    when every g charge was answered.
+    when every g charge was answered.  `runs` holds, per chunk the class-id
+    table answered, (start, ids, classes) as `query_batch` returned them:
+    `classes[ids[i]]` is the f/g class at entries[start + i].  An entry
+    recorded one at a time (`record`) is in no run.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "runs")
 
     def __init__(self) -> None:
         self.entries: list[int] = []
+        self.runs: list[tuple] = []
 
     def record(self, mask: int) -> None:
         self.entries.append(mask)
@@ -228,19 +234,6 @@ def instance_evaluator(inst: Instance, role: str) -> Callable[[Subset], Fraction
     return by_plant
 
 
-def batch_lookup(inst: Instance, role: str) -> Callable[[list[int]], list]:
-    """A list of masks -> one side's values, in order, uncounted and unchecked.
-
-    The mask-native twin of `instance_evaluator`: entry i is the very object
-    that `instance_evaluator` returns at the set of masks[i], so equal values
-    from one cached table are one object.  The caller vouches that every
-    mask lies in the ground set, 0 <= mask < 2^n: no mask is checked, and
-    outside it the answer, or the error, is unspecified.
-    """
-    rule, key, values, _, _ = _side(inst, role)
-    return _kernel(rule, key, values)
-
-
 def _kernel(rule: int, key, table: tuple) -> Callable[[list[int]], list]:
     """A list of masks -> the table entries of their value classes, under `_side`'s rule and key.
 
@@ -268,11 +261,13 @@ def _id_kernel(rule: int, key, ids: tuple, classes: tuple, n: int) -> Callable:
     """Masks -> the pair's f/g class ids, as `bytes` when the pair has at most 256 classes, else `_kernel`'s list.
 
     A list, or a range that is not a step-1 range inside one aligned block,
-    takes `_kernel`'s list put into `bytes`.  On a block, a cell
-    [|S & out|][|S|] (out = 0 under the cardinality rules) adds the high
+    takes its masks' counts through one translate table by |S|; under the
+    grid rule, or when it holds the increasing plant, `_kernel`'s list put
+    into `bytes`.  On a block, a cell [|S & out|][|S|] (out = 0 under the
+    cardinality rules) adds the high
     part's counts, one pair per block, to the low part's: a block is a slice
     of `_low_states` put through a 256-byte translate table of the high
-    counts, with the increasing plant's byte patched in.  Tables are built on
+    counts, with the plant's byte patched in.  Block tables are built on
     first use, so a pair that never queries a range pays for none of them.
     """
     by_list = _kernel(rule, key, ids)
@@ -280,15 +275,21 @@ def _id_kernel(rule: int, key, ids: tuple, classes: tuple, n: int) -> Callable:
         return by_list
     rows, out = (ids, key) if rule == _BY_GRID else ((ids[0] if rule == _BY_PLANT else ids,), 0)
     plant, planted = (key, ids[1]) if rule == _BY_PLANT else (-1, 0)
+    by_card = bytes(rows[0]).ljust(256, b"\0")
     tables = {}
+
+    def listed(masks):
+        if rule == _BY_GRID or rule == _BY_PLANT and plant in masks:
+            return bytes(by_list(masks))
+        return bytes(map(int.bit_count, masks)).translate(by_card)
 
     def by_block(masks):
         if type(masks) is not range or masks.step != 1:
-            return bytes(by_list(masks))
+            return listed(masks)
         start, stop = masks.start, masks.stop
         high = start & -BLOCK
         if not 0 <= start < stop <= min(high + BLOCK, 1 << n):
-            return bytes(by_list(masks))
+            return listed(masks)
         out_high, card_high = counts = (high & out).bit_count(), high.bit_count()
         if counts not in tables:
             # state _STRIDE * a + c -> rows[out_high + a][card_high + c]; cells past the grid are never read
@@ -314,9 +315,17 @@ def make_oracles(
     """
     f_oracle = CountingOracle.for_instance(inst, "f")
     g_oracle = CountingOracle.for_instance(inst, "g", transcript)
-    rule, key, _, ids, classes = _side(inst, "g")
-    g_oracle._classes = (f_oracle, inst.n, _id_kernel(rule, key, ids, classes, inst.n), classes)
+    g_oracle._classes = (f_oracle, inst.n, *class_lookup(inst))
     return f_oracle, g_oracle
+
+
+def class_lookup(inst: Instance) -> tuple[Callable, tuple]:
+    """(masks -> the pair's f/g class ids, as `query_batch` gives them, the classes by id), uncounted and unchecked.
+
+    The caller vouches, as for `query_batch`, that every mask lies in the ground set.
+    """
+    rule, key, _, ids, classes = _side(inst, "g")
+    return _id_kernel(rule, key, ids, classes, inst.n), classes
 
 
 def ratio_terms(S: Subset, f_oracle: CountingOracle, g_oracle: CountingOracle) -> tuple[int, int]:
@@ -350,7 +359,7 @@ def query_batch(masks: list[int] | range, n: int, f_oracle: CountingOracle, g_or
     g = 0 (id 0 is None).  It charges each handle len(masks), extends g's transcript and returns
     the cached classes; ids are `bytes` on a pair with at most 256 classes, else a list.  Every
     other call goes one mask at a time through `ratio_terms`, one class per mask.  The caller
-    vouches, as for `batch_lookup` and `unchecked_subset`, that every mask lies in the ground set,
+    vouches, as for `class_lookup` and `unchecked_subset`, that every mask lies in the ground set,
     0 <= mask < 2^n: neither path checks it, and outside it the answer, or the error, is unspecified.
     """
     partner, size, kernel, classes = getattr(g_oracle, "_classes", None) or (None,) * 4
@@ -359,8 +368,10 @@ def query_batch(masks: list[int] | range, n: int, f_oracle: CountingOracle, g_or
         if classes[0] is not None or 0 not in ids:
             f_oracle.count += len(masks)
             g_oracle.count += len(masks)
-            if g_oracle.transcript is not None:
-                g_oracle.transcript.entries.extend(masks)
+            transcript = g_oracle.transcript
+            if transcript is not None:
+                transcript.runs.append((len(transcript.entries), ids, classes))
+                transcript.entries.extend(masks)
             return ids, classes
     classes = [ratio_terms(unchecked_subset(mask, n), f_oracle, g_oracle) + (mask.bit_count(),) for mask in masks]
     return list(range(len(classes))), classes

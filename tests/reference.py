@@ -4,8 +4,9 @@ Each of these cross-checks a fast path of the package from the outside:
 Monte Carlo and the plain binomial sum against the exact distinguishing
 probability, the all-pairs lattice inequality against the pairwise-marginal
 supermodularity scan, a one-block-at-a-time stream reader against the
-seeded stream, an explicit value table as a third-party set function, and
-the write side of the instance descriptor and violation CSV forms.
+seeded stream, an explicit value table as a third-party set function, the
+game's scoring by value lookups and a set-based plant search, and the write
+side of the instance descriptor and violation CSV forms.
 """
 
 from __future__ import annotations
@@ -15,14 +16,17 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count
 from math import lcm
+from operator import is_not
 
-from ratiolab.errors import ParameterError
-from ratiolab.game import distinguish_probability
+from ratiolab.errors import NoConsistentPlantError, ParameterError, RatioLabError
+from ratiolab.game import distinguish_probability, union_bound
 from ratiolab.instances import DecreasingInstance
+from ratiolab import oracles
 from ratiolab.sampling import SeededStream
 from ratiolab.serialize import frac_from_str, frac_to_str, render_csv
-from ratiolab.sets import Subset, is_int, unchecked_subset, validate_ground_size
+from ratiolab.sets import Subset, is_int, iter_k_subset_masks, unchecked_subset, validate_ground_size
 from ratiolab.verify import VIOLATION_CSV_COLUMNS, violation_row
 
 EXACT_VALUES_ONLY = "oracle values must be int or Fraction"
@@ -68,6 +72,65 @@ def binomial_distinguish_probability(n: int, alpha: int, beta: int, s: int) -> F
     t_lo = max(s - min(alpha, s) + beta + 1, 0, alpha - (n - s))
     favorable = sum(math.comb(s, t) * math.comb(n - s, alpha - t) for t in range(t_lo, min(alpha, s) + 1))
     return Fraction(favorable, math.comb(n, alpha))
+
+
+def batch_lookup(inst, role: str):
+    """A list of masks -> one side's values, in order, uncounted and unchecked.
+
+    The mask-native twin of `instance_evaluator`: entry i is the very object
+    that `instance_evaluator` returns at the set of masks[i], read through
+    the side's value kernel, so equal values from one cached table are one
+    object.  Every mask must lie in the ground set, 0 <= mask < 2^n.
+    """
+    rule, key, values, _, _ = oracles._side(inst, role)
+    return oracles._kernel(rule, key, values)
+
+
+def first_difference(transcript, g_a, g_b) -> int | None:
+    """Index of the first transcript entry where the batch lookups g_a and g_b differ.
+
+    Where the lookups agree they index one cached value table and return the
+    very same Fraction, so one list `==` settles a transcript without a
+    difference; otherwise identity settles almost every set and `!=` keeps
+    the rest exact.
+    """
+    a, b = g_a(transcript.entries), g_b(transcript.entries)
+    if a == b:
+        return None
+    for idx in compress(count(), map(is_not, a, b)):
+        if a[idx] != b[idx]:
+            return idx
+    return None
+
+
+def score_decreasing(planted, transcript) -> tuple:
+    """A decreasing trial's (first_idx, union bound) by value lookups: f against the planted g, and each entry's |S|."""
+    first_idx = first_difference(transcript, batch_lookup(planted, "f"), batch_lookup(planted, "g"))
+    return first_idx, union_bound(map(int.bit_count, transcript.entries), planted.n, planted.alpha, planted.beta)
+
+
+def consistent_plant(transcript, n: int) -> Subset:
+    """The smallest half-size mask absent from the entries, from the set of half-size entries."""
+    k = n // 2
+    excluded = {mask for mask in transcript.entries if mask.bit_count() == k}
+    for mask in iter_k_subset_masks(n, k):
+        if mask not in excluded:
+            return Subset(mask, n)
+    raise NoConsistentPlantError(f"all {math.comb(n, k)} candidate plants of cardinality {k} were queried")
+
+
+def score_increasing(unplanted, transcript) -> tuple:
+    """An increasing trial's (first_idx, union bound) by the set-based plant search and a lookup recheck."""
+    n, entries = unplanted.n, transcript.entries
+    try:
+        r_star = consistent_plant(transcript, n)
+    except NoConsistentPlantError:
+        last = next(mask for mask in reversed(dict.fromkeys(entries)) if mask.bit_count() == n // 2)
+        return entries.index(last), Fraction(1)
+    g, g_star = batch_lookup(unplanted, "g"), batch_lookup(unplanted.with_plant(r_star), "g")
+    if first_difference(transcript, g, g_star) is not None:
+        raise RatioLabError("planted world disagrees with the transcript; plant search is broken")
+    return None, Fraction(0)
 
 
 def all_pairs_supermodular(fn, n: int) -> bool:

@@ -1,18 +1,21 @@
-"""The game's difference scan against a per-entry reference.
+"""The reference difference scan, and the game's class-based scan against it.
 
-`game._first_difference` settles a transcript on which the two lookups
-agree with one list `==` and falls back to an identity-first scan.  The
-reference below compares every entry with `!=`, in order, which is
-obviously correct and slow.
+`reference.first_difference` settles a transcript on which the two lookups
+agree with one list `==` and falls back to an identity-first scan; the
+per-entry scan below compares every entry with `!=`, in order, which is
+obviously correct and slow.  The game scores a decreasing trial from class
+ids instead (`game._score_decreasing`), and on drawn transcripts of the
+bundled families its first index must be the reference's.
 """
 
 from fractions import Fraction
 
 import pytest
+from reference import batch_lookup, first_difference
 
-from ratiolab.game import _first_difference
+from ratiolab.game import _score_decreasing
 from ratiolab.instances import DecreasingInstance, IncreasingInstance
-from ratiolab.oracles import QueryTranscript, batch_lookup
+from ratiolab.oracles import QueryTranscript, make_oracles, query_batch
 from ratiolab.sampling import SeededStream
 from ratiolab.sets import Subset
 
@@ -53,7 +56,7 @@ def test_scan_matches_the_reference(diff_at, want):
     # entries and in the middle: the first differing index, as the reference
     transcript = _transcript(MASKS)
     g_a, g_b = _lookups(diff_at)
-    assert _first_difference(transcript, g_a, g_b) == ref_first_difference(transcript, g_a, g_b) == want
+    assert first_difference(transcript, g_a, g_b) == ref_first_difference(transcript, g_a, g_b) == want
 
 
 def test_equal_values_that_are_not_identical_are_no_difference():
@@ -65,12 +68,12 @@ def test_equal_values_that_are_not_identical_are_no_difference():
         return [Fraction(mask, 7) for mask in masks]
 
     assert all(x is not y for x, y in zip(g_a(MASKS), g_b(MASKS)))
-    assert _first_difference(transcript, g_a, g_b) is ref_first_difference(transcript, g_a, g_b) is None
+    assert first_difference(transcript, g_a, g_b) is ref_first_difference(transcript, g_a, g_b) is None
 
 
 def test_empty_transcript_has_no_difference():
     g_a, g_b = _lookups((0,))
-    assert _first_difference(_transcript([]), g_a, g_b) is None
+    assert first_difference(_transcript([]), g_a, g_b) is None
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -89,6 +92,13 @@ def test_scan_on_drawn_transcripts_of_both_families(seed):
     for plant in (half[seed % len(half)], unqueried):
         pairs.append((batch_lookup(inc, "g"), batch_lookup(inc.with_plant(Subset(plant, n)), "g")))
     transcript = _transcript(masks)
-    found = [_first_difference(transcript, g_a, g_b) for g_a, g_b in pairs]
+    found = [first_difference(transcript, g_a, g_b) for g_a, g_b in pairs]
     assert found == [ref_first_difference(transcript, g_a, g_b) for g_a, g_b in pairs]
     assert found[1] == masks.index(half[seed % len(half)]) and found[2] is None
+    # the class-based scan, on the entries alone and on chunks the table recorded
+    recorded = QueryTranscript()
+    f, g = make_oracles(dec, recorded)
+    for start in range(0, len(masks), 64):
+        query_batch(masks[start:start + 64], n, f, g)
+    assert recorded.entries == masks and len(recorded.runs) == 5
+    assert _score_decreasing(dec, transcript)[0] == _score_decreasing(dec, recorded)[0] == found[0]

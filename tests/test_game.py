@@ -28,7 +28,7 @@ from ratiolab.game import (
 )
 from ratiolab.instances import DecreasingInstance, IncreasingInstance
 from ratiolab.optimize import OptResult, local_search, make_algorithm, random_search
-from ratiolab.oracles import QueryTranscript, batch_lookup, differs_from_unplanted, make_oracles, ratio
+from ratiolab.oracles import QueryTranscript, class_lookup, differs_from_unplanted, make_oracles, ratio
 from ratiolab.sampling import SeededStream, derive_seed, random_k_subset
 from ratiolab.sets import Subset, iter_k_subset_masks
 
@@ -140,6 +140,17 @@ def test_union_bound_values():
             union_bound([], n, alpha, beta)
 
 
+def test_union_bound_of_a_count_mapping():
+    # a mapping cardinality -> count is the sequence that repeats each
+    # cardinality count times; a count of 0 adds nothing, and a count that
+    # is not an int >= 0 raises
+    assert union_bound({6: 3, 7: 2}, 14, 4, 1) == union_bound([6, 7, 6, 7, 6], 14, 4, 1) == Fraction(45, 1001)
+    assert union_bound({6: 0, 3: 0}, 14, 4, 1) == 0
+    for bad in (-1, 1.0, "2"):
+        with pytest.raises(ParameterError, match="query count must be an int >= 0"):
+            union_bound({6: bad}, 14, 4, 1)
+
+
 @pytest.mark.parametrize("n, alpha, beta", [(14, 4, 1), (30, 6, 0), (60, 12, 5), (100, 10, 1), (100, 50, 60)])
 def test_union_bound_equals_the_capped_fraction_sum(n, alpha, beta):
     # Seeded cardinality lists, short and long, so the sum falls below 1, reaches it or is all zero.
@@ -153,6 +164,7 @@ def test_union_bound_equals_the_capped_fraction_sum(n, alpha, beta):
             bound = union_bound(cards, n, alpha, beta)
             assert type(bound) is Fraction
             assert bound == min(Fraction(1), total), (n, alpha, beta, length)
+            assert union_bound(Counter(cards), n, alpha, beta) == union_bound(dict(Counter(cards)), n, alpha, beta) == bound
             outcomes.add("zero" if not total else "below 1" if total < 1 else "capped")
     assert outcomes == ({"zero", "below 1", "capped"} if beta < alpha else {"zero"})
     # (n, alpha, beta) are checked before the sum, so an empty sequence does not hide them
@@ -442,20 +454,40 @@ def test_increasing_game_exhaustion_by_returned_set():
     assert not r.distinguished and r.first_idx is None and r.union_bound == 0
 
 
-def test_increasing_game_recheck_accepts_equal_copies(monkeypatch):
-    # equal values held in distinct objects pass: the recheck falls back to ==
-    def copying(inst, role):
-        lookup = batch_lookup(inst, role)
+@pytest.mark.parametrize("at", [0, 30, 60, None])
+def test_increasing_game_recheck_compares_every_entry(monkeypatch, at):
+    # the recheck computes the planted pair's class ids at every entry, the
+    # returned set (entry 60) included, in order, and compares them with the
+    # recorded ones: a planted world whose class differs at one entry raises
+    seen = []
 
-        def copy(masks):
-            return [Fraction(value.numerator, value.denominator) for value in lookup(masks)]
+    def tampered(inst):
+        kernel, classes = class_lookup(inst)
+        if inst.plant is None:
+            return kernel, classes
 
-        return copy
+        def planted(masks):
+            ids = bytearray(kernel(masks))
+            if at is not None and len(seen) <= at < len(seen) + len(ids):
+                ids[at - len(seen)] = (ids[at - len(seen)] + 1) % len(classes)
+            seen.extend(masks)
+            return bytes(ids)
+
+        return planted, classes
 
     algorithm = make_algorithm("random", budget=60)
-    expected = run_game_increasing(algorithm, INC_BARE, seed=3, trials=2)
-    monkeypatch.setattr(game, "batch_lookup", copying)
-    assert run_game_increasing(algorithm, INC_BARE, seed=3, trials=2) == expected
+    expected = run_game_increasing(algorithm, INC_BARE, seed=3, trials=1)
+    monkeypatch.setattr(game, "class_lookup", tampered)
+    if at is not None:
+        with pytest.raises(RatioLabError, match="disagrees with the transcript"):
+            run_game_increasing(algorithm, INC_BARE, seed=3, trials=1)
+        return
+    assert run_game_increasing(algorithm, INC_BARE, seed=3, trials=1) == expected
+    transcript = QueryTranscript()
+    f, g = make_oracles(INC_BARE, transcript)
+    result = algorithm(f, g, INC_BARE.n, derive_seed(expected[0].seed, "alg"))
+    ratio(result.argset, f, g)
+    assert seen == transcript.entries and len(seen) == 61
 
 
 @pytest.mark.parametrize("pick", ["entry", "returned"])

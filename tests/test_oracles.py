@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import batch_lookup
 
 from ratiolab import oracles
 from ratiolab.errors import MissingPlantError, ParameterError, UndefinedRatioError
@@ -20,7 +21,6 @@ from ratiolab.instances import DecreasingInstance, IncreasingInstance
 from ratiolab.oracles import (
     CountingOracle,
     QueryTranscript,
-    batch_lookup,
     differs_from_unplanted,
     instance_evaluator,
     make_oracles,
@@ -366,7 +366,9 @@ def test_counting_oracle_wraps_plain_function():
 
 def test_transcript_records_pairs_in_order():
     # one entry per ratio query: the set, recorded by the g handle, repeats
-    # included; the transcript holds its masks and nothing else
+    # included; the transcript holds its masks and the class ids of the
+    # chunks query_batch answered from its table, and ratio records one set
+    # at a time, with no run
     t = QueryTranscript()
     f, g = make_oracles(DEC, transcript=t)
     a = Subset.from_elements([0], 8)
@@ -376,7 +378,26 @@ def test_transcript_records_pairs_in_order():
     ratio(b, f, g)
     assert len(t) == g.count == 3
     assert t.entries == [a.mask, b.mask, b.mask]
-    assert QueryTranscript.__slots__ == ("entries",)
+    assert t.runs == []
+    assert QueryTranscript.__slots__ == ("entries", "runs")
+
+
+def test_transcript_keeps_each_table_chunk_ids_by_reference():
+    # each chunk the class-id table answers is one run (start, ids, classes),
+    # the very objects query_batch returned; a chunk answered mask by mask
+    # (here one holding the g = 0 set) and a direct g call are in no run
+    t = QueryTranscript()
+    inst = IncreasingInstance(6, 100, Fraction(1, 4))
+    f, g = make_oracles(inst, transcript=t)
+    first = query_batch([3, 5, 7], 6, f, g)
+    g(Subset(9, 6))
+    with pytest.raises(UndefinedRatioError):
+        query_batch([1, 0], 6, f, g)
+    second = query_batch(range(8, 12), 6, f, g)
+    assert t.entries == [3, 5, 7, 9, 1, 0, 8, 9, 10, 11]
+    assert [(start, len(ids)) for start, ids, _ in t.runs] == [(0, 3), (6, 4)]
+    for (start, ids, classes), (got_ids, got_classes) in zip(t.runs, [first, second]):
+        assert ids is got_ids and classes is got_classes
 
 
 def test_only_the_g_handle_records():
@@ -786,6 +807,28 @@ def test_drawn_lists_get_byte_ids_up_to_256_classes(past_256):
     want = [_reference_query(mask, n, *slow) for mask in masks]
     assert len(make_oracles(inst)[1]._classes[3]) == (324 if past_256 else 26)
     assert _batch_outcome(masks, n, inst) == (want, list if past_256 else bytes, len(masks), len(masks), masks)
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_listed_ids_are_the_comprehensions_bytes(planted):
+    # under the cardinality and plant rules a list's ids are its counts put
+    # through one translate table, with the plant's bytes patched in: byte
+    # for byte the comprehension's ids, with the plant first, twice inside
+    # and last, the empty set included, and for a range that is not step-1
+    n = 30
+    inst = IncreasingInstance(n, 10**6, Fraction(1, 1000))
+    plant = random_k_subset(n, n // 2, 30).mask
+    if planted:
+        inst = inst.with_plant(Subset(plant, n))
+    stream = SeededStream(30, "listed", n)
+    masks = [plant] + [stream.nonempty_mask(n) for _ in range(2000)] + [0, plant]
+    masks[500:500] = masks[1000:1000] = [plant]
+    rule, key, _, ids, _ = oracles._side(inst, "g")
+    comprehension = oracles._kernel(rule, key, ids)
+    kernel, _ = oracles.class_lookup(inst)
+    for span in (masks, range(plant - 70, plant + 70, 7)):
+        assert kernel(span) == bytes(comprehension(span))
+    assert (kernel(masks)[0] == ids[1]) is planted
 
 
 @pytest.mark.parametrize("n", [5, 10, 11])
