@@ -31,8 +31,7 @@ In both families f is the same function in every world and the plant
 lives only in g, so the sets at which g was evaluated are all an algorithm
 can learn about the plant.  `make_oracles` therefore attaches a transcript
 to the g handle alone, which records the mask of every set it evaluates,
-however the algorithm calls it, and the class ids of every chunk the
-class-id table answers, which the game scores from.
+however the algorithm calls it, and the class ids `query_batch` gave them.
 """
 
 from __future__ import annotations
@@ -356,11 +355,12 @@ def query_batch(masks: list[int] | range, n: int, f_oracle: CountingOracle, g_or
     `masks` is a list or a range.  `classes[ids[i]]` is (p, q, |S|) at masks[i], (p, q) as
     `ratio_terms` gives.  The class-id table answers the common case only: a `make_oracles` pair as
     built, in (f, g) order, f without a transcript, queried at the table's n, with no set where
-    g = 0 (id 0 is None).  It charges each handle len(masks), extends g's transcript and returns
-    the cached classes; ids are `bytes` on a pair with at most 256 classes, else a list.  Every
-    other call goes one mask at a time through `ratio_terms`, one class per mask.  The caller
-    vouches, as for `class_lookup` and `unchecked_subset`, that every mask lies in the ground set,
-    0 <= mask < 2^n: neither path checks it, and outside it the answer, or the error, is unspecified.
+    g = 0 (id 0 is None).  It charges each handle len(masks), extends g's transcript, adds the ids
+    to its runs by reference and returns the cached classes; ids are `bytes` on a pair with at
+    most 256 classes, else a list.  Every other call goes one mask at a time through `ratio_terms`,
+    one class per mask.  The caller vouches, as for `class_lookup` and `unchecked_subset`, that every
+    mask lies in the ground set, 0 <= mask < 2^n: neither path checks it, and outside it the answer,
+    or the error, is unspecified.
     """
     partner, size, kernel, classes = getattr(g_oracle, "_classes", None) or (None,) * 4
     if partner is f_oracle and f_oracle.transcript is None and size == n:
