@@ -122,10 +122,10 @@ MUTANTS = [
     Mutant(
         "queries-read-after-scoring",
         "src/ratiolab/game.py",
-        "        queries = f_oracle.count + g_oracle.count\n"
-        "        value = ratio(result.argset, f_oracle, g_oracle)\n",
-        "        value = ratio(result.argset, f_oracle, g_oracle)\n"
-        "        queries = f_oracle.count + g_oracle.count\n",
+        "    queries = f_oracle.count + g_oracle.count\n"
+        "    value = ratio(result.argset, f_oracle, g_oracle)\n",
+        "    value = ratio(result.argset, f_oracle, g_oracle)\n"
+        "    queries = f_oracle.count + g_oracle.count\n",
         ("tests/test_game.py",),
     ),
     Mutant(
@@ -187,13 +187,6 @@ MUTANTS = [
     ),
     # The stream's bulk cut: a batch of words spread into slots, cut at the first word >= bound.
     Mutant(
-        "closed-batch-redraws-one-mask-more",
-        "src/ratiolab/sampling.py",
-        "len(masks) - length_hint(rest))",
-        "len(masks) - length_hint(rest) + 1)",
-        ("tests/test_sampling.py",),
-    ),
-    Mutant(
         "batch-without-bound-test",
         "src/ratiolab/sampling.py",
         "    if over:\n",
@@ -222,14 +215,37 @@ MUTANTS = [
         "mask = next(compress(chunk, ids.translate(selector)))",
         ("tests/test_search_reference.py",),
     ),
-    # The game scored from the class ids the queries recorded.
+    # One trial flow: the unplanted run first, a separated decreasing trial run again and reported from that run.
     Mutant(
-        "separation-read-as-p-below-q",
+        "rerun-prefix-check-disabled",
         "src/ratiolab/game.py",
-        "separating = [key[0] != key[1] for key in classes]",
-        "separating = [key[0] < key[1] for key in classes]",
+        "if transcript.entries[:first_idx + 1] != prefix:",
+        "if False:",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "separated-trial-reported-from-unplanted-run",
+        "src/ratiolab/game.py",
+        "            transcript, queries, value = _run(algorithm, planted, trial_seed)\n",
+        "            _run(algorithm, planted, trial_seed)\n",
+        ("tests/test_game.py",),
+    ),
+    # The decreasing game scored from masks alone, on the live band beta < |S| < 2 alpha - beta.
+    Mutant(
+        "live-band-starts-at-beta-plus-two",
+        "src/ratiolab/game.py",
+        "live = range(beta + 1, min(2 * alpha - beta, n + 1))",
+        "live = range(beta + 2, min(2 * alpha - beta, n + 1))",
         ("tests/test_game_scoring.py",),
     ),
+    Mutant(
+        "live-band-ends-one-cardinality-early",
+        "src/ratiolab/game.py",
+        "live = range(beta + 1, min(2 * alpha - beta, n + 1))",
+        "live = range(beta + 1, min(2 * alpha - beta, n + 1) - 1)",
+        ("tests/test_game_scoring.py",),
+    ),
+    # The increasing game scored from the class ids the queries recorded.
     Mutant(
         "run-start-off-by-one",
         "src/ratiolab/oracles.py",
@@ -242,7 +258,7 @@ MUTANTS = [
         "src/ratiolab/game.py",
         "                runs.append((done, kernel(entries[done:start])))\n",
         "                pass\n",
-        ("tests/test_game_scoring.py",),
+        ("tests/test_game.py", "tests/test_game_scoring.py"),
     ),
     Mutant(
         "recheck-compares-recorded-ids-with-themselves",
@@ -250,13 +266,6 @@ MUTANTS = [
         "if planted(transcript.entries[start:start + len(ids)]) != ids:",
         "if ids != ids:",
         ("tests/test_game.py",),
-    ),
-    Mutant(
-        "union-counts-folded-by-class-id",
-        "src/ratiolab/game.py",
-        "cards[classes[i][2]] += times",
-        "cards[i] += times",
-        ("tests/test_game_scoring.py",),
     ),
     Mutant(
         "listed-ids-ignore-the-plant",
@@ -293,13 +302,6 @@ MUTANTS = [
         "    _check_query(n, alpha, beta, 0)\n    favorable = 0\n",
         "    favorable = 0\n",
         ("tests/test_game.py",),
-    ),
-    Mutant(
-        "closed-list-without-write-back",
-        "src/ratiolab/sampling.py",
-        "                if length_hint(rest):\n",
-        "                if False:\n",
-        ("tests/test_sampling.py",),
     ),
     Mutant(
         "stream-rejection-le",

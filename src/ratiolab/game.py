@@ -1,33 +1,29 @@
 """The indistinguishability game behind the unbounded-ratio result.
 
-Decreasing family: a plant R is drawn per trial, the algorithm runs against
-the planted pair, and we record whether any query (returned set included)
-could tell the planted denominator from the unplanted one.  When none
-could, every value the algorithm saw matched the unplanted pair, its best
-ratio is exactly 1, and the true optimum sits at eps/(alpha+eps-beta).
+Both games play the collapse argument: until a deterministic algorithm
+separates the two worlds, every g answer it sees is the unplanted one, so
+its run is fixed by the unplanted world.  Each trial runs the algorithm
+against the unplanted pair, and only then is a plant chosen (`_play`).
 
-Increasing family: the adversary is lazy.  The algorithm runs against the
-unplanted pair; afterwards a consistent plant R* is chosen among the
-half-size sets the algorithm never touched, so the planted and unplanted
-worlds agree on the entire transcript by construction.  The empirical
-ratio is then at least min{n/(2 eps), m} / floor(n/2).  A trial whose
-queries cover every half-size set leaves no place to hide a plant; it is
-recorded as distinguished, with union bound 1.
+Decreasing family: the plant R is a seeded uniform draw; the unplanted g is
+f.  A trial R does not separate saw only values of both pairs: its best
+ratio is exactly 1, and the true optimum sits at eps/(alpha+eps-beta).  A
+trial R separates is run again against the planted pair and reported from
+that run.  It is scored from its masks alone (`_score_decreasing`).
 
-Both games run one trial loop (`_play`).  The transcript is the g handle's
-own record of masks, so it holds every g evaluation however the algorithm
-made it; a direct f call reveals nothing about the plant.  A trial is
-scored from each entry's f/g class (p, q, |S|) (`_class_runs`): the ids
-`query_batch` recorded, and the answering pair's id kernel for entries
-recorded one at a time.  f is the same in both worlds, so equal classes
-mean equal g.  A decreasing trial is distinguished at the first class with
-p != q, where g_R differs from f; the increasing plant search reads the
-half-size classes, and a difference in the recheck of the planted pair's
-ids at every entry means it is broken.  The harness scores the returned set
-itself, on the trial's own pair once the algorithm's queries are counted,
-so the transcript ends with it; the value an algorithm claims for its set
-is never read, and an empty returned set, outside the ratio's domain, is
-refused in both games.
+Increasing family: the adversary is lazy.  A consistent plant R* is chosen
+among the half-size sets the algorithm never touched, found from the f/g
+classes `query_batch` recorded and rechecked at every entry, so the two
+worlds agree on the entire transcript.  The empirical ratio is then at
+least min{n/(2 eps), m} / floor(n/2).  A trial whose queries cover every
+half-size set leaves no place to hide a plant; it is recorded as
+distinguished, with union bound 1.
+
+The transcript is the g handle's own record of masks, so it holds every g
+evaluation however the algorithm made it; a direct f call reveals nothing
+about the plant.  The harness scores the returned set itself, so the
+transcript ends with it; the value an algorithm claims is never read, and
+an empty returned set, outside the ratio's domain, is refused.
 
 Per-query distinguishing probabilities are exact rationals.
 """
@@ -147,7 +143,8 @@ def find_consistent_plant(transcript: QueryTranscript, n: int) -> Subset:
     for start, ids, classes in [*transcript.runs, (len(entries), b"", ())]:
         excluded.update(mask for mask in entries[done:start] if mask.bit_count() == k)
         half = [key is not None and key[2] == k for key in classes]
-        excluded.update(compress(entries[start:start + len(ids)], _flagged(ids, half)))
+        flags = ids.translate(bytes(half).ljust(256, b"\0")) if type(ids) is bytes else map(half.__getitem__, ids)
+        excluded.update(compress(entries[start:start + len(ids)], flags))
         done = start + len(ids)
     for mask in iter_k_subset_masks(n, k):
         if mask not in excluded:
@@ -155,13 +152,6 @@ def find_consistent_plant(transcript: QueryTranscript, n: int) -> Subset:
     raise NoConsistentPlantError(
         f"all {math.comb(n, k)} candidate plants of cardinality {k} were queried"
     )
-
-
-def _flagged(ids, flags: list[bool]):
-    """Whether flags[i] holds at each id i, for `compress`: one translate on `bytes`, a map on a list."""
-    if type(ids) is bytes:
-        return ids.translate(bytes(flags).ljust(256, b"\0"))
-    return map(flags.__getitem__, ids)
 
 
 def _class_runs(transcript: QueryTranscript, kernel, classes: tuple) -> list[tuple]:
@@ -181,19 +171,21 @@ def _class_runs(transcript: QueryTranscript, kernel, classes: tuple) -> list[tup
 
 
 def _score_decreasing(planted: DecreasingInstance, transcript: QueryTranscript):
-    """(first_idx, union bound) of a decreasing trial: the first entry whose f/g_R class has p != q; ids counted by |S|."""
-    kernel, classes = class_lookup(planted)
-    runs = _class_runs(transcript, kernel, classes)
-    counts = Counter()
-    for _, ids in runs:
-        counts.update(ids)
-    separating = [key[0] != key[1] for key in classes]
-    hits = (start + i for start, ids in runs for i in compress(count(), _flagged(ids, separating)))
-    first_idx = next(hits) if any(separating[i] for i in counts) else None
-    cards = Counter()
-    for i, times in counts.items():
-        cards[classes[i][2]] += times
-    return first_idx, union_bound(cards, planted.n, planted.alpha, planted.beta)
+    """(first_idx, union bound) of a decreasing trial, from its masks alone.
+
+    Only a set with beta < |S| < 2 alpha - beta, capped at n, can separate g_R
+    from f, so only those entries are tested on the plant, by the criterion of
+    `differs_from_unplanted`, and only those cardinalities are counted for the
+    union bound.  A cardinality fits in a byte, as n <= 128.
+    """
+    n, alpha, beta = planted.n, planted.alpha, planted.beta
+    entries, out = transcript.entries, ~planted.plant.mask
+    live = range(beta + 1, min(2 * alpha - beta, n + 1))
+    cards = bytes(map(int.bit_count, entries))
+    in_band = (bytes(live.start) + b"\1" * len(live)).ljust(256, b"\0")
+    hits = (i for i in compress(count(), cards.translate(in_band))
+            if beta + (entries[i] & out).bit_count() < min(alpha, cards[i]))
+    return next(hits, None), union_bound({s: cards.count(s) for s in live}, n, alpha, beta)
 
 
 def _score_increasing(unplanted: IncreasingInstance, transcript: QueryTranscript):
@@ -215,15 +207,32 @@ def _score_increasing(unplanted: IncreasingInstance, transcript: QueryTranscript
     return None, Fraction(0)
 
 
-def _play(algorithm, inst, seed: int, trials: int, world, score) -> list[GameReport]:
-    """The trial loop both games share.
+def _run(algorithm, world, trial_seed: int) -> tuple[QueryTranscript, int, Fraction]:
+    """One run against `world`: (g's transcript, the query count, f/g at the returned set, scored after the count).
 
-    Per trial: `world(trial_seed)` is the instance the oracles answer from,
-    the algorithm runs against it with its own derived seed, and its query
-    count is read.  Its value, f/g at its returned set, is then scored on
-    the same pair, so that set ends g's transcript, one entry per answered g
-    charge (a refused call is charged only), and `score(world_instance,
-    transcript)` gives (first_idx, union_bound).  An empty returned set raises UndefinedRatioError.
+    The returned set therefore ends the transcript, which holds one entry per
+    answered g charge.  An empty returned set raises UndefinedRatioError.
+    """
+    transcript = QueryTranscript()
+    f_oracle, g_oracle = make_oracles(world, transcript)
+    result = algorithm(f_oracle, g_oracle, world.n, derive_seed(trial_seed, "alg"))
+    if not result.argset.mask:
+        raise UndefinedRatioError("the returned set is empty; the ratio is defined on nonempty sets only")
+    queries = f_oracle.count + g_oracle.count
+    value = ratio(result.argset, f_oracle, g_oracle)
+    return transcript, queries, value
+
+
+def _play(algorithm, inst, seed: int, trials: int, choose) -> list[GameReport]:
+    """The trial loop both games share: play the unplanted world, choose the plant afterwards.
+
+    Per trial, the algorithm runs against `inst`, which holds no plant, and
+    `choose(trial_seed, transcript)` gives (planted world or None, first_idx,
+    union_bound) for that run.  When the plant separates the run at first_idx,
+    the algorithm runs again against the planted world and the trial is
+    reported from that run, scored by `choose` again: until first_idx it saw
+    the unplanted answers, so its entries through first_idx must equal the
+    unplanted run's, or RatioLabError is raised.
     """
     if inst.plant is not None:
         raise ParameterError("the game manages its own hidden sets; pass an unplanted instance")
@@ -232,15 +241,15 @@ def _play(algorithm, inst, seed: int, trials: int, world, score) -> list[GameRep
     reports = []
     for trial in range(trials):
         trial_seed = derive_seed(seed, "trial", trial)
-        answering = world(trial_seed)
-        transcript = QueryTranscript()
-        f_oracle, g_oracle = make_oracles(answering, transcript)
-        result = algorithm(f_oracle, g_oracle, inst.n, derive_seed(trial_seed, "alg"))
-        if not result.argset.mask:
-            raise UndefinedRatioError("the returned set is empty; the ratio is defined on nonempty sets only")
-        queries = f_oracle.count + g_oracle.count
-        value = ratio(result.argset, f_oracle, g_oracle)
-        first_idx, union = score(answering, transcript)
+        transcript, queries, value = _run(algorithm, inst, trial_seed)
+        planted, first_idx, union = choose(trial_seed, transcript)
+        if planted is not None and first_idx is not None:
+            prefix = transcript.entries[:first_idx + 1]
+            transcript, queries, value = _run(algorithm, planted, trial_seed)
+            if transcript.entries[:first_idx + 1] != prefix:
+                raise RatioLabError("the planted run asked other sets before it could tell the worlds apart; "
+                                    "the algorithm is not a function of its seed and the answers it saw")
+            _, first_idx, union = choose(trial_seed, transcript)
         reports.append(GameReport(
             family=inst.family,
             n=inst.n,
@@ -258,17 +267,18 @@ def _play(algorithm, inst, seed: int, trials: int, world, score) -> list[GameRep
 
 
 def run_game_decreasing(algorithm, inst: DecreasingInstance, seed: int, trials: int) -> list[GameReport]:
-    """Per trial: draw a plant, run the algorithm against it, score the gap.
+    """Per trial: run against the unplanted pair, then draw a plant and score the gap.
 
     The algorithm handle has signature (f_oracle, g_oracle, n, seed) ->
-    OptResult.  The transcript ends with its returned set, which the scan and
-    the union bound therefore cover.  The unplanted g is f: the scan compares f with the planted g.
+    OptResult.  A trial the plant separates is reported from the algorithm's
+    run against the planted pair (`_play`).
     """
 
-    def draw_plant(trial_seed: int) -> DecreasingInstance:
-        return inst.with_plant(random_k_subset(inst.n, inst.alpha, derive_seed(trial_seed, "plant")))
+    def draw_plant(trial_seed: int, transcript: QueryTranscript):
+        planted = inst.with_plant(random_k_subset(inst.n, inst.alpha, derive_seed(trial_seed, "plant")))
+        return planted, *_score_decreasing(planted, transcript)
 
-    return _play(algorithm, inst, seed, trials, draw_plant, _score_decreasing)
+    return _play(algorithm, inst, seed, trials, draw_plant)
 
 
 def run_game_increasing(algorithm, inst: IncreasingInstance, seed: int, trials: int) -> list[GameReport]:
@@ -284,7 +294,11 @@ def run_game_increasing(algorithm, inst: IncreasingInstance, seed: int, trials: 
     planted optimum is floor(n/2), its value for every plant.
     """
 
-    return _play(algorithm, inst, seed, trials, lambda trial_seed: inst, _score_increasing)
+    def lazy_plant(trial_seed: int, transcript: QueryTranscript):
+        # R* agrees with the whole run, so no planted world is run again
+        return None, *_score_increasing(inst, transcript)
+
+    return _play(algorithm, inst, seed, trials, lazy_plant)
 
 
 def game_report_row(report: GameReport) -> tuple:

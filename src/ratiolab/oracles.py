@@ -25,7 +25,9 @@ one `bytes.translate`, and drawn and neighbour lists with one more by |S|
 g = 0 (id 0) with one `0 not in ids`, a C `memchr` on `bytes`; only a pair
 past 256 classes gives a list, and no bundled pair has both that many
 classes and a set where g = 0.
-The planted decreasing g's grid has a row per |S minus R|; f reads its last row.
+The planted decreasing g's grid has a row per |S minus R|; f reads its last row,
+and so does the unplanted decreasing g, which is f, with its own f/f classes,
+one per |S|.
 
 In both families f is the same function in every world and the plant
 lives only in g, so the sets at which g was evaluated are all an algorithm
@@ -78,6 +80,14 @@ def _dec_grid(n: int, alpha: int, beta: int, epsilon: Fraction) -> tuple[tuple, 
     ids, classes = _f_over_g(rows[-1], rows, range(n + 1))
     tail = n + 1 - len(rows)
     return tuple(rows + rows[-1:] * tail), tuple(ids + ids[-1:] * tail), classes
+
+
+@lru_cache(maxsize=None)
+def _dec_f_over_f(n: int, alpha: int, beta: int, epsilon: Fraction) -> tuple[tuple, tuple]:
+    """The unplanted decreasing g, which is f: its f/f class ids by |S| and the classes, one per |S|."""
+    f = _dec_grid(n, alpha, beta, epsilon)[0][-1]
+    [ids], classes = _f_over_g(f, [f], range(n + 1))
+    return ids, classes
 
 
 @lru_cache(maxsize=None)
@@ -141,8 +151,10 @@ class CountingOracle:
     family evaluator for a role ("f" or "g").  A handle with a transcript
     records the mask of every set it evaluates.  A `make_oracles` g handle
     also holds `_classes`, (its f handle, n, masks -> f/g class ids, the
-    classes by id), read by `query_batch` with that f handle alone.  The
-    plant stays inside the instance: nothing about it leaks through here.
+    classes by id), read by `query_batch` with that f handle alone.  A
+    planted pair's g closure holds the plant, or its complement, so the
+    games hand an algorithm a planted pair only to run again a trial that
+    the plant already separated.
     """
 
     __slots__ = ("_fn", "count", "transcript", "_classes")
@@ -178,7 +190,8 @@ def _side(inst: Instance, role: str) -> tuple:
     rule names the value class: |S|; the planted decreasing g's cell
     [|S & out|][|S|] of its grid rows, key out; or the increasing plant
     test, key the plant mask, whose tables are pairs (by |S|, the plant's
-    entry).  Decreasing f is the grid's last row.
+    entry).  Decreasing f is the grid's last row, and so is the unplanted
+    decreasing g, with the f/f classes, one per |S|.
     """
     if role not in ("f", "g"):
         raise ParameterError(f"oracle role must be 'f' or 'g', got {role!r}")
@@ -188,7 +201,7 @@ def _side(inst: Instance, role: str) -> tuple:
         if role == "f":
             return _BY_CARDINALITY, None, values[-1], None, None
         if inst.plant is None:
-            raise MissingPlantError("decreasing g-oracle needs a planted instance")
+            return _BY_CARDINALITY, None, values[-1], *_dec_f_over_f(n, inst.alpha, inst.beta, inst.epsilon)
         return _BY_GRID, ((1 << n) - 1) & ~inst.plant.mask, values, ids, classes
     if isinstance(inst, IncreasingInstance):
         f, g, ids, classes = _inc_tables(n, inst.m, inst.epsilon)

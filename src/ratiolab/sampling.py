@@ -6,18 +6,17 @@ SeededStream, a counter-mode generator whose block j for the stream keyed by
 
     SHA-256(b"ratiolab|" + "{seed}|{label_0}|...|{label_k}".encode() + j.to_bytes(8, "big"))
 
-The stream is its blocks in order, each read most significant bit first,
-so a draw is a pure function of (seed, labels, position).  `getbits(k)` is
-the next k bits as an unsigned int; `randbelow(b)` reads words of
-b.bit_length() bits until one is below b; `nonempty_mask(n)` is
-1 + randbelow(2^n - 1), `nonempty_mask_lists(n, count)` hands `count` of them
-on as lists of 4,096, and `nonempty_masks(n, count)` yields the same masks one
-at a time; `sample_mask(n, k)` is the mask of the first k elements of
-[0, ..., n-1] after swapping position i with position i + randbelow(n - i)
-for i = 0..k-1; `derive_seed(master, *labels)` is getbits(63) of the stream
-keyed by ``(master, labels...)``.  Independent streams come from distinct
-label tuples, and `derive_seed` turns one into a recordable seed: trial i of
-a game run with master seed s has seed derive_seed(s, "trial", i), and its
+The stream is its blocks in order, each read most significant bit first, so
+a draw is a pure function of (seed, labels, position).  `getbits(k)` is the
+next k bits as an unsigned int; `randbelow(b)` reads words of b.bit_length()
+bits until one is below b; `nonempty_mask(n)` is 1 + randbelow(2^n - 1), and
+`nonempty_mask_lists(n, count)` hands `count` of them on as lists of 4,096;
+`sample_mask(n, k)` is the mask of the first k elements of [0, ..., n-1]
+after swapping position i with position i + randbelow(n - i) for i = 0..k-1;
+`derive_seed(master, *labels)` is getbits(63) of the stream keyed by
+``(master, labels...)``.  Independent streams come from distinct label
+tuples, and `derive_seed` turns one into a recordable seed: trial i of a
+game run with master seed s has seed derive_seed(s, "trial", i), and its
 plant and algorithm draw from seeds derived from that with the labels
 "plant" and "alg".  The scheme is stable across platforms and Python
 versions.
@@ -42,7 +41,6 @@ import sys
 from array import array
 from functools import cache
 from hashlib import sha256
-from operator import length_hint
 
 from .errors import ParameterError
 from .sets import Subset, check_count, is_int, validate_ground_size
@@ -176,33 +174,6 @@ class SeededStream:
         check_count(n, 1, "ground size")
         check_count(count, 0, "draw count")
         return (self._words(n, (1 << n) - 1, 1, min(_EACH, count - done)) for done in range(0, count, _EACH))
-
-    def nonempty_masks(self, n: int, count: int):
-        """An iterator over `count` masks of uniform nonempty subsets of {0..n-1}.
-
-        It yields exactly the masks, and leaves the stream exactly where,
-        `count` calls of `nonempty_mask` would; closed early, it leaves the
-        stream right after its last yielded mask.  It yields the lists of
-        `nonempty_mask_lists` and, closed mid-list, moves the stream back to
-        the list's start and draws again the masks it yielded, so draw
-        nothing else from the stream until it ends or is closed.  The
-        arguments are checked here, before the first draw.
-        """
-        return self._each(n, self.nonempty_mask_lists(n, count))
-
-    def _each(self, n: int, lists):
-        while True:
-            start = self._pool, self._pool_bits, self._counter
-            masks = next(lists, None)
-            if masks is None:
-                return
-            rest = iter(masks)
-            try:
-                yield from rest
-            finally:
-                if length_hint(rest):
-                    self._pool, self._pool_bits, self._counter = start
-                    self._words(n, (1 << n) - 1, 1, len(masks) - length_hint(rest))
 
     def _words(self, k: int, bound: int, offset: int, count: int) -> list[int]:
         """The next `count` k-bit words below `bound`, each plus `offset`, as a list.

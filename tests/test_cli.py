@@ -226,12 +226,14 @@ def test_solve_rejects_a_repeated_plant_element(capsys):
     assert "repeats an element" in err
 
 
-def test_solve_missing_plant_for_decreasing_g(capsys):
-    code, _, err = run_cli(
+def test_solve_unplanted_decreasing_pair(capsys):
+    # the unplanted decreasing g is f: every set has ratio 1, and brute force
+    # returns the first nonempty set after querying all 255 on both sides
+    code, out, err = run_cli(
         capsys, "solve", "--family", "decreasing", "--n", "8", "--alpha", "3", "--beta", "1",
     )
-    assert code == 2
-    assert "plant" in err.lower()
+    assert code == 0 and err == ""
+    assert out == "method=brute family=decreasing n=8 value=1/1 (approx 1) argset=[0] mask=1 queries=510\n"
 
 
 # ------------------------------------------------------------------- game

@@ -1,10 +1,10 @@
-"""The reference difference scan, and the game's class-based scan against it.
+"""The reference difference scan, and the game's scan against it.
 
 `reference.first_difference` settles a transcript on which the two lookups
 agree with one list `==` and falls back to an identity-first scan; the
 per-entry scan below compares every entry with `!=`, in order, which is
-obviously correct and slow.  The game scores a decreasing trial from class
-ids instead (`game._score_decreasing`), and on drawn transcripts of the
+obviously correct and slow.  The game scores a decreasing trial from its
+masks instead (`game._score_decreasing`), and on drawn transcripts of the
 bundled families its first index must be the reference's.
 """
 
@@ -95,7 +95,7 @@ def test_scan_on_drawn_transcripts_of_both_families(seed):
     found = [first_difference(transcript, g_a, g_b) for g_a, g_b in pairs]
     assert found == [ref_first_difference(transcript, g_a, g_b) for g_a, g_b in pairs]
     assert found[1] == masks.index(half[seed % len(half)]) and found[2] is None
-    # the class-based scan, on the entries alone and on chunks the table recorded
+    # the game's scan, on the entries alone and on chunks the table recorded
     recorded = QueryTranscript()
     f, g = make_oracles(dec, recorded)
     for start in range(0, len(masks), 64):

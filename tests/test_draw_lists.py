@@ -1,7 +1,7 @@
-"""Masks drawn as lists: `SeededStream.nonempty_mask_lists` and the lists under `nonempty_masks`.
+"""Masks drawn as lists: `SeededStream.nonempty_mask_lists`.
 
-Both must hand on exactly the masks of as many `nonempty_mask` calls and
-leave the stream where those calls would.
+The lists must hand on exactly the masks of as many `nonempty_mask` calls
+and leave the stream where those calls would.
 """
 
 from itertools import islice
@@ -46,22 +46,9 @@ def test_each_list_is_drawn_when_asked_for(n):
     lambda s: s.nonempty_mask_lists(3, -1),
     lambda s: s.nonempty_mask_lists(3, 3.0),
     lambda s: s.nonempty_mask_lists(3, True),
-    lambda s: s.nonempty_masks(3, -1),
 ])
 def test_list_arguments_are_checked_before_any_draw(call):
     stream = SeededStream(23, "checks")
     with pytest.raises(ParameterError):
         call(stream)
     assert stream.getbits(256) == SeededStream(23, "checks").getbits(256)
-
-
-@pytest.mark.parametrize("taken", [_EACH - 1, _EACH, _EACH + 1, _EACH + 700])
-def test_a_batch_closed_past_its_first_list(taken):
-    # nonempty_masks draws _EACH masks ahead; closed in or at the end of a
-    # later list, it leaves the stream right after its last yielded mask
-    n = 30
-    batch, single = SeededStream(24, "closed", n), SeededStream(24, "closed", n)
-    draws = batch.nonempty_masks(n, 3 * _EACH)
-    assert list(islice(draws, taken)) == _singles(single, n, taken)
-    draws.close()
-    assert _after(batch, n) == _after(single, n)

@@ -252,6 +252,7 @@ def test_find_consistent_plant_exhaustion():
 
 
 DEC_BARE = DecreasingInstance(14, 4, 1, Fraction(1, 2))
+INC_BARE = IncreasingInstance(12, 1000, Fraction(1, 100))
 
 
 def test_decreasing_game_invariants():
@@ -363,10 +364,124 @@ def test_decreasing_game_rejects_bad_arguments():
         run_game_decreasing(algorithm, DEC_BARE, seed=0, trials=0)
 
 
+# ------------------------------------------- one flow: plant after the run
+
+
+PREFIX_DEC = DecreasingInstance(8, 3, 1, Fraction(1, 2))
+PREFIX_PLANT = Subset(0b111, 8)
+# singletons never separate (beta = 1); {0, 1} lies in the plant and does, so first_idx is 3
+PREFIX_QUERIES = [0b1, 0b10, 0b100, 0b11, 0b1000]
+
+
+@pytest.mark.parametrize("drift", [None, (0, 0b10000), (3, 0b101), (4, 0b110)],
+                         ids=["none", "before", "at", "after"])
+def test_the_rerun_must_repeat_the_run_through_first_idx(monkeypatch, drift):
+    # a re-run that asks another set at or before first_idx is not a function
+    # of its seed and the answers it saw, and the game refuses it; one that
+    # differs only after first_idx, here by returning {1, 2}, is reported as it ran
+    monkeypatch.setattr(game, "random_k_subset", lambda n, k, seed: PREFIX_PLANT)
+    calls = []
+
+    def scripted(f_oracle, g_oracle, n, seed):
+        calls.append(seed)
+        queries = list(PREFIX_QUERIES)
+        if len(calls) == 2 and drift is not None:
+            queries[drift[0]] = drift[1]
+        for mask in queries:
+            ratio(Subset(mask, n), f_oracle, g_oracle)
+        return OptResult(Subset(queries[-1], n), Fraction(0), 0, "scripted")
+
+    if drift is not None and drift[0] <= 3:
+        with pytest.raises(RatioLabError, match="not a function of its seed"):
+            run_game_decreasing(scripted, PREFIX_DEC, seed=0, trials=1)
+        assert len(calls) == 2
+        return
+    [r] = run_game_decreasing(scripted, PREFIX_DEC, seed=0, trials=1)
+    assert len(calls) == 2 and calls[0] == calls[1]
+    assert r.distinguished and r.first_idx == 3 and r.queries == 2 * len(PREFIX_QUERIES)
+    last = 1 if drift is None else 2
+    assert r.union_bound == union_bound([1, 1, 1, 2, last, last], 8, 3, 1)
+    # f/g_R at {1, 2}: (alpha + eps - 2) / (alpha + eps - beta)
+    assert r.algorithm_value == (1 if drift is None else Fraction(3, 5))
+
+
+@pytest.mark.parametrize("method", ["random", "local"])
+def test_every_plant_at_n8(monkeypatch, method):
+    # the draw forced to each of the 56 plants: the unplanted run is the same
+    # for all of them, a trial is distinguished exactly when
+    # differs_from_unplanted holds at some unplanted entry, first_idx is the
+    # first such entry, and a separated trial reports its planted run
+    inst = DecreasingInstance(8, 3, 1, Fraction(1, 2))
+    algorithm = make_algorithm(method, budget=12)
+    trial_seed = derive_seed(3, "trial", 0)
+    transcript = QueryTranscript()
+    f, g = make_oracles(inst, transcript)
+    ratio(algorithm(f, g, 8, derive_seed(trial_seed, "alg")).argset, f, g)
+    first_cards = set()
+    for mask in iter_k_subset_masks(8, 3):
+        plant = Subset(mask, 8)
+        monkeypatch.setattr(game, "random_k_subset", lambda n, k, seed: plant)
+        [r] = run_game_decreasing(algorithm, inst, seed=3, trials=1)
+        planted = inst.with_plant(plant)
+        hits = [i for i, entry in enumerate(transcript.entries) if differs_from_unplanted(Subset(entry, 8), planted)]
+        assert r.distinguished == bool(hits) and r.first_idx == (hits[0] if hits else None), plant
+        reported = transcript
+        if hits:
+            first_cards.add(transcript.entries[hits[0]].bit_count())
+            reported = QueryTranscript()
+            f, g = make_oracles(planted, reported)
+            assert r.algorithm_value == ratio(algorithm(f, g, 8, derive_seed(trial_seed, "alg")).argset, f, g)
+            assert reported.entries[:hits[0] + 1] == transcript.entries[:hits[0] + 1]
+        else:
+            assert r.algorithm_value == 1
+        assert r.union_bound == union_bound(map(int.bit_count, reported.entries), 8, 3, 1)
+    # random search first separates at both ends of the band beta < |S| < 2 alpha - beta
+    assert first_cards == ({2, 4} if method == "random" else {3, 4})
+
+
+@pytest.mark.parametrize("run, inst, chooser", [
+    (run_game_decreasing, DEC_BARE, "random_k_subset"),
+    (run_game_increasing, INC_BARE, "find_consistent_plant"),
+], ids=["decreasing", "increasing"])
+def test_no_plant_exists_until_the_unplanted_run_returns(monkeypatch, run, inst, chooser):
+    # each trial runs the algorithm before any plant is drawn or searched
+    # for; only a separated decreasing trial runs it again, after its plant
+    events = []
+    real = getattr(game, chooser)
+
+    def spy(*args):
+        events.append("plant")
+        return real(*args)
+
+    search = make_algorithm("random", budget=40)
+
+    def algorithm(f_oracle, g_oracle, n, seed):
+        events.append("run")
+        return search(f_oracle, g_oracle, n, seed)
+
+    monkeypatch.setattr(game, chooser, spy)
+    reports = run(algorithm, inst, seed=5, trials=24)
+    assert events == [event for r in reports
+                      for event in ["run", "plant"] * (1 + (r.distinguished and run is run_game_decreasing))]
+
+
+def test_the_unplanted_run_g_answers_f():
+    # g is f at every set in a trial's first run; every set includes the
+    # plant, so each trial is separated, and only its re-run's g holds it
+    answers = []
+
+    def probing(f_oracle, g_oracle, n, seed):
+        answers.append([g_oracle(Subset(mask, n)) == f_oracle(Subset(mask, n)) for mask in range(1, 1 << n)])
+        return OptResult(Subset.full(n), Fraction(0), 0, "probe")
+
+    reports = run_game_decreasing(probing, DecreasingInstance(8, 3, 1, Fraction(1, 2)), seed=0, trials=3)
+    assert all(r.distinguished for r in reports) and len(answers) == 6
+    assert all(all(seen) for seen in answers[0::2])
+    assert not any(all(seen) for seen in answers[1::2])
+
+
 # ------------------------------------------------------- increasing game
 
-
-INC_BARE = IncreasingInstance(12, 1000, Fraction(1, 100))
 
 
 def test_increasing_game_invariants():
@@ -545,24 +660,38 @@ def test_swapped_ratio_call_gets_a_normal_report(run, inst, value):
     (run_game_decreasing, DecreasingInstance(8, 3, 1, Fraction(1, 2))),
 ], ids=["increasing", "decreasing"])
 def test_transcript_ends_with_the_returned_set(run, inst, method):
-    # the harness scores the returned set on the trial's own pair, after
+    # the harness scores the returned set on each run's own pair, after
     # counting the algorithm's charges: g's transcript holds one entry per g
-    # charge, the returned mask last, and the report counts the algorithm's
-    # charges only
+    # charge, the returned mask last, and the report counts the charges of
+    # the run it comes from.  A trial calls the algorithm once, and a
+    # decreasing trial its plant separates calls it again, trial by trial,
+    # and is reported from that second call.
     search = make_algorithm(method, budget=30)
     seen = []
 
     def algorithm(f_oracle, g_oracle, n, seed):
         result = search(f_oracle, g_oracle, n, seed)
-        seen.append((g_oracle, result.argset.mask, f_oracle.count + g_oracle.count))
+        seen.append((seed, g_oracle, result.argset.mask, f_oracle.count + g_oracle.count))
         return result
 
     reports = run(algorithm, inst, seed=2, trials=3)
-    assert len(reports) == len(seen) == 3
-    for r, (g, returned, charges) in zip(reports, seen):
-        assert g.transcript.entries[-1] == returned
-        assert len(g.transcript) == g.count
-        assert r.queries == charges
+    reruns = [r.distinguished and run is run_game_decreasing for r in reports]
+    assert [call[0] for call in seen] == [derive_seed(r.seed, "alg") for r, again in zip(reports, reruns)
+                                          for _ in range(1 + again)]
+    for r, again in zip(reports, reruns):
+        calls = [call for call in seen if call[0] == derive_seed(r.seed, "alg")]
+        for _, g, returned, _ in calls:
+            assert g.transcript.entries[-1] == returned
+            assert len(g.transcript) == g.count
+        assert r.queries == calls[-1][3]
+        if again:
+            # the re-run's entries equal the unplanted run's through first_idx
+            through = r.first_idx + 1
+            assert calls[1][1].transcript.entries[:through] == calls[0][1].transcript.entries[:through]
+    if method == "brute":
+        assert all(r.distinguished for r in reports)
+    elif method == "local" and run is run_game_decreasing:
+        assert reruns == [True, False, True]
 
 
 def test_a_refused_g_call_is_charged_but_not_recorded():
@@ -598,8 +727,9 @@ def test_decreasing_first_idx_can_be_the_returned_set():
         return OptResult(plant, Fraction(0), 2 * n, "scripted")
 
     [r] = run_game_decreasing(returns_plant, DEC_BARE, seed=0, trials=1)
-    [g] = handles
-    assert r.distinguished and r.first_idx == len(g.transcript.entries) - 1 == DEC_BARE.n
+    unplanted, planted = handles
+    assert unplanted.transcript.entries == planted.transcript.entries
+    assert r.distinguished and r.first_idx == len(planted.transcript.entries) - 1 == DEC_BARE.n
     assert r.queries == 2 * DEC_BARE.n
     assert r.union_bound == union_bound([1] * DEC_BARE.n + [DEC_BARE.alpha], 14, 4, 1)
     assert r.algorithm_value == DEC_BARE.planted_ratio() and r.empirical_ratio == 1

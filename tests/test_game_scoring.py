@@ -1,14 +1,16 @@
-"""The game's class-based scoring against the lookup reference.
+"""The game's scoring against the lookup reference.
 
-`game._score_decreasing` and `game._score_increasing` read each transcript
-entry's f/g class from the ids `query_batch` recorded, and run the answering
-pair's id kernel only for the entries recorded one at a time.  The reference
+`game._score_decreasing` reads a transcript's masks alone: only entries in
+the live band beta < |S| < 2 alpha - beta are tested on the plant and
+counted for the union bound.  `game._score_increasing` reads each entry's
+f/g class from the ids `query_batch` recorded, and runs the answering pair's
+id kernel only for the entries recorded one at a time.  The reference
 (`reference.score_decreasing`, `reference.score_increasing`) evaluates g at
 every entry by value lookups and finds the plant from the set of half-size
 entries.  They must agree on every trial: searched, scripted with direct g
-calls between table chunks, through the per-mask path, and exhausted.  The
-last tests pin the premise that makes the class comparison exact: on every
-bundled pair, a class id determines g.
+calls between table chunks, through the per-mask path, exhausted, and at
+the band's edges.  The last tests pin the premise that makes the increasing
+class comparison exact: on every bundled pair, a class id determines g.
 """
 
 import importlib.util
@@ -18,7 +20,6 @@ from pathlib import Path
 import pytest
 from reference import consistent_plant, score_decreasing, score_increasing
 
-from ratiolab import game
 from ratiolab.errors import NoConsistentPlantError, UndefinedRatioError
 from ratiolab.game import _score_decreasing, _score_increasing, find_consistent_plant, union_bound
 from ratiolab.instances import DecreasingInstance, IncreasingInstance
@@ -237,15 +238,29 @@ def test_exhaustion(n, method):
     assert first_idx is not None and bound == 1
 
 
-def test_a_class_below_one_separates_too(monkeypatch):
-    # the decreasing families have g_R >= f, so every class has p <= q; the
-    # scan reads p != q, and a made-up pair whose g falls below f (p > q)
-    # separates at its first such entry as well
-    classes = ((1, 1, 1), (2, 1, 1))
-    monkeypatch.setattr(game, "class_lookup", lambda inst: (lambda masks: bytes(m & 1 for m in masks), classes))
-    transcript = QueryTranscript()
-    transcript.entries.extend([2, 4, 5, 8])
-    assert _score_decreasing(MIXED_DEC, transcript) == (2, union_bound([1] * 4, 12, 4, 1))
+@pytest.mark.parametrize("inst", [
+    DecreasingInstance(8, 3, 1, Fraction(1, 2)),
+    DecreasingInstance(8, 8, 0, Fraction(1, 2)),
+    DecreasingInstance(12, 7, 2, Fraction(1, 3)),
+], ids=["band-2-4", "band-capped-at-n", "band-3-11"])
+@pytest.mark.parametrize("alone", [True, False])
+def test_the_live_band_edges(inst, alone):
+    # the plant is the low alpha bits and the set of cardinality c is the low
+    # c bits, so it holds as much of the plant as it can: it separates exactly
+    # when beta < c < 2 alpha - beta, capped at n.  One set per transcript, and
+    # all of them in one transcript, scored as the reference does.
+    n, alpha, beta = inst.n, inst.alpha, inst.beta
+    planted = inst.with_plant(Subset((1 << alpha) - 1, n))
+    sets = [(1 << c) - 1 for c in range(n + 1)]
+    band = [beta < c < 2 * alpha - beta for c in range(n + 1)]
+    assert band == [differs_from_unplanted(Subset(mask, n), planted) for mask in sets]
+    for masks in ([[mask] for mask in sets] if alone else [sets[::-1]]):
+        transcript = QueryTranscript()
+        transcript.entries.extend(masks)
+        first_idx, bound = _scored(planted, transcript)
+        hits = [i for i, mask in enumerate(masks) if band[mask.bit_count()]]
+        assert first_idx == (hits[0] if hits else None)
+        assert bound == union_bound(map(int.bit_count, masks), n, alpha, beta)
 
 
 # ------------------------------------------------- the exactness premise

@@ -21,6 +21,7 @@ from ratiolab.instances import DecreasingInstance, IncreasingInstance
 from ratiolab.oracles import (
     CountingOracle,
     QueryTranscript,
+    class_lookup,
     differs_from_unplanted,
     instance_evaluator,
     make_oracles,
@@ -168,8 +169,12 @@ def test_missing_plant_rejected():
     bare_inc = IncreasingInstance(8, 100, Fraction(1, 2))
     with pytest.raises(MissingPlantError):
         differs_from_unplanted(Subset.empty(8), bare_dec)
-    with pytest.raises(MissingPlantError):
-        instance_evaluator(bare_dec, "g")
+    # the unplanted decreasing g is f, with one f/f class per |S| and bytes ids
+    f, g = instance_evaluator(bare_dec, "f"), instance_evaluator(bare_dec, "g")
+    assert all(g(Subset(mask, 8)) is f(Subset(mask, 8)) for mask in range(1 << 8))
+    kernel, classes = class_lookup(bare_dec)
+    assert [(p == q, c) for p, q, c in classes] == [(True, c) for c in range(9)]
+    assert kernel(list(range(1 << 8))) == bytes(mask.bit_count() for mask in range(1 << 8))
     # the unplanted increasing g-side is a legitimate oracle
     g = instance_evaluator(bare_inc, "g")
     assert g(Subset.from_elements([0], 8)) == Fraction(1, 8)

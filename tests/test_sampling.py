@@ -17,7 +17,7 @@ from ratiolab.instances import DecreasingInstance
 from ratiolab.optimize import local_search, make_algorithm, random_search
 from ratiolab.oracles import make_oracles
 from ratiolab import sampling
-from ratiolab.sampling import SeededStream, derive_seed, random_k_subset
+from ratiolab.sampling import _EACH, SeededStream, derive_seed, random_k_subset
 from ratiolab.sets import Subset
 
 
@@ -122,16 +122,21 @@ def _twin_draws(stream, n, count):
     return [stream.nonempty_mask(n) for _ in range(count)]
 
 
+def _listed(stream, n, count):
+    """`count` masks drawn as `nonempty_mask_lists`, flattened."""
+    return [mask for masks in stream.nonempty_mask_lists(n, count) for mask in masks]
+
+
 @pytest.mark.parametrize("n", DRAW_NS)
 @pytest.mark.parametrize("count", [0, 1, 2, 40, 3000])
-def test_nonempty_masks_is_nonempty_mask_bit_for_bit(n, count):
+def test_mask_lists_are_nonempty_mask_bit_for_bit(n, count):
     # Three twin streams, each 5 bits in so that words straddle block
-    # boundaries: the batch, `count` single draws and `count` reference draws.  3,000 draws cross
+    # boundaries: the lists, `count` single draws and `count` reference draws.  3,000 draws cross
     # several refills at every n (at n = 128 one refill feeds 16 draws).
     batch, single, slow = (SeededStream(12, "batch", n) for _ in range(3))
     for stream in (batch, single, slow):
         stream.getbits(5)
-    drawn = list(batch.nonempty_masks(n, count))
+    drawn = _listed(batch, n, count)
     assert drawn == _twin_draws(single, n, count)
     assert drawn == [1 + slow.randbelow((1 << n) - 1) for _ in range(count)]
     assert vars(batch) == vars(single) == vars(slow)
@@ -141,15 +146,14 @@ def test_nonempty_masks_is_nonempty_mask_bit_for_bit(n, count):
 
 
 @pytest.mark.parametrize("n", DRAW_NS)
-@pytest.mark.parametrize("taken", [0, 1, 9, 50])
-def test_closed_batch_leaves_the_stream_after_its_last_mask(n, taken):
-    # A batch that stops early may have hashed blocks its later draws would
-    # have read; they stay in the pool, so the stream reads on from the
-    # first bit after the last yielded mask.
-    batch, single = SeededStream(13, "closed", n), SeededStream(13, "closed", n)
-    draws = batch.nonempty_masks(n, 1000)
-    assert [next(draws) for _ in range(taken)] == _twin_draws(single, n, taken)
-    draws.close()
+@pytest.mark.parametrize("lists", [0, 1, 2])
+def test_lists_taken_in_part_leave_the_stream_after_their_masks(n, lists):
+    # A draw whose later lists are never asked for stops after the lists
+    # handed on: the bits its refills left in the pool stay there, so the
+    # stream reads on from the first bit after the last mask handed on.
+    batch, single = SeededStream(13, "partial", n), SeededStream(13, "partial", n)
+    handed = list(islice(batch.nonempty_mask_lists(n, 2 * _EACH + 50), lists))
+    assert [mask for masks in handed for mask in masks] == _twin_draws(single, n, lists * _EACH)
     after = [(s.getbits(13), s.sample_mask(n, n // 2), s.nonempty_mask(n), s.getbits(1000))
              for s in (batch, single)]
     assert after[0] == after[1]
@@ -171,20 +175,21 @@ def test_draws_hash_no_more_blocks_than_they_read(monkeypatch):
         SeededStream(14, "one", n).nonempty_mask(n)
         assert len(hashed) == 1, n
         hashed.clear()
-        assert list(SeededStream(14, "none", n).nonempty_masks(n, 0)) == []
+        assert list(SeededStream(14, "none", n).nonempty_mask_lists(n, 0)) == []
         assert hashed == []
     hashed.clear()
     derive_seed(14, "trial", 0)
     assert len(hashed) == 1
     hashed.clear()
-    list(SeededStream(14, "small").nonempty_masks(30, 8))
+    list(SeededStream(14, "small").nonempty_mask_lists(30, 8))
     assert len(hashed) == 1
 
 
-def test_a_batch_closed_at_every_position_of_its_first_bulk_cut(monkeypatch):
-    # nonempty_masks(30, 1000) hashes 64 blocks at its first refill and cuts
-    # all 546 whole words of them at once.  Closed after any number of masks
-    # up to past that cut, it leaves the stream where as many single draws do.
+def test_every_count_up_to_past_the_first_bulk_cut(monkeypatch):
+    # A draw of 546 masks or more at n = 30 hashes 64 blocks at its first
+    # refill and cuts all 546 whole words of them at once.  Every count up to
+    # past that cut gives the masks of as many single draws and leaves the
+    # stream where they do.
     cuts = []
 
     def spied_cut(x, k, m, bound, offset):
@@ -199,12 +204,10 @@ def test_a_batch_closed_at_every_position_of_its_first_bulk_cut(monkeypatch):
         expected.append(single.nonempty_mask(30))
     for taken, at in enumerate(snapshots):
         stream = SeededStream(17, "every", 30)
-        draws = stream.nonempty_masks(30, 1000)
-        assert list(islice(draws, taken)) == expected[:taken]
-        draws.close()
+        assert _listed(stream, 30, taken) == expected[:taken]
         after = [(s.getbits(7), s.nonempty_mask(30), s.getbits(300)) for s in (stream, at)]
         assert after[0] == after[1], taken
-    assert cuts[0] == 16384 // 30  # the first cut is the batch walked through
+    assert max(cuts) == 16384 // 30  # no cut takes more than the first refill's whole words
 
 
 def _planted_sha256(k: int, positions, blocks: int = 100):
@@ -242,7 +245,7 @@ def test_an_all_ones_word_inside_a_batch_is_rejected_in_place(monkeypatch, n):
     real_cut = sampling._cut
     monkeypatch.setattr(sampling, "_cut", spied_cut)
     batch, single = SeededStream(18, "planted", n), SeededStream(18, "planted", n)
-    drawn = list(batch.nonempty_masks(n, 3000))
+    drawn = _listed(batch, n, 3000)
     assert drawn == _twin_draws(single, n, 3000)
     assert vars(batch) == vars(single)
     assert max(drawn) < 1 << n
@@ -257,11 +260,11 @@ def test_an_all_ones_word_inside_a_batch_is_rejected_in_place(monkeypatch, n):
         lambda s: s.nonempty_mask(0),
         lambda s: s.nonempty_mask(True),
         lambda s: s.nonempty_mask(2.0),
-        lambda s: s.nonempty_masks(0, 3),
-        lambda s: s.nonempty_masks(3.0, 3),
-        lambda s: s.nonempty_masks(3, -1),
-        lambda s: s.nonempty_masks(3, 2.0),
-        lambda s: s.nonempty_masks(3, True),
+        lambda s: s.nonempty_mask_lists(0, 3),
+        lambda s: s.nonempty_mask_lists(3.0, 3),
+        lambda s: s.nonempty_mask_lists(3, -1),
+        lambda s: s.nonempty_mask_lists(3, 2.0),
+        lambda s: s.nonempty_mask_lists(3, True),
         lambda s: s.getbits(2.5),
         lambda s: s.getbits(True),
         lambda s: s.randbelow(2.0),
@@ -273,7 +276,7 @@ def test_an_all_ones_word_inside_a_batch_is_rejected_in_place(monkeypatch, n):
 )
 def test_count_arguments_are_ints(call):
     # Each count argument is checked by `is_int` when the method is called:
-    # the batch draw raises before its first `next()`, and a failed call
+    # the list draw raises before its first `next()`, and a failed call
     # leaves the stream unread.
     stream = SeededStream(15, "counts")
     with pytest.raises(ParameterError):
@@ -322,10 +325,8 @@ def test_stream_matches_the_reference_reader():
     for n in (1, 2, 30, 100, 128):
         assert [fast.nonempty_mask(n) for _ in range(5)] == [slow.nonempty_mask(n) for _ in range(5)], n
         same_position()
-    for n, count, taken in ((1, 60, 60), (30, 3000, 3000), (100, 1000, 37), (128, 40, 0), (7, 9, 8)):
-        draws = fast.nonempty_masks(n, count)
-        assert [next(draws) for _ in range(taken)] == [slow.nonempty_mask(n) for _ in range(taken)], n
-        draws.close()
+    for n, count in ((1, 60), (30, 3000), (100, 37), (128, 0), (7, 8)):
+        assert _listed(fast, n, count) == [slow.nonempty_mask(n) for _ in range(count)], n
         same_position()
     for labels in ((), ("trial", 0), ("trial", 1, "alg")):
         assert derive_seed(16, *labels) == reference_derive_seed(16, *labels), labels
