@@ -285,9 +285,33 @@ MUTANTS = [
     Mutant(
         "kernel-grid-row-by-cardinality",
         "src/ratiolab/oracles.py",
-        "table[(mask & key).bit_count()][mask.bit_count()]",
-        "table[mask.bit_count()][mask.bit_count()]",
+        "rows[(mask & out).bit_count()][mask.bit_count()]",
+        "rows[mask.bit_count()][mask.bit_count()]",
         ("tests/test_oracles.py",),
+    ),
+    Mutant(
+        "dec-grid-tail-repeats-first-row",
+        "src/ratiolab/oracles.py",
+        "rows + rows[-1:] * tail",
+        "rows + rows[:1] * tail",
+        ("tests/test_oracles.py",),
+    ),
+    Mutant(
+        "refill-hashes-a-full-pool",
+        "src/ratiolab/sampling.py",
+        "blocks = min(most, (k * count - bits + 255) >> 8)",
+        "blocks = most",
+        ("tests/test_sampling.py",),
+    ),
+    # The memoised parser keeping set_defaults(func=cmd_*) took two edits, the
+    # defaults in build_parser and dispatch through args.func; its one-edit
+    # form binds a handler when the table is built, just as set_defaults did.
+    Mutant(
+        "command-table-binds-its-handler-early",
+        "src/ratiolab/cli.py",
+        '"prob": lambda args: cmd_prob(args),',
+        '"prob": cmd_prob,',
+        ("tests/test_cli.py",),
     ),
     Mutant(
         "union-bound-without-count",

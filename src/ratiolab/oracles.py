@@ -14,17 +14,16 @@ query's charges, records and errors; `query_batch` calls it mask by mask
 wherever its table shortcut would differ.  Each side of an instance keeps
 cached tables indexed alike by the side's value class: its values, the
 Fractions `instance_evaluator` returns, and for g the class ids, read off
-those values once at build time.  One kernel per value class, a
-comprehension, maps a list of masks to their entries; a search query on a
-`make_oracles` pair builds no Subset, Fraction or tuple per mask.  A pair
-with at most 256 classes gives its ids as `bytes` (`_id_kernel`): a step-1
-range inside one aligned block of BLOCK masks, as brute force asks, with
-one `bytes.translate`, and drawn and neighbour lists with one more by |S|
-(the planted decreasing grid's as the comprehension's list put into
-`bytes`); a larger pair gets the list.  `query_batch` looks for a set where
-g = 0 (id 0) with one `0 not in ids`, a C `memchr` on `bytes`; only a pair
-past 256 classes gives a list, and no bundled pair has both that many
-classes and a set where g = 0.
+those values once at build time.  `_id_kernel` alone maps masks to class
+ids, so a search query on a `make_oracles` pair builds no Subset, Fraction
+or tuple per mask.  A pair with at most 256 classes gives them as `bytes`:
+a step-1 range inside one aligned block of BLOCK masks, as brute force
+asks, with one `bytes.translate`, and drawn and neighbour lists with one
+more by |S| (on the planted decreasing grid, or at the increasing plant,
+one comprehension over the masks' cells, put into `bytes`); a larger
+pair, a planted grid, gets the comprehension's list.  `query_batch` looks
+for a set where g = 0 (id 0) with one `0 not in ids`, a C `memchr` on
+`bytes`; no bundled pair has both a list's many classes and such a set.
 The planted decreasing g's grid has a row per |S minus R|; f reads its last row,
 and so does the unplanted decreasing g, which is f, with its own f/f classes,
 one per |S|.
@@ -246,19 +245,6 @@ def instance_evaluator(inst: Instance, role: str) -> Callable[[Subset], Fraction
     return by_plant
 
 
-def _kernel(rule: int, key, table: tuple) -> Callable[[list[int]], list]:
-    """A list of masks -> the table entries of their value classes, under `_side`'s rule and key.
-
-    Each rule is one list comprehension over the whole list.
-    """
-    if rule == _BY_GRID:
-        return lambda masks: [table[(mask & key).bit_count()][mask.bit_count()] for mask in masks]
-    if rule == _BY_CARDINALITY:
-        return lambda masks: [table[mask.bit_count()] for mask in masks]
-    (cards, planted), plant = table, key
-    return lambda masks: [planted if mask == plant else cards[mask.bit_count()] for mask in masks]
-
-
 @lru_cache(maxsize=64)
 def _low_states(out_low: int) -> bytes:
     """The state of each low part m < BLOCK, by doubling: bit b adds 1, plus _STRIDE where b is in out_low."""
@@ -270,29 +256,33 @@ def _low_states(out_low: int) -> bytes:
 
 
 def _id_kernel(rule: int, key, ids: tuple, classes: tuple, n: int) -> Callable:
-    """Masks -> the pair's f/g class ids, as `bytes` when the pair has at most 256 classes, else `_kernel`'s list.
+    """Masks -> the pair's f/g class ids, as `bytes` when the pair has at most 256 classes, else `by_cell`'s list.
 
-    A list, or a range that is not a step-1 range inside one aligned block,
-    takes its masks' counts through one translate table by |S|; under the
-    grid rule, or when it holds the increasing plant, `_kernel`'s list put
-    into `bytes`.  On a block, a cell [|S & out|][|S|] (out = 0 under the
-    cardinality rules) adds the high
-    part's counts, one pair per block, to the low part's: a block is a slice
-    of `_low_states` put through a 256-byte translate table of the high
-    counts, with the plant's byte patched in.  Block tables are built on
-    first use, so a pair that never queries a range pays for none of them.
+    `by_cell` reads a list's ids: the plant's id at the increasing plant,
+    else the cell [|S & out|][|S|] (one row and out = 0 under the
+    cardinality rules).  A list, or a range that is not a step-1 range
+    inside one aligned block, takes its masks' counts through one translate
+    table by |S|, or, under the grid rule or when it holds the increasing
+    plant, `by_cell`'s list put into `bytes`.  On a block, a cell adds the
+    high part's counts, one pair per block, to the low part's: a block is a
+    slice of `_low_states` put through a 256-byte translate table of the
+    high counts, with the plant's byte patched in.  Block tables are built
+    on first use, so a pair that never queries a range pays for none of them.
     """
-    by_list = _kernel(rule, key, ids)
-    if len(classes) > 256:
-        return by_list
     rows, out = (ids, key) if rule == _BY_GRID else ((ids[0] if rule == _BY_PLANT else ids,), 0)
     plant, planted = (key, ids[1]) if rule == _BY_PLANT else (-1, 0)
+
+    def by_cell(masks):
+        return [planted if mask == plant else rows[(mask & out).bit_count()][mask.bit_count()] for mask in masks]
+
+    if len(classes) > 256:
+        return by_cell
     by_card = bytes(rows[0]).ljust(256, b"\0")
     tables = {}
 
     def listed(masks):
         if rule == _BY_GRID or rule == _BY_PLANT and plant in masks:
-            return bytes(by_list(masks))
+            return bytes(by_cell(masks))
         return bytes(map(int.bit_count, masks)).translate(by_card)
 
     def by_block(masks):

@@ -23,7 +23,7 @@ from operator import is_not
 from ratiolab.errors import NoConsistentPlantError, ParameterError, RatioLabError
 from ratiolab.game import distinguish_probability, union_bound
 from ratiolab.instances import DecreasingInstance
-from ratiolab import oracles
+from ratiolab.oracles import instance_evaluator
 from ratiolab.sampling import SeededStream
 from ratiolab.serialize import frac_from_str, frac_to_str, render_csv
 from ratiolab.sets import Subset, is_int, iter_k_subset_masks, unchecked_subset, validate_ground_size
@@ -77,13 +77,12 @@ def binomial_distinguish_probability(n: int, alpha: int, beta: int, s: int) -> F
 def batch_lookup(inst, role: str):
     """A list of masks -> one side's values, in order, uncounted and unchecked.
 
-    The mask-native twin of `instance_evaluator`: entry i is the very object
-    that `instance_evaluator` returns at the set of masks[i], read through
-    the side's value kernel, so equal values from one cached table are one
-    object.  Every mask must lie in the ground set, 0 <= mask < 2^n.
+    Entry i is what `instance_evaluator` returns at the set of masks[i], a
+    Fraction from the side's cached table, so equal values from one table
+    are one object.  Every mask must lie in the ground set, 0 <= mask < 2^n.
     """
-    rule, key, values, _, _ = oracles._side(inst, role)
-    return oracles._kernel(rule, key, values)
+    evaluate, n = instance_evaluator(inst, role), inst.n
+    return lambda masks: [evaluate(unchecked_subset(mask, n)) for mask in masks]
 
 
 def first_difference(transcript, g_a, g_b) -> int | None:

@@ -6,7 +6,7 @@ enumeration) before the closed form was implemented, then frozen here.
 
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, sqrt
 
 import pytest
 from hypothesis import given, settings
@@ -195,6 +195,25 @@ def test_monte_carlo_validation():
         monte_carlo_distinguish(10, 11, 1, 5, trials=10, seed=0)
     with pytest.raises(ParameterError):
         monte_carlo_distinguish(10, 4, -1, 5, trials=10, seed=0)
+
+
+@pytest.mark.parametrize("n, alpha, beta, budget, rounded", [
+    (12, 4, 1, 7, 0.519), (16, 6, 2, 6, 0.512), (24, 10, 6, 140, 0.499),
+])
+def test_random_search_distinguishes_at_its_exact_rate(n, alpha, beta, budget, rounded):
+    # random search's draws are iid uniform nonempty sets and it returns one
+    # of them, so a uniform plant separates a trial with probability exactly
+    # 1 - (1 - p)^budget, p the mean over nonempty sets of
+    # distinguish_probability; the budgets put it near 1/2, and 100 trials'
+    # frequency lies within 3 sigma of it
+    p = sum(comb(n, s) * distinguish_probability(n, alpha, beta, s) for s in range(1, n + 1)) / ((1 << n) - 1)
+    exact = 1 - (1 - p) ** budget
+    assert round(float(exact), 3) == rounded
+    trials = 100
+    inst = DecreasingInstance(n, alpha, beta, Fraction(1, 100))
+    reports = run_game_decreasing(make_algorithm("random", budget), inst, seed=0, trials=trials)
+    frequency = Fraction(sum(r.distinguished for r in reports), trials)
+    assert abs(frequency - exact) <= 3 * sqrt(exact * (1 - exact) / trials)
 
 
 # ----------------------------------------------------------- plant search

@@ -817,9 +817,10 @@ def test_drawn_lists_get_byte_ids_up_to_256_classes(past_256):
 @pytest.mark.parametrize("planted", [False, True])
 def test_listed_ids_are_the_comprehensions_bytes(planted):
     # under the cardinality and plant rules a list's ids are its counts put
-    # through one translate table, with the plant's bytes patched in: byte
-    # for byte the comprehension's ids, with the plant first, twice inside
-    # and last, the empty set included, and for a range that is not step-1
+    # through one translate table, or the cells' ids when it holds the plant:
+    # each id's class is f/g of instance_evaluator at its mask, with the
+    # plant first, twice inside and last, the empty set included, and for a
+    # range that is not step-1
     n = 30
     inst = IncreasingInstance(n, 10**6, Fraction(1, 1000))
     plant = random_k_subset(n, n // 2, 30).mask
@@ -828,12 +829,13 @@ def test_listed_ids_are_the_comprehensions_bytes(planted):
     stream = SeededStream(30, "listed", n)
     masks = [plant] + [stream.nonempty_mask(n) for _ in range(2000)] + [0, plant]
     masks[500:500] = masks[1000:1000] = [plant]
-    rule, key, _, ids, _ = oracles._side(inst, "g")
-    comprehension = oracles._kernel(rule, key, ids)
-    kernel, _ = oracles.class_lookup(inst)
+    kernel, classes = oracles.class_lookup(inst)
+    f_value, g_value = _at_mask(inst, "f"), _at_mask(inst, "g")
     for span in (masks, range(plant - 70, plant + 70, 7)):
-        assert kernel(span) == bytes(comprehension(span))
-    assert (kernel(masks)[0] == ids[1]) is planted
+        ids = kernel(span)
+        assert type(ids) is bytes and len(ids) == len(span)
+        assert [classes[i] for i in ids] == [_expected_class(f_value(m), g_value(m), m.bit_count()) for m in span]
+    assert (classes[kernel(masks)[0]] == (n // 2, 1, n // 2)) is planted
 
 
 @pytest.mark.parametrize("n", [5, 10, 11])
