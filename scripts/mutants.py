@@ -200,6 +200,14 @@ MUTANTS = [
         "half * (slot - k) + 1))",
         ("tests/test_sampling.py",),
     ),
+    # Refill blocks hashed from copies of the key's SHA-256 state.
+    Mutant(
+        "block-hashing-updates-the-key-state-in-place",
+        "src/ratiolab/sampling.py",
+        "block = keyed.copy()",
+        "block = keyed",
+        ("tests/test_sampling.py",),
+    ),
     # Random search's lists and the list winner.
     Mutant(
         "mask-lists-drop-last-partial",
@@ -213,6 +221,14 @@ MUTANTS = [
         "src/ratiolab/optimize.py",
         "mask = min(compress(chunk, ids.translate(selector)))",
         "mask = next(compress(chunk, ids.translate(selector)))",
+        ("tests/test_search_reference.py",),
+    ),
+    # Local search's swaps, each a drop-one mask plus an added element.
+    Mutant(
+        "swap-built-from-the-add-one-mask",
+        "src/ratiolab/optimize.py",
+        "[d | a for d in drops for a in adds]",
+        "[current | a for d in drops for a in adds]",
         ("tests/test_search_reference.py",),
     ),
     # One trial flow: the unplanted run first, a separated decreasing trial run again and reported from that run.
@@ -243,6 +259,13 @@ MUTANTS = [
         "src/ratiolab/game.py",
         "live = range(beta + 1, min(2 * alpha - beta, n + 1))",
         "live = range(beta + 1, min(2 * alpha - beta, n + 1) - 1)",
+        ("tests/test_game_scoring.py",),
+    ),
+    Mutant(
+        "band-scan-resumes-two-past-a-quiet-hit",
+        "src/ratiolab/game.py",
+        "i = flags.find(1, i + 1)",
+        "i = flags.find(1, i + 2)",
         ("tests/test_game_scoring.py",),
     ),
     # The increasing game scored from the class ids the queries recorded.

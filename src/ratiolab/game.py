@@ -34,7 +34,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, count
+from itertools import compress
 from typing import NamedTuple
 
 from .errors import NoConsistentPlantError, ParameterError, RatioLabError, UndefinedRatioError
@@ -118,12 +118,14 @@ def union_bound(cardinalities, n: int, alpha: int, beta: int) -> Fraction:
     Bounds the probability that a whole query sequence (given by its
     cardinalities, or as a mapping cardinality -> count of queries) separates
     the planted pair from the unplanted one.  (n, alpha, beta) are checked
-    as for one query, even for an empty sequence, and each count is an int >= 0.
+    as for one query, even for an empty sequence, each cardinality only by
+    type and range after that, and each count is an int >= 0.
     """
     _check_query(n, alpha, beta, 0)
     favorable = 0
     for s, times in Counter(cardinalities).items():
-        _check_query(n, alpha, beta, s)
+        if not (is_int(s) and 0 <= s <= n):
+            _check_query(n, alpha, beta, s)  # (n, alpha, beta) passed, so this raises for s
         check_count(times, 0, "query count")
         favorable += times * _favorable_plants(n, alpha, beta, s)
     plants = math.comb(n, alpha)
@@ -183,9 +185,11 @@ def _score_decreasing(planted: DecreasingInstance, transcript: QueryTranscript):
     live = range(beta + 1, min(2 * alpha - beta, n + 1))
     cards = bytes(map(int.bit_count, entries))
     in_band = (bytes(live.start) + b"\1" * len(live)).ljust(256, b"\0")
-    hits = (i for i in compress(count(), cards.translate(in_band))
-            if beta + (entries[i] & out).bit_count() < min(alpha, cards[i]))
-    return next(hits, None), union_bound({s: cards.count(s) for s in live}, n, alpha, beta)
+    flags = cards.translate(in_band)
+    i = flags.find(1)
+    while i >= 0 and beta + (entries[i] & out).bit_count() >= min(alpha, cards[i]):
+        i = flags.find(1, i + 1)
+    return i if i >= 0 else None, union_bound({s: cards.count(s) for s in live}, n, alpha, beta)
 
 
 def _score_increasing(unplanted: IncreasingInstance, transcript: QueryTranscript):
@@ -229,10 +233,10 @@ def _play(algorithm, inst, seed: int, trials: int, choose) -> list[GameReport]:
     Per trial, the algorithm runs against `inst`, which holds no plant, and
     `choose(trial_seed, transcript)` gives (planted world or None, first_idx,
     union_bound) for that run.  When the plant separates the run at first_idx,
-    the algorithm runs again against the planted world and the trial is
-    reported from that run, scored by `choose` again: until first_idx it saw
-    the unplanted answers, so its entries through first_idx must equal the
-    unplanted run's, or RatioLabError is raised.
+    the algorithm runs again against the planted world, a decreasing one, and
+    the trial is reported from that run, scored on the same plant: until
+    first_idx it saw the unplanted answers, so its entries through first_idx
+    must equal the unplanted run's, or RatioLabError is raised.
     """
     if inst.plant is not None:
         raise ParameterError("the game manages its own hidden sets; pass an unplanted instance")
@@ -249,7 +253,7 @@ def _play(algorithm, inst, seed: int, trials: int, choose) -> list[GameReport]:
             if transcript.entries[:first_idx + 1] != prefix:
                 raise RatioLabError("the planted run asked other sets before it could tell the worlds apart; "
                                     "the algorithm is not a function of its seed and the answers it saw")
-            _, first_idx, union = choose(trial_seed, transcript)
+            first_idx, union = _score_decreasing(planted, transcript)
         reports.append(GameReport(
             family=inst.family,
             n=inst.n,

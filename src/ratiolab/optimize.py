@@ -144,12 +144,12 @@ def local_search(f_oracle, g_oracle, n: int, budget: int, seed: int) -> OptResul
     remaining = budget - 2
     while remaining >= 2:
         current_p, current_q, current = best
-        inside = [i for i in range(n) if current >> i & 1]
-        outside = [i for i in range(n) if not current >> i & 1]
-        neighbors = [current | (1 << j) for j in outside]
-        if len(inside) > 1:
-            neighbors += [current & ~(1 << i) for i in inside]
-        neighbors += [(current & ~(1 << i)) | (1 << j) for i in inside for j in outside]
+        adds = [1 << j for j in range(n) if not current >> j & 1]
+        drops = [current ^ (1 << i) for i in range(n) if current >> i & 1]
+        neighbors = [current | a for a in adds]
+        if len(drops) > 1:
+            neighbors += drops
+        neighbors += [d | a for d in drops for a in adds]
         neighbors = neighbors[: remaining // 2]
         remaining -= 2 * len(neighbors)
         chunks = (neighbors[i:i + CHUNK] for i in range(0, len(neighbors), CHUNK))

@@ -24,9 +24,11 @@ versions.
 Every draw reads through one reader of k-bit words, `_words`, which returns
 a call's words as a list and keeps the stream's state on the stream between
 calls; a single draw is one call, with no generator.  It refills several
-blocks at a time and never more than its remaining words must read.  A call
-for 64 or more words of under 64 bits cuts each refill into its words in
-bulk, with no Python step per word: the m whole words it will read come off
+blocks at a time and never more than its remaining words must read.  A
+refill hashes the key once and takes each block from a copy of that SHA-256
+state, updated with the block's 8-byte counter.  A call for 64 or more
+words of under 64 bits cuts each refill into its words in bulk, with no
+Python step per word: the m whole words it will read come off
 the pool as one integer, are spread into byte-aligned slots (the power of
 two above k, at least 8 bits) by log2(m) mask-and-shift steps, and are read
 back through `to_bytes` and an `array` as a list, which extends the call's
@@ -200,9 +202,12 @@ class SeededStream:
         while count:
             while bits < k:
                 blocks = min(most, (k * count - bits + 255) >> 8)
-                fresh = b"".join([sha256(key + j.to_bytes(8, "big")).digest()
-                                  for j in range(counter, counter + blocks)])
-                pool = (pool & ((1 << bits) - 1)) << (blocks << 8) | int.from_bytes(fresh, "big")
+                keyed, fresh = sha256(key), []
+                for j in range(counter, counter + blocks):
+                    block = keyed.copy()
+                    block.update(j.to_bytes(8, "big"))
+                    fresh.append(block.digest())
+                pool = (pool & ((1 << bits) - 1)) << (blocks << 8) | int.from_bytes(b"".join(fresh), "big")
                 counter += blocks
                 bits += blocks << 8
             if bulk and (m := min(bits // k, count, run)) >= _MIN_BATCH:

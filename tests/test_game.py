@@ -172,6 +172,21 @@ def test_union_bound_equals_the_capped_fraction_sum(n, alpha, beta):
         union_bound([], n, n + 1, beta)
 
 
+@pytest.mark.parametrize("bad, message", [
+    (15, "query cardinality s=15 outside 0..14"),
+    (-1, "query cardinality s=-1 outside 0..14"),
+    (6.5, r"n, alpha, beta and s must be ints, got \(14, 4, 1, 6.5\)"),
+    (True, r"n, alpha, beta and s must be ints, got \(14, 4, 1, True\)"),
+], ids=["over-n", "negative", "float", "bool"])
+def test_union_bound_rejects_a_bad_cardinality_after_good_ones(bad, message):
+    # (n, alpha, beta) are checked once; each cardinality, by type and range,
+    # raises as distinguish_probability does, after good ones were summed
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        union_bound([6, 3, 6, bad, 7], 14, 4, 1)
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        distinguish_probability(14, 4, 1, bad)
+
+
 def test_monte_carlo_within_three_sigma():
     exact = distinguish_probability(14, 4, 1, 6)
     est = monte_carlo_distinguish(14, 4, 1, 6, trials=20000, seed=11)
@@ -464,7 +479,8 @@ def test_every_plant_at_n8(monkeypatch, method):
 ], ids=["decreasing", "increasing"])
 def test_no_plant_exists_until_the_unplanted_run_returns(monkeypatch, run, inst, chooser):
     # each trial runs the algorithm before any plant is drawn or searched
-    # for; only a separated decreasing trial runs it again, after its plant
+    # for; only a separated decreasing trial runs it again, after its plant,
+    # and is scored on that plant without drawing it again
     events = []
     real = getattr(game, chooser)
 
@@ -481,7 +497,22 @@ def test_no_plant_exists_until_the_unplanted_run_returns(monkeypatch, run, inst,
     monkeypatch.setattr(game, chooser, spy)
     reports = run(algorithm, inst, seed=5, trials=24)
     assert events == [event for r in reports
-                      for event in ["run", "plant"] * (1 + (r.distinguished and run is run_game_decreasing))]
+                      for event in ["run", "plant"] + ["run"] * (r.distinguished and run is run_game_decreasing)]
+
+
+def test_a_separated_trial_draws_its_plant_once(monkeypatch):
+    # criterion 9's decreasing game: 3 of its 8 trials separate and run
+    # again, and each of the 8 draws one plant, which scores both its runs
+    drawn = []
+
+    def spy(*args):
+        drawn.append(args)
+        return random_k_subset(*args)
+
+    monkeypatch.setattr(game, "random_k_subset", spy)
+    reports = run_game_decreasing(make_algorithm("random", budget=25), DEC_BARE, seed=5, trials=8)
+    assert [r.distinguished for r in reports].count(True) == 3
+    assert drawn == [(14, 4, derive_seed(r.seed, "plant")) for r in reports]
 
 
 def test_the_unplanted_run_g_answers_f():

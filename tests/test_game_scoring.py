@@ -263,6 +263,43 @@ def test_the_live_band_edges(inst, alone):
         assert bound == union_bound(map(int.bit_count, masks), n, alpha, beta)
 
 
+# Live sets of MIXED_DEC (1 < |S| < 7) that hold too little of the plant to
+# separate: beta + |S minus R| >= min(alpha, |S|).
+LIVE_QUIET = [0b111000000, 0b11110000, 0b10001, 0b111100000000]
+
+
+@pytest.mark.parametrize("quiet", range(len(LIVE_QUIET) + 1))
+def test_the_band_scan_passes_live_entries_that_do_not_separate(quiet):
+    # `quiet` live entries in a row, then the first that separates, then one
+    # more of each: the scan stops at entry `quiet`, entry 0 when there are none
+    masks = LIVE_QUIET[:quiet] + [SEPARATING, LIVE_QUIET[0], SEPARATING]
+    separates = [differs_from_unplanted(Subset(mask, 12), MIXED_DEC) for mask in masks]
+    assert separates == [False] * quiet + [True, False, True]
+    transcript = QueryTranscript()
+    transcript.entries.extend(masks)
+    assert _scored(MIXED_DEC, transcript)[0] == quiet
+
+
+def test_the_band_scan_reaches_the_returned_set():
+    # live and dead entries before it, none separating: the first separating
+    # entry is the returned set, the transcript's last
+    transcript = _trial(MIXED_DEC, _scripted([LIVE_QUIET[0]], [LIVE_QUIET + QUIET], SEPARATING), 0)
+    assert len(transcript.entries) == 11
+    assert _scored(MIXED_DEC, transcript)[0] == 10
+
+
+def test_the_band_scan_of_a_long_transcript_with_no_live_entry():
+    # random search at n = 100 on the benchmark's pair draws sets of about 50
+    # elements, far above the band 5 < |S| < 15: none of its 10,001 entries
+    # is live, so nothing separates and nothing counts for the union bound
+    inst = DecreasingInstance(100, 10, 5, Fraction(1, 100))
+    world = inst.with_plant(random_k_subset(100, 10, 0))
+    transcript = _trial(world, make_algorithm("random", 10_000), derive_seed(0, "alg"))
+    assert len(transcript.entries) == 10_001
+    assert not any(5 < mask.bit_count() < 15 for mask in transcript.entries)
+    assert _scored(world, transcript) == (None, 0)
+
+
 # ------------------------------------------------- the exactness premise
 
 

@@ -5,7 +5,6 @@ import hashlib
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
-from types import SimpleNamespace
 
 import pytest
 
@@ -29,6 +28,20 @@ def test_stream_matches_hash_construction():
     assert stream.getbits(256) == int.from_bytes(block0, "big")
     block1 = hashlib.sha256(b"ratiolab|7|alpha|3" + (1).to_bytes(8, "big")).digest()
     assert stream.getbits(256) == int.from_bytes(block1, "big")
+
+
+@pytest.mark.parametrize("label", ["x", "y" * 60, "z" * 130])
+def test_blocks_hash_the_key_then_the_counter_across_refills(label):
+    # Keys of 13, 72 and 142 bytes fill under one, over one and over two
+    # 64-byte SHA-256 input blocks.  A 2,600-bit word crosses the refill of
+    # 8 blocks, and 600 masks of 30 bits the refill of 64, to 71 blocks.
+    key = b"ratiolab|21|" + label.encode()
+    blocks = b"".join(hashlib.sha256(key + j.to_bytes(8, "big")).digest() for j in range(11))
+    assert SeededStream(21, label).getbits(2600) == int.from_bytes(blocks, "big") >> 216
+    reference = ReferenceStream(21, label)
+    expected = [reference.nonempty_mask(30) for _ in range(600)]
+    assert _listed(SeededStream(21, label), 30, 600) == expected
+    assert reference.block == 71
 
 
 def test_stream_replayable():
@@ -165,11 +178,22 @@ def test_draws_hash_no_more_blocks_than_they_read(monkeypatch):
     # one block each at n <= 128; an empty batch hashes none.
     hashed = []
 
-    def counting_sha256(data):
-        hashed.append(data)
-        return hashlib.sha256(data)
+    class CountingSha256:
+        # a block is hashed when its digest is taken, whatever states it was copied from
+        def __init__(self, state):
+            self.state = state
 
-    monkeypatch.setattr("ratiolab.sampling.sha256", counting_sha256)
+        def copy(self):
+            return CountingSha256(self.state.copy())
+
+        def update(self, data):
+            self.state.update(data)
+
+        def digest(self):
+            hashed.append(self.state)
+            return self.state.digest()
+
+    monkeypatch.setattr("ratiolab.sampling.sha256", lambda data: CountingSha256(hashlib.sha256(data)))
     for n in DRAW_NS:
         hashed.clear()
         SeededStream(14, "one", n).nonempty_mask(n)
@@ -183,6 +207,10 @@ def test_draws_hash_no_more_blocks_than_they_read(monkeypatch):
     hashed.clear()
     list(SeededStream(14, "small").nonempty_mask_lists(30, 8))
     assert len(hashed) == 1
+    # 100 masks of 30 bits read 3,000 bits: one refill of 12 blocks
+    hashed.clear()
+    list(SeededStream(14, "batch").nonempty_mask_lists(30, 100))
+    assert len(hashed) == 12
 
 
 def test_every_count_up_to_past_the_first_bulk_cut(monkeypatch):
@@ -211,19 +239,33 @@ def test_every_count_up_to_past_the_first_bulk_cut(monkeypatch):
 
 
 def _planted_sha256(k: int, positions, blocks: int = 100):
-    """sha256 for a stream whose k-bit words at `positions` (word indices from its start) read all ones."""
+    """A sha256 stand-in for a stream whose k-bit words at `positions` (word indices from its start) read all ones.
+
+    Like the stream's hashing, it starts from the key, is copied per block and
+    updated with the block's counter; a digest reads the counter off the end.
+    """
     planted = 0
     for p in positions:
         planted |= ((1 << k) - 1) << (256 * blocks - (p + 1) * k)
 
-    def sha256(data):
-        j = int.from_bytes(data[-8:], "big")
-        word = int.from_bytes(hashlib.sha256(data).digest(), "big")
-        if j < blocks:
-            word |= planted >> (256 * (blocks - 1 - j)) & ((1 << 256) - 1)
-        return SimpleNamespace(digest=lambda: word.to_bytes(32, "big"))
+    class PlantedSha256:
+        def __init__(self, data):
+            self.data = data
 
-    return sha256
+        def copy(self):
+            return PlantedSha256(self.data)
+
+        def update(self, data):
+            self.data += data
+
+        def digest(self):
+            j = int.from_bytes(self.data[-8:], "big")
+            word = int.from_bytes(hashlib.sha256(self.data).digest(), "big")
+            if j < blocks:
+                word |= planted >> (256 * (blocks - 1 - j)) & ((1 << 256) - 1)
+            return word.to_bytes(32, "big")
+
+    return PlantedSha256
 
 
 @pytest.mark.parametrize("n", [16, 30, 64])
