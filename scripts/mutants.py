@@ -66,9 +66,16 @@ MUTANTS = [
     Mutant(
         "favorable-plants-t-lo-off-by-one",
         "src/ratiolab/game.py",
-        "t_lo = max(s - min(alpha, s) + beta + 1, 0, alpha - (n - s))",
-        "t_lo = max(s - min(alpha, s) + beta, 0, alpha - (n - s))",
+        "t_lo = max(_threshold(alpha, beta, s), alpha - (n - s))",
+        "t_lo = max(_threshold(alpha, beta, s) - 1, alpha - (n - s))",
         ("tests/test_game.py",),
+    ),
+    Mutant(
+        "threshold-off-by-one",
+        "src/ratiolab/game.py",
+        "return s - min(alpha, s) + beta + 1",
+        "return s - min(alpha, s) + beta + 2",
+        ("tests/test_game_scoring.py", "tests/test_oracles.py"),
     ),
     Mutant(
         "query-batch-ignores-f-transcript",
@@ -202,8 +209,8 @@ MUTANTS = [
     Mutant(
         "brute-cuts-one-past-each-block",
         "src/ratiolab/optimize.py",
-        "cuts = [1, *range(CHUNK, 1 << n, CHUNK), 1 << n]",
-        "cuts = [1, *range(CHUNK + 1, 1 << n, CHUNK), 1 << n]",
+        "cuts = [1, *range(BLOCK, 1 << n, BLOCK), 1 << n]",
+        "cuts = [1, *range(BLOCK + 1, 1 << n, BLOCK), 1 << n]",
         ("tests/test_optimize.py",),
     ),
     # The stream's bulk cut: a batch of words spread into slots, cut at the first word >= bound.
@@ -233,8 +240,8 @@ MUTANTS = [
     Mutant(
         "mask-lists-drop-last-partial",
         "src/ratiolab/sampling.py",
-        "for done in range(0, count, _EACH))",
-        "for done in range(0, count - _EACH + 1, _EACH))",
+        "for done in range(0, count, BLOCK))",
+        "for done in range(0, count - BLOCK + 1, BLOCK))",
         ("tests/test_optimize.py", "tests/test_search_reference.py"),
     ),
     Mutant(
@@ -267,19 +274,19 @@ MUTANTS = [
         "            _run(algorithm, planted, trial_seed)\n",
         ("tests/test_game.py",),
     ),
-    # The decreasing game scored from masks alone, on the live band beta < |S| < 2 alpha - beta.
+    # The decreasing game scored from masks alone, on the band t(s) <= min(alpha, s), which is beta < s < 2 alpha - beta.
     Mutant(
         "live-band-starts-at-beta-plus-two",
         "src/ratiolab/game.py",
-        "live = range(beta + 1, min(2 * alpha - beta, n + 1))",
-        "live = range(beta + 2, min(2 * alpha - beta, n + 1))",
+        "t[s] <= min(alpha, s) for s",
+        "t[s] <= min(alpha, s - 1) for s",
         ("tests/test_game_scoring.py",),
     ),
     Mutant(
         "live-band-ends-one-cardinality-early",
         "src/ratiolab/game.py",
-        "live = range(beta + 1, min(2 * alpha - beta, n + 1))",
-        "live = range(beta + 1, min(2 * alpha - beta, n + 1) - 1)",
+        "t[s] <= min(alpha, s) for s",
+        "t[s] <= min(alpha - 1, s) for s",
         ("tests/test_game_scoring.py",),
     ),
     Mutant(

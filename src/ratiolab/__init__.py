@@ -18,6 +18,7 @@ from .errors import (
 )
 from .game import (
     GameReport,
+    differs_from_unplanted,
     distinguish_probability,
     find_consistent_plant,
     game_report_row,
@@ -43,7 +44,6 @@ from .optimize import (
 from .oracles import (
     CountingOracle,
     QueryTranscript,
-    differs_from_unplanted,
     instance_evaluator,
     make_oracles,
     ratio,

@@ -6,9 +6,11 @@ its run is fixed by the unplanted world.  Each trial runs the algorithm
 against the unplanted pair, and only then is a plant chosen (`_play`).
 
 Decreasing family: the plant R is a seeded uniform draw; the unplanted g is
-f.  A trial R does not separate saw only values of both pairs: its best
-ratio is exactly 1, and the true optimum sits at eps/(alpha+eps-beta).  A
-trial R separates is run again against the planted pair and reported from
+f.  R separates a set S, g_R(S) != f(S), exactly when |S & R| >= t(|S|),
+t(s) = s - min{alpha, s} + beta + 1: `_threshold` is the one statement of
+that rule.  A trial R does not separate saw only values of both pairs: its
+best ratio is exactly 1, and the true optimum sits at eps/(alpha+eps-beta).
+A trial R separates is run again against the planted pair and reported from
 that run.  It is scored from its masks and their |S| (`_score_decreasing`).
 
 Increasing family: the adversary is lazy.  A consistent plant R* is chosen
@@ -37,19 +39,12 @@ from functools import lru_cache
 from itertools import compress
 from typing import NamedTuple
 
-from .errors import NoConsistentPlantError, ParameterError, RatioLabError, UndefinedRatioError
+from .errors import MissingPlantError, NoConsistentPlantError, ParameterError, RatioLabError, UndefinedRatioError
 from .instances import DecreasingInstance, IncreasingInstance
-# perfbench/tracing.py rebinds game.differs_from_unplanted; tests/test_perfbench_tracing.py fails without it.
-from .oracles import (
-    QueryTranscript,
-    class_lookup,
-    differs_from_unplanted,  # noqa: F401
-    make_oracles,
-    ratio,
-)
+from .oracles import QueryTranscript, _ground_error, class_lookup, make_oracles, ratio
 from .sampling import derive_seed, random_k_subset
 from .serialize import frac_to_str
-from .sets import Subset, check_count, is_int, iter_k_subset_masks
+from .sets import Subset, check_count, is_int, iter_k_subset_masks, validate_ground_size
 
 GAME_CSV_COLUMNS = [
     "family", "n", "trial", "seed", "queries", "distinguished", "first_idx",
@@ -74,12 +69,32 @@ class GameReport(NamedTuple):
     union_bound: Fraction
 
 
+def _threshold(alpha: int, beta: int, s: int) -> int:
+    """t(s): a plant R separates a cardinality-s set S exactly when |S & R| >= t(s), as beta + |S minus R| < min{alpha, s}."""
+    return s - min(alpha, s) + beta + 1
+
+
+@lru_cache(maxsize=None)
+def _band(n: int, alpha: int, beta: int) -> tuple[tuple, bytes]:
+    """t(s) for s <= n, and the band's translate table: 1 at each s where some plant separates, t(s) <= min{alpha, s}."""
+    t = tuple(_threshold(alpha, beta, s) for s in range(n + 1))
+    return t, bytes(t[s] <= min(alpha, s) for s in range(n + 1)).ljust(256, b"\0")
+
+
+def differs_from_unplanted(S: Subset, inst: DecreasingInstance) -> bool:
+    """Whether g differs from f at S, by `_threshold`: integer only, equivalent to comparing the evaluators at S."""
+    if S.n != inst.n:
+        raise _ground_error(S.n, inst.n)
+    if inst.plant is None:
+        raise MissingPlantError("the difference criterion needs a planted set")
+    return (S.mask & inst.plant.mask).bit_count() >= _threshold(inst.alpha, inst.beta, S.mask.bit_count())
+
+
 @lru_cache(maxsize=None)
 def _favorable_plants(n: int, alpha: int, beta: int, s: int) -> int:
-    # The number of cardinality-alpha plants R with beta + |S \ R| < min{alpha, s}:
-    # C(n, alpha) P[t > s - min{alpha, s} + beta] with t = |S n R| hypergeometric.
-    # Each term C(s, t) C(n - s, alpha - t) after the first is one exact integer ratio step.
-    t_lo = max(s - min(alpha, s) + beta + 1, 0, alpha - (n - s))
+    # The number of cardinality-alpha plants R that separate a cardinality-s set S: the sum of C(s, t) C(n - s, alpha - t)
+    # over t = |S n R| from `_threshold` up.  Each term after the first is one exact integer ratio step.
+    t_lo = max(_threshold(alpha, beta, s), alpha - (n - s))
     t_hi = min(alpha, s)
     if t_lo > t_hi:
         return 0
@@ -139,6 +154,7 @@ def find_consistent_plant(transcript: QueryTranscript, n: int) -> Subset:
     untouched candidate is consistent with everything the algorithm saw.
     Raises when the entries already cover all C(n, n//2) candidates.
     """
+    validate_ground_size(n)
     k = n // 2
     half = _cardinalities(transcript).translate(bytes(k) + b"\1" + bytes(255 - k))
     excluded = set(compress(transcript.entries, half))
@@ -180,20 +196,20 @@ def _class_runs(transcript: QueryTranscript, kernel, classes: tuple) -> list[tup
 def _score_decreasing(planted: DecreasingInstance, transcript: QueryTranscript):
     """(first_idx, union bound) of a decreasing trial, from its masks and their |S| (`_cardinalities`).
 
-    Only a set with beta < |S| < 2 alpha - beta, capped at n, can separate g_R
-    from f, so only those entries are tested on the plant, by the criterion of
-    `differs_from_unplanted`, and only those cardinalities are counted for the
-    union bound.  A cardinality fits in a byte, as n <= 128.
+    Only a set whose |S| is in the band (`_band`) can separate g_R from f, so
+    only those entries are tested on the plant, |S & R| against t(|S|), and
+    only those cardinalities are counted for the union bound.  A cardinality
+    fits in a byte, as n <= 128.
     """
     n, alpha, beta = planted.n, planted.alpha, planted.beta
-    entries, out = transcript.entries, ~planted.plant.mask
-    live = range(beta + 1, min(2 * alpha - beta, n + 1))
+    entries, plant = transcript.entries, planted.plant.mask
+    t, in_band = _band(n, alpha, beta)
     cards = _cardinalities(transcript)
-    in_band = (bytes(live.start) + b"\1" * len(live)).ljust(256, b"\0")
     flags = cards.translate(in_band)
     i = flags.find(1)
-    while i >= 0 and beta + (entries[i] & out).bit_count() >= min(alpha, cards[i]):
+    while i >= 0 and (entries[i] & plant).bit_count() < t[cards[i]]:
         i = flags.find(1, i + 1)
+    live = compress(range(n + 1), in_band)
     return i if i >= 0 else None, union_bound({s: cards.count(s) for s in live}, n, alpha, beta)
 
 
@@ -232,10 +248,10 @@ def _run(algorithm, world, trial_seed: int) -> tuple[QueryTranscript, int, Fract
     return transcript, queries, value
 
 
-def _play(algorithm, inst, seed: int, trials: int, choose) -> list[GameReport]:
+def _play(algorithm, inst, family: type, seed: int, trials: int, choose) -> list[GameReport]:
     """The trial loop both games share: play the unplanted world, choose the plant afterwards.
 
-    Per trial, the algorithm runs against `inst`, which holds no plant, and
+    Per trial, the algorithm runs against `inst`, an unplanted `family`, and
     `choose(trial_seed, transcript)` gives (planted world or None, first_idx,
     union_bound) for that run.  When the plant separates the run at first_idx,
     the algorithm runs again against the planted world, a decreasing one, and
@@ -243,6 +259,8 @@ def _play(algorithm, inst, seed: int, trials: int, choose) -> list[GameReport]:
     first_idx it saw the unplanted answers, so its entries through first_idx
     must equal the unplanted run's, or RatioLabError is raised.
     """
+    if not isinstance(inst, family):
+        raise ParameterError(f"this game plays a {family.__name__}, got {type(inst).__name__}")
     if inst.plant is not None:
         raise ParameterError("the game manages its own hidden sets; pass an unplanted instance")
     check_count(trials, 1, "trials")
@@ -287,7 +305,7 @@ def run_game_decreasing(algorithm, inst: DecreasingInstance, seed: int, trials: 
         planted = inst.with_plant(random_k_subset(inst.n, inst.alpha, derive_seed(trial_seed, "plant")))
         return planted, *_score_decreasing(planted, transcript)
 
-    return _play(algorithm, inst, seed, trials, draw_plant)
+    return _play(algorithm, inst, DecreasingInstance, seed, trials, draw_plant)
 
 
 def run_game_increasing(algorithm, inst: IncreasingInstance, seed: int, trials: int) -> list[GameReport]:
@@ -307,7 +325,7 @@ def run_game_increasing(algorithm, inst: IncreasingInstance, seed: int, trials: 
         # R* agrees with the whole run, so no planted world is run again
         return None, *_score_increasing(inst, transcript)
 
-    return _play(algorithm, inst, seed, trials, lazy_plant)
+    return _play(algorithm, inst, IncreasingInstance, seed, trials, lazy_plant)
 
 
 def game_report_row(report: GameReport) -> tuple:

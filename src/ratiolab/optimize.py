@@ -10,13 +10,13 @@ cardinality, then ascending mask.  `brute_force_max_ratio` uses the same
 order, so argmin f/g and argmax g/f are the same set.
 
 Searches query by bit mask, all in one loop, `_best_of`, which takes its
-masks in chunks of at most CHUNK: each chunk is one call of the module
-attribute `ratio`, bound to `oracles.query_batch`, which charges both
+masks in chunks of at most `sets.BLOCK`: each chunk is one call of the
+module attribute `ratio`, bound to `oracles.query_batch`, which charges both
 handles once per mask, extends g's transcript by the chunk and gives each
 mask's value-class id, a class being an unreduced integer pair (p, q) and
-|S|.  Brute force passes ranges cut at multiples of CHUNK, the oracles'
-block width, so a `make_oracles` pair answers each chunk with one
-`bytes.translate`; random search passes the lists its stream draws
+|S|.  Brute force passes ranges cut at multiples of BLOCK, so each lies in
+one of the oracles' aligned blocks and a `make_oracles` pair answers it with
+one `bytes.translate`; random search passes the lists its stream draws
 (`SeededStream.nonempty_mask_lists`), and local search its neighbourhoods
 cut into lists.  No Python step runs per mask between the draw and the ids.
 The loop compares a chunk's distinct classes as integer cross-products and
@@ -37,18 +37,13 @@ from itertools import compress
 from typing import NamedTuple
 
 from .errors import ParameterError
-from .oracles import BLOCK
 # The searches compare value classes; the module-level name `ratio`
 # is the per-chunk evaluation that perfbench/tracing.py rebinds.
 from .oracles import query_batch as ratio
 from .sampling import SeededStream
-from .sets import Subset, check_count, check_guard, validate_ground_size
+from .sets import BLOCK, Subset, check_count, check_guard, validate_ground_size
 # Not called here; kept as an optimize attribute that perfbench/tracing.py rebinds.
 from .sets import unchecked_subset  # noqa: F401
-
-# Masks per `ratio` call: the searches hold at most this many masks and their class ids at once.
-# It is the oracles' block width, so a chunk cut from a range lies inside one aligned block.
-CHUNK = BLOCK
 
 OPT_CSV_COLUMNS = ["method", "n", "family", "value_p", "value_q", "argset_hex", "queries", "seed"]
 
@@ -66,7 +61,7 @@ def _best_of(chunks, n: int, f_oracle, g_oracle, sign: int = 1, best=(1, 0, 0)):
     """The first of `best` and the masks of `chunks` in search order, as (sign * p, q, mask); 1/0 loses to every mask.
 
     The one search loop: one `ratio` call per chunk, in order.  A chunk is a
-    list or a step-1 range of at most CHUNK masks.  Search order is lower
+    list or a step-1 range of at most BLOCK masks.  Search order is lower
     sign * p/q (q > 0), then smaller cardinality, then smaller mask.  A
     chunk's best class is found among its distinct ids; a chunk that does
     not reach the best so far costs nothing more.  Every class tying it in
@@ -108,7 +103,7 @@ def _best_of(chunks, n: int, f_oracle, g_oracle, sign: int = 1, best=(1, 0, 0)):
 
 def _search_masks(f_oracle, g_oracle, n: int, sign: int) -> OptResult:
     start_queries = f_oracle.count + g_oracle.count
-    cuts = [1, *range(CHUNK, 1 << n, CHUNK), 1 << n]
+    cuts = [1, *range(BLOCK, 1 << n, BLOCK), 1 << n]
     p, q, mask = _best_of(map(range, cuts, cuts[1:]), n, f_oracle, g_oracle, sign)
     used = (f_oracle.count + g_oracle.count) - start_queries
     return OptResult(Subset(mask, n), Fraction(sign * p, q), used, "brute")
@@ -152,7 +147,7 @@ def local_search(f_oracle, g_oracle, n: int, budget: int, seed: int) -> OptResul
         neighbors += [d | a for d in drops for a in adds]
         neighbors = neighbors[: remaining // 2]
         remaining -= 2 * len(neighbors)
-        chunks = (neighbors[i:i + CHUNK] for i in range(0, len(neighbors), CHUNK))
+        chunks = (neighbors[i:i + BLOCK] for i in range(0, len(neighbors), BLOCK))
         best = _best_of(chunks, n, f_oracle, g_oracle, 1, best)
         if best[0] * current_q >= current_p * best[1]:
             break

@@ -33,6 +33,7 @@ lives only in g, so the sets at which g was evaluated are all an algorithm
 can learn about the plant.  `make_oracles` therefore attaches a transcript
 to the g handle alone, which records the mask of every set it evaluates,
 however the algorithm calls it, and the class ids `query_batch` gave them.
+Where the planted decreasing g differs from f is the game's rule, `game._threshold`.
 """
 
 from __future__ import annotations
@@ -41,13 +42,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .errors import MissingPlantError, ParameterError, UndefinedRatioError
+from .errors import ParameterError, UndefinedRatioError
 from .instances import DecreasingInstance, IncreasingInstance, Instance
-from .sets import Subset, unchecked_subset
+from .sets import BLOCK, Subset, unchecked_subset
 
 # Range queries are answered an aligned block of BLOCK masks at a time.  A low
 # part m < BLOCK has state _STRIDE * |m & out| + |m|, at most 168: one byte.
-BLOCK = 4096
 _STRIDE = 13
 
 
@@ -101,20 +101,6 @@ def _inc_tables(n: int, m: Fraction, epsilon: Fraction) -> tuple[tuple, tuple, t
     g = tuple(Fraction(2 * c, n) * epsilon if c <= half else Fraction(2 * (c - half)) for c in cards)
     [ids], classes = _f_over_g(f + f[half:half + 1], [g + (Fraction(1),)], [*cards, half])
     return f, (g, Fraction(1)), (ids[:-1], ids[-1]), classes
-
-
-def differs_from_unplanted(S: Subset, inst: DecreasingInstance) -> bool:
-    """Whether g differs from f at S: beta + |S minus plant| < min{alpha, |S|}.
-
-    Integer-only test; equivalent to comparing the f and g evaluators at S.
-    """
-    if S.n != inst.n:
-        raise _ground_error(S.n, inst.n)
-    if inst.plant is None:
-        raise MissingPlantError("the difference criterion needs a planted set")
-    card = S.mask.bit_count()
-    outside = (S.mask & ~inst.plant.mask).bit_count()
-    return inst.beta + outside < min(inst.alpha, card)
 
 
 class QueryTranscript:

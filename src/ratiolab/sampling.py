@@ -45,7 +45,7 @@ from functools import cache
 from hashlib import sha256
 
 from .errors import ParameterError
-from .sets import Subset, check_count, is_int, validate_ground_size
+from .sets import BLOCK, Subset, check_count, is_int, validate_ground_size
 
 _PREFIX = b"ratiolab|"
 # Most blocks one refill hashes.  A bulk cut costs a few big-int operations
@@ -57,9 +57,6 @@ _WORD_BLOCKS = 8
 # operations and an array, is more than the word-at-a-time loop spends on
 # fewer than 32 to 48 words.
 _MIN_BATCH = 64
-# Masks in each list of `nonempty_mask_lists`: one brute-force block, and
-# random search's chunk.
-_EACH = 4096
 # An array typecode for each slot width in bits.
 _TYPECODES = {array(code).itemsize * 8: code for code in "BHILQ"}
 _SWAP = sys.byteorder == "little"
@@ -166,7 +163,7 @@ class SeededStream:
         return self._words(n, (1 << n) - 1, 1, 1)[0]
 
     def nonempty_mask_lists(self, n: int, count: int):
-        """An iterator over `count` nonempty masks as lists of _EACH, the last one shorter.
+        """An iterator over `count` nonempty masks as lists of BLOCK, the last one shorter.
 
         The lists hold, in turn, exactly the masks of `count` calls of
         `nonempty_mask`, and each is drawn when it is asked for, so the
@@ -175,7 +172,7 @@ class SeededStream:
         """
         check_count(n, 1, "ground size")
         check_count(count, 0, "draw count")
-        return (self._words(n, (1 << n) - 1, 1, min(_EACH, count - done)) for done in range(0, count, _EACH))
+        return (self._words(n, (1 << n) - 1, 1, min(BLOCK, count - done)) for done in range(0, count, BLOCK))
 
     def _words(self, k: int, bound: int, offset: int, count: int) -> list[int]:
         """The next `count` k-bit words below `bound`, each plus `offset`, as a list.

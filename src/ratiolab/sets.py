@@ -18,6 +18,9 @@ from .errors import EnumerationGuardError, ParameterError
 
 MAX_GROUND_SIZE = 128
 ENUMERATION_GUARD = 24
+# Masks per batch: an aligned block of the oracles' range queries and of the
+# structural checks, a brute-force chunk, and a list of the stream's draws.
+BLOCK = 4096
 
 
 def is_int(value) -> bool:

@@ -38,11 +38,10 @@ from operator import gt, lt, sub
 from typing import NamedTuple
 
 from .errors import ParameterError
-from .oracles import BLOCK
 from .serialize import frac_to_str
 # Not called here; kept as verify attributes that perfbench/tracing.py rebinds.
 from .serialize import frac_from_str, render_csv  # noqa: F401
-from .sets import Subset, check_count, check_guard, unchecked_subset
+from .sets import BLOCK, Subset, check_count, check_guard, unchecked_subset
 
 DEFAULT_VIOLATION_CAP = 100
 _EXACT_VALUES_ONLY = "oracle values must be int or Fraction"

@@ -18,6 +18,7 @@ from ratiolab.errors import NoConsistentPlantError, ParameterError, RatioLabErro
 from ratiolab.game import (
     GAME_CSV_COLUMNS,
     GameReport,
+    differs_from_unplanted,
     distinguish_probability,
     find_consistent_plant,
     game_report_row,
@@ -28,7 +29,7 @@ from ratiolab.game import (
 )
 from ratiolab.instances import DecreasingInstance, IncreasingInstance
 from ratiolab.optimize import OptResult, local_search, make_algorithm, random_search
-from ratiolab.oracles import QueryTranscript, class_lookup, differs_from_unplanted, make_oracles, ratio
+from ratiolab.oracles import QueryTranscript, class_lookup, make_oracles, ratio
 from ratiolab.sampling import SeededStream, derive_seed, random_k_subset
 from ratiolab.sets import Subset, iter_k_subset_masks
 
@@ -280,6 +281,12 @@ def test_find_consistent_plant_exhaustion():
         t.record(mask)
     with pytest.raises(NoConsistentPlantError):
         find_consistent_plant(t, 4)
+
+
+@pytest.mark.parametrize("n", [600, -2, 2.0, 0, True])
+def test_find_consistent_plant_rejects_a_bad_ground_size(n):
+    with pytest.raises(ParameterError):
+        find_consistent_plant(QueryTranscript(), n)
 
 
 # ------------------------------------------------------- decreasing game
@@ -817,6 +824,23 @@ def test_decreasing_game_rejects_an_empty_returned_set():
     # domain; scoring it would report an undistinguished ratio of 7
     with pytest.raises(UndefinedRatioError, match="empty"):
         run_game_decreasing(_returns_empty, DEC_BARE, seed=0, trials=1)
+
+
+@pytest.mark.parametrize("run, inst", [
+    (run_game_decreasing, IncreasingInstance(8, 100, Fraction(1, 4))),
+    (run_game_increasing, DecreasingInstance(8, 4, 1, Fraction(1, 2))),
+    (run_game_decreasing, None),
+], ids=["decreasing-given-increasing", "increasing-given-decreasing", "not-an-instance"])
+def test_a_game_refuses_the_other_family_before_any_trial(run, inst):
+    calls = []
+
+    def algorithm(f_oracle, g_oracle, n, seed):
+        calls.append(n)
+        return OptResult(Subset.full(n), Fraction(0), 0, "scripted")
+
+    with pytest.raises(ParameterError, match="this game plays"):
+        run(algorithm, inst, 0, 1)
+    assert calls == []
 
 
 def test_increasing_game_rejects_bad_arguments():

@@ -1,8 +1,8 @@
 """The game's scoring against the lookup reference.
 
 `game._score_decreasing` reads a transcript's masks and each entry's |S|:
-only entries in the live band beta < |S| < 2 alpha - beta are tested on the
-plant and counted for the union bound.  |S| comes from the class of a run's
+only entries in the live band (`game._band`, which is beta < |S| < 2 alpha -
+beta) are tested on the plant and counted for the union bound.  |S| comes from the class of a run's
 recorded `bytes` ids, and from bit_count elsewhere (`game._cardinalities`).  `game._score_increasing` reads each entry's
 f/g class from the ids `query_batch` recorded, and runs the answering pair's
 id kernel only for the entries recorded one at a time.  The reference
@@ -27,6 +27,7 @@ from ratiolab.game import (
     _cardinalities,
     _score_decreasing,
     _score_increasing,
+    differs_from_unplanted,
     find_consistent_plant,
     run_game_decreasing,
     union_bound,
@@ -36,7 +37,6 @@ from ratiolab.optimize import OptResult, make_algorithm
 from ratiolab.oracles import (
     QueryTranscript,
     class_lookup,
-    differs_from_unplanted,
     instance_evaluator,
     make_oracles,
     query_batch,
@@ -270,6 +270,27 @@ def test_the_live_band_edges(inst, alone):
         hits = [i for i, mask in enumerate(masks) if band[mask.bit_count()]]
         assert first_idx == (hits[0] if hits else None)
         assert bound == union_bound(map(int.bit_count, masks), n, alpha, beta)
+
+
+def test_one_criterion_for_the_band_the_count_and_the_evaluators():
+    # for every n <= 10, every 0 <= beta < alpha <= n and every s: the set
+    # {0..s-1} is separated (f != g_R through the evaluators) by exactly
+    # _favorable_plants of the alpha-plants R, and by some plant exactly
+    # where _band flags s; by symmetry any cardinality-s set would do
+    for n in range(1, 11):
+        sets = [unchecked_subset((1 << s) - 1, n) for s in range(n + 1)]
+        for alpha in range(1, n + 1):
+            for beta in range(alpha):
+                inst = DecreasingInstance(n, alpha, beta, Fraction(1, 2))
+                f = list(map(instance_evaluator(inst, "f"), sets))
+                separating = [0] * (n + 1)
+                for plant in iter_k_subset_masks(n, alpha):
+                    g = instance_evaluator(inst.with_plant(Subset(plant, n)), "g")
+                    for s, S in enumerate(sets):
+                        separating[s] += f[s] != g(S)
+                assert separating == [game._favorable_plants(n, alpha, beta, s) for s in range(n + 1)]
+                _, in_band = game._band(n, alpha, beta)
+                assert list(in_band) == [count > 0 for count in separating] + [0] * (255 - n)
 
 
 # Live sets of MIXED_DEC (1 < |S| < 7) that hold too little of the plant to

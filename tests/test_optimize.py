@@ -8,7 +8,6 @@ from ratiolab import optimize
 from ratiolab.errors import EnumerationGuardError, ParameterError
 from ratiolab.instances import DecreasingInstance, IncreasingInstance
 from ratiolab.optimize import (
-    CHUNK,
     OPT_CSV_COLUMNS,
     OptResult,
     brute_force_max_ratio,
@@ -20,7 +19,7 @@ from ratiolab.optimize import (
 )
 from ratiolab.oracles import CountingOracle, QueryTranscript, make_oracles, query_batch, ratio
 from ratiolab.sampling import random_k_subset
-from ratiolab.sets import Subset
+from ratiolab.sets import BLOCK, Subset
 
 DEC = DecreasingInstance(8, 3, 1, Fraction(1, 2), plant=Subset.from_elements([0, 1, 2], 8))
 INC = IncreasingInstance(8, 100, Fraction(1, 2), plant=Subset.from_elements([0, 1, 2, 3], 8))
@@ -94,7 +93,7 @@ def test_brute_at_n_20_finds_the_unique_plant(inst):
 
 
 def test_no_ratio_call_holds_more_than_a_chunk(monkeypatch):
-    # Brute force cuts its range at multiples of CHUNK, one aligned block per
+    # Brute force cuts its range at multiples of BLOCK, one aligned block per
     # call; random search cuts its draws, and local search its first
     # neighbourhood, 128 + |S| (128 - |S|) masks (4,224 at |S| = 64)
     calls = []
@@ -106,17 +105,17 @@ def test_no_ratio_call_holds_more_than_a_chunk(monkeypatch):
     monkeypatch.setattr(optimize, "ratio", spy)
     for inst in WIDE:
         brute_force_min_ratio(*make_oracles(inst), 20)
-    assert len(calls) == 2 * (1 << 20) // CHUNK
-    assert all(type(masks) is range and masks.start // CHUNK == (masks.stop - 1) // CHUNK for masks in calls)
+    assert len(calls) == 2 * (1 << 20) // BLOCK
+    assert all(type(masks) is range and masks.start // BLOCK == (masks.stop - 1) // BLOCK for masks in calls)
     calls.clear()
     wide = IncreasingInstance(128, 1000, Fraction(1, 100))
-    random_search(*make_oracles(wide), 128, 2 * CHUNK + 7, 3)
-    assert list(map(len, calls)) == [CHUNK, CHUNK, 7]
+    random_search(*make_oracles(wide), 128, 2 * BLOCK + 7, 3)
+    assert list(map(len, calls)) == [BLOCK, BLOCK, 7]
     calls.clear()
     local_search(*make_oracles(wide), 128, 10_000, 3)
     k = calls[0][0].bit_count()
-    assert [len(masks) for masks in calls[1:3]] == [CHUNK, 128 + k * (128 - k) - CHUNK]
-    assert max(map(len, calls)) == CHUNK
+    assert [len(masks) for masks in calls[1:3]] == [BLOCK, 128 + k * (128 - k) - BLOCK]
+    assert max(map(len, calls)) == BLOCK
 
 
 # -------------------------------------------------------------- heuristics

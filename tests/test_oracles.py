@@ -17,12 +17,12 @@ from reference import batch_lookup
 
 from ratiolab import oracles
 from ratiolab.errors import MissingPlantError, ParameterError, UndefinedRatioError
+from ratiolab.game import differs_from_unplanted
 from ratiolab.instances import DecreasingInstance, IncreasingInstance
 from ratiolab.oracles import (
     CountingOracle,
     QueryTranscript,
     class_lookup,
-    differs_from_unplanted,
     instance_evaluator,
     make_oracles,
     query_batch,

@@ -16,8 +16,8 @@ from ratiolab.instances import DecreasingInstance
 from ratiolab.optimize import local_search, make_algorithm, random_search
 from ratiolab.oracles import make_oracles
 from ratiolab import sampling
-from ratiolab.sampling import _EACH, SeededStream, derive_seed, random_k_subset
-from ratiolab.sets import Subset
+from ratiolab.sampling import SeededStream, derive_seed, random_k_subset
+from ratiolab.sets import BLOCK, Subset
 
 
 def test_stream_matches_hash_construction():
@@ -165,8 +165,8 @@ def test_lists_taken_in_part_leave_the_stream_after_their_masks(n, lists):
     # handed on: the bits its refills left in the pool stay there, so the
     # stream reads on from the first bit after the last mask handed on.
     batch, single = SeededStream(13, "partial", n), SeededStream(13, "partial", n)
-    handed = list(islice(batch.nonempty_mask_lists(n, 2 * _EACH + 50), lists))
-    assert [mask for masks in handed for mask in masks] == _twin_draws(single, n, lists * _EACH)
+    handed = list(islice(batch.nonempty_mask_lists(n, 2 * BLOCK + 50), lists))
+    assert [mask for masks in handed for mask in masks] == _twin_draws(single, n, lists * BLOCK)
     after = [(s.getbits(13), s.sample_mask(n, n // 2), s.nonempty_mask(n), s.getbits(1000))
              for s in (batch, single)]
     assert after[0] == after[1]

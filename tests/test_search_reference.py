@@ -15,7 +15,6 @@ from reference import FunctionTable
 from ratiolab.errors import UndefinedRatioError
 from ratiolab.instances import DecreasingInstance, IncreasingInstance
 from ratiolab.optimize import (
-    CHUNK,
     OptResult,
     brute_force_max_ratio,
     brute_force_min_ratio,
@@ -24,7 +23,7 @@ from ratiolab.optimize import (
 )
 from ratiolab.oracles import CountingOracle, QueryTranscript, make_oracles, ratio_terms
 from ratiolab.sampling import SeededStream
-from ratiolab.sets import Subset, unchecked_subset
+from ratiolab.sets import BLOCK, Subset, unchecked_subset
 
 N = 8
 
@@ -192,7 +191,7 @@ def test_local_search_matches_reference(pair, seed):
 
 
 # Searches across chunk boundaries: n = 13 has 8,191 nonempty sets, and a
-# random search of 2 * CHUNK + 7 draws ends in a short third chunk.
+# random search of 2 * BLOCK + 7 draws ends in a short third chunk.
 WIDE_N = 13
 
 
@@ -223,7 +222,7 @@ def _run_wide(make_pair, search, *args):
 
 
 def test_wide_cases_cross_the_chunk_size():
-    assert (1 << WIDE_N) - 1 > CHUNK
+    assert (1 << WIDE_N) - 1 > BLOCK
 
 
 @pytest.mark.parametrize("pair", sorted(WIDE_PAIRS))
@@ -239,7 +238,7 @@ def test_brute_across_chunks_matches_reference(pair, sign):
 @pytest.mark.parametrize("pair", sorted(WIDE_PAIRS))
 @pytest.mark.parametrize("seed", range(2))
 def test_random_search_across_chunks_matches_reference(pair, seed):
-    budget = 2 * CHUNK + 7
+    budget = 2 * BLOCK + 7
     _assert_same(
         _run_wide(WIDE_PAIRS[pair], random_search, budget, seed),
         _run_wide(WIDE_PAIRS[pair], ref_random, budget, seed),
@@ -325,7 +324,7 @@ def _run_at(n, make_pair, search, *args):
 
 # Budgets below a bulk cut's 64 words, past the first refill (546 masks at
 # n = 30; 20 at n = 100) and past a chunk and a refill.
-@pytest.mark.parametrize("budget", [1, 63, 64, 600, CHUNK + 600])
+@pytest.mark.parametrize("budget", [1, 63, 64, 600, BLOCK + 600])
 @pytest.mark.parametrize("pair", sorted(DRAWN_PAIRS))
 def test_random_search_matches_single_draws_through_ratio_terms(pair, budget):
     n, make_pair = DRAWN_PAIRS[pair]
