@@ -296,7 +296,7 @@ MUTANTS = [
         "i = flags.find(1, i + 2)",
         ("tests/test_game_scoring.py",),
     ),
-    # The increasing game scored from the class ids the queries recorded.
+    # The increasing game rechecked at every entry: the planted pair's ids against the unplanted pair's ids at |S|.
     Mutant(
         "run-start-off-by-one",
         "src/ratiolab/oracles.py",
@@ -305,17 +305,24 @@ MUTANTS = [
         ("tests/test_game_scoring.py",),
     ),
     Mutant(
-        "entries-recorded-one-at-a-time-unfilled",
-        "src/ratiolab/game.py",
-        "                runs.append((done, kernel(entries[done:start])))\n",
-        "                pass\n",
-        ("tests/test_game.py", "tests/test_game_scoring.py"),
-    ),
-    Mutant(
         "recheck-compares-recorded-ids-with-themselves",
         "src/ratiolab/game.py",
-        "if planted(transcript.entries[start:start + len(ids)]) != ids:",
-        "if ids != ids:",
+        "if planted(transcript.entries) != _cardinalities(transcript).translate(by_card):",
+        "if _cardinalities(transcript) != _cardinalities(transcript):",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "recheck-ids-by-cardinality-from-the-planted-pair",
+        "src/ratiolab/game.py",
+        "by_card = class_lookup(unplanted)[0]([(1 << c) - 1 for c in range(n + 1)])",
+        "by_card = planted([(1 << c) - 1 for c in range(n + 1)])",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "recheck-ids-by-cardinality-drop-the-full-set",
+        "src/ratiolab/game.py",
+        "by_card = class_lookup(unplanted)[0]([(1 << c) - 1 for c in range(n + 1)])",
+        "by_card = class_lookup(unplanted)[0]([(1 << c) - 1 for c in range(n)])",
         ("tests/test_game.py",),
     ),
     Mutant(
@@ -323,6 +330,25 @@ MUTANTS = [
         "src/ratiolab/oracles.py",
         "if rule == _BY_GRID or rule == _BY_PLANT and plant in masks:",
         "if rule == _BY_GRID:",
+        ("tests/test_oracles.py",),
+    ),
+    # Type checks that come before any field of the instance is read.
+    Mutant(
+        "side-reads-n-before-the-type-check",
+        "src/ratiolab/oracles.py",
+        "    if not isinstance(inst, Instance):\n"
+        "        raise ParameterError(f\"unknown instance type: {type(inst).__name__}\")\n"
+        "    n = inst.n\n",
+        "    n = inst.n\n"
+        "    if not isinstance(inst, Instance):\n"
+        "        raise ParameterError(f\"unknown instance type: {type(inst).__name__}\")\n",
+        ("tests/test_oracles.py",),
+    ),
+    Mutant(
+        "difference-criterion-takes-any-instance",
+        "src/ratiolab/game.py",
+        "if not isinstance(inst, DecreasingInstance):",
+        "if not isinstance(inst, (DecreasingInstance, IncreasingInstance)):",
         ("tests/test_oracles.py",),
     ),
     # Hand-run in earlier changes and kept here.

@@ -14,12 +14,12 @@ A trial R separates is run again against the planted pair and reported from
 that run.  It is scored from its masks and their |S| (`_score_decreasing`).
 
 Increasing family: the adversary is lazy.  A consistent plant R* is chosen
-among the half-size sets the algorithm never touched, found from the f/g
-classes `query_batch` recorded and rechecked at every entry, so the two
-worlds agree on the entire transcript.  The empirical ratio is then at
-least min{n/(2 eps), m} / floor(n/2).  A trial whose queries cover every
-half-size set leaves no place to hide a plant; it is recorded as
-distinguished, with union bound 1.
+among the half-size sets the algorithm never touched, found from each
+entry's |S| (`_cardinalities`) and rechecked against the unplanted pair at
+every entry, so the two worlds agree on the entire transcript.  The
+empirical ratio is then at least min{n/(2 eps), m} / floor(n/2).  A trial
+whose queries cover every half-size set leaves no place to hide a plant;
+it is recorded as distinguished, with union bound 1.
 
 The transcript is the g handle's own record of masks, so it holds every g
 evaluation however the algorithm made it; a direct f call reveals nothing
@@ -83,6 +83,8 @@ def _band(n: int, alpha: int, beta: int) -> tuple[tuple, bytes]:
 
 def differs_from_unplanted(S: Subset, inst: DecreasingInstance) -> bool:
     """Whether g differs from f at S, by `_threshold`: integer only, equivalent to comparing the evaluators at S."""
+    if not isinstance(inst, DecreasingInstance):
+        raise ParameterError(f"the difference criterion is the decreasing family's, got {type(inst).__name__}")
     if S.n != inst.n:
         raise _ground_error(S.n, inst.n)
     if inst.plant is None:
@@ -177,22 +179,6 @@ def _cardinalities(transcript: QueryTranscript) -> bytes:
     return b"".join(parts)
 
 
-def _class_runs(transcript: QueryTranscript, kernel, classes: tuple) -> list[tuple]:
-    """Every entry's id in `classes`, as (start, ids) runs in entry order.
-
-    Runs recorded on these classes are read as recorded; the entries in none
-    (the returned set, direct g calls, the per-mask path) go through `kernel`.
-    """
-    entries, runs, done = transcript.entries, [], 0
-    for start, ids, recorded in [*transcript.runs, (len(entries), kernel([]), classes)]:
-        if recorded is classes:
-            if done < start:
-                runs.append((done, kernel(entries[done:start])))
-            runs.append((start, ids))
-            done = start + len(ids)
-    return runs
-
-
 def _score_decreasing(planted: DecreasingInstance, transcript: QueryTranscript):
     """(first_idx, union bound) of a decreasing trial, from its masks and their |S| (`_cardinalities`).
 
@@ -214,7 +200,8 @@ def _score_decreasing(planted: DecreasingInstance, transcript: QueryTranscript):
 
 
 def _score_increasing(unplanted: IncreasingInstance, transcript: QueryTranscript):
-    """(first_idx, union bound) of an increasing trial: a consistent plant R*, its pair's ids rechecked at every entry."""
+    """(first_idx, union bound) of an increasing trial: a consistent plant R*, rechecked at every entry:
+    the planted pair's ids at the entries must equal the unplanted pair's ids at their |S| (`_cardinalities`)."""
     n = unplanted.n
     try:
         r_star = find_consistent_plant(transcript, n)
@@ -224,11 +211,11 @@ def _score_increasing(unplanted: IncreasingInstance, transcript: QueryTranscript
         # among the distinct entries, which dict.fromkeys keeps in first-visit order.
         last = next(mask for mask in reversed(dict.fromkeys(transcript.entries)) if mask.bit_count() == n // 2)
         return transcript.entries.index(last), Fraction(1)
-    kernel, classes = class_lookup(unplanted)
     planted, _ = class_lookup(unplanted.with_plant(r_star))
-    for start, ids in _class_runs(transcript, kernel, classes):
-        if planted(transcript.entries[start:start + len(ids)]) != ids:
-            raise RatioLabError("planted world disagrees with the transcript; plant search is broken")
+    # the unplanted g depends on |S| alone, so its id at |S| = c is its id at {0, ..., c - 1}
+    by_card = class_lookup(unplanted)[0]([(1 << c) - 1 for c in range(n + 1)]).ljust(256, b"\0")
+    if planted(transcript.entries) != _cardinalities(transcript).translate(by_card):
+        raise RatioLabError("planted world disagrees with the transcript; plant search is broken")
     return None, Fraction(0)
 
 

@@ -43,7 +43,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .errors import ParameterError, UndefinedRatioError
-from .instances import DecreasingInstance, IncreasingInstance, Instance
+from .instances import DecreasingInstance, Instance
 from .sets import BLOCK, Subset, unchecked_subset
 
 # Range queries are answered an aligned block of BLOCK masks at a time.  A low
@@ -180,6 +180,8 @@ def _side(inst: Instance, role: str) -> tuple:
     """
     if role not in ("f", "g"):
         raise ParameterError(f"oracle role must be 'f' or 'g', got {role!r}")
+    if not isinstance(inst, Instance):
+        raise ParameterError(f"unknown instance type: {type(inst).__name__}")
     n = inst.n
     if isinstance(inst, DecreasingInstance):
         values, ids, classes = _dec_grid(n, inst.alpha, inst.beta, inst.epsilon)
@@ -188,14 +190,12 @@ def _side(inst: Instance, role: str) -> tuple:
         if inst.plant is None:
             return _BY_CARDINALITY, None, values[-1], *_dec_f_over_f(n, inst.alpha, inst.beta, inst.epsilon)
         return _BY_GRID, ((1 << n) - 1) & ~inst.plant.mask, values, ids, classes
-    if isinstance(inst, IncreasingInstance):
-        f, g, ids, classes = _inc_tables(n, inst.m, inst.epsilon)
-        if role == "f":
-            return _BY_CARDINALITY, None, f, None, None
-        if inst.plant is None:
-            return _BY_CARDINALITY, None, g[0], ids[0], classes
-        return _BY_PLANT, inst.plant.mask, g, ids, classes
-    raise ParameterError(f"unknown instance type: {type(inst).__name__}")
+    f, g, ids, classes = _inc_tables(n, inst.m, inst.epsilon)
+    if role == "f":
+        return _BY_CARDINALITY, None, f, None, None
+    if inst.plant is None:
+        return _BY_CARDINALITY, None, g[0], ids[0], classes
+    return _BY_PLANT, inst.plant.mask, g, ids, classes
 
 
 def instance_evaluator(inst: Instance, role: str) -> Callable[[Subset], Fraction]:

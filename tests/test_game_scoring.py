@@ -2,10 +2,11 @@
 
 `game._score_decreasing` reads a transcript's masks and each entry's |S|:
 only entries in the live band (`game._band`, which is beta < |S| < 2 alpha -
-beta) are tested on the plant and counted for the union bound.  |S| comes from the class of a run's
-recorded `bytes` ids, and from bit_count elsewhere (`game._cardinalities`).  `game._score_increasing` reads each entry's
-f/g class from the ids `query_batch` recorded, and runs the answering pair's
-id kernel only for the entries recorded one at a time.  The reference
+beta) are tested on the plant and counted for the union bound.  |S| comes
+from the class of a run's recorded `bytes` ids, and from bit_count
+elsewhere (`game._cardinalities`).  `game._score_increasing` compares the
+planted pair's ids at every entry with the unplanted pair's ids at the
+entry's |S|, from the same cardinalities.  The reference
 (`reference.score_decreasing`, `reference.score_increasing`) evaluates g at
 every entry by value lookups and finds the plant from the set of half-size
 entries.  They must agree on every trial: searched, scripted with direct g
@@ -224,16 +225,22 @@ def test_per_mask_path_of_a_swapped_pair_is_read_by_the_kernel():
     assert _scored(MIXED_DEC, transcript)[0] == 6
 
 
-def test_runs_on_another_pairs_classes_are_read_by_the_kernel():
+@pytest.mark.parametrize("world, other, masks, extra, want", [
+    (MIXED_DEC, DecreasingInstance(12, 4, 1, Fraction(1, 4), plant=MIXED_DEC.plant), QUIET, [SEPARATING], 5),
+    (INCREASING[8], DecreasingInstance(8, 3, 1, Fraction(1, 4), plant=Subset(0x0B, 8)),
+     [0xF0, 0x0F, 0x3C, 0xFF, 0x01, 0x33], [0x0B], None),
+], ids=["decreasing", "increasing"])
+def test_runs_on_another_pairs_classes_are_read_by_the_kernel(world, other, masks, extra, want):
     # a transcript shared by two pairs: runs recorded on the other pair's
-    # classes are scored as if recorded one at a time
+    # classes are scored as if recorded one at a time.  Two increasing pairs
+    # of one n number their classes alike, so the increasing world shares its
+    # transcript with a decreasing pair
     transcript = QueryTranscript()
-    other = DecreasingInstance(12, 4, 1, Fraction(1, 4), plant=MIXED_DEC.plant)
-    for inst in (other, MIXED_DEC, other):
+    for inst in (other, world, other):
         f, g = make_oracles(inst, transcript)
-        query_batch(list(QUIET) + ([SEPARATING] if inst is other else []), 12, f, g)
+        query_batch(list(masks) + (extra if inst is other else []), world.n, f, g)
     assert len(transcript.runs) == 3 and transcript.runs[0][2] is not transcript.runs[1][2]
-    assert _scored(MIXED_DEC, transcript)[0] == 5
+    assert _scored(world, transcript)[0] == want
 
 
 @pytest.mark.parametrize("n", [4, 6])

@@ -180,9 +180,32 @@ def test_missing_plant_rejected():
     assert g(Subset.from_elements([0], 8)) == Fraction(1, 8)
 
 
+@pytest.mark.parametrize("inst", [
+    IncreasingInstance(8, 100, Fraction(1, 4), plant=Subset(15, 8)), IncreasingInstance(8, 100, Fraction(1, 4)),
+    None, Subset(15, 8),
+], ids=["planted-increasing", "unplanted-increasing", "none", "subset"])
+def test_the_difference_criterion_refuses_all_but_a_decreasing_instance(inst):
+    # the criterion reads alpha and beta; any other instance, or a non-instance, is refused before that
+    with pytest.raises(ParameterError, match="decreasing family"):
+        differs_from_unplanted(Subset(15, 8), inst)
+
+
 def test_instance_evaluator_role_validation():
     with pytest.raises(ParameterError):
         instance_evaluator(DEC, "h")
+
+
+@pytest.mark.parametrize("thing", [None, "x", 3, Subset(15, 8)], ids=["none", "str", "int", "subset"])
+@pytest.mark.parametrize("entry", [
+    lambda thing: instance_evaluator(thing, "f"),
+    make_oracles,
+    class_lookup,
+    lambda thing: CountingOracle.for_instance(thing, "g"),
+], ids=["instance_evaluator", "make_oracles", "class_lookup", "for_instance"])
+def test_a_non_instance_is_refused_before_a_field_is_read(entry, thing):
+    # the type is checked first: a Subset has an n, the others have nothing to read
+    with pytest.raises(ParameterError, match="unknown instance type"):
+        entry(thing)
 
 
 # ------------------------------------------- evaluator closures = reference
