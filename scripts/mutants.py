@@ -236,6 +236,13 @@ MUTANTS = [
         "block = keyed",
         ("tests/test_sampling.py",),
     ),
+    Mutant(
+        "stream-hash-from-openssl",
+        "src/ratiolab/sampling.py",
+        'sha256 = import_module("_sha256").sha256',
+        'sha256 = import_module("hashlib").sha256',
+        ("tests/test_sampling.py",),
+    ),
     # Random search's lists and the list winner.
     Mutant(
         "mask-lists-drop-last-partial",

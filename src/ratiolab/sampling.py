@@ -26,7 +26,11 @@ a call's words as a list and keeps the stream's state on the stream between
 calls; a single draw is one call, with no generator.  It refills several
 blocks at a time and never more than its remaining words must read.  A
 refill hashes the key once and takes each block from a copy of that SHA-256
-state, updated with the block's 8-byte counter.  A call for 64 or more
+state, updated with the block's 8-byte counter.  That SHA-256 is the
+interpreter's built-in `_sha256` where it has one (Python 3.10 and 3.11),
+so no ratiolab process loads OpenSSL's libcrypto (about 3.5 MB resident),
+and hashlib's elsewhere (3.12 on, whose built-in `_sha2` is slower per
+block than OpenSSL); the blocks are the same either way.  A call for 64 or more
 words of under 64 bits cuts each refill into its words in bulk, with no
 Python step per word: the m whole words it will read come off
 the pool as one integer, are spread into byte-aligned slots (the power of
@@ -42,10 +46,16 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import cache
-from hashlib import sha256
+from importlib import import_module
 
 from .errors import ParameterError
 from .sets import BLOCK, Subset, check_count, is_int, validate_ground_size
+
+try:
+    # Taken by name: _sha256 is in the stdlib of 3.10 and 3.11, not of 3.12 on.
+    sha256 = import_module("_sha256").sha256
+except ImportError:
+    from hashlib import sha256
 
 _PREFIX = b"ratiolab|"
 # Most blocks one refill hashes.  A bulk cut costs a few big-int operations

@@ -630,7 +630,8 @@ def test_increasing_game_exhaustion_by_returned_set():
 def test_increasing_game_recheck_compares_every_entry(monkeypatch, at):
     # the recheck computes the planted pair's class ids at every entry, the
     # returned set (entry 60) included, in order, and compares them with the
-    # recorded ones: a planted world whose class differs at one entry raises
+    # unplanted pair's ids at each entry's |S|: a planted world whose class
+    # differs at one entry raises
     seen = []
 
     def tampered(inst):

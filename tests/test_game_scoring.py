@@ -211,10 +211,10 @@ def test_per_mask_fallback_at_the_empty_set():
     assert find_consistent_plant(transcript, n).mask not in transcript.entries
 
 
-def test_per_mask_path_of_a_swapped_pair_is_read_by_the_kernel():
+def test_per_mask_path_of_a_swapped_pair_is_read_by_bit_count():
     # query_batch with the handles swapped answers mask by mask, recording
-    # each set through the g handle one at a time: the scorer fills those
-    # entries with the answering pair's kernel
+    # each set through the g handle one at a time: those entries are in no
+    # run, so the scorer reads their |S| by bit_count
     def algorithm(f_oracle, g_oracle, n, seed):
         query_batch(list(QUIET), n, f_oracle, g_oracle)
         query_batch([QUIET[0], SEPARATING, QUIET[1]], n, g_oracle, f_oracle)
@@ -230,9 +230,10 @@ def test_per_mask_path_of_a_swapped_pair_is_read_by_the_kernel():
     (INCREASING[8], DecreasingInstance(8, 3, 1, Fraction(1, 4), plant=Subset(0x0B, 8)),
      [0xF0, 0x0F, 0x3C, 0xFF, 0x01, 0x33], [0x0B], None),
 ], ids=["decreasing", "increasing"])
-def test_runs_on_another_pairs_classes_are_read_by_the_kernel(world, other, masks, extra, want):
-    # a transcript shared by two pairs: runs recorded on the other pair's
-    # classes are scored as if recorded one at a time.  Two increasing pairs
+def test_runs_on_another_pairs_classes_are_read_through_their_own_classes(world, other, masks, extra, want):
+    # a transcript shared by two pairs: a run recorded on the other pair's
+    # classes gives its |S| through those classes, so it is scored as if
+    # recorded one at a time.  Two increasing pairs
     # of one n number their classes alike, so the increasing world shares its
     # transcript with a decreasing pair
     transcript = QueryTranscript()

@@ -2,14 +2,19 @@
 
 import copy
 import hashlib
+import importlib.util
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
 from reference import ReferenceStream, reference_derive_seed
 
+import ratiolab
 from ratiolab.errors import ParameterError
 from ratiolab.game import run_game_decreasing
 from ratiolab.instances import DecreasingInstance
@@ -28,6 +33,40 @@ def test_stream_matches_hash_construction():
     assert stream.getbits(256) == int.from_bytes(block0, "big")
     block1 = hashlib.sha256(b"ratiolab|7|alpha|3" + (1).to_bytes(8, "big")).digest()
     assert stream.getbits(256) == int.from_bytes(block1, "big")
+
+
+needs_builtin_sha256 = pytest.mark.skipif(
+    importlib.util.find_spec("_sha256") is None,
+    reason="this interpreter has no built-in _sha256 (3.12 on), so the stream hashes through hashlib",
+)
+
+
+@needs_builtin_sha256
+def test_the_stream_hashes_with_the_builtin_sha256():
+    # The provider is taken by name at run time, so the static stdlib-only
+    # check of tests/test_api.py does not see it; this checks it instead.
+    import _sha256
+
+    assert sampling.sha256 is _sha256.sha256
+    assert sampling.sha256.__module__ in sys.stdlib_module_names
+
+
+@needs_builtin_sha256
+def test_drawing_loads_neither_hashlib_nor_openssl():
+    # A fresh interpreter without site imports the package, its CLI and a
+    # draw of each kind from the src/ this package was imported from.
+    src = Path(ratiolab.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import ratiolab, ratiolab.cli\n"
+        "from ratiolab.sampling import SeededStream, random_k_subset\n"
+        "assert len(next(SeededStream(5, 'rss').nonempty_mask_lists(100, 100))) == 100\n"
+        "random_k_subset(30, 15, 5)\n"
+        "print(sorted(name for name in ('hashlib', '_hashlib') if name in sys.modules))\n"
+    )
+    done = subprocess.run([sys.executable, "-S", "-E", "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("label", ["x", "y" * 60, "z" * 130])
