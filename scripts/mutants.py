@@ -99,10 +99,10 @@ MUTANTS = [
         ("tests/test_verify_blocks.py", "tests/test_verify.py"),
     ),
     Mutant(
-        "cardinalities-drop-entries-in-no-run",
-        "src/ratiolab/game.py",
-        "parts += bytes(map(int.bit_count, entries[done:start])), ids.translate(cards)",
-        "parts += (ids.translate(cards),)",
+        "record-appends-no-card",
+        "src/ratiolab/oracles.py",
+        "        self.entries.append(mask)\n        self.cards.append(mask.bit_count())\n",
+        "        self.entries.append(mask)\n",
         ("tests/test_game_scoring.py",),
     ),
     Mutant(
@@ -303,19 +303,28 @@ MUTANTS = [
         "i = flags.find(1, i + 2)",
         ("tests/test_game_scoring.py",),
     ),
-    # The increasing game rechecked at every entry: the planted pair's ids against the unplanted pair's ids at |S|.
+    # The |S| a table chunk records: read off its ids' classes, from the chunk's first entry.  On
+    # every unplanted pair a class id is |S|, so only a planted pair tells the raw ids apart.
     Mutant(
         "run-start-off-by-one",
         "src/ratiolab/oracles.py",
-        "transcript.runs.append((len(transcript.entries), ids, classes))",
-        "transcript.runs.append((len(transcript.entries) + 1, ids, classes))",
+        "transcript.cards += ids.translate(card_of) if",
+        "transcript.cards += (b\"\\0\" + ids.translate(card_of))[:-1] if",
         ("tests/test_game_scoring.py",),
     ),
     Mutant(
+        "cards-from-raw-class-ids",
+        "src/ratiolab/oracles.py",
+        "transcript.cards += ids.translate(card_of) if",
+        "transcript.cards += ids if",
+        ("tests/test_oracles.py",),
+    ),
+    # The increasing game rechecked at every entry: the planted pair's ids against the unplanted pair's ids at |S|.
+    Mutant(
         "recheck-compares-recorded-ids-with-themselves",
         "src/ratiolab/game.py",
-        "if planted(transcript.entries) != _cardinalities(transcript).translate(by_card):",
-        "if _cardinalities(transcript) != _cardinalities(transcript):",
+        "if planted(transcript.entries) != transcript.cards.translate(by_card):",
+        "if transcript.cards.translate(by_card) != transcript.cards.translate(by_card):",
         ("tests/test_game.py",),
     ),
     Mutant(
@@ -379,6 +388,25 @@ MUTANTS = [
         "rows + rows[-1:] * tail",
         "rows + rows[:1] * tail",
         ("tests/test_oracles.py",),
+    ),
+    # The stream's state: the pool holds only its unread bits, and a list draw
+    # refuses bad arguments when it is called, before any list is asked for.
+    Mutant(
+        "pool-unmasked-at-write-back",
+        "src/ratiolab/sampling.py",
+        "self._pool, self._pool_bits, self._counter = pool & ((1 << bits) - 1), bits, counter",
+        "self._pool, self._pool_bits, self._counter = pool, bits, counter",
+        ("tests/test_sampling.py", "tests/test_draw_lists.py"),
+    ),
+    Mutant(
+        "list-draw-checks-its-arguments-lazily",
+        "src/ratiolab/sampling.py",
+        "        check_count(n, 1, \"ground size\")\n        check_count(count, 0, \"draw count\")\n"
+        "        return (self._words(n, (1 << n) - 1, 1, min(BLOCK, count - done)) for done in range(0, count, BLOCK))\n",
+        "        def lists():\n            check_count(n, 1, \"ground size\")\n            check_count(count, 0, \"draw count\")\n"
+        "            yield from (self._words(n, (1 << n) - 1, 1, min(BLOCK, count - done)) for done in range(0, count, BLOCK))\n"
+        "\n        return lists()\n",
+        ("tests/test_sampling.py", "tests/test_draw_lists.py"),
     ),
     Mutant(
         "refill-hashes-a-full-pool",

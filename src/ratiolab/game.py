@@ -11,13 +11,14 @@ t(s) = s - min{alpha, s} + beta + 1: `_threshold` is the one statement of
 that rule.  A trial R does not separate saw only values of both pairs: its
 best ratio is exactly 1, and the true optimum sits at eps/(alpha+eps-beta).
 A trial R separates is run again against the planted pair and reported from
-that run.  It is scored from its masks and their |S| (`_score_decreasing`).
+that run.  It is scored from its masks and their recorded |S| (`_score_decreasing`).
 
 Increasing family: the adversary is lazy.  A consistent plant R* is chosen
 among the half-size sets the algorithm never touched, found from each
-entry's |S| (`_cardinalities`) and rechecked against the unplanted pair at
-every entry, so the two worlds agree on the entire transcript.  The
-empirical ratio is then at least min{n/(2 eps), m} / floor(n/2).  A trial
+entry's recorded |S| (`QueryTranscript.cards`) and rechecked against the
+unplanted pair at every entry, so the two worlds agree on the entire
+transcript.  The empirical ratio is then at least min{n/(2 eps), m} /
+floor(n/2).  A trial
 whose queries cover every half-size set leaves no place to hide a plant;
 it is recorded as distinguished, with union bound 1.
 
@@ -154,11 +155,14 @@ def find_consistent_plant(transcript: QueryTranscript, n: int) -> Subset:
 
     For the increasing family g and g_R differ only at R itself, so any
     untouched candidate is consistent with everything the algorithm saw.
-    Raises when the entries already cover all C(n, n//2) candidates.
+    Raises when the entries already cover all C(n, n//2) candidates, and,
+    as `IncreasingInstance` does, for n < 2, whose only candidate is empty.
     """
     validate_ground_size(n)
+    if n < 2:
+        raise ParameterError(f"the increasing family needs n >= 2 for a nonempty plant, got n={n}")
     k = n // 2
-    half = _cardinalities(transcript).translate(bytes(k) + b"\1" + bytes(255 - k))
+    half = transcript.cards.translate(bytes(k) + b"\1" + bytes(255 - k))
     excluded = set(compress(transcript.entries, half))
     for mask in iter_k_subset_masks(n, k):
         if mask not in excluded:
@@ -168,19 +172,8 @@ def find_consistent_plant(transcript: QueryTranscript, n: int) -> Subset:
     )
 
 
-def _cardinalities(transcript: QueryTranscript) -> bytes:
-    """|S| at every entry: a run with `bytes` ids by one translate from class to its |S|, other entries by bit_count."""
-    entries, parts, done = transcript.entries, [], 0
-    for start, ids, classes in [*transcript.runs, (len(entries), b"", ())]:
-        if type(ids) is bytes:
-            cards = bytes(key[2] if key else 0 for key in classes).ljust(256, b"\0")
-            parts += bytes(map(int.bit_count, entries[done:start])), ids.translate(cards)
-            done = start + len(ids)
-    return b"".join(parts)
-
-
 def _score_decreasing(planted: DecreasingInstance, transcript: QueryTranscript):
-    """(first_idx, union bound) of a decreasing trial, from its masks and their |S| (`_cardinalities`).
+    """(first_idx, union bound) of a decreasing trial, from its masks and their recorded |S| (`transcript.cards`).
 
     Only a set whose |S| is in the band (`_band`) can separate g_R from f, so
     only those entries are tested on the plant, |S & R| against t(|S|), and
@@ -188,9 +181,8 @@ def _score_decreasing(planted: DecreasingInstance, transcript: QueryTranscript):
     fits in a byte, as n <= 128.
     """
     n, alpha, beta = planted.n, planted.alpha, planted.beta
-    entries, plant = transcript.entries, planted.plant.mask
+    entries, cards, plant = transcript.entries, transcript.cards, planted.plant.mask
     t, in_band = _band(n, alpha, beta)
-    cards = _cardinalities(transcript)
     flags = cards.translate(in_band)
     i = flags.find(1)
     while i >= 0 and (entries[i] & plant).bit_count() < t[cards[i]]:
@@ -201,7 +193,7 @@ def _score_decreasing(planted: DecreasingInstance, transcript: QueryTranscript):
 
 def _score_increasing(unplanted: IncreasingInstance, transcript: QueryTranscript):
     """(first_idx, union bound) of an increasing trial: a consistent plant R*, rechecked at every entry:
-    the planted pair's ids at the entries must equal the unplanted pair's ids at their |S| (`_cardinalities`)."""
+    the planted pair's ids at the entries must equal the unplanted pair's ids at their recorded |S|."""
     n = unplanted.n
     try:
         r_star = find_consistent_plant(transcript, n)
@@ -214,7 +206,7 @@ def _score_increasing(unplanted: IncreasingInstance, transcript: QueryTranscript
     planted, _ = class_lookup(unplanted.with_plant(r_star))
     # the unplanted g depends on |S| alone, so its id at |S| = c is its id at {0, ..., c - 1}
     by_card = class_lookup(unplanted)[0]([(1 << c) - 1 for c in range(n + 1)]).ljust(256, b"\0")
-    if planted(transcript.entries) != _cardinalities(transcript).translate(by_card):
+    if planted(transcript.entries) != transcript.cards.translate(by_card):
         raise RatioLabError("planted world disagrees with the transcript; plant search is broken")
     return None, Fraction(0)
 

@@ -32,7 +32,7 @@ In both families f is the same function in every world and the plant
 lives only in g, so the sets at which g was evaluated are all an algorithm
 can learn about the plant.  `make_oracles` therefore attaches a transcript
 to the g handle alone, which records the mask of every set it evaluates,
-however the algorithm calls it, and the class ids `query_batch` gave them.
+however the algorithm calls it, and its |S|.
 Where the planted decreasing g differs from f is the game's rule, `game._threshold`.
 """
 
@@ -104,26 +104,26 @@ def _inc_tables(n: int, m: Fraction, epsilon: Fraction) -> tuple[tuple, tuple, t
 
 
 class QueryTranscript:
-    """The masks of the sets at which g was evaluated, in order, and the class ids `query_batch` gave them.
+    """The masks of the sets at which g was evaluated, in order, and each one's |S|.
 
     One entry per answered g evaluation: a g call its evaluator refuses
     (a set of another ground size) is charged but not recorded.  The game
     scores the returned set on the trial's own pair, so after a trial the
     last entry is the returned set, and `len(transcript) == g.count` holds
-    when every g charge was answered.  `runs` holds, per chunk the class-id
-    table answered, (start, ids, classes) as `query_batch` returned them:
-    `classes[ids[i]]` is the f/g class at entries[start + i].  An entry
-    recorded one at a time (`record`) is in no run.
+    when every g charge was answered.  `cards[i]` is |S| at entries[i], one
+    byte as n <= 128: `record` counts the bits, and a chunk the class-id
+    table answered reads them off its ids' classes (`query_batch`).
     """
 
-    __slots__ = ("entries", "runs")
+    __slots__ = ("entries", "cards")
 
     def __init__(self) -> None:
         self.entries: list[int] = []
-        self.runs: list[tuple] = []
+        self.cards = bytearray()
 
     def record(self, mask: int) -> None:
         self.entries.append(mask)
+        self.cards.append(mask.bit_count())
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -136,10 +136,10 @@ class CountingOracle:
     family evaluator for a role ("f" or "g").  A handle with a transcript
     records the mask of every set it evaluates.  A `make_oracles` g handle
     also holds `_classes`, (its f handle, n, masks -> f/g class ids, the
-    classes by id), read by `query_batch` with that f handle alone.  A
-    planted pair's g closure holds the plant, or its complement, so the
-    games hand an algorithm a planted pair only to run again a trial that
-    the plant already separated.
+    classes by id, class id -> |S|), read by `query_batch` with that f
+    handle alone.  A planted pair's g closure holds the plant, or its
+    complement, so the games hand an algorithm a planted pair only to run
+    again a trial that the plant already separated.
     """
 
     __slots__ = ("_fn", "count", "transcript", "_classes")
@@ -296,14 +296,17 @@ def make_oracles(
 ) -> tuple[CountingOracle, CountingOracle]:
     """The (f, g) oracle pair for an instance; the transcript records g's queries.
 
-    The g handle holds this f handle, n and the pair's class-id kernel and
-    classes, which `query_batch` reads on exactly this pair in (f, g) order.
-    The kernel (`_id_kernel`) answers with `bytes` when the pair has at most
-    256 classes, else with a list.
+    The g handle holds this f handle, n, the pair's class-id kernel and
+    classes, and a translate table from class id to |S|, which `query_batch`
+    reads on exactly this pair in (f, g) order.  The kernel (`_id_kernel`)
+    answers with `bytes` when the pair has at most 256 classes, else with a
+    list; the table holds the |S| of the first 256 classes, all a byte names.
     """
     f_oracle = CountingOracle.for_instance(inst, "f")
     g_oracle = CountingOracle.for_instance(inst, "g", transcript)
-    g_oracle._classes = (f_oracle, inst.n, *class_lookup(inst))
+    kernel, classes = class_lookup(inst)
+    card_of = bytes(key[2] if key else 0 for key in classes[:256]).ljust(256, b"\0")
+    g_oracle._classes = (f_oracle, inst.n, kernel, classes, card_of)
     return f_oracle, g_oracle
 
 
@@ -344,14 +347,15 @@ def query_batch(masks: list[int] | range, n: int, f_oracle: CountingOracle, g_or
     `masks` is a list or a range.  `classes[ids[i]]` is (p, q, |S|) at masks[i], (p, q) as
     `ratio_terms` gives.  The class-id table answers the common case only: a `make_oracles` pair as
     built, in (f, g) order, f without a transcript, queried at the table's n, with no set where
-    g = 0 (id 0 is None).  It charges each handle len(masks), extends g's transcript, adds the ids
-    to its runs by reference and returns the cached classes; ids are `bytes` on a pair with at
-    most 256 classes, else a list.  Every other call goes one mask at a time through `ratio_terms`,
-    one class per mask.  The caller vouches, as for `class_lookup` and `unchecked_subset`, that every
+    g = 0 (id 0 is None).  It charges each handle len(masks), extends g's transcript by the masks
+    and their |S| and returns the cached classes; ids are `bytes` on a pair with at most 256
+    classes, put through the pair's class -> |S| table by one translate, else a list, whose masks'
+    |S| is their bit_count.  Every other call goes one mask at a time through `ratio_terms`, one
+    class per mask.  The caller vouches, as for `class_lookup` and `unchecked_subset`, that every
     mask lies in the ground set, 0 <= mask < 2^n: neither path checks it, and outside it the answer,
     or the error, is unspecified.
     """
-    partner, size, kernel, classes = getattr(g_oracle, "_classes", None) or (None,) * 4
+    partner, size, kernel, classes, card_of = getattr(g_oracle, "_classes", None) or (None,) * 5
     if partner is f_oracle and f_oracle.transcript is None and size == n:
         ids = kernel(masks)
         if classes[0] is not None or 0 not in ids:
@@ -359,8 +363,8 @@ def query_batch(masks: list[int] | range, n: int, f_oracle: CountingOracle, g_or
             g_oracle.count += len(masks)
             transcript = g_oracle.transcript
             if transcript is not None:
-                transcript.runs.append((len(transcript.entries), ids, classes))
                 transcript.entries.extend(masks)
+                transcript.cards += ids.translate(card_of) if type(ids) is bytes else bytes(map(int.bit_count, masks))
             return ids, classes
     classes = [ratio_terms(unchecked_subset(mask, n), f_oracle, g_oracle) + (mask.bit_count(),) for mask in masks]
     return list(range(len(classes))), classes

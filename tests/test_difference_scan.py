@@ -29,7 +29,8 @@ def ref_first_difference(transcript, g_a, g_b):
 
 def _transcript(masks):
     transcript = QueryTranscript()
-    transcript.entries.extend(masks)
+    for mask in masks:
+        transcript.record(mask)
     return transcript
 
 
@@ -95,10 +96,11 @@ def test_scan_on_drawn_transcripts_of_both_families(seed):
     found = [first_difference(transcript, g_a, g_b) for g_a, g_b in pairs]
     assert found == [ref_first_difference(transcript, g_a, g_b) for g_a, g_b in pairs]
     assert found[1] == masks.index(half[seed % len(half)]) and found[2] is None
-    # the game's scan, on the entries alone and on chunks the table recorded
+    # the game's scan, on the entries recorded one at a time and on chunks
+    # the table recorded, whose |S| the table reads off their class ids
     recorded = QueryTranscript()
     f, g = make_oracles(dec, recorded)
     for start in range(0, len(masks), 64):
         query_batch(masks[start:start + 64], n, f, g)
-    assert recorded.entries == masks and len(recorded.runs) == 5
+    assert recorded.entries == masks and recorded.cards == transcript.cards
     assert _score_decreasing(dec, transcript)[0] == _score_decreasing(dec, recorded)[0] == found[0]

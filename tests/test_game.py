@@ -283,8 +283,9 @@ def test_find_consistent_plant_exhaustion():
         find_consistent_plant(t, 4)
 
 
-@pytest.mark.parametrize("n", [600, -2, 2.0, 0, True])
+@pytest.mark.parametrize("n", [600, -2, 2.0, 0, True, 1])
 def test_find_consistent_plant_rejects_a_bad_ground_size(n):
+    # n = 1 has only the empty set for a plant, which IncreasingInstance refuses
     with pytest.raises(ParameterError):
         find_consistent_plant(QueryTranscript(), n)
 

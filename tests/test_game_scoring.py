@@ -2,11 +2,12 @@
 
 `game._score_decreasing` reads a transcript's masks and each entry's |S|:
 only entries in the live band (`game._band`, which is beta < |S| < 2 alpha -
-beta) are tested on the plant and counted for the union bound.  |S| comes
-from the class of a run's recorded `bytes` ids, and from bit_count
-elsewhere (`game._cardinalities`).  `game._score_increasing` compares the
-planted pair's ids at every entry with the unplanted pair's ids at the
-entry's |S|, from the same cardinalities.  The reference
+beta) are tested on the plant and counted for the union bound.  |S| is the
+transcript's own record (`QueryTranscript.cards`), read off the class of a
+table chunk's `bytes` ids and counted by bit_count everywhere else; every
+test here that records a transcript checks it against bit_count.
+`game._score_increasing` compares the planted pair's ids at every entry with
+the unplanted pair's ids at the entry's recorded |S|.  The reference
 (`reference.score_decreasing`, `reference.score_increasing`) evaluates g at
 every entry by value lookups and finds the plant from the set of half-size
 entries.  They must agree on every trial: searched, scripted with direct g
@@ -25,7 +26,6 @@ from reference import consistent_plant, score_decreasing, score_increasing
 from ratiolab import game
 from ratiolab.errors import NoConsistentPlantError, UndefinedRatioError
 from ratiolab.game import (
-    _cardinalities,
     _score_decreasing,
     _score_increasing,
     differs_from_unplanted,
@@ -44,7 +44,7 @@ from ratiolab.oracles import (
     ratio,
 )
 from ratiolab.sampling import derive_seed, random_k_subset
-from ratiolab.sets import Subset, iter_k_subset_masks, unchecked_subset
+from ratiolab.sets import BLOCK, Subset, iter_k_subset_masks, unchecked_subset
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -72,6 +72,19 @@ def _trial(world, algorithm, seed: int) -> QueryTranscript:
     f, g = make_oracles(world, transcript)
     result = algorithm(f, g, world.n, seed)
     ratio(result.argset, f, g)
+    _check_cards(transcript)
+    return transcript
+
+
+def _check_cards(transcript: QueryTranscript) -> None:
+    assert transcript.cards == bytes(map(int.bit_count, transcript.entries))
+
+
+def _recorded(masks) -> QueryTranscript:
+    """A transcript of `masks`, each recorded one at a time."""
+    transcript = QueryTranscript()
+    for mask in masks:
+        transcript.record(mask)
     return transcript
 
 
@@ -103,9 +116,7 @@ def test_searched_trials_score_as_the_reference(family, method, n, seed):
         world = inst.with_plant(random_k_subset(n, inst.alpha, seed))
     else:
         world = INCREASING[n]
-    transcript = _trial(world, make_algorithm(method, budget), derive_seed(seed, "alg"))
-    assert transcript.runs
-    _scored(world, transcript)
+    _scored(world, _trial(world, make_algorithm(method, budget), derive_seed(seed, "alg")))
 
 
 def test_searched_trials_include_distinguished_ones():
@@ -118,8 +129,8 @@ def test_searched_trials_include_distinguished_ones():
     inst = DECREASING[100]
     world = inst.with_plant(random_k_subset(100, inst.alpha, 2))
     transcript = _trial(world, make_algorithm("random", 10_000), derive_seed(2, "alg"))
-    assert [type(ids) for _, ids, _ in transcript.runs] == [list] * 3
-    assert _scored(world, transcript)[0] > transcript.runs[2][0]
+    assert type(class_lookup(world)[0](transcript.entries)) is list
+    assert _scored(world, transcript)[0] > 2 * BLOCK
 
 
 @pytest.mark.parametrize("method", ["random", "local"])
@@ -166,7 +177,7 @@ def test_mixed_transcripts_find_the_first_separating_entry(where, want):
     elif where == "returned":
         returned = SEPARATING
     transcript = _trial(MIXED_DEC, _scripted(direct, chunks, returned), 0)
-    assert len(transcript.entries) == 14 and [start for start, _, _ in transcript.runs] == [1, 7]
+    assert len(transcript.entries) == 14
     assert all(differs_from_unplanted(Subset(mask, 12), MIXED_DEC) == (mask == SEPARATING)
                for mask in transcript.entries)
     first_idx, bound = _scored(MIXED_DEC, transcript)
@@ -193,7 +204,7 @@ def test_mixed_increasing_transcript_hides_the_plant_past_every_kind_of_entry():
 def test_per_mask_fallback_at_the_empty_set():
     # a chunk holding the empty set (g = 0) goes mask by mask through
     # ratio_terms, which records each set one at a time up to the empty one
-    # and raises; an algorithm that carries on leaves those entries in no run
+    # and raises; an algorithm that carries on leaves those entries recorded
     n = 8
     inst = INCREASING[n]
     first = next(iter_k_subset_masks(n, n // 2))
@@ -206,23 +217,19 @@ def test_per_mask_fallback_at_the_empty_set():
 
     transcript = _trial(inst, algorithm, 0)
     assert transcript.entries == [first, 0xF0, 0, 0xFF, 0x33, 1, 0x3C]
-    assert [(start, len(ids)) for start, ids, _ in transcript.runs] == [(3, 3)]
     assert _scored(inst, transcript) == (None, 0)
     assert find_consistent_plant(transcript, n).mask not in transcript.entries
 
 
 def test_per_mask_path_of_a_swapped_pair_is_read_by_bit_count():
     # query_batch with the handles swapped answers mask by mask, recording
-    # each set through the g handle one at a time: those entries are in no
-    # run, so the scorer reads their |S| by bit_count
+    # each set and its |S| by bit_count through the g handle one at a time
     def algorithm(f_oracle, g_oracle, n, seed):
         query_batch(list(QUIET), n, f_oracle, g_oracle)
         query_batch([QUIET[0], SEPARATING, QUIET[1]], n, g_oracle, f_oracle)
         return OptResult(Subset(QUIET[2], n), Fraction(0), 0, "scripted")
 
-    transcript = _trial(MIXED_DEC, algorithm, 0)
-    assert [start for start, _, _ in transcript.runs] == [0]
-    assert _scored(MIXED_DEC, transcript)[0] == 6
+    assert _scored(MIXED_DEC, _trial(MIXED_DEC, algorithm, 0))[0] == 6
 
 
 @pytest.mark.parametrize("world, other, masks, extra, want", [
@@ -230,8 +237,8 @@ def test_per_mask_path_of_a_swapped_pair_is_read_by_bit_count():
     (INCREASING[8], DecreasingInstance(8, 3, 1, Fraction(1, 4), plant=Subset(0x0B, 8)),
      [0xF0, 0x0F, 0x3C, 0xFF, 0x01, 0x33], [0x0B], None),
 ], ids=["decreasing", "increasing"])
-def test_runs_on_another_pairs_classes_are_read_through_their_own_classes(world, other, masks, extra, want):
-    # a transcript shared by two pairs: a run recorded on the other pair's
+def test_chunks_on_another_pairs_classes_record_through_their_own_classes(world, other, masks, extra, want):
+    # a transcript shared by two pairs: a chunk recorded on the other pair's
     # classes gives its |S| through those classes, so it is scored as if
     # recorded one at a time.  Two increasing pairs
     # of one n number their classes alike, so the increasing world shares its
@@ -240,7 +247,8 @@ def test_runs_on_another_pairs_classes_are_read_through_their_own_classes(world,
     for inst in (other, world, other):
         f, g = make_oracles(inst, transcript)
         query_batch(list(masks) + (extra if inst is other else []), world.n, f, g)
-    assert len(transcript.runs) == 3 and transcript.runs[0][2] is not transcript.runs[1][2]
+    assert class_lookup(other)[1] != class_lookup(world)[1]
+    _check_cards(transcript)
     assert _scored(world, transcript)[0] == want
 
 
@@ -272,9 +280,7 @@ def test_the_live_band_edges(inst, alone):
     band = [beta < c < 2 * alpha - beta for c in range(n + 1)]
     assert band == [differs_from_unplanted(Subset(mask, n), planted) for mask in sets]
     for masks in ([[mask] for mask in sets] if alone else [sets[::-1]]):
-        transcript = QueryTranscript()
-        transcript.entries.extend(masks)
-        first_idx, bound = _scored(planted, transcript)
+        first_idx, bound = _scored(planted, _recorded(masks))
         hits = [i for i, mask in enumerate(masks) if band[mask.bit_count()]]
         assert first_idx == (hits[0] if hits else None)
         assert bound == union_bound(map(int.bit_count, masks), n, alpha, beta)
@@ -313,9 +319,7 @@ def test_the_band_scan_passes_live_entries_that_do_not_separate(quiet):
     masks = LIVE_QUIET[:quiet] + [SEPARATING, LIVE_QUIET[0], SEPARATING]
     separates = [differs_from_unplanted(Subset(mask, 12), MIXED_DEC) for mask in masks]
     assert separates == [False] * quiet + [True, False, True]
-    transcript = QueryTranscript()
-    transcript.entries.extend(masks)
-    assert _scored(MIXED_DEC, transcript)[0] == quiet
+    assert _scored(MIXED_DEC, _recorded(masks))[0] == quiet
 
 
 def test_the_band_scan_reaches_the_returned_set():
@@ -338,11 +342,11 @@ def test_the_band_scan_of_a_long_transcript_with_no_live_entry():
     assert _scored(world, transcript) == (None, 0)
 
 
-# ------------------------------------------- cardinalities from recorded ids
+# ------------------------------------------- cardinalities from the class ids
 
 
 def _scored_by_the_game(monkeypatch, inst, algorithm, trials: int) -> list[tuple]:
-    """Every (planted, transcript) the decreasing game scores, re-runs included, each checked against bit_count."""
+    """Every (planted, transcript) the decreasing game scores, re-runs included, each with its cards checked."""
     scored = []
 
     def spy(planted, transcript):
@@ -352,45 +356,46 @@ def _scored_by_the_game(monkeypatch, inst, algorithm, trials: int) -> list[tuple
     monkeypatch.setattr(game, "_score_decreasing", spy)
     run_game_decreasing(algorithm, inst, seed=5, trials=trials)
     for planted, transcript in scored:
-        assert _cardinalities(transcript) == bytes(map(int.bit_count, transcript.entries))
+        _check_cards(transcript)
         assert _score_decreasing(planted, transcript) == score_decreasing(planted, transcript)
     return scored
 
 
 @pytest.mark.parametrize("method", ["random", "local"])
-def test_the_unplanted_runs_at_n_100_read_cardinalities_from_their_ids(monkeypatch, method):
-    # f/f classes, one per |S|: every chunk is a run of bytes ids, read by one translate
+def test_the_unplanted_trials_at_n_100_record_cardinalities_from_their_ids(monkeypatch, method):
+    # f/f classes, one per |S|: every chunk's ids are bytes, read by one translate
     inst = DecreasingInstance(100, 10, 5, Fraction(1, 100))
     scored = _scored_by_the_game(monkeypatch, inst, make_algorithm(method, 10_000), 2)
     assert len(scored) == 2
     for _, transcript in scored:
-        assert {type(ids) for _, ids, _ in transcript.runs} == {bytes}
-        assert len(transcript.entries) > sum(len(ids) for _, ids, _ in transcript.runs)  # the returned set
+        assert type(class_lookup(inst)[0](transcript.entries)) is bytes
 
 
-def test_planted_re_runs_read_cardinalities_from_their_grid_ids(monkeypatch):
+def test_planted_re_runs_record_cardinalities_from_their_grid_ids(monkeypatch):
     # criterion 9's game: 3 of 8 trials separate, and their re-runs on the
     # planted grid, at most 256 classes at n = 14, are scored from bytes ids too
     inst = DecreasingInstance(14, 4, 1, Fraction(1, 2))
     scored = _scored_by_the_game(monkeypatch, inst, make_algorithm("random", 25), 8)
     by_plant = {}
     for planted, transcript in scored:
-        by_plant.setdefault(id(planted), []).append(transcript)
-    re_runs = [transcripts[1] for transcripts in by_plant.values() if len(transcripts) == 2]
+        by_plant.setdefault(id(planted), []).append((planted, transcript))
+    re_runs = [pairs[1] for pairs in by_plant.values() if len(pairs) == 2]
     assert len(by_plant) == 8 and len(re_runs) == 3
-    assert {type(ids) for transcript in re_runs for _, ids, _ in transcript.runs} == {bytes}
+    for planted, transcript in re_runs:
+        # bytes ids that are not |S|, so the cards went through the class table
+        ids = class_lookup(planted)[0](transcript.entries)
+        assert type(ids) is bytes and list(ids) != list(transcript.cards)
 
 
-def test_list_ids_and_entries_in_no_run_keep_bit_count():
-    # a planted pair at n = 100 has more than 256 classes, so its runs are
-    # lists; scripted direct g calls and the returned set are in no run
+def test_list_ids_and_direct_calls_record_bit_count():
+    # a planted pair at n = 100 has more than 256 classes, so its ids are
+    # lists; scripted direct g calls and the returned set are recorded one at
+    # a time, between chunks of bytes ids (`_trial` checks the cards)
     world = DECREASING[100].with_plant(random_k_subset(100, DECREASING[100].alpha, 1))
     transcript = _trial(world, make_algorithm("random", 10_000), derive_seed(1, "alg"))
-    assert [type(ids) for _, ids, _ in transcript.runs] == [list] * 3
-    assert _cardinalities(transcript) == bytes(map(int.bit_count, transcript.entries))
+    assert type(class_lookup(world)[0](transcript.entries)) is list
     transcript = _trial(MIXED_DEC, _scripted([SEPARATING, QUIET[0], 0b1], [QUIET, [0b1, 0b11]], 0b111), 0)
-    assert {type(ids) for _, ids, _ in transcript.runs} == {bytes}
-    assert _cardinalities(transcript) == bytes(map(int.bit_count, transcript.entries))
+    assert len(transcript.entries) == 11 and type(class_lookup(MIXED_DEC)[0](QUIET)) is bytes
 
 
 # ------------------------------------------------- the exactness premise

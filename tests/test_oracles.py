@@ -394,9 +394,7 @@ def test_counting_oracle_wraps_plain_function():
 
 def test_transcript_records_pairs_in_order():
     # one entry per ratio query: the set, recorded by the g handle, repeats
-    # included; the transcript holds its masks and the class ids of the
-    # chunks query_batch answered from its table, and ratio records one set
-    # at a time, with no run
+    # included; the transcript holds its masks and each one's |S|
     t = QueryTranscript()
     f, g = make_oracles(DEC, transcript=t)
     a = Subset.from_elements([0], 8)
@@ -406,14 +404,13 @@ def test_transcript_records_pairs_in_order():
     ratio(b, f, g)
     assert len(t) == g.count == 3
     assert t.entries == [a.mask, b.mask, b.mask]
-    assert t.runs == []
-    assert QueryTranscript.__slots__ == ("entries", "runs")
+    assert t.cards == bytes([1, 3, 3])
+    assert QueryTranscript.__slots__ == ("entries", "cards")
 
 
-def test_transcript_keeps_each_table_chunk_ids_by_reference():
-    # each chunk the class-id table answers is one run (start, ids, classes),
-    # the very objects query_batch returned; a chunk answered mask by mask
-    # (here one holding the g = 0 set) and a direct g call are in no run
+def test_transcript_records_the_cardinality_of_every_entry():
+    # a chunk the class-id table answers, a direct g call and a chunk
+    # answered mask by mask (here one holding the g = 0 set) each record |S|
     t = QueryTranscript()
     inst = IncreasingInstance(6, 100, Fraction(1, 4))
     f, g = make_oracles(inst, transcript=t)
@@ -423,9 +420,61 @@ def test_transcript_keeps_each_table_chunk_ids_by_reference():
         query_batch([1, 0], 6, f, g)
     second = query_batch(range(8, 12), 6, f, g)
     assert t.entries == [3, 5, 7, 9, 1, 0, 8, 9, 10, 11]
-    assert [(start, len(ids)) for start, ids, _ in t.runs] == [(0, 3), (6, 4)]
-    for (start, ids, classes), (got_ids, got_classes) in zip(t.runs, [first, second]):
-        assert ids is got_ids and classes is got_classes
+    assert t.cards == bytes([2, 2, 3, 2, 1, 0, 1, 2, 2, 3])
+    assert type(first[0]) is type(second[0]) is bytes
+
+
+# One pair per kind of class-id table: unplanted pairs, whose class id is |S|
+# at every nonempty set, and planted pairs, whose ids are not: the decreasing
+# grid in bytes at n = 14 and in a list past 256 classes at n = 100, and the
+# increasing plant inside a chunk.
+CARD_PAIRS = [
+    DecreasingInstance(14, 4, 1, Fraction(1, 2)),
+    IncreasingInstance(30, 10**6, Fraction(1, 1000)),
+    DecreasingInstance(100, 25, 5, Fraction(1, 100)),
+    DecreasingInstance(14, 4, 1, Fraction(1, 2), plant=random_k_subset(14, 4, 14)),
+    DecreasingInstance(100, 25, 5, Fraction(1, 100), plant=random_k_subset(100, 25, 100)),
+    IncreasingInstance(14, 1000, Fraction(1, 100), plant=random_k_subset(14, 7, 14)),
+]
+
+
+@pytest.mark.parametrize("inst", CARD_PAIRS, ids=lambda i: f"{i.family}-n{i.n}-{i.plant is not None}")
+def test_cards_are_the_bit_count_of_the_entries_on_every_recording_path(inst):
+    # after each way g's transcript can grow: the table path on a drawn list
+    # and on an aligned block, the per-mask path of swapped handles and of an
+    # f handle with a transcript, direct g calls and `record`
+    n = inst.n
+    stream = SeededStream(35, "cards", n)
+    masks = [stream.nonempty_mask(n) for _ in range(300)]
+    if inst.plant is not None:
+        masks[7:7] = [inst.plant.mask]
+    t = QueryTranscript()
+    f, g = make_oracles(inst, t)
+
+    def check(transcript=t):
+        assert len(transcript.cards) == len(transcript.entries)
+        assert transcript.cards == bytes(map(int.bit_count, transcript.entries))
+
+    ids, classes = query_batch(masks, n, f, g)
+    assert type(ids) is (list if len(classes) > 256 else bytes)
+    # a recorder that copied the ids themselves would pass on the unplanted pairs alone
+    assert (list(ids) == [mask.bit_count() for mask in masks]) is (inst.plant is None)
+    check()
+    query_batch(range(1, oracles.BLOCK), n, f, g)
+    check()
+    query_batch(masks[:20], n, g, f)
+    check()
+    for mask in masks[:5]:
+        g(Subset(mask, n))
+    check()
+    f.transcript = QueryTranscript()
+    query_batch(masks[:20], n, f, g)
+    check()
+    check(f.transcript)
+    assert f.transcript.entries == masks[:20]
+    t.record(masks[-1])
+    check()
+    assert len(t) == len(masks) + (oracles.BLOCK - 1) + 20 + 5 + 20 + 1
 
 
 def test_only_the_g_handle_records():
@@ -581,7 +630,7 @@ def _at_mask(inst, role):
 
 def _table_lookup(inst):
     """The mask -> class lookup of a `make_oracles` pair's class-id table, uncharged."""
-    _, _, kernel, classes = make_oracles(inst)[1]._classes
+    _, _, kernel, classes, _ = make_oracles(inst)[1]._classes
     return lambda mask: classes[kernel([mask])[0]]
 
 
