@@ -99,6 +99,34 @@ MUTANTS = [
         ("tests/test_verify_blocks.py", "tests/test_verify.py"),
     ),
     Mutant(
+        "tabulate-counting-replays-one-short",
+        "src/ratiolab/verify.py",
+        "oracle.answers(repeat(subset, k))",
+        "oracle.answers(repeat(subset, k - 1))",
+        ("tests/test_verify.py",),
+    ),
+    Mutant(
+        "tabulate-bulk-path-for-a-subclass",
+        "src/ratiolab/verify.py",
+        "bulk = type(oracle) is CountingOracle",
+        "bulk = isinstance(oracle, CountingOracle)",
+        ("tests/test_verify.py",),
+    ),
+    Mutant(
+        "answers-charges-no-raising-call",
+        "src/ratiolab/oracles.py",
+        "self.count += len(values) + 1",
+        "self.count += len(values)",
+        ("tests/test_oracles.py", "tests/test_verify_blocks.py"),
+    ),
+    Mutant(
+        "answers-bulk-path-with-transcript",
+        "src/ratiolab/oracles.py",
+        "if self.transcript is not None:\n            return [self(S) for S in subsets]",
+        "if False:\n            return [self(S) for S in subsets]",
+        ("tests/test_oracles.py",),
+    ),
+    Mutant(
         "record-appends-no-card",
         "src/ratiolab/oracles.py",
         "        self.entries.append(mask)\n        self.cards.append(mask.bit_count())\n",

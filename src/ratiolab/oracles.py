@@ -134,12 +134,13 @@ class CountingOracle:
 
     Wraps any Subset -> Fraction callable; `for_instance` binds the right
     family evaluator for a role ("f" or "g").  A handle with a transcript
-    records the mask of every set it evaluates.  A `make_oracles` g handle
-    also holds `_classes`, (its f handle, n, masks -> f/g class ids, the
-    classes by id, class id -> |S|), read by `query_batch` with that f
-    handle alone.  A planted pair's g closure holds the plant, or its
-    complement, so the games hand an algorithm a planted pair only to run
-    again a trial that the plant already separated.
+    records the mask of every set it evaluates.  `answers` evaluates many
+    sets, charged and recorded as the same calls one by one.  A
+    `make_oracles` g handle also holds `_classes`, (its f handle, n, masks
+    -> f/g class ids, the classes by id, class id -> |S|), read by
+    `query_batch` with that f handle alone.  A planted pair's g closure
+    holds the plant, or its complement, so the games hand an algorithm a
+    planted pair only to run again a trial that the plant already separated.
     """
 
     __slots__ = ("_fn", "count", "transcript", "_classes")
@@ -162,6 +163,26 @@ class CountingOracle:
         if self.transcript is not None:
             self.transcript.record(S.mask)
         return value
+
+    def answers(self, subsets) -> list:
+        """`[self(S) for S in subsets]`: the same values, charges, records and errors.
+
+        Without a transcript the evaluator runs through one C-level `map`,
+        with no call of this handle per set.  If it raises at the j-th set,
+        `count` has grown by j, the raising call included, as `__call__`
+        charges before it evaluates.  A handle with a transcript is called
+        once per set, so it records what those calls would.
+        """
+        if self.transcript is not None:
+            return [self(S) for S in subsets]
+        values = []
+        try:
+            values.extend(map(self._fn, subsets))
+        except BaseException:
+            self.count += len(values) + 1
+            raise
+        self.count += len(values)
+        return values
 
 
 _BY_CARDINALITY, _BY_GRID, _BY_PLANT = range(3)

@@ -392,6 +392,66 @@ def test_counting_oracle_wraps_plain_function():
     assert oracle.count == 1
 
 
+# answers(subsets) against its reference, [h(S) for S in subsets], each on a
+# fresh handle: the values, the charges and what the transcript records.
+# SETS repeats sets and holds INC's plant, {0, 1, 2, 3}.
+SETS = [Subset(mask, 8) for mask in (0b1, 0b1111, 0b1111, 0, 0b10110, 0b11111111, 0b1)]
+
+
+def answer_both_ways(make, subsets):
+    """Per way, `answers` then the reference: (values or the exception raised, count, entries, cards)."""
+    outcomes = []
+    for ask in (lambda h: h.answers(iter(subsets)), lambda h: [h(S) for S in subsets]):
+        handle = make()
+        try:
+            got = ask(handle)
+        except ParameterError as exc:
+            got = exc
+        t = handle.transcript
+        outcomes.append((got, handle.count) + ((None, None) if t is None else (t.entries, bytes(t.cards))))
+    return outcomes
+
+
+@pytest.mark.parametrize("recorded", [False, True])
+@pytest.mark.parametrize("subsets", [SETS, SETS[1:2], []], ids=["seven", "one", "none"])
+def test_answers_is_its_reference(recorded, subsets):
+    for side in (0, 1):
+        got, want = answer_both_ways(lambda: make_oracles(INC, QueryTranscript() if recorded else None)[side], subsets)
+        assert got == want
+        values, count, entries, cards = got
+        assert type(values) is list and all(a is b for a, b in zip(values, want[0]))
+        assert count == len(subsets)
+        assert entries == ([S.mask for S in subsets] if recorded and side else None)
+        assert cards == (bytes(S.cardinality for S in subsets) if recorded and side else None)
+
+
+@pytest.mark.parametrize("recorded", [False, True])
+@pytest.mark.parametrize("j", [1, 4, 7])
+def test_answers_charges_the_call_that_raises(j, recorded):
+    # the evaluator raises at the j-th of 7 sets: as for calls one by one,
+    # count grows by exactly j, the same exception propagates and only the
+    # sets before it are recorded
+    boom = ParameterError("boom")
+    subsets = list(SETS)
+    subsets[j - 1] = bad = Subset(0b101, 8)
+
+    def evaluator(S):
+        if S is bad:
+            raise boom
+        return Fraction(S.cardinality)
+
+    def make():
+        handle = CountingOracle(evaluator, QueryTranscript() if recorded else None)
+        handle(SETS[0])
+        return handle
+
+    got, want = answer_both_ways(make, subsets)
+    assert got == want
+    assert got[:2] == (boom, 1 + j)
+    if recorded:
+        assert got[2] == [S.mask for S in [SETS[0], *subsets[:j - 1]]]
+
+
 def test_transcript_records_pairs_in_order():
     # one entry per ratio query: the set, recorded by the g handle, repeats
     # included; the transcript holds its masks and each one's |S|

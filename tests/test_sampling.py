@@ -54,7 +54,8 @@ def test_the_stream_hashes_with_the_builtin_sha256():
 @needs_builtin_sha256
 def test_drawing_loads_neither_hashlib_nor_openssl():
     # A fresh interpreter without site imports the package, its CLI and a
-    # draw of each kind from the src/ this package was imported from.
+    # draw of each kind from the src/ this package was imported from.  -E
+    # drops PYTHONDONTWRITEBYTECODE, so -B keeps it from writing bytecode there.
     src = Path(ratiolab.__file__).resolve().parents[1]
     code = (
         "import sys\n"
@@ -65,7 +66,7 @@ def test_drawing_loads_neither_hashlib_nor_openssl():
         "random_k_subset(30, 15, 5)\n"
         "print(sorted(name for name in ('hashlib', '_hashlib') if name in sys.modules))\n"
     )
-    done = subprocess.run([sys.executable, "-S", "-E", "-c", code], capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, "-B", "-S", "-E", "-c", code], capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
 
 

@@ -144,6 +144,21 @@ def test_query_cost_formula():
     assert oracle.count == 1 << 6
 
 
+def test_a_counting_oracle_subclass_is_called_for_every_query():
+    # only a CountingOracle itself takes its replays through `answers`: a
+    # subclass that overrides __call__ is called once per query of the plan
+    class Logged(CountingOracle):
+        def __call__(self, S):
+            self.asked.append(S.mask)
+            return super().__call__(S)
+
+    n = 6
+    oracle = Logged(modular_size)
+    oracle.asked = []
+    check_supermodular(oracle, n)
+    assert len(oracle.asked) == oracle.count == (1 << n) + n * (1 << (n - 1)) + n * (n - 1) * (1 << (n - 2))
+
+
 def test_query_cost_is_the_full_plan_when_the_cap_is_reached():
     # the function is tabulated and every marginal query replayed before the
     # scan, so a capped, violating check still spends the whole plan
@@ -187,14 +202,16 @@ def test_float_values_rejected():
 
 
 def test_inconsistent_oracle_rejected():
-    # the full set gets a new value at every query
+    # the full set gets a new value at every query, asked bare or through a
+    # CountingOracle, which takes a set's replays in one `answers` call
     def drifting(S, _answers=count()):
         return next(_answers) if S.mask == 0b1111 else S.cardinality
 
-    with pytest.raises(ParameterError, match="more than one value"):
-        check_supermodular(drifting, 4)
-    with pytest.raises(ParameterError, match="more than one value"):
-        check_monotone(drifting, 4, "nondecreasing")
+    for oracle in (drifting, CountingOracle(drifting)):
+        with pytest.raises(ParameterError, match="more than one value"):
+            check_supermodular(oracle, 4)
+        with pytest.raises(ParameterError, match="more than one value"):
+            check_monotone(oracle, 4, "nondecreasing")
 
 
 def test_guard_respected():

@@ -94,12 +94,17 @@ def test_a_bump_in_the_second_block_is_found():
 
 def test_queries_come_set_by_set_each_with_its_replays():
     # each set once, then once more per marginal query landing on it: |T|^2
-    # more for supermodularity, |T| more for monotonicity, in ascending mask order
+    # more for supermodularity, |T| more for monotonicity, in ascending mask
+    # order; the same through a CountingOracle, whose replays come by `answers`
     for check, repeats in ((check_supermodular, lambda c: c * c),
                            (lambda fn, n: check_monotone(fn, n, "nondecreasing"), lambda c: c)):
-        asked = []
-        check(lambda S: asked.append(S.mask) or S.cardinality, N)
-        assert asked == [mask for mask in range(1 << N) for _ in range(1 + repeats(mask.bit_count()))]
+        plan = [mask for mask in range(1 << N) for _ in range(1 + repeats(mask.bit_count()))]
+        for wrap in (lambda fn: fn, CountingOracle):
+            asked = []
+            oracle = wrap(lambda S: asked.append(S.mask) or S.cardinality)
+            check(oracle, N)
+            assert asked == plan
+            assert getattr(oracle, "count", len(plan)) == len(plan)
 
 
 def test_the_supermodular_plan_is_exact_at_n_16():
@@ -145,5 +150,26 @@ def test_a_drifting_oracle_is_named_by_its_subset(mask):
         return next(answers) if S.mask == mask else S.cardinality
 
     for check in (check_supermodular, lambda fn, n: check_monotone(fn, n, "nondecreasing")):
-        with pytest.raises(ParameterError, match=re.escape(f"oracle gave {drifted!r} more than one value")):
-            check(drifting, N)
+        for oracle in (drifting, CountingOracle(drifting)):
+            with pytest.raises(ParameterError, match=re.escape(f"oracle gave {drifted!r} more than one value")):
+                check(oracle, N)
+
+
+@pytest.mark.parametrize("mask", [0b10101, BLOCK | 0b10101])
+def test_an_evaluator_raising_mid_replay_is_charged_for_the_calls_made(mask):
+    # the evaluator raises at the 2nd of at least 3 replays of `mask`, its
+    # 3rd call there: the CountingOracle has charged exactly the calls made
+    calls = []
+
+    def failing(S):
+        calls.append(S.mask)
+        if calls[-3:] == [mask] * 3:
+            raise ParameterError("evaluator failed")
+        return S.cardinality
+
+    for check in (check_supermodular, lambda fn, n: check_monotone(fn, n, "nondecreasing")):
+        calls.clear()
+        oracle = CountingOracle(failing)
+        with pytest.raises(ParameterError, match="evaluator failed"):
+            check(oracle, N)
+        assert calls[-4:] == [mask - 1] + [mask] * 3 and oracle.count == len(calls)
