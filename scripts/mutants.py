@@ -303,10 +303,17 @@ MUTANTS = [
         ("tests/test_game.py",),
     ),
     Mutant(
+        "rerun-prefix-check-reads-one-entry",
+        "src/ratiolab/game.py",
+        "if transcript.entries[:first_idx + 1] != prefix:",
+        "if transcript.entries[first_idx] != prefix[-1]:",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
         "separated-trial-reported-from-unplanted-run",
         "src/ratiolab/game.py",
-        "            transcript, queries, value = _run(algorithm, planted, trial_seed)\n",
-        "            _run(algorithm, planted, trial_seed)\n",
+        "                transcript, queries, value = _run(algorithm, planted, trial_seed)\n",
+        "                _run(algorithm, planted, trial_seed)\n",
         ("tests/test_game.py",),
     ),
     # The decreasing game scored from masks alone, on the band t(s) <= min(alpha, s), which is beta < s < 2 alpha - beta.

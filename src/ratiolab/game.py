@@ -2,23 +2,22 @@
 
 Both games play the collapse argument: until a deterministic algorithm
 separates the two worlds, every g answer it sees is the unplanted one, so
-its run is fixed by the unplanted world.  Each trial runs the algorithm
-against the unplanted pair, and only then is a plant chosen (`_play`).
+its run is fixed by the unplanted world.  Each trial therefore runs the
+algorithm against the unplanted pair first, and only then draws or searches
+for its plant; `_play` is that one trial loop for both families.
 
 Decreasing family: the plant R is a seeded uniform draw; the unplanted g is
 f.  R separates a set S, g_R(S) != f(S), exactly when |S & R| >= t(|S|),
 t(s) = s - min{alpha, s} + beta + 1: `_threshold` is the one statement of
 that rule.  A trial R does not separate saw only values of both pairs: its
 best ratio is exactly 1, and the true optimum sits at eps/(alpha+eps-beta).
-A trial R separates is run again against the planted pair and reported from
-that run.  It is scored from its masks and their recorded |S| (`_score_decreasing`).
+A trial is scored from its masks and their recorded |S| (`_score_decreasing`).
 
-Increasing family: the adversary is lazy.  A consistent plant R* is chosen
-among the half-size sets the algorithm never touched, found from each
-entry's recorded |S| (`QueryTranscript.cards`) and rechecked against the
-unplanted pair at every entry, so the two worlds agree on the entire
-transcript.  The empirical ratio is then at least min{n/(2 eps), m} /
-floor(n/2).  A trial
+Increasing family: the adversary is lazy.  A consistent plant R* is found
+among the half-size sets the algorithm never touched, from each entry's
+recorded |S| (`QueryTranscript.cards`), and rechecked against the unplanted
+pair at every entry, so the two worlds agree on the entire transcript.  The
+empirical ratio is then at least min{n/(2 eps), m} / floor(n/2).  A trial
 whose queries cover every half-size set leaves no place to hide a plant;
 it is recorded as distinguished, with union bound 1.
 
@@ -227,16 +226,17 @@ def _run(algorithm, world, trial_seed: int) -> tuple[QueryTranscript, int, Fract
     return transcript, queries, value
 
 
-def _play(algorithm, inst, family: type, seed: int, trials: int, choose) -> list[GameReport]:
-    """The trial loop both games share: play the unplanted world, choose the plant afterwards.
+def _play(algorithm, inst, family: type, seed: int, trials: int) -> list[GameReport]:
+    """The trial loop both games share: the unplanted run first, then the plant.
 
-    Per trial, the algorithm runs against `inst`, an unplanted `family`, and
-    `choose(trial_seed, transcript)` gives (planted world or None, first_idx,
-    union_bound) for that run.  When the plant separates the run at first_idx,
-    the algorithm runs again against the planted world, a decreasing one, and
-    the trial is reported from that run, scored on the same plant: until
-    first_idx it saw the unplanted answers, so its entries through first_idx
-    must equal the unplanted run's, or RatioLabError is raised.
+    Per trial, the algorithm runs against `inst`, an unplanted `family`.  An
+    increasing trial is then scored by `_score_increasing`, whose R* agrees
+    with the whole run.  A decreasing trial draws its plant R and is scored
+    on it by `_score_decreasing`.  When R separates the run at first_idx, the
+    algorithm runs again against the planted pair and the trial is reported
+    from that run, scored on the same R: until first_idx it saw the
+    unplanted answers, so its entries through first_idx must equal the
+    unplanted run's, or RatioLabError is raised.
     """
     if not isinstance(inst, family):
         raise ParameterError(f"this game plays a {family.__name__}, got {type(inst).__name__}")
@@ -248,14 +248,18 @@ def _play(algorithm, inst, family: type, seed: int, trials: int, choose) -> list
     for trial in range(trials):
         trial_seed = derive_seed(seed, "trial", trial)
         transcript, queries, value = _run(algorithm, inst, trial_seed)
-        planted, first_idx, union = choose(trial_seed, transcript)
-        if planted is not None and first_idx is not None:
-            prefix = transcript.entries[:first_idx + 1]
-            transcript, queries, value = _run(algorithm, planted, trial_seed)
-            if transcript.entries[:first_idx + 1] != prefix:
-                raise RatioLabError("the planted run asked other sets before it could tell the worlds apart; "
-                                    "the algorithm is not a function of its seed and the answers it saw")
+        if family is IncreasingInstance:
+            first_idx, union = _score_increasing(inst, transcript)
+        else:
+            planted = inst.with_plant(random_k_subset(inst.n, inst.alpha, derive_seed(trial_seed, "plant")))
             first_idx, union = _score_decreasing(planted, transcript)
+            if first_idx is not None:
+                prefix = transcript.entries[:first_idx + 1]
+                transcript, queries, value = _run(algorithm, planted, trial_seed)
+                if transcript.entries[:first_idx + 1] != prefix:
+                    raise RatioLabError("the planted run asked other sets before it could tell the worlds apart; "
+                                        "the algorithm is not a function of its seed and the answers it saw")
+                first_idx, union = _score_decreasing(planted, transcript)
         reports.append(GameReport(
             family=inst.family,
             n=inst.n,
@@ -279,12 +283,7 @@ def run_game_decreasing(algorithm, inst: DecreasingInstance, seed: int, trials: 
     OptResult.  A trial the plant separates is reported from the algorithm's
     run against the planted pair (`_play`).
     """
-
-    def draw_plant(trial_seed: int, transcript: QueryTranscript):
-        planted = inst.with_plant(random_k_subset(inst.n, inst.alpha, derive_seed(trial_seed, "plant")))
-        return planted, *_score_decreasing(planted, transcript)
-
-    return _play(algorithm, inst, DecreasingInstance, seed, trials, draw_plant)
+    return _play(algorithm, inst, DecreasingInstance, seed, trials)
 
 
 def run_game_increasing(algorithm, inst: IncreasingInstance, seed: int, trials: int) -> list[GameReport]:
@@ -299,12 +298,7 @@ def run_game_increasing(algorithm, inst: IncreasingInstance, seed: int, trials: 
     query that covered the last candidate, the union bound is 1, and the
     planted optimum is floor(n/2), its value for every plant.
     """
-
-    def lazy_plant(trial_seed: int, transcript: QueryTranscript):
-        # R* agrees with the whole run, so no planted world is run again
-        return None, *_score_increasing(inst, transcript)
-
-    return _play(algorithm, inst, IncreasingInstance, seed, trials, lazy_plant)
+    return _play(algorithm, inst, IncreasingInstance, seed, trials)
 
 
 def game_report_row(report: GameReport) -> tuple:

@@ -5,8 +5,9 @@ Monte Carlo and the plain binomial sum against the exact distinguishing
 probability, the all-pairs lattice inequality against the pairwise-marginal
 supermodularity scan, a one-block-at-a-time stream reader against the
 seeded stream, an explicit value table as a third-party set function, the
-game's scoring by value lookups and a set-based plant search, and the write
-side of the instance descriptor and violation CSV forms.
+game's scoring by value lookups and a set-based plant search, each family's
+exact share of separating plants by enumeration, and the write side of the
+instance descriptor and violation CSV forms.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from math import lcm
 from operator import is_not
 
 from ratiolab.errors import NoConsistentPlantError, ParameterError, RatioLabError
-from ratiolab.game import distinguish_probability, union_bound
+from ratiolab.game import _threshold, distinguish_probability, union_bound
 from ratiolab.instances import DecreasingInstance
 from ratiolab.oracles import instance_evaluator
 from ratiolab.sampling import SeededStream
@@ -130,6 +131,27 @@ def score_increasing(unplanted, transcript) -> tuple:
     if first_difference(transcript, g, g_star) is not None:
         raise RatioLabError("planted world disagrees with the transcript; plant search is broken")
     return None, Fraction(0)
+
+
+def separated_share_decreasing(transcript, n: int, alpha: int, beta: int) -> Fraction:
+    """The exact share of the C(n, alpha) plants R that separate some entry S, |S & R| >= t(|S|) by `game._threshold`.
+
+    By the collapse argument this is a deterministic algorithm's chance of
+    distinguishing a uniform plant, read off its unplanted transcript.
+    """
+    t = [_threshold(alpha, beta, s) for s in range(n + 1)]
+    entries = set(zip(transcript.entries, transcript.cards))
+    hits = sum(any((mask & plant).bit_count() >= t[card] for mask, card in entries)
+               for plant in iter_k_subset_masks(n, alpha))
+    return Fraction(hits, math.comb(n, alpha))
+
+
+def separated_share_increasing(transcript, n: int) -> Fraction:
+    """The exact share of the C(n, n//2) plants R that separate some entry: g_R differs from g at R alone,
+    so it is the distinct half-size entries, by their recorded |S|, over C(n, n//2)."""
+    k = n // 2
+    half = {mask for mask, card in zip(transcript.entries, transcript.cards) if card == k}
+    return Fraction(len(half), math.comb(n, k))
 
 
 def all_pairs_supermodular(fn, n: int) -> bool:

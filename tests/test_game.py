@@ -11,7 +11,12 @@ from math import comb, sqrt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import binomial_distinguish_probability, monte_carlo_distinguish
+from reference import (
+    binomial_distinguish_probability,
+    monte_carlo_distinguish,
+    separated_share_decreasing,
+    separated_share_increasing,
+)
 
 from ratiolab import game
 from ratiolab.errors import NoConsistentPlantError, ParameterError, RatioLabError, UndefinedRatioError
@@ -452,14 +457,15 @@ def test_every_plant_at_n8(monkeypatch, method):
     # the draw forced to each of the 56 plants: the unplanted run is the same
     # for all of them, a trial is distinguished exactly when
     # differs_from_unplanted holds at some unplanted entry, first_idx is the
-    # first such entry, and a separated trial reports its planted run
+    # first such entry, and a separated trial reports its planted run; so the
+    # distinguished plants are the exact share the unplanted transcript separates
     inst = DecreasingInstance(8, 3, 1, Fraction(1, 2))
     algorithm = make_algorithm(method, budget=12)
     trial_seed = derive_seed(3, "trial", 0)
     transcript = QueryTranscript()
     f, g = make_oracles(inst, transcript)
     ratio(algorithm(f, g, 8, derive_seed(trial_seed, "alg")).argset, f, g)
-    first_cards = set()
+    first_cards, distinguished = set(), 0
     for mask in iter_k_subset_masks(8, 3):
         plant = Subset(mask, 8)
         monkeypatch.setattr(game, "random_k_subset", lambda n, k, seed: plant)
@@ -467,6 +473,7 @@ def test_every_plant_at_n8(monkeypatch, method):
         planted = inst.with_plant(plant)
         hits = [i for i, entry in enumerate(transcript.entries) if differs_from_unplanted(Subset(entry, 8), planted)]
         assert r.distinguished == bool(hits) and r.first_idx == (hits[0] if hits else None), plant
+        distinguished += r.distinguished
         reported = transcript
         if hits:
             first_cards.add(transcript.entries[hits[0]].bit_count())
@@ -479,6 +486,25 @@ def test_every_plant_at_n8(monkeypatch, method):
         assert r.union_bound == union_bound(map(int.bit_count, reported.entries), 8, 3, 1)
     # random search first separates at both ends of the band beta < |S| < 2 alpha - beta
     assert first_cards == ({2, 4} if method == "random" else {3, 4})
+    share = separated_share_decreasing(transcript, 8, 3, 1)
+    assert distinguished == share * comb(8, 3) and share <= union_bound(transcript.cards, 8, 3, 1)
+
+
+@pytest.mark.parametrize("method", ["random", "local"])
+def test_every_increasing_plant_at_n8(method):
+    # g_R differs from g at R alone, so of the 70 half-size plants exactly
+    # the distinct half-size entries of the unplanted run change its class
+    # ids, and the exact separating share is their count over C(8, 4)
+    inst = IncreasingInstance(8, 100, Fraction(1, 4))
+    transcript = QueryTranscript()
+    f, g = make_oracles(inst, transcript)
+    algorithm = make_algorithm(method, budget=40)
+    ratio(algorithm(f, g, 8, derive_seed(derive_seed(3, "trial", 0), "alg")).argset, f, g)
+    unplanted = class_lookup(inst)[0](transcript.entries)
+    separating = sum(class_lookup(inst.with_plant(Subset(mask, 8)))[0](transcript.entries) != unplanted
+                     for mask in iter_k_subset_masks(8, 4))
+    share = separated_share_increasing(transcript, 8)
+    assert 0 < share < 1 and separating == share * comb(8, 4)
 
 
 @pytest.mark.parametrize("run, inst, chooser", [
