@@ -379,8 +379,15 @@ MUTANTS = [
     Mutant(
         "listed-ids-ignore-the-plant",
         "src/ratiolab/oracles.py",
-        "if rule == _BY_GRID or rule == _BY_PLANT and plant in masks:",
-        "if rule == _BY_GRID:",
+        "if out or plant >= 0 and plant in masks:",
+        "if out:",
+        ("tests/test_oracles.py",),
+    ),
+    Mutant(
+        "plant-entry-read-at-n",
+        "src/ratiolab/oracles.py",
+        "_v=rows[0][n + 1]",
+        "_v=rows[0][n]",
         ("tests/test_oracles.py",),
     ),
     # Type checks that come before any field of the instance is read.
@@ -498,8 +505,20 @@ MUTANTS = [
 ]
 
 
+def _lead(mutant: Mutant) -> str:
+    """What must come just before the old text: a newline when it begins with a space, so that it starts a line."""
+    return "\n" if mutant.old.startswith(" ") else ""
+
+
 def occurrences(mutant: Mutant) -> int:
-    return (ROOT / mutant.path).read_text().count(mutant.old)
+    lead = _lead(mutant)
+    return (lead + (ROOT / mutant.path).read_text()).count(lead + mutant.old)
+
+
+def mutate(text: str, mutant: Mutant) -> str:
+    """`text` with the mutant's old text replaced where `occurrences` counts it."""
+    lead = _lead(mutant)
+    return (lead + text).replace(lead + mutant.old, lead + mutant.new)[len(lead):]
 
 
 def run_tests(mutant: Mutant | None, tests: tuple[str, ...]) -> tuple[int, float]:
@@ -511,7 +530,7 @@ def run_tests(mutant: Mutant | None, tests: tuple[str, ...]) -> tuple[int, float
         shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
         if mutant is not None:
             target = work / mutant.path
-            target.write_text(target.read_text().replace(mutant.old, mutant.new))
+            target.write_text(mutate(target.read_text(), mutant))
         env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
         started = time.perf_counter()
         done = subprocess.run(

@@ -11,22 +11,19 @@ searches query bit masks through `query_batch`, which gives each mask's
 small-int class id and the classes by id: a class is one distinct
 (p, q, |S|) of f/g, or None where g = 0.  `ratio_terms` alone defines a
 query's charges, records and errors; `query_batch` calls it mask by mask
-wherever its table shortcut would differ.  Each side of an instance keeps
-cached tables indexed alike by the side's value class: its values, the
-Fractions `instance_evaluator` returns, and for g the class ids, read off
-those values once at build time.  `_id_kernel` alone maps masks to class
-ids, so a search query on a `make_oracles` pair builds no Subset, Fraction
-or tuple per mask.  A pair with at most 256 classes gives them as `bytes`:
-a step-1 range inside one aligned block of BLOCK masks, as brute force
-asks, with one `bytes.translate`, and drawn and neighbour lists with one
-more by |S| (on the planted decreasing grid, or at the increasing plant,
-one comprehension over the masks' cells, put into `bytes`); a larger
-pair, a planted grid, gets the comprehension's list.  `query_batch` looks
-for a set where g = 0 (id 0) with one `0 not in ids`, a C `memchr` on
-`bytes`; no bundled pair has both a list's many classes and such a set.
-The planted decreasing g's grid has a row per |S minus R|; f reads its last row,
-and so does the unplanted decreasing g, which is f, with its own f/f classes,
-one per |S|.
+wherever its table shortcut would differ.  Each side of an instance is
+one cached table form, `_side`'s (rows, out, plant): its values, the
+Fractions `instance_evaluator` returns, and for g the class ids in the same
+rows, read off those values once at build time.  `_id_kernel` alone maps
+masks to class ids, so a search query on a `make_oracles` pair builds no
+Subset, Fraction or tuple per mask.  A pair with at most 256 classes gives
+them as `bytes`: a step-1 range inside one aligned block of BLOCK masks, as
+brute force asks, with one `bytes.translate`, and drawn and neighbour lists
+with one more by |S| (where out is set, or at the plant, one comprehension
+over the masks' cells, put into `bytes`); a larger pair, a planted grid,
+gets the comprehension's list.  `query_batch` looks for a set where g = 0
+(id 0) with one `0 not in ids`, a C `memchr` on `bytes`; no bundled pair
+has both a list's many classes and such a set.
 
 In both families f is the same function in every world and the plant
 lives only in g, so the sets at which g was evaluated are all an algorithm
@@ -67,40 +64,34 @@ def _f_over_g(f_row: tuple, g_rows, cards) -> tuple[list[tuple], tuple]:
 
 
 @lru_cache(maxsize=None)
-def _dec_grid(n: int, alpha: int, beta: int, epsilon: Fraction) -> tuple[tuple, tuple, tuple]:
-    """The planted decreasing g as n + 1 rows by x = |S minus R|, each indexed by |S|: its values, f/g class ids, classes.
+def _dec_grid(n: int, alpha: int, beta: int, epsilon: Fraction) -> tuple[tuple, tuple, tuple, tuple, tuple]:
+    """The decreasing pair: the planted g's n + 1 rows by x = |S minus R|, its f/g ids and classes, and the unplanted g's.
 
     Row x holds alpha + epsilon - min(beta + x, alpha, c) at c = |S|, sliced from one
     term table, so equal values are one object.  Every row from x = alpha - beta on is
-    one shared tuple, f's own row, and so is its id row.
+    one shared tuple, f's own row, and so is its id row.  The unplanted g is f: its one
+    id row holds the f/f classes, one per |S|.
     """
     table = tuple(alpha + epsilon - t for t in range(alpha + 1))
     rows = [table[:k] + table[k:k + 1] * (n + 1 - k) for k in range(beta, alpha + 1)]
     ids, classes = _f_over_g(rows[-1], rows, range(n + 1))
+    ff_ids, ff_classes = _f_over_g(rows[-1], rows[-1:], range(n + 1))
     tail = n + 1 - len(rows)
-    return tuple(rows + rows[-1:] * tail), tuple(ids + ids[-1:] * tail), classes
-
-
-@lru_cache(maxsize=None)
-def _dec_f_over_f(n: int, alpha: int, beta: int, epsilon: Fraction) -> tuple[tuple, tuple]:
-    """The unplanted decreasing g, which is f: its f/f class ids by |S| and the classes, one per |S|."""
-    f = _dec_grid(n, alpha, beta, epsilon)[0][-1]
-    [ids], classes = _f_over_g(f, [f], range(n + 1))
-    return ids, classes
+    return tuple(rows + rows[-1:] * tail), tuple(ids + ids[-1:] * tail), classes, tuple(ff_ids), ff_classes
 
 
 @lru_cache(maxsize=None)
 def _inc_tables(n: int, m: Fraction, epsilon: Fraction) -> tuple[tuple, tuple, tuple, tuple]:
-    """The increasing pair: f by |S|, g and the f/g class ids each as (by |S|, the plant's entry), and the classes.
+    """The increasing pair: f by |S|, and g and the f/g class ids by |S| with the plant's entry at n + 1, and the classes.
 
-    The plant's entry (g = 1) is kept apart, so no cardinality reads it.
+    No |S| reaches index n + 1, so only the plant reads the plant's entry (g = 1).
     """
     half = n // 2
     cards = range(n + 1)
     f = tuple(Fraction(c) if c <= half else m * (1 << (c + 1)) + c for c in cards)
-    g = tuple(Fraction(2 * c, n) * epsilon if c <= half else Fraction(2 * (c - half)) for c in cards)
-    [ids], classes = _f_over_g(f + f[half:half + 1], [g + (Fraction(1),)], [*cards, half])
-    return f, (g, Fraction(1)), (ids[:-1], ids[-1]), classes
+    g = tuple(Fraction(2 * c, n) * epsilon if c <= half else Fraction(2 * (c - half)) for c in cards) + (Fraction(1),)
+    [ids], classes = _f_over_g(f + f[half:half + 1], [g], [*cards, half])
+    return f, g, ids, classes
 
 
 class QueryTranscript:
@@ -185,19 +176,15 @@ class CountingOracle:
         return values
 
 
-_BY_CARDINALITY, _BY_GRID, _BY_PLANT = range(3)
-
-
 def _side(inst: Instance, role: str) -> tuple:
-    """One side of an instance as (rule, key, values, ids, classes), its cached tables indexed alike.
+    """One side of an instance as (rows, out, plant, ids, classes), its cached tables.
 
-    `values` holds the Fractions the side answers; `ids` and `classes`, for g
-    only (None for f), the pair's f/g class ids and the classes by id.  The
-    rule names the value class: |S|; the planted decreasing g's cell
-    [|S & out|][|S|] of its grid rows, key out; or the increasing plant
-    test, key the plant mask, whose tables are pairs (by |S|, the plant's
-    entry).  Decreasing f is the grid's last row, and so is the unplanted
-    decreasing g, with the f/f classes, one per |S|.
+    At the plant the side's value is rows[0][n + 1]; anywhere else it is
+    rows[|S & out|][|S|].  `plant` is the mask read at rows[0][n + 1], or -1
+    on every side but the planted increasing g.  `ids` holds the pair's f/g class ids in the same rows and
+    `classes` the classes by id, for g only (None for f).  Every side but the
+    planted decreasing g has one row and out = 0: decreasing f is the grid's
+    last row, and so is the unplanted decreasing g, with the f/f classes.
     """
     if role not in ("f", "g"):
         raise ParameterError(f"oracle role must be 'f' or 'g', got {role!r}")
@@ -205,51 +192,51 @@ def _side(inst: Instance, role: str) -> tuple:
         raise ParameterError(f"unknown instance type: {type(inst).__name__}")
     n = inst.n
     if isinstance(inst, DecreasingInstance):
-        values, ids, classes = _dec_grid(n, inst.alpha, inst.beta, inst.epsilon)
+        rows, ids, classes, ff_ids, ff_classes = _dec_grid(n, inst.alpha, inst.beta, inst.epsilon)
         if role == "f":
-            return _BY_CARDINALITY, None, values[-1], None, None
+            return rows[-1:], 0, -1, None, None
         if inst.plant is None:
-            return _BY_CARDINALITY, None, values[-1], *_dec_f_over_f(n, inst.alpha, inst.beta, inst.epsilon)
-        return _BY_GRID, ((1 << n) - 1) & ~inst.plant.mask, values, ids, classes
+            return rows[-1:], 0, -1, ff_ids, ff_classes
+        return rows, ((1 << n) - 1) & ~inst.plant.mask, -1, ids, classes
     f, g, ids, classes = _inc_tables(n, inst.m, inst.epsilon)
     if role == "f":
-        return _BY_CARDINALITY, None, f, None, None
-    if inst.plant is None:
-        return _BY_CARDINALITY, None, g[0], ids[0], classes
-    return _BY_PLANT, inst.plant.mask, g, ids, classes
+        return (f,), 0, -1, None, None
+    return (g,), 0, -1 if inst.plant is None else inst.plant.mask, (ids,), classes
 
 
 def instance_evaluator(inst: Instance, role: str) -> Callable[[Subset], Fraction]:
     """The bare evaluation closure for one side of an instance, uncounted.
 
-    The closures index the family's value table, so a query costs a ground
-    size compare and a bit_count and tuple index per axis, never Fraction
-    arithmetic.  A subset of another ground size raises ParameterError.
+    The closure reads the side's `_side` form, specialised to it: `by_grid`
+    when out is set, `by_plant` when there is a plant, else `by_cardinality`.
+    A query costs a ground size compare and a bit_count and tuple index per
+    axis, never Fraction arithmetic.  A subset of another ground size raises
+    ParameterError.
     """
-    rule, key, table, _, _ = _side(inst, role)
+    rows, out, plant, _, _ = _side(inst, role)
     n = inst.n
-    if rule == _BY_CARDINALITY:
-        def by_cardinality(S, _t=table, _n=n):
-            if S.n != _n:
-                raise _ground_error(S.n, _n)
-            return _t[S.mask.bit_count()]
-
-        return by_cardinality
-    if rule == _BY_GRID:
-        def by_grid(S, _t=table, _o=key, _n=n):
+    if out:
+        def by_grid(S, _t=rows, _o=out, _n=n):
             if S.n != _n:
                 raise _ground_error(S.n, _n)
             mask = S.mask
             return _t[(mask & _o).bit_count()][mask.bit_count()]
 
         return by_grid
+    if plant >= 0:
+        def by_plant(S, _t=rows[0], _v=rows[0][n + 1], _p=plant, _n=n):
+            if S.n != _n:
+                raise _ground_error(S.n, _n)
+            return _v if S.mask == _p else _t[S.mask.bit_count()]
 
-    def by_plant(S, _t=table[0], _v=table[1], _p=key, _n=n):
+        return by_plant
+
+    def by_cardinality(S, _t=rows[0], _n=n):
         if S.n != _n:
             raise _ground_error(S.n, _n)
-        return _v if S.mask == _p else _t[S.mask.bit_count()]
+        return _t[S.mask.bit_count()]
 
-    return by_plant
+    return by_cardinality
 
 
 @lru_cache(maxsize=64)
@@ -262,25 +249,21 @@ def _low_states(out_low: int) -> bytes:
     return states
 
 
-def _id_kernel(rule: int, key, ids: tuple, classes: tuple, n: int) -> Callable:
-    """Masks -> the pair's f/g class ids, as `bytes` when the pair has at most 256 classes, else `by_cell`'s list.
+def _id_kernel(rows: tuple, out: int, plant: int, classes: tuple, n: int) -> Callable:
+    """Masks -> the pair's f/g class ids, read off g's `_side` form: `bytes` up to 256 classes, else `by_cell`'s list.
 
-    `by_cell` reads a list's ids: the plant's id at the increasing plant,
-    else the cell [|S & out|][|S|] (one row and out = 0 under the
-    cardinality rules).  A list, or a range that is not a step-1 range
-    inside one aligned block, takes its masks' counts through one translate
-    table by |S|, or, under the grid rule or when it holds the increasing
-    plant, `by_cell`'s list put into `bytes`.  On a block, a cell adds the
-    high part's counts, one pair per block, to the low part's: a block is a
-    slice of `_low_states` put through a 256-byte translate table of the
-    high counts, with the plant's byte patched in.  Block tables are built
-    on first use, so a pair that never queries a range pays for none of them.
+    `by_cell` reads a list's ids cell by cell, as the form states them.  A
+    list, or a range that is not a step-1 range inside one aligned block,
+    takes its masks' counts through one translate table by |S|, or, when out
+    is set or it holds the plant, `by_cell`'s list put into `bytes`.  On a
+    block, a cell adds the high part's counts, one pair per block, to the low
+    part's: a block is a slice of `_low_states` put through a 256-byte
+    translate table of the high counts, with the plant's byte patched in.
+    Block tables are built on first use, so a pair that never queries a range
+    pays for none of them.
     """
-    rows, out = (ids, key) if rule == _BY_GRID else ((ids[0] if rule == _BY_PLANT else ids,), 0)
-    plant, planted = (key, ids[1]) if rule == _BY_PLANT else (-1, 0)
-
     def by_cell(masks):
-        return [planted if mask == plant else rows[(mask & out).bit_count()][mask.bit_count()] for mask in masks]
+        return [rows[0][n + 1] if mask == plant else rows[(mask & out).bit_count()][mask.bit_count()] for mask in masks]
 
     if len(classes) > 256:
         return by_cell
@@ -288,7 +271,7 @@ def _id_kernel(rule: int, key, ids: tuple, classes: tuple, n: int) -> Callable:
     tables = {}
 
     def listed(masks):
-        if rule == _BY_GRID or rule == _BY_PLANT and plant in masks:
+        if out or plant >= 0 and plant in masks:
             return bytes(by_cell(masks))
         return bytes(map(int.bit_count, masks)).translate(by_card)
 
@@ -306,7 +289,7 @@ def _id_kernel(rule: int, key, ids: tuple, classes: tuple, n: int) -> Callable:
                                       for row in rows[out_high:out_high + _STRIDE]).ljust(256, b"\0")
         block = _low_states(out & (BLOCK - 1))[start - high:stop - high].translate(tables[counts])
         if start <= plant < stop:
-            block = block[:plant - start] + bytes((planted,)) + block[plant - start + 1:]
+            block = block[:plant - start] + bytes((rows[0][n + 1],)) + block[plant - start + 1:]
         return block
 
     return by_block
@@ -336,8 +319,8 @@ def class_lookup(inst: Instance) -> tuple[Callable, tuple]:
 
     The caller vouches, as for `query_batch`, that every mask lies in the ground set.
     """
-    rule, key, _, ids, classes = _side(inst, "g")
-    return _id_kernel(rule, key, ids, classes, inst.n), classes
+    _, out, plant, ids, classes = _side(inst, "g")
+    return _id_kernel(ids, out, plant, classes, inst.n), classes
 
 
 def ratio_terms(S: Subset, f_oracle: CountingOracle, g_oracle: CountingOracle) -> tuple[int, int]:

@@ -345,8 +345,8 @@ def test_decreasing_grid_rows_are_shared(inst):
     # grid holds at most alpha - beta + 1 distinct rows, and every row from
     # x = alpha - beta on is the one tuple that f's side reads.
     n, head = inst.n, inst.alpha - inst.beta
-    values, ids, _ = oracles._dec_grid(n, inst.alpha, inst.beta, inst.epsilon)
-    f_row = oracles._side(inst, "f")[2]
+    values, ids = oracles._dec_grid(n, inst.alpha, inst.beta, inst.epsilon)[:2]
+    (f_row,), _, _, _, _ = oracles._side(inst, "f")
     assert len(values) == n + 1 and len(ids) == n + 1
     for rows in (values, ids):
         assert len({id(row) for row in rows}) <= head + 1
@@ -597,6 +597,7 @@ def test_ratio_rejects_inexact_oracle_values():
 def _bundled_kinds(n):
     return {
         "decreasing-planted": DecreasingInstance(n, 4, 2, Fraction(1, 3), plant=random_k_subset(n, 4, n)),
+        "decreasing-unplanted": DecreasingInstance(n, 4, 2, Fraction(1, 3)),
         "increasing-planted": IncreasingInstance(n, 7, Fraction(1, 5), plant=random_k_subset(n, n // 2, n)),
         "increasing-unplanted": IncreasingInstance(n, 7, Fraction(1, 5)),
     }
@@ -707,7 +708,7 @@ def test_decreasing_ratio_table_at_game_scale(inst):
     # cell is what the pair's lookup returns at a set with c - x plant
     # elements and x others, and there it agrees with instance_evaluator.
     n = inst.n
-    values, ids, classes = oracles._dec_grid(n, inst.alpha, inst.beta, inst.epsilon)
+    values, ids, classes = oracles._dec_grid(n, inst.alpha, inst.beta, inst.epsilon)[:3]
     assert len(ids) == n + 1 and all(len(row) == n + 1 for row in ids)
     assert len(set(classes)) == len(classes) and None not in classes
     f_value, g_value = _at_mask(inst, "f"), _at_mask(inst, "g")
@@ -838,7 +839,7 @@ def test_query_terms_partner_rule(kind, case):
 
 # ------------------------------------------- batch kernels vs one-mask calls
 
-BATCH_KINDS = ["decreasing-planted", "increasing-planted", "increasing-unplanted"]
+BATCH_KINDS = ["decreasing-planted", "decreasing-unplanted", "increasing-planted", "increasing-unplanted"]
 
 
 @pytest.mark.parametrize("n", [5, 10])
@@ -971,18 +972,49 @@ def test_listed_ids_are_the_comprehensions_bytes(planted):
 
 
 @pytest.mark.parametrize("n", [5, 10, 11])
-def test_increasing_plant_is_kept_apart_from_the_cardinality_table(n):
-    # The increasing tables are indexed by |S| alone, 0..n, and the plant's
-    # value and id are kept beside them, so no cardinality reads the plant's
-    # entry: the full set keeps its own class whether the pair is planted or not
+def test_increasing_plant_entry_sits_past_every_cardinality(n):
+    # The increasing g and id rows are indexed by |S|, 0..n, and hold the
+    # plant's value and id at n + 1, where no cardinality reaches: the full
+    # set keeps its own class whether the pair is planted or not
     inst = IncreasingInstance(n, 7, Fraction(1, 5))
-    f, g, ids, classes = oracles._inc_tables(n, inst.m, inst.epsilon)
-    assert len(f) == len(g[0]) == len(ids[0]) == n + 1
-    assert g[1] == 1 and classes[ids[1]] == (n // 2, 1, n // 2)
     full = (1 << n) - 1
     for pair in (inst, inst.with_plant(random_k_subset(n, n // 2, n))):
+        (f_row,), _, _, _, _ = oracles._side(pair, "f")
+        (row,), out, plant, (ids,), classes = oracles._side(pair, "g")
+        assert len(f_row) == n + 1 and len(row) == len(ids) == n + 2 and out == 0
+        assert plant == (pair.plant.mask if pair.plant else -1)
+        assert row[n + 1] == 1 and classes[ids[n + 1]] == (n // 2, 1, n // 2)
         assert _one_query(full, n, *make_oracles(pair)) == _reference_query(full, n, *make_oracles(pair))
         assert _one_query(full, n, *make_oracles(pair)) != (n // 2, 1, n // 2)
+
+
+SIDES = [("decreasing-planted", "f"), ("decreasing-unplanted", "g"), ("decreasing-planted", "g"),
+         ("increasing-planted", "f"), ("increasing-unplanted", "g"), ("increasing-planted", "g")]
+
+
+@pytest.mark.parametrize("n", [5, 10])
+@pytest.mark.parametrize("kind, role", SIDES)
+def test_every_side_answers_the_cell_of_its_form(kind, role, n):
+    # At the plant a side's value is rows[0][n + 1], anywhere else
+    # rows[|S & out|][|S|]; only the planted decreasing g has more than one
+    # row, and only the planted increasing g a plant.  On every mask the
+    # evaluator returns the very object at that cell, and for g the pair's
+    # kernel gives the id at that cell, for a list and for a range
+    inst = _bundled_kinds(n)[kind]
+    rows, out, plant, ids, classes = oracles._side(inst, role)
+    assert (len(rows) > 1) == (out != 0) == (kind == "decreasing-planted" and role == "g")
+    assert (plant >= 0) == (kind == "increasing-planted" and role == "g")
+    assert (ids is None) == (classes is None) == (role == "f")
+    masks = list(range(1 << n))
+    cells = [(0, n + 1) if mask == plant else ((mask & out).bit_count(), mask.bit_count()) for mask in masks]
+    evaluate = instance_evaluator(inst, role)
+    for mask, (x, c) in zip(masks, cells):
+        assert evaluate(Subset(mask, n)) is rows[x][c], mask
+    if role == "g":
+        kernel, by_id = class_lookup(inst)
+        assert by_id is classes
+        for span in (masks, range(1 << n)):
+            assert list(kernel(span)) == [ids[x][c] for x, c in cells]
 
 
 @pytest.mark.parametrize("n", [5, 10])

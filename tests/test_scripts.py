@@ -38,14 +38,28 @@ def test_gap_demo_smoke():
     assert "decreasing family: n=14" in done.stdout
 
 
-def test_every_mutant_still_applies():
-    # each mutant's old text occurs exactly once in its file, and its test
-    # files exist, so the list in scripts/mutants.py cannot rot unnoticed
+def load_mutants():
     spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
     mutants = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mutants)
+    return mutants
+
+
+def test_every_mutant_still_applies():
+    # each mutant's old text occurs exactly once in its file, and its test
+    # files exist, so the list in scripts/mutants.py cannot rot unnoticed
+    mutants = load_mutants()
     assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS) >= 8
     for m in mutants.MUTANTS:
         assert mutants.occurrences(m) == 1, m.name
         assert m.old != m.new and m.tests, m.name
         assert all((ROOT / path).is_file() for path in m.tests), m.name
+
+
+def test_an_old_text_that_begins_with_a_space_matches_only_at_a_line_start():
+    # a line moved one indent deeper stops matching instead of matching its tail
+    mutants = load_mutants()
+    mutant = mutants.Mutant("m", "x.py", "    x = 1\n", "    x = 2\n", ("t.py",))
+    text = "    x = 1\n        x = 1\n"
+    assert mutants.mutate(text, mutant) == "    x = 2\n        x = 1\n"
+    assert mutants.mutate(text[10:], mutant) == text[10:]
